@@ -33,6 +33,7 @@ from .wavefield import (
     ComplexField,
     Grid,
     Mask,
+    _interpolate,
     apply_mask,
     intensity,
     make_plane_wave,
@@ -79,6 +80,13 @@ _WIRE_EDGE_SAMPLES = 1.3
 # Acceptable depth of a refined interference minimum relative to the
 # neighboring maxima; shallower minima are not resolvable wire sites.
 _MINIMUM_DEPTH = 1e-4
+
+# Newton refinement of the sigma1 extrema: half-width of the search bracket
+# around each seed in fringe periods, step tolerance relative to the bracket
+# width, and the step budget before a point counts as not converging.
+_BRACKET_FRINGES = 0.35
+_NEWTON_REL_TOL = 1e-10
+_NEWTON_MAX_STEPS = 50
 
 
 class BandLimitError(RuntimeError):
@@ -137,10 +145,14 @@ class AfsharGeometry:
             "wire_width",
             "wavelength",
         ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not (isinstance(self.n_wires, int) and self.n_wires >= 1):
-            raise ValueError(f"n_wires must be a positive integer, got {self.n_wires}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (isinstance(self.n_wires, int) and self.n_wires > 0 and self.n_wires % 2 == 0):
+            raise ValueError(
+                f"n_wires must be a positive even integer (the minima set is "
+                f"symmetric), got {self.n_wires}"
+            )
         if not self.slit_separation > self.slit_width:
             raise ValueError("slit_separation must exceed slit_width")
         if not self.wire_width < self.fringe_spacing:
@@ -301,77 +313,68 @@ def slit_mask(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> Mask:
     return Mask(grid, profile)
 
 
-def _golden_section(fun, lo: float, hi: float, rel_tol: float = 1e-12) -> float:
-    """Deterministic golden-section minimizer on a bracket."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    span = hi - lo
-    while (hi - lo) > rel_tol * span:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = fun(d)
-    return 0.5 * (lo + hi)
-
-
-def fringe_minima(geometry: AfsharGeometry, grid: Grid | None = None) -> np.ndarray:
-    """Positions of the ``n_wires`` interference minima nearest the axis.
-
-    Seeds each minimum at the small-angle estimate ``(m + 1/2) * lambda*L/d``
-    and refines it by golden-section search on the simulated both-slit
-    intensity at sigma1 (evaluated by band-limited interpolation, so the
-    result is not quantized to the sample spacing).  The set is symmetric
-    under reflection; the positive-side minima are refined and mirrored.
-    """
-    if geometry.n_wires % 2 != 0:
-        raise ValueError(
-            f"a symmetric minima set needs an even wire count, got {geometry.n_wires}"
-        )
-    grid = grid if grid is not None else default_grid(geometry)
+def _sigma1_field(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> ComplexField:
+    """Guarded field at sigma1 behind the given slits."""
     src = apply_mask(
-        make_plane_wave(grid, geometry.wavelength), slit_mask(geometry, grid, Slits.BOTH)
+        make_plane_wave(grid, geometry.wavelength), slit_mask(geometry, grid, slits)
     )
     _guard(src, "source")
     at_sigma1 = propagate(src, geometry.z_slits_to_grid)
     _guard(at_sigma1, "sigma1")
+    return at_sigma1
 
+
+def _refine_minima(geometry: AfsharGeometry, at_sigma1: ComplexField) -> np.ndarray:
+    """Interference minima of a both-slit sigma1 field, refined by Newton's method.
+
+    Newton iterates on I'(x) = 0 for I = |u|^2, with u the band-limited
+    interpolant of the field: I' = 2 Re(conj(u) u') and
+    I'' = 2 (|u'|^2 + Re(conj(u) u'')).  Minima are seeded at
+    ``(m + 1/2) * lambda*L/d`` and the maxima between them at
+    ``m * lambda*L/d``; each point stays within ``_BRACKET_FRINGES`` of its
+    seed.
+    A point that does not converge, converges to the wrong kind of
+    extremum, or a minimum shallower than ``_MINIMUM_DEPTH`` of its
+    neighboring maxima, is not resolvable.
+    """
     fringe = geometry.fringe_spacing
-    half_extent = grid.coordinates[-1]
+    half_pairs = geometry.n_wires // 2
+    grid = at_sigma1.grid
+    if (half_pairs - 0.5 + _BRACKET_FRINGES) * fringe > grid.coordinates[-1]:
+        raise ValueError(f"fewer than {geometry.n_wires} resolvable minima within the grid")
 
-    # band-limited interpolation with the spectrum hoisted out of the search loop
     spectrum = np.fft.fft(at_sigma1.amplitudes)
     kx = grid.wavenumbers()
     x0 = grid.coordinates[0]
-    n = grid.n_samples
 
-    def pattern(x: float) -> float:
-        value = np.exp(1j * (x - x0) * kx) @ spectrum / n
-        return float(abs(value) ** 2)
-
-    positive = []
-    for m in range(geometry.n_wires // 2):
-        seed = (m + 0.5) * fringe
-        if seed + 0.35 * fringe > half_extent:
+    def extremum(seed: float, minimum: bool) -> tuple[float, float]:
+        """Position and intensity of the extremum near ``seed``."""
+        lo, hi = seed - _BRACKET_FRINGES * fringe, seed + _BRACKET_FRINGES * fringe
+        x = seed
+        for _ in range(_NEWTON_MAX_STEPS):
+            u, du, d2u = _interpolate(spectrum, kx, x0, x)
+            slope = 2.0 * (u.conjugate() * du).real
+            curvature = 2.0 * (abs(du) ** 2 + (u.conjugate() * d2u).real)
+            step = -slope / curvature if curvature != 0.0 else math.inf
+            if abs(step) < _NEWTON_REL_TOL * (hi - lo):
+                break
+            x = min(max(x + step, lo), hi)
+        else:
+            curvature = math.nan
+        if not (curvature > 0.0 if minimum else curvature < 0.0):
+            kind = "minimum" if minimum else "maximum"
             raise ValueError(
-                f"fewer than {geometry.n_wires} resolvable minima within the grid"
+                f"intensity {kind} near {seed:.4g} m is not resolvable: Newton's "
+                f"method found none within {_BRACKET_FRINGES} fringe of the seed"
             )
-        x_min = _golden_section(pattern, seed - 0.35 * fringe, seed + 0.35 * fringe)
-        left_max = _golden_section(
-            lambda q: -pattern(q), m * fringe - 0.35 * fringe, m * fringe + 0.35 * fringe
-        )
-        right_max = _golden_section(
-            lambda q: -pattern(q),
-            (m + 1) * fringe - 0.35 * fringe,
-            (m + 1) * fringe + 0.35 * fringe,
-        )
-        neighbor = max(pattern(left_max), pattern(right_max))
-        depth = pattern(x_min) / neighbor
+        return x, abs(u) ** 2
+
+    maxima = [extremum(m * fringe, minimum=False)[1] for m in range(half_pairs + 1)]
+    positive = []
+    for m in range(half_pairs):
+        seed = (m + 0.5) * fringe
+        x_min, i_min = extremum(seed, minimum=True)
+        depth = i_min / max(maxima[m], maxima[m + 1])
         if depth > _MINIMUM_DEPTH:
             raise ValueError(
                 f"minimum near {seed:.4g} m is not resolvable: intensity is "
@@ -379,8 +382,21 @@ def fringe_minima(geometry: AfsharGeometry, grid: Grid | None = None) -> np.ndar
             )
         positive.append(x_min)
 
-    positions = np.array([-p for p in reversed(positive)] + positive)
-    return positions
+    return np.array([-p for p in reversed(positive)] + positive)
+
+
+def fringe_minima(geometry: AfsharGeometry, grid: Grid | None = None) -> np.ndarray:
+    """Positions of the ``n_wires`` interference minima nearest the axis.
+
+    Simulates the both-slit field at sigma1, seeds each minimum at the
+    small-angle estimate ``(m + 1/2) * lambda*L/d`` and refines it by
+    Newton's method on the derivative of the band-limited interpolation of
+    the intensity, so the result is not quantized to the sample spacing.
+    The set is symmetric under reflection; the positive-side minima are
+    refined and mirrored.
+    """
+    grid = grid if grid is not None else default_grid(geometry)
+    return _refine_minima(geometry, _sigma1_field(geometry, grid, Slits.BOTH))
 
 
 def build_wire_grid(
@@ -456,17 +472,13 @@ def run_scenario(
     (deterministic tie-break).
     """
     grid = grid if grid is not None else default_grid(geometry)
-    src = apply_mask(
-        make_plane_wave(grid, geometry.wavelength), slit_mask(geometry, grid, scenario.slits)
-    )
-    _guard(src, "source")
-
-    at_sigma1 = propagate(src, geometry.z_slits_to_grid)
-    _guard(at_sigma1, "sigma1")
+    at_sigma1 = _sigma1_field(geometry, grid, scenario.slits)
     power_incident = total_power(at_sigma1)
 
     minima: tuple[float, ...] = ()
-    if scenario.slits is Slits.BOTH or scenario.grid is GridState.IN:
+    if scenario.slits is Slits.BOTH:
+        minima = tuple(float(p) for p in _refine_minima(geometry, at_sigma1))
+    elif scenario.grid is GridState.IN:
         minima = tuple(float(p) for p in fringe_minima(geometry, grid))
 
     if scenario.grid is GridState.IN:

@@ -65,8 +65,8 @@ class Grid:
         n = self.n_samples
         if n <= 0 or (n & (n - 1)) != 0:
             raise ValueError(f"n_samples must be a positive power of two, got {n}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not (np.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
 
     @property
     def coordinates(self) -> np.ndarray:
@@ -224,6 +224,25 @@ def total_power(
     return float(np.sum(I[sel]) * field.grid.spacing)
 
 
+def _interpolate(
+    spectrum: np.ndarray, kx: np.ndarray, x0: float, x: float
+) -> tuple[complex, complex, complex]:
+    """Trigonometric interpolant of a sampled field and its first two derivatives.
+
+    ``spectrum`` is the FFT of samples starting at ``x0`` and ``kx`` its
+    angular frequencies in FFT order; the interpolant is
+    ``u(x) = sum(spectrum * exp(i*kx*(x - x0))) / n``, so ``u'`` and ``u''``
+    weight the same terms by ``i*kx`` and ``-kx**2``.  One point at a time
+    keeps the working set at O(n).
+    """
+    terms = spectrum * np.exp(1j * (x - x0) * kx)
+    n = spectrum.size
+    u = terms.sum() / n
+    du = 1j * (terms @ kx) / n
+    d2u = -(terms @ (kx * kx)) / n
+    return complex(u), complex(du), complex(d2u)
+
+
 def field_at(field: ComplexField, x: float | np.ndarray) -> np.ndarray | complex:
     """Evaluate the band-limited field at arbitrary coordinates.
 
@@ -235,7 +254,7 @@ def field_at(field: ComplexField, x: float | np.ndarray) -> np.ndarray | complex
     kx = field.grid.wavenumbers()
     x0 = field.grid.coordinates[0]
     xq = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.exp(1j * np.outer(xq - x0, kx)) @ spectrum / field.grid.n_samples
+    out = np.array([_interpolate(spectrum, kx, x0, xi)[0] for xi in xq])
     return out if np.ndim(x) else complex(out[0])
 
 

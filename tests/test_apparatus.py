@@ -5,6 +5,7 @@ import pytest
 
 from afsharsim.apparatus import (
     AfsharGeometry,
+    _refine_minima,
     BandLimitError,
     GridState,
     Scenario,
@@ -49,6 +50,11 @@ class TestGeometry:
     def test_positive_lengths(self, geometry):
         with pytest.raises(ValueError, match="positive"):
             dataclasses.replace(geometry, wavelength=-1e-6)
+
+    @pytest.mark.parametrize("name", ["wavelength", "z_grid_to_lens", "wire_width"])
+    def test_non_finite_lengths_rejected(self, geometry, name):
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(geometry, **{name: float("inf")})
 
 
 class TestSlitMask:
@@ -101,9 +107,32 @@ class TestFringeMinima:
             assert profile[nearest] < 1e-4 * peak
 
     def test_odd_wire_count_rejected(self, geometry, bench_grid):
-        odd = dataclasses.replace(geometry, n_wires=5)
         with pytest.raises(ValueError, match="even"):
+            odd = dataclasses.replace(geometry, n_wires=5)
             fringe_minima(odd, bench_grid)
+
+    def test_default_grid_positions_pinned(self, geometry, bench_grid):
+        positions = fringe_minima(geometry, bench_grid)
+        expected = [1.733335400262975e-3, 5.2000689744920925e-3, 8.666990633339179e-3]
+        np.testing.assert_allclose(positions[positions > 0], expected, rtol=0, atol=1e-9)
+
+    def test_fine_grid_matches_default_grid(self, geometry, bench_grid):
+        # second method: 4x finer sampling of the same 81.92 mm box
+        fine = fringe_minima(geometry, Grid(2**16, 1.25e-6))
+        np.testing.assert_allclose(fine, fringe_minima(geometry, bench_grid), rtol=0, atol=1e-9)
+
+    def test_single_slit_field_has_no_resolvable_minima(self, geometry, sigma1_fields):
+        upper, _ = sigma1_fields
+        with pytest.raises(ValueError, match="not resolvable"):
+            _refine_minima(geometry, upper)
+
+    def test_shallow_minima_fail_depth_guard(self, geometry, sigma1_fields):
+        # unbalanced slits: the fringes exist but their minima sit near
+        # (0.1/1.9)**2 ~ 3e-3 of the maxima, far above the 1e-4 depth limit
+        upper, lower = sigma1_fields
+        unbalanced = upper.with_amplitudes(upper.amplitudes + 0.9 * lower.amplitudes)
+        with pytest.raises(ValueError, match="not resolvable: intensity is .* of the neighboring"):
+            _refine_minima(geometry, unbalanced)
 
     def test_unreachable_minima_raise_diagnostic(self, geometry, bench_grid):
         # minima pushed far outside the box trip the guard chain one way or

@@ -80,6 +80,24 @@ class TestSimulate:
         assert code == 3
         assert "source" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, scenario, grid",
+        [
+            ("n_wires = 5\n", "both", "in"),
+            ("n_wires = 5\n", "upper", "out"),
+            ("spacing = inf\n", "both", "in"),
+        ],
+    )
+    def test_invalid_config_exits_2_with_one_line(self, tmp_path, capsys, text, scenario, grid):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        argv = ("--config", str(cfg), "--scenario", scenario, "--grid", grid)
+        assert run("simulate", *argv, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_config_file_round_trip(self, tmp_path):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from afsharsim.wavefield import (
     ComplexField,
+    _interpolate,
     FieldFlagWarning,
     Grid,
     Mask,
@@ -48,6 +49,11 @@ class TestGrid:
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError):
             Grid(n_samples=8, spacing=0.0)
+
+    @pytest.mark.parametrize("spacing", [np.inf, np.nan])
+    def test_rejects_non_finite_spacing(self, spacing):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(n_samples=8, spacing=spacing)
 
 
 class TestPlaneWave:
@@ -298,6 +304,21 @@ class TestFieldAt:
     def test_scalar_input(self):
         f = make_plane_wave(small_grid(), WAVELENGTH)
         assert field_at(f, 0.0) == pytest.approx(1.0 + 0j, abs=1e-12)
+
+    @pytest.mark.parametrize("bin_index", [37, -150])
+    def test_derivatives_of_on_bin_plane_wave(self, bin_index):
+        # oracle: for exp(i*kt*x) with kt on an FFT bin the interpolant is
+        # exact, so u' = i*kt*u and u'' = -kt**2*u between the samples too
+        grid = small_grid()
+        kt = 2 * np.pi * bin_index / grid.extent
+        f = make_plane_wave(grid, WAVELENGTH, tilt_angle=np.arcsin(kt * WAVELENGTH / (2 * np.pi)))
+        spectrum = np.fft.fft(f.amplitudes)
+        x = grid.coordinates
+        for xq in (x[100] + 0.3 * grid.spacing, x[700] + 0.77 * grid.spacing):
+            u, du, d2u = _interpolate(spectrum, grid.wavenumbers(), x[0], xq)
+            assert u == pytest.approx(np.exp(1j * kt * xq), rel=1e-9)
+            assert du == pytest.approx(1j * kt * u, rel=1e-9)
+            assert d2u == pytest.approx(-kt**2 * u, rel=1e-9)
 
 
 class TestNyquistTail:
