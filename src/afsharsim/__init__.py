@@ -26,7 +26,9 @@ from .apparatus import (
     fill_factor,
     fringe_minima,
     image_windows,
+    imaging_distance,
     run_scenario,
+    sigma1_field,
     slit_mask,
 )
 from .duality import (
@@ -46,6 +48,7 @@ from .remnant import (
     RemnantState,
     VibrationalDirection,
     build_remnant,
+    completeness_residue,
     detect,
     postselect,
     qubit_analogy,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,7 +53,9 @@ __all__ = [
     "DEFAULT_N_SAMPLES",
     "DEFAULT_SPACING",
     "default_grid",
+    "imaging_distance",
     "slit_mask",
+    "sigma1_field",
     "fringe_minima",
     "build_wire_grid",
     "fill_factor",
@@ -135,16 +137,7 @@ class AfsharGeometry:
     wavelength: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "slit_width",
-            "slit_separation",
-            "z_slits_to_grid",
-            "z_grid_to_lens",
-            "focal_length",
-            "z_lens_to_detectors",
-            "wire_width",
-            "wavelength",
-        ):
+        for name in (f.name for f in fields(self) if f.name != "n_wires"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -184,7 +177,7 @@ class AfsharGeometry:
             z_slits_to_grid=1.0,
             z_grid_to_lens=0.5,
             focal_length=0.5,
-            z_lens_to_detectors=0.75,
+            z_lens_to_detectors=imaging_distance(1.0 + 0.5, 0.5),
             wire_width=130e-6,
             n_wires=6,
             wavelength=650e-9,
@@ -226,12 +219,17 @@ class SimulationRecord:
             object.__setattr__(self, arr_name, arr)
 
 
-def default_grid(
-    geometry: AfsharGeometry,
-    n_samples: int = DEFAULT_N_SAMPLES,
-    spacing: float = DEFAULT_SPACING,
-) -> Grid:
-    del geometry  # the default sampling is geometry-independent; kept for call symmetry
+def imaging_distance(object_distance: float, focal_length: float) -> float:
+    """Lens-to-image distance z solving the thin-lens condition 1/s + 1/z = 1/f."""
+    if not object_distance > focal_length > 0:
+        raise ValueError(
+            f"imaging condition has no solution for object distance {object_distance} m "
+            f"and focal length {focal_length} m (needs object distance > focal length > 0)"
+        )
+    return 1.0 / (1.0 / focal_length - 1.0 / object_distance)
+
+
+def default_grid(n_samples: int = DEFAULT_N_SAMPLES, spacing: float = DEFAULT_SPACING) -> Grid:
     return Grid(n_samples=n_samples, spacing=spacing)
 
 
@@ -313,7 +311,7 @@ def slit_mask(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> Mask:
     return Mask(grid, profile)
 
 
-def _sigma1_field(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> ComplexField:
+def sigma1_field(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> ComplexField:
     """Guarded field at sigma1 behind the given slits."""
     src = apply_mask(
         make_plane_wave(grid, geometry.wavelength), slit_mask(geometry, grid, slits)
@@ -395,8 +393,8 @@ def fringe_minima(geometry: AfsharGeometry, grid: Grid | None = None) -> np.ndar
     The set is symmetric under reflection; the positive-side minima are
     refined and mirrored.
     """
-    grid = grid if grid is not None else default_grid(geometry)
-    return _refine_minima(geometry, _sigma1_field(geometry, grid, Slits.BOTH))
+    grid = grid if grid is not None else default_grid()
+    return _refine_minima(geometry, sigma1_field(geometry, grid, Slits.BOTH))
 
 
 def build_wire_grid(
@@ -413,7 +411,7 @@ def build_wire_grid(
     odd-symmetric about the nominal bar boundary, which preserves the
     bar's nominal width.
     """
-    grid = grid if grid is not None else default_grid(geometry)
+    grid = grid if grid is not None else default_grid()
     centers = np.sort(np.asarray(minima, dtype=float))
     if centers.size >= 2:
         gaps = np.diff(centers)
@@ -471,8 +469,8 @@ def run_scenario(
     the shared window boundary at x = 0 is assigned to window U
     (deterministic tie-break).
     """
-    grid = grid if grid is not None else default_grid(geometry)
-    at_sigma1 = _sigma1_field(geometry, grid, scenario.slits)
+    grid = grid if grid is not None else default_grid()
+    at_sigma1 = sigma1_field(geometry, grid, scenario.slits)
     power_incident = total_power(at_sigma1)
 
     minima: tuple[float, ...] = ()

@@ -19,30 +19,23 @@ import numpy as np
 
 from . import apparatus, duality, remnant
 from .config import ConfigError, load_config
-from .report import ReportError, build_report, render_report
-from .wavefield import Grid, apply_mask, make_plane_wave, propagate
+from .report import (
+    POWERS_COLUMNS,
+    ReportError,
+    _fmt,
+    _powers_line,
+    _read_powers,
+    build_report,
+    render_report,
+)
+from .wavefield import Grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
 
-_SCENARIO_ORDER = [
-    ("both", "in"),
-    ("both", "out"),
-    ("upper", "in"),
-    ("upper", "out"),
-    ("lower", "in"),
-    ("lower", "out"),
-]
-
-POWERS_HEADER = (
-    "scenario,grid,power_incident,power_after_grid,power_at_detectors,"
-    "power_window_U,power_window_L"
-)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# powers.csv row order
+_SCENARIO_ORDER = [(s.value, g.value) for s in apparatus.Slits for g in apparatus.GridState]
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -62,28 +55,12 @@ def _parse_complex_pair(text: str, flag: str) -> tuple[complex, complex]:
 # ---------------------------------------------------------------- simulate
 
 
-def _upsert_powers(path: Path, row: dict[str, str]) -> None:
-    rows: dict[tuple[str, str], str] = {}
-    if path.is_file():
-        lines = path.read_text().splitlines()
-        for line in lines[1:]:
-            if line:
-                parts = line.split(",")
-                rows[(parts[0], parts[1])] = line
-    line = ",".join(
-        [
-            row["scenario"],
-            row["grid"],
-            row["power_incident"],
-            row["power_after_grid"],
-            row["power_at_detectors"],
-            row["power_window_U"],
-            row["power_window_L"],
-        ]
-    )
-    rows[(row["scenario"], row["grid"])] = line
+def _powers_lines(path: Path, row: dict) -> list[str]:
+    """powers.csv with ``row`` replacing any earlier row of its scenario."""
+    rows = {(r["scenario"], r["grid"]): r for r in _read_powers(path)} if path.is_file() else {}
+    rows[(row["scenario"], row["grid"])] = row
     ordered = [rows[key] for key in _SCENARIO_ORDER if key in rows]
-    _write_lines(path, [POWERS_HEADER] + ordered)
+    return [",".join(POWERS_COLUMNS)] + [_powers_line(r) for r in ordered]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -93,33 +70,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = apparatus.Scenario(
         slits=apparatus.Slits(args.scenario), grid=apparatus.GridState(args.grid)
     )
-    record = apparatus.run_scenario(geometry, scenario, grid)
+    try:
+        record = apparatus.run_scenario(geometry, scenario, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    row = {column: getattr(record, column) for column in POWERS_COLUMNS[2:]}
+    row.update(scenario=scenario.slits.value, grid=scenario.grid.value)
+    powers = _powers_lines(out / "powers.csv", row)
     x = grid.coordinates
-    _write_lines(
-        out / "sigma1.csv",
-        ["x_m,intensity"]
-        + [f"{_fmt(xi)},{_fmt(ii)}" for xi, ii in zip(x, record.intensity_sigma1)],
-    )
-    _write_lines(
-        out / "sigma2.csv",
-        ["x_m,intensity"]
-        + [f"{_fmt(xi)},{_fmt(ii)}" for xi, ii in zip(x, record.intensity_sigma2)],
-    )
-    _upsert_powers(
-        out / "powers.csv",
-        {
-            "scenario": scenario.slits.value,
-            "grid": scenario.grid.value,
-            "power_incident": _fmt(record.power_incident),
-            "power_after_grid": _fmt(record.power_after_grid),
-            "power_at_detectors": _fmt(record.power_at_detectors),
-            "power_window_U": _fmt(record.power_window_U),
-            "power_window_L": _fmt(record.power_window_L),
-        },
-    )
+    for name, profile in (
+        ("sigma1.csv", record.intensity_sigma1),
+        ("sigma2.csv", record.intensity_sigma2),
+    ):
+        lines = [f"{_fmt(xi)},{_fmt(ii)}" for xi, ii in zip(x, profile)]
+        _write_lines(out / name, ["x_m,intensity"] + lines)
+    _write_lines(out / "powers.csv", powers)
     (u_lo, u_hi), (l_lo, l_hi) = apparatus.image_windows(geometry)
     _write_lines(
         out / "derived.csv",
@@ -160,6 +128,11 @@ def _ladder_widths(period_samples: int, count: int) -> list[int]:
 
 def cmd_duality(args: argparse.Namespace) -> int:
     rows: list[str] = ["model,a_or_V_source,V,K,V2K2"]
+    checks: list[float] = []
+
+    def add_row(model: str, source: str, pair: duality.VKPair) -> None:
+        checks.append(duality.duality_check(pair))
+        rows.append(f"{model},{source},{_fmt(pair.V)},{_fmt(pair.K)},{_fmt(checks[-1])}")
 
     if args.probe:
         a, b = _parse_complex_pair(args.probe, "--probe")
@@ -167,27 +140,16 @@ def cmd_duality(args: argparse.Namespace) -> int:
             probe = duality.ProbeAmplitudes(a, b)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        pair = duality.vk_from_probe(probe)
-        rows.append(
-            f"probe,a={a!r};b={b!r},{_fmt(pair.V)},{_fmt(pair.K)},"
-            f"{_fmt(duality.duality_check(pair))}"
-        )
+        add_row("probe", f"a={a!r};b={b!r}", duality.vk_from_probe(probe))
         if abs(a.imag) < 1e-12 and abs(b.imag) < 1e-12:
             model = duality.probe_detector_model(probe)
-            dpair = duality.vk_from_detector(model)
-            rows.append(
-                f"detector,rotations-for-a={a!r};b={b!r},{_fmt(dpair.V)},"
-                f"{_fmt(dpair.K)},{_fmt(duality.duality_check(dpair))}"
-            )
+            add_row("detector", f"rotations-for-a={a!r};b={b!r}", duality.vk_from_detector(model))
 
     if args.random_detectors:
         rng = np.random.default_rng(args.seed)
         for i in range(args.random_detectors):
             pair = duality.vk_from_detector(duality.random_detector_model(rng))
-            rows.append(
-                f"detector,random[{i}],{_fmt(pair.V)},{_fmt(pair.K)},"
-                f"{_fmt(duality.duality_check(pair))}"
-            )
+            add_row("detector", f"random[{i}]", pair)
 
     # visibility ladder: external pattern if given, else the canonical cosine
     if args.pattern:
@@ -228,11 +190,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_lines(out / "vk.csv", rows)
     _write_lines(out / "visibility_bins.csv", ladder_lines)
-    worst = 0.0
-    for line in rows[1:]:
-        parts = line.split(",")
-        if parts[0] in ("probe", "detector"):
-            worst = max(worst, abs(float(parts[-1]) - 1.0))
+    worst = max((abs(check - 1.0) for check in checks), default=0.0)
     print(
         f"duality: {len(rows) - 1} model rows, max |V^2+K^2-1| = {_fmt(worst)}; "
         f"ladder of {len(ladder_lines) - 1} widths on '{source}' pattern"
@@ -247,16 +205,14 @@ def cmd_remnant(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     geometry = cfg.geometry()
     grid = cfg.grid()
-    wave = make_plane_wave(grid, geometry.wavelength)
-    phi_u = propagate(
-        apply_mask(wave, apparatus.slit_mask(geometry, grid, apparatus.Slits.UPPER_ONLY)),
-        geometry.z_slits_to_grid,
+    phi_u, phi_l = (
+        apparatus.sigma1_field(geometry, grid, slits)
+        for slits in (apparatus.Slits.UPPER_ONLY, apparatus.Slits.LOWER_ONLY)
     )
-    phi_l = propagate(
-        apply_mask(wave, apparatus.slit_mask(geometry, grid, apparatus.Slits.LOWER_ONLY)),
-        geometry.z_slits_to_grid,
-    )
-    state = remnant.build_remnant(phi_u, phi_l)
+    try:
+        state = remnant.build_remnant(phi_u, phi_l)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     total = remnant.total_pattern(state)
 
     directions = [
@@ -302,18 +258,11 @@ def cmd_remnant(args: argparse.Namespace) -> int:
             ["index,x_m"] + [f"{i},{_fmt(x)}" for i, x in enumerate(draws)],
         )
 
-    residue_ul = float(
-        np.max(np.abs(probs["post_vU"] * patterns["post_vU"]
-                      + probs["post_vL"] * patterns["post_vL"] - total))
-    )
-    residue_pm = float(
-        np.max(np.abs(probs["post_plus"] * patterns["post_plus"]
-                      + probs["post_minus"] * patterns["post_minus"] - total))
-    )
-    print(
-        "remnant: completeness residue "
-        f"v_U/v_L = {_fmt(residue_ul)}, fringe/antifringe = {_fmt(residue_pm)}"
-    )
+    residues = [
+        f"{label} = {_fmt(remnant.completeness_residue(probs, patterns, names, total))}"
+        for label, names in remnant.COMPLETENESS_PAIRS
+    ]
+    print("remnant: completeness residue " + ", ".join(residues))
     print(remnant.ORTHONORMAL_NOTE)
     return EXIT_OK
 
@@ -322,10 +271,7 @@ def cmd_remnant(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        report = build_report(args.out)
-    except ReportError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = build_report(args.out)
     note = remnant.ORTHONORMAL_NOTE if report.remnant_columns else ""
     text = render_report(report, note)
     (Path(args.out) / "report.txt").write_text(text)
@@ -385,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, ReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except apparatus.BandLimitError as exc:

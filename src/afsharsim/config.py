@@ -1,8 +1,8 @@
 """Flat key = value configuration files (SI units, '#' comments).
 
-Every geometric key is optional and defaults to the reference bench;
-``z_lens_to_detectors`` may be omitted entirely, in which case it is
-derived from the imaging condition.
+Every geometric key is optional and defaults to the reference bench
+:meth:`AfsharGeometry.default`; ``z_lens_to_detectors`` may be omitted
+entirely, in which case it is derived from the imaging condition.
 """
 
 from __future__ import annotations
@@ -10,71 +10,51 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .apparatus import DEFAULT_N_SAMPLES, DEFAULT_SPACING, AfsharGeometry
+from .apparatus import DEFAULT_N_SAMPLES, DEFAULT_SPACING, AfsharGeometry, imaging_distance
 from .wavefield import Grid
 
-__all__ = ["Config", "ConfigError", "load_config", "parse_config"]
+__all__ = ["Config", "ConfigError", "load_config", "parse_config", "MAX_N_SAMPLES"]
+
+# Largest accepted grid; a bigger one would only fail at allocation time.
+MAX_N_SAMPLES = 2**20
+
+_REFERENCE = AfsharGeometry.default()
 
 
 class ConfigError(ValueError):
     """Unreadable, unparsable, or physically inconsistent configuration."""
 
 
-_GEOMETRY_FLOAT_KEYS = (
-    "wavelength",
-    "slit_width",
-    "slit_separation",
-    "z_slits_to_grid",
-    "z_grid_to_lens",
-    "focal_length",
-    "z_lens_to_detectors",
-    "wire_width",
-)
-
-
 @dataclass
 class Config:
-    wavelength: float = 650e-9
-    slit_width: float = 30e-6
-    slit_separation: float = 187.5e-6
-    z_slits_to_grid: float = 1.0
-    z_grid_to_lens: float = 0.5
-    focal_length: float = 0.5
+    wavelength: float = _REFERENCE.wavelength
+    slit_width: float = _REFERENCE.slit_width
+    slit_separation: float = _REFERENCE.slit_separation
+    z_slits_to_grid: float = _REFERENCE.z_slits_to_grid
+    z_grid_to_lens: float = _REFERENCE.z_grid_to_lens
+    focal_length: float = _REFERENCE.focal_length
     z_lens_to_detectors: float | None = None
-    wire_width: float = 130e-6
-    n_wires: int = 6
+    wire_width: float = _REFERENCE.wire_width
+    n_wires: int = _REFERENCE.n_wires
     n_samples: int = DEFAULT_N_SAMPLES
     spacing: float = DEFAULT_SPACING
     out_dir: str = "out"
     seed: int | None = None
 
     def geometry(self) -> AfsharGeometry:
-        z_det = self.z_lens_to_detectors
-        if z_det is None:
-            s = self.z_slits_to_grid + self.z_grid_to_lens
-            inv = 1.0 / self.focal_length - 1.0 / s
-            if inv <= 0:
-                raise ConfigError(
-                    "imaging condition has no solution: the slit plane sits inside "
-                    "the focal length"
-                )
-            z_det = 1.0 / inv
+        values = {f.name: getattr(self, f.name) for f in fields(AfsharGeometry)}
         try:
-            return AfsharGeometry(
-                slit_width=self.slit_width,
-                slit_separation=self.slit_separation,
-                z_slits_to_grid=self.z_slits_to_grid,
-                z_grid_to_lens=self.z_grid_to_lens,
-                focal_length=self.focal_length,
-                z_lens_to_detectors=z_det,
-                wire_width=self.wire_width,
-                n_wires=self.n_wires,
-                wavelength=self.wavelength,
-            )
+            if values["z_lens_to_detectors"] is None:
+                values["z_lens_to_detectors"] = imaging_distance(
+                    self.z_slits_to_grid + self.z_grid_to_lens, self.focal_length
+                )
+            return AfsharGeometry(**values)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def grid(self) -> Grid:
+        if self.n_samples > MAX_N_SAMPLES:
+            raise ConfigError(f"n_samples {self.n_samples} exceeds the limit {MAX_N_SAMPLES}")
         try:
             return Grid(n_samples=self.n_samples, spacing=self.spacing)
         except ValueError as exc:
@@ -94,12 +74,12 @@ def parse_config(text: str) -> Config:
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _GEOMETRY_FLOAT_KEYS or key == "spacing":
-                setattr(cfg, key, float(value))
-            elif key in ("n_wires", "n_samples", "seed"):
+            if key in ("n_wires", "n_samples", "seed"):
                 setattr(cfg, key, int(value))
-            else:  # out_dir
+            elif key == "out_dir":
                 setattr(cfg, key, value)
+            else:
+                setattr(cfg, key, float(value))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
     return cfg

@@ -27,7 +27,7 @@ of x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,10 +38,12 @@ __all__ = [
     "CollapsedSite",
     "VibrationalDirection",
     "ORTHONORMAL_NOTE",
+    "COMPLETENESS_PAIRS",
     "build_remnant",
     "total_pattern",
     "detect",
     "postselect",
+    "completeness_residue",
     "sample_sites",
     "qubit_analogy",
 ]
@@ -54,6 +56,13 @@ ORTHONORMAL_NOTE = (
     "articulated fringes appear only in the post-selected subensembles "
     "(diagonal vibrational directions). This tension is a property of the "
     "orthonormal-mode model itself and is reported rather than patched."
+)
+
+# Complementary post-selection pairs (label, outcome names): each pair's
+# probability-weighted patterns must add up to the unconditioned pattern.
+COMPLETENESS_PAIRS = (
+    ("v_U/v_L", ("post_vU", "post_vL")),
+    ("fringe/antifringe", ("post_plus", "post_minus")),
 )
 
 
@@ -178,6 +187,16 @@ def postselect(
     if prob < 1e-300:
         raise ValueError("post-selection outcome has vanishing probability")
     return prob, w / prob
+
+
+def completeness_residue(
+    probs: Mapping[str, float],
+    patterns: Mapping[str, np.ndarray],
+    names: Sequence[str],
+    total: np.ndarray,
+) -> float:
+    """max_x |sum_n P_n p_n(x) - total(x)| over the named post-selection outcomes."""
+    return float(np.max(np.abs(sum(probs[n] * patterns[n] for n in names) - total)))
 
 
 def sample_sites(state: RemnantState, n: int, rng: np.random.Generator) -> np.ndarray:

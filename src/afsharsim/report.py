@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Report", "build_report", "render_report", "ReportError"]
+from .remnant import COMPLETENESS_PAIRS, completeness_residue
+
+__all__ = ["Report", "build_report", "render_report", "ReportError", "POWERS_COLUMNS"]
 
 # Verdict thresholds (shared with the acceptance suite).
 GRID_TRANSPARENCY_MIN = 0.99
@@ -24,19 +26,61 @@ DUALITY_IDENTITY_TOL = 1e-12
 LADDER_FINAL_MAX = 0.01
 COMPLETENESS_TOL = 1e-12
 
+# The powers.csv schema: one row per scenario run.
+POWERS_COLUMNS = (
+    "scenario",
+    "grid",
+    "power_incident",
+    "power_after_grid",
+    "power_at_detectors",
+    "power_window_U",
+    "power_window_L",
+)
+
+# Columns of the emitted CSVs that hold labels; every other column is a float.
+_TEXT_COLUMNS = frozenset({"scenario", "grid", "key", "model", "a_or_V_source"})
+
 
 class ReportError(ValueError):
-    """No usable inputs for a report."""
+    """No usable inputs for a report, or a malformed CSV file."""
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+def _powers_line(row: dict) -> str:
+    return ",".join(row[c] if c in _TEXT_COLUMNS else _fmt(row[c]) for c in POWERS_COLUMNS)
+
+
+def _read_csv(path: Path) -> tuple[list[str], list[list]]:
+    """Header and rows of an emitted CSV, with every non-label field as a float."""
     lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:] if line]
+    header = lines[0].split(",") if lines else []
+    numeric = [name not in _TEXT_COLUMNS for name in header]
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise ReportError(
+                f"{path}:{lineno}: {len(fields)} fields where the header has {len(header)}"
+            )
+        try:
+            rows.append([float(v) if num else v for v, num in zip(fields, numeric)])
+        except ValueError as exc:
+            raise ReportError(f"{path}:{lineno}: {exc}") from exc
+    if not rows:
+        raise ReportError(f"{path}: no data rows")
+    return header, rows
+
+
+def _read_powers(path: Path) -> list[dict]:
+    header, rows = _read_csv(path)
+    if tuple(header) != POWERS_COLUMNS:
+        raise ReportError(f"{path}:1: header is not {','.join(POWERS_COLUMNS)}")
+    return [dict(zip(header, row)) for row in rows]
 
 
 @dataclass
@@ -54,31 +98,20 @@ def _load_powers(report: Report, out_dir: Path) -> None:
     path = out_dir / "powers.csv"
     if not path.is_file():
         return
-    header, rows = _read_csv(path)
-    for row in rows:
-        rec = dict(zip(header, row))
-        for key in header[2:]:
-            rec[key] = float(rec[key])
-        report.power_rows.append(rec)
+    report.power_rows = _read_powers(path)
     derived_path = out_dir / "derived.csv"
     if derived_path.is_file():
-        _, rows = _read_csv(derived_path)
-        report.derived = {key: float(val) for key, val in rows}
+        report.derived = dict(_read_csv(derived_path)[1])
 
 
 def _load_vk(report: Report, out_dir: Path) -> None:
     path = out_dir / "vk.csv"
     if path.is_file():
         header, rows = _read_csv(path)
-        for row in rows:
-            rec = dict(zip(header, row))
-            for key in ("V", "K", "V2K2"):
-                rec[key] = float(rec[key])
-            report.vk_rows.append(rec)
+        report.vk_rows = [dict(zip(header, row)) for row in rows]
     ladder_path = out_dir / "visibility_bins.csv"
     if ladder_path.is_file():
-        _, rows = _read_csv(ladder_path)
-        report.ladder = [(float(bw), float(v)) for bw, v in rows]
+        report.ladder = [(bw, v) for bw, v in _read_csv(ladder_path)[1]]
 
 
 def _load_remnant(report: Report, out_dir: Path) -> None:
@@ -86,13 +119,12 @@ def _load_remnant(report: Report, out_dir: Path) -> None:
     if not path.is_file():
         return
     header, rows = _read_csv(path)
-    data = np.array([[float(v) for v in row] for row in rows])
+    data = np.array(rows)
     for j, name in enumerate(header):
         report.remnant_columns[name] = data[:, j]
     summary = out_dir / "remnant_summary.csv"
     if summary.is_file():
-        _, rows = _read_csv(summary)
-        report.remnant_probs = {key: float(val) for key, val in rows}
+        report.remnant_probs = dict(_read_csv(summary)[1])
 
 
 def _power_verdicts(report: Report) -> None:
@@ -197,13 +229,8 @@ def _remnant_verdicts(report: Report) -> None:
     cols, probs = report.remnant_columns, report.remnant_probs
     if not cols or not probs:
         return
-    total = cols["total"]
-    for label, (na, nb) in (
-        ("v_U/v_L", ("post_vU", "post_vL")),
-        ("fringe/antifringe", ("post_plus", "post_minus")),
-    ):
-        pa, pb = probs[na], probs[nb]
-        residue = float(np.max(np.abs(pa * cols[na] + pb * cols[nb] - total)))
+    for label, names in COMPLETENESS_PAIRS:
+        residue = completeness_residue(probs, cols, names, cols["total"])
         report.verdicts.append(
             (
                 f"post-selection completeness ({label}): max residue "
@@ -232,26 +259,8 @@ def render_report(report: Report, note: str = "") -> str:
     lines: list[str] = ["simulation report", "=" * 17, ""]
     if report.power_rows:
         lines.append("scenario powers")
-        lines.append(
-            "scenario,grid,power_incident,power_after_grid,power_at_detectors,"
-            "power_window_U,power_window_L"
-        )
-        for r in report.power_rows:
-            lines.append(
-                ",".join(
-                    [r["scenario"], r["grid"]]
-                    + [
-                        _fmt(r[k])
-                        for k in (
-                            "power_incident",
-                            "power_after_grid",
-                            "power_at_detectors",
-                            "power_window_U",
-                            "power_window_L",
-                        )
-                    ]
-                )
-            )
+        lines.append(",".join(POWERS_COLUMNS))
+        lines.extend(_powers_line(r) for r in report.power_rows)
         if report.derived:
             lines.append("")
             lines.append("derived geometry quantities")

@@ -6,12 +6,9 @@ from afsharsim import (
     GridState,
     Scenario,
     Slits,
-    apply_mask,
     default_grid,
-    make_plane_wave,
-    propagate,
     run_scenario,
-    slit_mask,
+    sigma1_field,
 )
 
 
@@ -22,7 +19,7 @@ def geometry():
 
 @pytest.fixture(scope="session")
 def bench_grid(geometry):
-    return default_grid(geometry)
+    return default_grid()
 
 
 @pytest.fixture(scope="session")
@@ -40,9 +37,6 @@ def records(geometry, bench_grid):
 @pytest.fixture(scope="session")
 def sigma1_fields(geometry, bench_grid):
     """Per-slit fields at the sigma1 plane (upper, lower)."""
-    wave = make_plane_wave(bench_grid, geometry.wavelength)
-    fields = {}
-    for which in (Slits.UPPER_ONLY, Slits.LOWER_ONLY):
-        src = apply_mask(wave, slit_mask(geometry, bench_grid, which))
-        fields[which] = propagate(src, geometry.z_slits_to_grid)
-    return fields[Slits.UPPER_ONLY], fields[Slits.LOWER_ONLY]
+    return tuple(
+        sigma1_field(geometry, bench_grid, which) for which in (Slits.UPPER_ONLY, Slits.LOWER_ONLY)
+    )

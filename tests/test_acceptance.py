@@ -26,13 +26,13 @@ from afsharsim import (
     duality_check,
     fill_factor,
     intensity,
-    make_plane_wave,
     postselect,
     probe_detector_model,
     propagate,
     qubit_analogy,
     random_detector_model,
     run_scenario,
+    sigma1_field,
     total_pattern,
     total_power,
     visibility_from_pattern,
@@ -131,7 +131,7 @@ def check_fringe_fidelity(records, geometry, grid) -> None:
 
 
 def check_resolution_collapse() -> None:
-    grid = default_grid(AfsharGeometry.default(), n_samples=1024, spacing=5e-6)
+    grid = default_grid(n_samples=1024, spacing=5e-6)
     period = 64 * grid.spacing
     pattern = 1.0 + np.cos(2 * np.pi * grid.coordinates / period)
     lo = grid.coordinates[0]
@@ -170,7 +170,7 @@ def check_remnant_completeness(sigma1_fields) -> None:
 
 def check_propagation_soundness() -> None:
     geometry = AfsharGeometry.default()
-    grid = default_grid(geometry, n_samples=1024, spacing=5e-6)
+    grid = default_grid(n_samples=1024, spacing=5e-6)
     x = grid.coordinates
     rng = np.random.default_rng(7)
     kx = grid.wavenumbers()
@@ -303,19 +303,15 @@ def test_criterion_11_determinism(tmp_path):
 
 
 def _main() -> int:
-    from afsharsim import apply_mask, slit_mask
-
     geometry = AfsharGeometry.default()
-    grid = default_grid(geometry)
+    grid = default_grid()
     records = {
         (slits.value, grid_state.value): run_scenario(geometry, Scenario(slits, grid_state), grid)
         for slits in Slits
         for grid_state in GridState
     }
-    wave = make_plane_wave(grid, geometry.wavelength)
     sigma1_fields = tuple(
-        propagate(apply_mask(wave, slit_mask(geometry, grid, which)), geometry.z_slits_to_grid)
-        for which in (Slits.UPPER_ONLY, Slits.LOWER_ONLY)
+        sigma1_field(geometry, grid, which) for which in (Slits.UPPER_ONLY, Slits.LOWER_ONLY)
     )
 
     failures = 0

@@ -1,7 +1,15 @@
+import dataclasses
+import math
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from afsharsim import AfsharGeometry
 from afsharsim.cli import main
+from afsharsim.config import Config, ConfigError, load_config
 
 
 def run(*argv):
@@ -86,6 +94,13 @@ class TestSimulate:
             ("n_wires = 5\n", "both", "in"),
             ("n_wires = 5\n", "upper", "out"),
             ("spacing = inf\n", "both", "in"),
+            ("focal_length = 0\n", "both", "out"),
+            ("n_samples = 1099511627776\n", "both", "out"),
+            # valid geometries whose sigma1 minima are not resolvable
+            ("slit_width = 150e-6\n", "both", "out"),
+            ("slit_width = 150e-6\n", "both", "in"),
+            ("slit_width = 150e-6\n", "upper", "in"),
+            ("z_slits_to_grid = 0.1\n", "both", "in"),
         ],
     )
     def test_invalid_config_exits_2_with_one_line(self, tmp_path, capsys, text, scenario, grid):
@@ -97,6 +112,18 @@ class TestSimulate:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    def test_corrupt_powers_csv_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        corrupt = "scenario,grid,power_incident\nboth,out\n"
+        (out / "powers.csv").write_text(corrupt)
+        assert run("simulate", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "powers.csv:2" in err
+        assert (out / "powers.csv").read_text() == corrupt
+        assert not (out / "sigma1.csv").exists()
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = tmp_path / "bench.cfg"
@@ -202,6 +229,15 @@ class TestRemnant:
     def test_samples_without_seed_exit_2(self, tmp_path):
         assert run("remnant", "--samples", "5", "--out", str(tmp_path / "r")) == 2
 
+    @pytest.mark.parametrize("text", ["n_samples = 1099511627776\n", "slit_width = 1e-300\n"])
+    def test_invalid_config_exits_2_with_one_line(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert run("remnant", "--config", str(cfg), "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
 
 class TestReport:
     def test_report_written_and_printed(self, cli_out, capsys):
@@ -218,6 +254,77 @@ class TestReport:
 
     def test_empty_directory_exits_2(self, tmp_path):
         assert run("report", "--out", str(tmp_path)) == 2
+
+    POWERS = (
+        "scenario,grid,power_incident,power_after_grid,power_at_detectors,"
+        "power_window_U,power_window_L\n"
+        "both,out,1.0,1.0,1.0,0.5,0.5\n"
+    )
+
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("powers.csv", POWERS + "both,in,1.0,1.0,1.0,0.5", "powers.csv:3"),
+            ("powers.csv", "", "powers.csv"),
+            ("powers.csv", POWERS.replace("0.5\n", "abc\n"), "powers.csv:2"),
+            ("powers.csv", POWERS.replace("power_incident", "p_in"), "powers.csv:1"),
+            ("vk.csv", "model,a_or_V_source,V,K,V2K2\nprobe,x,0.5\n", "vk.csv:2"),
+            ("visibility_bins.csv", "bin_width_m,V\n5e-06,one\n", "visibility_bins.csv:2"),
+            ("remnant.csv", "x_m,total\n", "remnant.csv"),
+        ],
+    )
+    def test_malformed_csv_exits_2_with_one_line(self, tmp_path, capsys, name, text, where):
+        (tmp_path / name).write_text(text)
+        assert run("report", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert where in err
+        assert not (tmp_path / "report.txt").exists()
+
+
+class TestConfig:
+    def test_defaults_are_the_reference_bench(self):
+        assert load_config(None).geometry() == AfsharGeometry.default()
+
+    def test_n_samples_bound_checked_before_allocation(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("array allocated")
+
+        monkeypatch.setattr(np, "arange", no_allocation)
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(ConfigError, match="n_samples"):
+            Config(n_samples=2**40).grid()
+
+
+_FUZZ_FLOATS = st.one_of(
+    st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan, 1e300, 1e-300]),
+    st.floats(min_value=1e-7, max_value=2.0),
+)
+_FUZZ_GEOMETRY_KEYS = [f.name for f in dataclasses.fields(AfsharGeometry) if f.name != "n_wires"]
+
+
+class TestFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        command=st.sampled_from(["simulate", "remnant"]),
+        geometry=st.dictionaries(st.sampled_from(_FUZZ_GEOMETRY_KEYS), _FUZZ_FLOATS, max_size=3),
+        n_wires=st.one_of(st.none(), st.integers(min_value=-4, max_value=12)),
+        n_samples=st.one_of(st.none(), st.sampled_from([2**12, 2**13, 2**14, 2**40])),
+        scenario=st.sampled_from(["both", "upper", "lower"]),
+        grid=st.sampled_from(["in", "out"]),
+    )
+    def test_drawn_configs_exit_cleanly(self, command, geometry, n_wires, n_samples, scenario, grid):
+        values = dict(geometry, n_wires=n_wires, n_samples=n_samples)
+        text = "".join(f"{k} = {v!r}\n" for k, v in values.items() if v is not None)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = f"{tmp}/c.cfg"
+            with open(cfg, "w") as fh:
+                fh.write(text)
+            argv = [command, "--config", cfg, "--out", f"{tmp}/o"]
+            if command == "simulate":
+                argv += ["--scenario", scenario, "--grid", grid]
+            assert main(argv) in (0, 2, 3)
 
 
 class TestUsage:
