@@ -18,9 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import apparatus, duality, remnant
-from .config import ConfigError, load_config
+from .config import MAX_N_SAMPLES, ConfigError, load_config
 from .report import (
     POWERS_COLUMNS,
+    VK_COLUMNS,
     ReportError,
     _fmt,
     _powers_line,
@@ -126,13 +127,28 @@ def _ladder_widths(period_samples: int, count: int) -> list[int]:
     return [divisors[i] for i in picks]
 
 
+def _check_count(value: int, flag: str, low: int = 0, high: int | None = None) -> None:
+    """Reject a command-line integer outside [low, high] before anything is allocated."""
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{flag} must be {bound}, got {value}")
+
+
 def cmd_duality(args: argparse.Namespace) -> int:
-    rows: list[str] = ["model,a_or_V_source,V,K,V2K2"]
+    _check_count(args.seed, "--seed")
+    _check_count(args.random_detectors, "--random-detectors", high=MAX_N_SAMPLES)
+    _check_count(args.bin_ladder, "--bin-ladder", low=1)
+    _check_count(args.period_samples, "--period-samples", low=1)
+    rows: list[str] = [",".join(VK_COLUMNS)]
     checks: list[float] = []
 
-    def add_row(model: str, source: str, pair: duality.VKPair) -> None:
-        checks.append(duality.duality_check(pair))
-        rows.append(f"{model},{source},{_fmt(pair.V)},{_fmt(pair.K)},{_fmt(checks[-1])}")
+    def add_rows(model: str, sources: list[str], pair: duality.VKPair) -> None:
+        values = [np.atleast_1d(x).tolist() for x in (pair.V, pair.K, duality.duality_check(pair))]
+        checks.extend(values[2])
+        rows.extend(
+            f"{model},{source},{_fmt(v)},{_fmt(k)},{_fmt(check)}"
+            for source, v, k, check in zip(sources, *values)
+        )
 
     if args.probe:
         a, b = _parse_complex_pair(args.probe, "--probe")
@@ -140,16 +156,18 @@ def cmd_duality(args: argparse.Namespace) -> int:
             probe = duality.ProbeAmplitudes(a, b)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        add_row("probe", f"a={a!r};b={b!r}", duality.vk_from_probe(probe))
+        add_rows("probe", [f"a={a!r};b={b!r}"], duality.vk_from_probe(probe))
         if abs(a.imag) < 1e-12 and abs(b.imag) < 1e-12:
             model = duality.probe_detector_model(probe)
-            add_row("detector", f"rotations-for-a={a!r};b={b!r}", duality.vk_from_detector(model))
+            add_rows(
+                "detector", [f"rotations-for-a={a!r};b={b!r}"], duality.vk_from_detector(model)
+            )
 
     if args.random_detectors:
         rng = np.random.default_rng(args.seed)
-        for i in range(args.random_detectors):
-            pair = duality.vk_from_detector(duality.random_detector_model(rng))
-            add_row("detector", f"random[{i}]", pair)
+        model = duality.random_detector_model(rng, args.random_detectors)
+        sources = [f"random[{i}]" for i in range(args.random_detectors)]
+        add_rows("detector", sources, duality.vk_from_detector(model))
 
     # visibility ladder: external pattern if given, else the canonical cosine
     if args.pattern:
@@ -203,6 +221,12 @@ def cmd_duality(args: argparse.Namespace) -> int:
 
 def cmd_remnant(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
+    seed = args.seed if args.seed is not None else cfg.seed
+    if seed is not None:
+        _check_count(seed, "seed")
+    _check_count(args.samples, "--samples", high=MAX_N_SAMPLES)
+    if args.samples and seed is None:
+        raise ConfigError("--samples requires --seed (or seed in config)")
     geometry = cfg.geometry()
     grid = cfg.grid()
     phi_u, phi_l = (
@@ -247,10 +271,7 @@ def cmd_remnant(args: argparse.Namespace) -> int:
         ["key,value"] + [f"{name},{_fmt(probs[name])}" for name in names],
     )
 
-    seed = args.seed if args.seed is not None else cfg.seed
     if args.samples:
-        if seed is None:
-            raise ConfigError("--samples requires --seed (or seed in config)")
         rng = np.random.default_rng(seed)
         draws = remnant.sample_sites(state, args.samples, rng)
         _write_lines(

@@ -50,28 +50,36 @@ class ProbeAmplitudes:
 
     def __post_init__(self) -> None:
         norm = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"|a|^2 + |b|^2 = {norm}, expected 1 within {_NORM_TOL}")
 
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Which-way detector: initial state d and path unitaries U_plus, U_minus."""
+    """Which-way detectors: initial states d and path unitaries U_plus, U_minus.
+
+    ``d`` has shape ``(..., 2)`` and ``U_plus``/``U_minus`` shape
+    ``(..., 2, 2)``; a single detector is the stack with no leading axis.
+    """
 
     d: np.ndarray
     U_plus: np.ndarray
     U_minus: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.d, dtype=np.complex128).reshape(2)
-        if abs(np.linalg.norm(d) - 1.0) > _NORM_TOL:
-            raise ValueError(f"detector state norm {np.linalg.norm(d)} is not 1")
+        d = np.asarray(self.d, dtype=np.complex128)
+        if d.shape[-1:] != (2,):
+            raise ValueError(f"detector states have shape {d.shape}, expected (..., 2)")
+        norm = np.linalg.norm(d, axis=-1)
+        _reject(np.abs(norm - 1.0), "detector state norm is not 1: |norm - 1| = {}")
         ident = np.eye(2)
         mats = []
         for name in ("U_plus", "U_minus"):
-            u = np.asarray(getattr(self, name), dtype=np.complex128).reshape(2, 2)
-            if np.max(np.abs(u.conj().T @ u - ident)) > _NORM_TOL:
-                raise ValueError(f"{name} is not unitary to {_NORM_TOL}")
+            u = np.asarray(getattr(self, name), dtype=np.complex128)
+            if u.shape != d.shape[:-1] + (2, 2):
+                raise ValueError(f"{name} has shape {u.shape}, expected {d.shape[:-1] + (2, 2)}")
+            dev = np.max(np.abs(_adjoint(u) @ u - ident), axis=(-2, -1))
+            _reject(dev, f"{name} is not unitary to {_NORM_TOL}: max|U^dag U - I| = {{}}")
             u.flags.writeable = False
             mats.append(u)
         d.flags.writeable = False
@@ -80,13 +88,42 @@ class DetectorModel:
         object.__setattr__(self, "U_minus", mats[1])
 
 
+def _reject(deviation: np.ndarray, message: str) -> None:
+    """Raise ValueError for the first detector whose deviation is not within _NORM_TOL.
+
+    ``message`` is formatted with that deviation; for a stack the error also
+    names the detector's index.
+    """
+    bad = np.argwhere(~(deviation <= _NORM_TOL))
+    if len(bad):
+        index = tuple(int(i) for i in bad[0])
+        where = f"detector {index[0] if len(index) == 1 else index}: " if index else ""
+        raise ValueError(where + message.format(deviation[index]))
+
+
+def _adjoint(u: np.ndarray) -> np.ndarray:
+    return u.conj().swapaxes(-1, -2)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of a * b for every leading index, as one stacked matmul.
+
+    For real rows this is the BLAS dot ``np.linalg.norm`` uses on a single
+    vector, so the stacked normalization keeps the per-vector bits.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class VKPair:
-    V: float
-    K: float
+    """Visibility and which-way knowledge: floats, or arrays for a detector stack."""
+
+    V: float | np.ndarray
+    K: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.V <= 1.0 and 0.0 <= self.K <= 1.0):
+        v, k = np.asarray(self.V), np.asarray(self.K)
+        if not (np.all((0.0 <= v) & (v <= 1.0)) and np.all((0.0 <= k) & (k <= 1.0))):
             raise ValueError(f"V, K must lie in [0, 1], got ({self.V}, {self.K})")
 
 
@@ -120,31 +157,28 @@ def vk_from_probe(probe: ProbeAmplitudes) -> VKPair:
 
 
 def vk_from_detector(model: DetectorModel, ordering: str = "primary") -> VKPair:
-    """V = |<d| U_minus U_plus^dag |d>| and K = sqrt(1 - V^2).
+    """V = |<d| U_minus U_plus^dag |d>| and K = sqrt(1 - V^2) for every detector.
 
     ``ordering="adjoint"`` computes the alternative operator ordering
     ``|<d| U_minus^dag U_plus |d>|`` seen elsewhere in the literature; for
     the real-rotation construction of :func:`probe_detector_model` (and for
-    any commuting pair) the two agree.
+    any commuting pair) the two agree.  V and K have the stack's leading
+    shape (scalars for a single detector).
     """
     if ordering == "primary":
-        op = model.U_minus @ model.U_plus.conj().T
+        op = model.U_minus @ _adjoint(model.U_plus)
     elif ordering == "adjoint":
-        op = model.U_minus.conj().T @ model.U_plus
+        op = _adjoint(model.U_minus) @ model.U_plus
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
-    v = abs(np.vdot(model.d, op @ model.d))
-    v = min(v, 1.0)
-    return VKPair(V=v, K=_k_from_v(v))
+    v = np.minimum(np.abs(_dot(model.d.conj(), (op @ model.d[..., None])[..., 0])), 1.0)
+    # the clamp absorbs ~1e-16 negatives from the subtraction
+    k = np.sqrt(np.maximum(0.0, 1.0 - v * v))
+    return VKPair(V=v[()], K=k[()])
 
 
-def _k_from_v(v: float) -> float:
-    # clamp absorbs ~1e-16 negatives from the subtraction
-    return float(np.sqrt(max(0.0, 1.0 - v * v)))
-
-
-def duality_check(pair: VKPair) -> float:
-    """Return V^2 + K^2 (1 for pure-state models, <= 1 in general)."""
+def duality_check(pair: VKPair) -> float | np.ndarray:
+    """Return V^2 + K^2 (1 for pure-state models, <= 1 in general), per detector."""
     return pair.V**2 + pair.K**2
 
 
@@ -171,17 +205,25 @@ def probe_detector_model(probe: ProbeAmplitudes) -> DetectorModel:
     )
 
 
-def random_detector_model(rng: np.random.Generator) -> DetectorModel:
-    """Haar-ish random pure detector model (random d, random unitaries)."""
-    d = rng.normal(size=2) + 1j * rng.normal(size=2)
-    d = d / np.linalg.norm(d)
+def random_detector_model(rng: np.random.Generator, n: int) -> DetectorModel:
+    """Stack of n Haar-random pure detector models (random d, random unitaries).
 
-    def haar_unitary() -> np.ndarray:
-        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        q, r = np.linalg.qr(z)
-        return q * (np.diag(r) / np.abs(np.diag(r)))
+    One ``(n, 20)`` block of normals is drawn; each row holds d (real, then
+    imaginary parts), then U_plus and U_minus (real 2x2, then imaginary
+    2x2), so detector i does not depend on n.
+    """
+    z = rng.normal(size=(n, 20))
+    re, im = z[:, 0:2], z[:, 2:4]
+    d = (re + 1j * im) / np.sqrt(_dot(re, re) + _dot(im, im))[:, None]
 
-    return DetectorModel(d=d, U_plus=haar_unitary(), U_minus=haar_unitary())
+    def haar_unitaries(block: np.ndarray) -> np.ndarray:
+        q, r = np.linalg.qr((block[:, :4] + 1j * block[:, 4:]).reshape(n, 2, 2))
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        return q * (diag / np.abs(diag))[..., None, :]
+
+    return DetectorModel(
+        d=d, U_plus=haar_unitaries(z[:, 4:12]), U_minus=haar_unitaries(z[:, 12:20])
+    )
 
 
 def visibility_from_pattern(

@@ -111,7 +111,7 @@ class VibrationalDirection:
 
     def __post_init__(self) -> None:
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"direction norm {norm} differs from 1")
 
     @staticmethod

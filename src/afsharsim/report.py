@@ -14,7 +14,14 @@ import numpy as np
 
 from .remnant import COMPLETENESS_PAIRS, completeness_residue
 
-__all__ = ["Report", "build_report", "render_report", "ReportError", "POWERS_COLUMNS"]
+__all__ = [
+    "Report",
+    "build_report",
+    "render_report",
+    "ReportError",
+    "POWERS_COLUMNS",
+    "VK_COLUMNS",
+]
 
 # Verdict thresholds (shared with the acceptance suite).
 GRID_TRANSPARENCY_MIN = 0.99
@@ -37,6 +44,13 @@ POWERS_COLUMNS = (
     "power_window_L",
 )
 
+# The vk.csv schema: one row per V/K model.
+VK_COLUMNS = ("model", "a_or_V_source", "V", "K", "V2K2")
+
+# Post-selection outcomes the completeness verdicts need in remnant.csv and
+# remnant_summary.csv.
+_POSTSELECTED = tuple(name for _, names in COMPLETENESS_PAIRS for name in names)
+
 # Columns of the emitted CSVs that hold labels; every other column is a float.
 _TEXT_COLUMNS = frozenset({"scenario", "grid", "key", "model", "a_or_V_source"})
 
@@ -53,10 +67,16 @@ def _powers_line(row: dict) -> str:
     return ",".join(row[c] if c in _TEXT_COLUMNS else _fmt(row[c]) for c in POWERS_COLUMNS)
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list]]:
-    """Header and rows of an emitted CSV, with every non-label field as a float."""
+def _read_csv(path: Path, required: tuple[str, ...] = ()) -> tuple[list[str], list[list]]:
+    """Header and rows of an emitted CSV, with every non-label field as a float.
+
+    Raises ReportError when the header lacks one of the ``required`` columns.
+    """
     lines = path.read_text().splitlines()
     header = lines[0].split(",") if lines else []
+    missing = [name for name in required if name not in header]
+    if lines and missing:
+        raise ReportError(f"{path}:1: missing column {missing[0]!r}")
     numeric = [name not in _TEXT_COLUMNS for name in header]
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -83,6 +103,13 @@ def _read_powers(path: Path) -> list[dict]:
     return [dict(zip(header, row)) for row in rows]
 
 
+def _read_pairs(path: Path, first: str, second: str) -> list[tuple]:
+    """(first, second) column pairs of an emitted CSV, in row order."""
+    header, rows = _read_csv(path, (first, second))
+    i, j = header.index(first), header.index(second)
+    return [(row[i], row[j]) for row in rows]
+
+
 @dataclass
 class Report:
     power_rows: list[dict] = field(default_factory=list)
@@ -101,30 +128,33 @@ def _load_powers(report: Report, out_dir: Path) -> None:
     report.power_rows = _read_powers(path)
     derived_path = out_dir / "derived.csv"
     if derived_path.is_file():
-        report.derived = dict(_read_csv(derived_path)[1])
+        report.derived = dict(_read_pairs(derived_path, "key", "value"))
 
 
 def _load_vk(report: Report, out_dir: Path) -> None:
     path = out_dir / "vk.csv"
     if path.is_file():
-        header, rows = _read_csv(path)
+        header, rows = _read_csv(path, VK_COLUMNS)
         report.vk_rows = [dict(zip(header, row)) for row in rows]
     ladder_path = out_dir / "visibility_bins.csv"
     if ladder_path.is_file():
-        report.ladder = [(bw, v) for bw, v in _read_csv(ladder_path)[1]]
+        report.ladder = _read_pairs(ladder_path, "bin_width_m", "V")
 
 
 def _load_remnant(report: Report, out_dir: Path) -> None:
     path = out_dir / "remnant.csv"
     if not path.is_file():
         return
-    header, rows = _read_csv(path)
+    header, rows = _read_csv(path, ("total",) + _POSTSELECTED)
     data = np.array(rows)
     for j, name in enumerate(header):
         report.remnant_columns[name] = data[:, j]
     summary = out_dir / "remnant_summary.csv"
     if summary.is_file():
-        report.remnant_probs = dict(_read_csv(summary)[1])
+        report.remnant_probs = dict(_read_pairs(summary, "key", "value"))
+        missing = [name for name in _POSTSELECTED if name not in report.remnant_probs]
+        if missing:
+            raise ReportError(f"{summary}: missing key {missing[0]!r}")
 
 
 def _power_verdicts(report: Report) -> None:

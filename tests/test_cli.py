@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afsharsim import AfsharGeometry
+from afsharsim import AfsharGeometry, duality
 from afsharsim.cli import main
 from afsharsim.config import Config, ConfigError, load_config
 
@@ -191,6 +191,45 @@ class TestDuality:
     def test_bad_probe_exits_2(self, tmp_path):
         assert run("duality", "--probe", "1,1", "--out", str(tmp_path / "d")) == 2
 
+    def test_random_rows_do_not_depend_on_count(self, tmp_path):
+        rows = {}
+        for n in (1000, 20000):
+            out = tmp_path / str(n)
+            argv = ("--random-detectors", str(n), "--seed", "2", "--out", str(out))
+            assert run("duality", *argv) == 0
+            lines = (out / "vk.csv").read_text().splitlines()
+            rows[n] = [line for line in lines if line.startswith("detector,random[")]
+        assert len(rows[1000]) == 1000 and len(rows[20000]) == 20000
+        assert rows[1000] == rows[20000][:1000]
+
+    @pytest.mark.parametrize(
+        "flags, where",
+        [
+            (("--seed", "-1", "--random-detectors", "2"), "--seed"),
+            (("--random-detectors", "-3"), "--random-detectors"),
+            (("--random-detectors", str(2**20 + 1)), "--random-detectors"),
+            (("--random-detectors", str(2**40)), "--random-detectors"),
+            (("--bin-ladder", "-1"), "--bin-ladder"),
+            (("--bin-ladder", "0"), "--bin-ladder"),
+            (("--period-samples", "0"), "--period-samples"),
+            (("--probe", "nan,1"), "nan"),
+        ],
+    )
+    def test_bad_flag_exits_2_with_one_line(self, tmp_path, capsys, flags, where):
+        assert run("duality", *flags, "--out", str(tmp_path / "d")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert where in err
+        assert not (tmp_path / "d").exists()
+
+    def test_random_detector_bound_checked_before_allocation(self, tmp_path, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("detectors drawn")
+
+        monkeypatch.setattr(duality, "random_detector_model", no_draw)
+        argv = ("--random-detectors", str(2**20 + 1), "--out", str(tmp_path / "d"))
+        assert run("duality", *argv) == 2
+
 
 class TestRemnant:
     def test_headers_and_custom_direction(self, cli_out):
@@ -229,11 +268,26 @@ class TestRemnant:
     def test_samples_without_seed_exit_2(self, tmp_path):
         assert run("remnant", "--samples", "5", "--out", str(tmp_path / "r")) == 2
 
-    @pytest.mark.parametrize("text", ["n_samples = 1099511627776\n", "slit_width = 1e-300\n"])
-    def test_invalid_config_exits_2_with_one_line(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            pytest.param(text, (), id=text)
+            for text in ("n_samples = 1099511627776\n", "slit_width = 1e-300\n")
+        ]
+        + [
+            ("", ("--seed", "-1", "--samples", "5")),
+            ("seed = -1\n", ("--samples", "5")),
+            ("", ("--seed", "1", "--samples", "-1")),
+            ("", ("--seed", "1", "--samples", str(2**20 + 1))),
+            ("", ("--seed", "1", "--samples", str(2**40))),
+            ("", ("--samples", "5")),
+            ("", ("--direction", "nan,1")),
+        ],
+    )
+    def test_invalid_config_exits_2_with_one_line(self, tmp_path, capsys, text, flags):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text)
-        assert run("remnant", "--config", str(cfg), "--out", str(tmp_path / "r")) == 2
+        assert run("remnant", "--config", str(cfg), *flags, "--out", str(tmp_path / "r")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "r").exists()
@@ -271,6 +325,21 @@ class TestReport:
             ("vk.csv", "model,a_or_V_source,V,K,V2K2\nprobe,x,0.5\n", "vk.csv:2"),
             ("visibility_bins.csv", "bin_width_m,V\n5e-06,one\n", "visibility_bins.csv:2"),
             ("remnant.csv", "x_m,total\n", "remnant.csv"),
+            (
+                "vk.csv",
+                "model,a_or_V_source,V,K\nprobe,x,0.6,0.8\n",
+                "vk.csv:1: missing column 'V2K2'",
+            ),
+            (
+                "visibility_bins.csv",
+                "width,V\n5e-06,1.0\n",
+                "visibility_bins.csv:1: missing column 'bin_width_m'",
+            ),
+            (
+                "remnant.csv",
+                "x_m,total,post_vL,post_plus,post_minus\n0.0,1.0,1.0,1.0,1.0\n",
+                "remnant.csv:1: missing column 'post_vU'",
+            ),
         ],
     )
     def test_malformed_csv_exits_2_with_one_line(self, tmp_path, capsys, name, text, where):
@@ -278,6 +347,34 @@ class TestReport:
         assert run("report", "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert where in err
+        assert not (tmp_path / "report.txt").exists()
+
+    REMNANT = "x_m,total,post_vU,post_vL,post_plus,post_minus\n0.0,1.0,1.0,1.0,1.0,1.0\n"
+    # a companion file is only read next to its main file
+    MAIN = {"remnant_summary.csv": ("remnant.csv", REMNANT), "derived.csv": ("powers.csv", POWERS)}
+
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("remnant_summary.csv", "key,val\npost_vU,0.5\n", "missing column 'value'"),
+            (
+                "remnant_summary.csv",
+                "key,value\npost_vU,0.5\npost_plus,0.5\npost_minus,0.5\n",
+                "remnant_summary.csv: missing key 'post_vL'",
+            ),
+            ("derived.csv", "name,value\nfill_factor,0.1\n", "derived.csv:1: missing column"),
+        ],
+    )
+    def test_malformed_companion_csv_exits_2_with_one_line(
+        self, tmp_path, capsys, name, text, where
+    ):
+        main_name, main_text = self.MAIN[name]
+        (tmp_path / main_name).write_text(main_text)
+        (tmp_path / name).write_text(text)
+        assert run("report", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert where in err
         assert not (tmp_path / "report.txt").exists()
@@ -302,6 +399,8 @@ _FUZZ_FLOATS = st.one_of(
     st.floats(min_value=1e-7, max_value=2.0),
 )
 _FUZZ_GEOMETRY_KEYS = [f.name for f in dataclasses.fields(AfsharGeometry) if f.name != "n_wires"]
+# command-line integers: invalid ones and small valid ones, never a slow valid one
+_FUZZ_COUNTS = [None, -1, 0, 1, 3, 2**20 + 1, 2**40]
 
 
 class TestFuzz:
@@ -324,6 +423,25 @@ class TestFuzz:
             argv = [command, "--config", cfg, "--out", f"{tmp}/o"]
             if command == "simulate":
                 argv += ["--scenario", scenario, "--grid", grid]
+            assert main(argv) in (0, 2, 3)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        command=st.sampled_from(["duality", "remnant"]),
+        seed=st.sampled_from(_FUZZ_COUNTS),
+        count=st.sampled_from(_FUZZ_COUNTS),
+        bin_ladder=st.sampled_from(_FUZZ_COUNTS),
+    )
+    def test_drawn_flags_exit_cleanly(self, command, seed, count, bin_ladder):
+        count_flag = "--random-detectors" if command == "duality" else "--samples"
+        flags = {"--seed": seed, count_flag: count}
+        if command == "duality":
+            flags["--bin-ladder"] = bin_ladder
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command, "--out", f"{tmp}/o"]
+            for flag, value in flags.items():
+                if value is not None:
+                    argv += [flag, str(value)]
             assert main(argv) in (0, 2, 3)
 
 

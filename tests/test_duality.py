@@ -102,8 +102,59 @@ class TestDetector:
     @settings(max_examples=200, deadline=None)
     def test_identity_property(self, seed):
         rng = np.random.default_rng(seed)
-        pair = vk_from_detector(random_detector_model(rng))
-        assert abs(duality_check(pair) - 1.0) < 1e-12
+        pair = vk_from_detector(random_detector_model(rng, 8))
+        assert np.all(np.abs(duality_check(pair) - 1.0) < 1e-12)
+
+
+class TestDetectorStack:
+    @pytest.mark.parametrize("seed", [0, 1, 20240901])
+    def test_matches_per_detector_oracle(self, seed):
+        model = random_detector_model(np.random.default_rng(seed), 1000)
+        pair = vk_from_detector(model)
+        adjoint = vk_from_detector(model, ordering="adjoint")
+        assert pair.V.shape == pair.K.shape == (1000,)
+        for i, (d, u_plus, u_minus) in enumerate(zip(model.d, model.U_plus, model.U_minus)):
+            assert abs(pair.V[i] - abs(np.vdot(d, u_minus @ u_plus.conj().T @ d))) <= 1e-15
+            assert abs(adjoint.V[i] - abs(np.vdot(d, u_minus.conj().T @ u_plus @ d))) <= 1e-15
+        assert np.max(np.abs(pair.V**2 + pair.K**2 - 1.0)) < 1e-12
+
+    def test_prefix_does_not_depend_on_stack_size(self):
+        small = random_detector_model(np.random.default_rng(3), 1000)
+        large = random_detector_model(np.random.default_rng(3), 20000)
+        for name in ("d", "U_plus", "U_minus"):
+            np.testing.assert_array_equal(getattr(small, name), getattr(large, name)[:1000])
+
+    def test_single_detector_gives_scalars(self):
+        pair = vk_from_detector(probe_detector_model(ProbeAmplitudes(0.6, 0.8)))
+        assert np.shape(pair.V) == np.shape(pair.K) == ()
+
+    @pytest.mark.parametrize("k", [0, 3, 9])
+    def test_non_unitary_slice_named(self, k):
+        model = random_detector_model(np.random.default_rng(4), 10)
+        u_minus = model.U_minus.copy()
+        u_minus[k] = np.diag([1.0, 0.5])
+        with pytest.raises(ValueError, match=rf"^detector {k}: U_minus is not unitary"):
+            DetectorModel(d=model.d, U_plus=model.U_plus, U_minus=u_minus)
+
+    @pytest.mark.parametrize("k", [0, 3, 9])
+    def test_unnormalized_state_named(self, k):
+        model = random_detector_model(np.random.default_rng(5), 10)
+        d = model.d.copy()
+        d[k] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match=rf"^detector {k}: detector state norm"):
+            DetectorModel(d=d, U_plus=model.U_plus, U_minus=model.U_minus)
+
+    def test_nan_state_rejected(self):
+        with pytest.raises(ValueError, match="norm"):
+            DetectorModel(d=np.array([np.nan, 0.0]), U_plus=np.eye(2), U_minus=np.eye(2))
+
+    def test_mismatched_stack_shapes_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            DetectorModel(d=np.array([[1.0, 0.0]] * 3), U_plus=np.eye(2), U_minus=np.eye(2))
+
+    def test_array_pair_range_enforced(self):
+        with pytest.raises(ValueError):
+            VKPair(np.array([0.5, 1.5]), np.array([0.5, 0.0]))
 
 
 class TestDualityCheck:
