@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -24,7 +26,9 @@ from .report import (
     VK_COLUMNS,
     ReportError,
     _fmt,
+    _fmt_rows,
     _powers_line,
+    _read_csv,
     _read_powers,
     build_report,
     render_report,
@@ -39,8 +43,10 @@ EXIT_GUARD = 3
 _SCENARIO_ORDER = [(s.value, g.value) for s in apparatus.Slits for g in apparatus.GridState]
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n")
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    # a trailing "" ends the text with a newline without copying the text; an
+    # iterator of lines is joined without a list that outlives the join
+    path.write_text("\n".join(chain(lines, [""])))
 
 
 def _parse_complex_pair(text: str, flag: str) -> tuple[complex, complex]:
@@ -81,13 +87,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     row = {column: getattr(record, column) for column in POWERS_COLUMNS[2:]}
     row.update(scenario=scenario.slits.value, grid=scenario.grid.value)
     powers = _powers_lines(out / "powers.csv", row)
-    x = grid.coordinates
+    x_m = list(_fmt_rows(grid.coordinates))
     for name, profile in (
         ("sigma1.csv", record.intensity_sigma1),
         ("sigma2.csv", record.intensity_sigma2),
     ):
-        lines = [f"{_fmt(xi)},{_fmt(ii)}" for xi, ii in zip(x, profile)]
-        _write_lines(out / name, ["x_m,intensity"] + lines)
+        rows = (f"{x},{i}" for i, x in zip(_fmt_rows(profile), x_m))
+        _write_lines(out / name, chain(["x_m,intensity"], rows))
     _write_lines(out / "powers.csv", powers)
     (u_lo, u_hi), (l_lo, l_hi) = apparatus.image_windows(geometry)
     _write_lines(
@@ -134,20 +140,25 @@ def _check_count(value: int, flag: str, low: int = 0, high: int | None = None) -
         raise ConfigError(f"{flag} must be {bound}, got {value}")
 
 
+# How far, as a fraction of the sample spacing, a --pattern x_m value may
+# sit from the uniform grid spanned by its first two samples.
+_PATTERN_GRID_TOL = 1e-3
+
+
 def cmd_duality(args: argparse.Namespace) -> int:
     _check_count(args.seed, "--seed")
     _check_count(args.random_detectors, "--random-detectors", high=MAX_N_SAMPLES)
     _check_count(args.bin_ladder, "--bin-ladder", low=1)
     _check_count(args.period_samples, "--period-samples", low=1)
     rows: list[str] = [",".join(VK_COLUMNS)]
-    checks: list[float] = []
+    deviations: list[float] = [0.0]  # max |V^2+K^2-1| of each add_rows call
 
     def add_rows(model: str, sources: list[str], pair: duality.VKPair) -> None:
-        values = [np.atleast_1d(x).tolist() for x in (pair.V, pair.K, duality.duality_check(pair))]
-        checks.extend(values[2])
+        check = duality.duality_check(pair)
+        deviations.append(np.max(np.abs(check - 1.0)))
         rows.extend(
-            f"{model},{source},{_fmt(v)},{_fmt(k)},{_fmt(check)}"
-            for source, v, k, check in zip(sources, *values)
+            f"{model},{source},{values}"
+            for source, values in zip(sources, _fmt_rows(pair.V, pair.K, check))
         )
 
     if args.probe:
@@ -174,17 +185,21 @@ def cmd_duality(args: argparse.Namespace) -> int:
         path = Path(args.pattern)
         if not path.is_file():
             raise ConfigError(f"pattern file not found: {path}")
-        lines = path.read_text().splitlines()
-        try:
-            data = np.array([[float(v) for v in line.split(",")] for line in lines[1:] if line])
-            xs, pattern = data[:, 0], data[:, 1]
-            spacing = float(xs[1] - xs[0])
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"cannot parse pattern CSV {path}") from exc
+        _, columns = _read_csv(path, ("x_m", "intensity"))
+        xs, pattern = columns["x_m"], columns["intensity"]
+        if xs.size < 2:
+            raise ConfigError(f"pattern CSV {path}: fewer than two samples")
+        spacing = float(xs[1] - xs[0])
         try:
             grid = Grid(n_samples=len(xs), spacing=spacing, center=float(xs[len(xs) // 2]))
         except ValueError as exc:
-            raise ConfigError(f"pattern CSV is not a uniform power-of-two grid: {exc}") from exc
+            raise ConfigError(f"pattern CSV {path}: x_m spans no grid: {exc}") from exc
+        if not np.max(np.abs(xs - grid.coordinates)) <= _PATTERN_GRID_TOL * spacing:
+            raise ConfigError(f"pattern CSV {path}: x_m is not a uniform grid")
+        if not np.all(np.isfinite(pattern) & (pattern >= 0.0)):
+            raise ConfigError(f"pattern CSV {path}: intensity must be finite and non-negative")
+        # the widest ladder bin, one period, must leave at least two bins
+        _check_count(args.period_samples, "--period-samples", low=1, high=(len(xs) - 1) // 2)
         period_samples = args.period_samples
         region = (float(xs[0]), float(xs[0]) + (len(xs) - 1) * spacing)
         source = path.name
@@ -208,9 +223,8 @@ def cmd_duality(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_lines(out / "vk.csv", rows)
     _write_lines(out / "visibility_bins.csv", ladder_lines)
-    worst = max((abs(check - 1.0) for check in checks), default=0.0)
     print(
-        f"duality: {len(rows) - 1} model rows, max |V^2+K^2-1| = {_fmt(worst)}; "
+        f"duality: {len(rows) - 1} model rows, max |V^2+K^2-1| = {_fmt(max(deviations))}; "
         f"ladder of {len(ladder_lines) - 1} widths on '{source}' pattern"
     )
     return EXIT_OK
@@ -260,12 +274,12 @@ def cmd_remnant(args: argparse.Namespace) -> int:
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = [name for name, _ in directions]
-    header = "x_m,total," + ",".join(names)
-    lines = [header]
-    for i, x in enumerate(state.sites):
-        vals = [patterns[name][i] for name in names]
-        lines.append(",".join([_fmt(x), _fmt(total[i])] + [_fmt(v) for v in vals]))
-    _write_lines(out / "remnant.csv", lines)
+    # x_m is formatted once, for remnant.csv and for the sampled sites
+    x_m = list(_fmt_rows(state.sites))
+    columns = (total, *(patterns[name] for name in names))
+    # _fmt_rows first in the zip, so its float lists are freed when it runs out
+    rows = (f"{x},{values}" for values, x in zip(_fmt_rows(*columns), x_m))
+    _write_lines(out / "remnant.csv", chain(["x_m,total," + ",".join(names)], rows))
     _write_lines(
         out / "remnant_summary.csv",
         ["key,value"] + [f"{name},{_fmt(probs[name])}" for name in names],
@@ -273,11 +287,9 @@ def cmd_remnant(args: argparse.Namespace) -> int:
 
     if args.samples:
         rng = np.random.default_rng(seed)
-        draws = remnant.sample_sites(state, args.samples, rng)
-        _write_lines(
-            out / "remnant_samples.csv",
-            ["index,x_m"] + [f"{i},{_fmt(x)}" for i, x in enumerate(draws)],
-        )
+        draws = np.array(x_m, dtype=object)[remnant.sample_sites(state, args.samples, rng)]
+        rows = (f"{i},{x}" for i, x in enumerate(draws))
+        _write_lines(out / "remnant_samples.csv", chain(["index,x_m"], rows))
 
     residues = [
         f"{label} = {_fmt(remnant.completeness_residue(probs, patterns, names, total))}"

@@ -200,10 +200,13 @@ def completeness_residue(
 
 
 def sample_sites(state: RemnantState, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n detection sites from the unconditioned arrival distribution."""
+    """Draw n detections from the unconditioned arrival distribution.
+
+    Returns indices into ``state.sites``; ``state.sites[indices]`` are the sites.
+    """
     p = total_pattern(state)
     p = p / p.sum()
-    return rng.choice(state.sites, size=n, p=p)
+    return rng.choice(state.sites.size, size=n, p=p)
 
 
 def qubit_analogy(axes: Sequence[str]) -> list[dict[int, float]]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -63,58 +64,108 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _fmt_rows(*columns) -> Iterator[str]:
+    """One comma-joined line of ``_fmt`` strings per row of the float columns.
+
+    Each column becomes Python floats with one ``tolist`` and each value is
+    formatted once, as its line is made; no column of strings is kept, and
+    the float lists are freed once the last line has been taken.
+    """
+    floats = [np.asarray(column, dtype=float).ravel().tolist() for column in columns]
+    yield from map(",".join, zip(*(map(repr, values) for values in floats)))
+
+
 def _powers_line(row: dict) -> str:
     return ",".join(row[c] if c in _TEXT_COLUMNS else _fmt(row[c]) for c in POWERS_COLUMNS)
 
 
-def _read_csv(path: Path, required: tuple[str, ...] = ()) -> tuple[list[str], list[list]]:
-    """Header and rows of an emitted CSV, with every non-label field as a float.
+def _parse(lines: list[str], usecols: list[int]) -> np.ndarray:
+    """The ``usecols`` fields of comma-separated lines as a (rows, columns) float array."""
+    return np.loadtxt(lines, delimiter=",", usecols=usecols, ndmin=2, comments=None)
 
-    Raises ReportError when the header lacks one of the ``required`` columns.
+
+def _first_bad_line(path: Path, lines: list[str], header: list[str]) -> ReportError:
+    """The error for the first malformed line of a CSV, in row order.
+
+    Runs only after the bulk checks in ``_read_csv`` have failed, so it
+    parses one field at a time with the same parser.
+    """
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != len(header):
+            return ReportError(
+                f"{path}:{lineno}: {len(fields)} fields where the header has {len(header)}"
+            )
+        for name, value in zip(header, fields):
+            if name in _TEXT_COLUMNS:
+                continue
+            try:
+                _parse([value], [0])
+            except ValueError:
+                return ReportError(f"{path}:{lineno}: {name} = {value!r} is not a number")
+    return ReportError(f"{path}: malformed")
+
+
+def _read_csv(
+    path: Path, required: tuple[str, ...] = ()
+) -> tuple[list[str], dict[str, np.ndarray | list[str]]]:
+    """Header and columns of an emitted CSV, by header name.
+
+    A label column is a list of strings; every other column is one float
+    array, parsed in bulk.  Every line must have the header's field count.
+    Raises ReportError when the header lacks one of the ``required``
+    columns, on a malformed line (naming the first one) and when there are
+    no data rows.
     """
     lines = path.read_text().splitlines()
     header = lines[0].split(",") if lines else []
     missing = [name for name in required if name not in header]
     if lines and missing:
         raise ReportError(f"{path}:1: missing column {missing[0]!r}")
-    numeric = [name not in _TEXT_COLUMNS for name in header]
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise ReportError(
-                f"{path}:{lineno}: {len(fields)} fields where the header has {len(header)}"
-            )
-        try:
-            rows.append([float(v) if num else v for v, num in zip(fields, numeric)])
-        except ValueError as exc:
-            raise ReportError(f"{path}:{lineno}: {exc}") from exc
+    rows = [line for line in lines[1:] if line]
     if not rows:
         raise ReportError(f"{path}: no data rows")
-    return header, rows
+    numeric = [j for j, name in enumerate(header) if name not in _TEXT_COLUMNS]
+    commas = len(header) - 1
+    if any(line.count(",") != commas for line in rows):
+        raise _first_bad_line(path, lines, header)
+    try:
+        data = _parse(rows, numeric)
+    except ValueError:
+        raise _first_bad_line(path, lines, header) from None
+    floats = dict(zip(numeric, data.T))
+    columns = {
+        name: floats[j] if j in floats else [line.split(",", j + 1)[j] for line in rows]
+        for j, name in enumerate(header)
+    }
+    return header, columns
+
+
+def _as_list(column) -> list:
+    """A column of ``_read_csv`` as a list of strings or Python floats."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 def _read_powers(path: Path) -> list[dict]:
-    header, rows = _read_csv(path)
+    header, columns = _read_csv(path)
     if tuple(header) != POWERS_COLUMNS:
         raise ReportError(f"{path}:1: header is not {','.join(POWERS_COLUMNS)}")
-    return [dict(zip(header, row)) for row in rows]
+    return [dict(zip(header, row)) for row in zip(*(_as_list(columns[name]) for name in header))]
 
 
 def _read_pairs(path: Path, first: str, second: str) -> list[tuple]:
     """(first, second) column pairs of an emitted CSV, in row order."""
-    header, rows = _read_csv(path, (first, second))
-    i, j = header.index(first), header.index(second)
-    return [(row[i], row[j]) for row in rows]
+    _, columns = _read_csv(path, (first, second))
+    return list(zip(_as_list(columns[first]), _as_list(columns[second])))
 
 
 @dataclass
 class Report:
     power_rows: list[dict] = field(default_factory=list)
     derived: dict[str, float] = field(default_factory=dict)
-    vk_rows: list[dict] = field(default_factory=list)
+    vk_columns: dict[str, np.ndarray | list[str]] = field(default_factory=dict)
     ladder: list[tuple[float, float]] = field(default_factory=list)
     remnant_columns: dict[str, np.ndarray] = field(default_factory=dict)
     remnant_probs: dict[str, float] = field(default_factory=dict)
@@ -134,8 +185,7 @@ def _load_powers(report: Report, out_dir: Path) -> None:
 def _load_vk(report: Report, out_dir: Path) -> None:
     path = out_dir / "vk.csv"
     if path.is_file():
-        header, rows = _read_csv(path, VK_COLUMNS)
-        report.vk_rows = [dict(zip(header, row)) for row in rows]
+        _, report.vk_columns = _read_csv(path, VK_COLUMNS)
     ladder_path = out_dir / "visibility_bins.csv"
     if ladder_path.is_file():
         report.ladder = _read_pairs(ladder_path, "bin_width_m", "V")
@@ -145,10 +195,7 @@ def _load_remnant(report: Report, out_dir: Path) -> None:
     path = out_dir / "remnant.csv"
     if not path.is_file():
         return
-    header, rows = _read_csv(path, ("total",) + _POSTSELECTED)
-    data = np.array(rows)
-    for j, name in enumerate(header):
-        report.remnant_columns[name] = data[:, j]
+    _, report.remnant_columns = _read_csv(path, ("total",) + _POSTSELECTED)
     summary = out_dir / "remnant_summary.csv"
     if summary.is_file():
         report.remnant_probs = dict(_read_pairs(summary, "key", "value"))
@@ -226,12 +273,13 @@ def _power_verdicts(report: Report) -> None:
 
 
 def _vk_verdicts(report: Report) -> None:
-    if report.vk_rows:
-        worst = max(abs(r["V2K2"] - 1.0) for r in report.vk_rows)
+    if report.vk_columns:
+        check = report.vk_columns["V2K2"]
+        worst = np.max(np.abs(check - 1.0))
         report.verdicts.append(
             (
                 f"duality identity: max |V^2+K^2-1| = {_fmt(worst)} < "
-                f"{_fmt(DUALITY_IDENTITY_TOL)} over {len(report.vk_rows)} models",
+                f"{_fmt(DUALITY_IDENTITY_TOL)} over {check.size} models",
                 worst < DUALITY_IDENTITY_TOL,
                 "vk.csv",
             )
@@ -277,7 +325,7 @@ def build_report(out_dir: str | Path) -> Report:
     _load_powers(report, out)
     _load_vk(report, out)
     _load_remnant(report, out)
-    if not (report.power_rows or report.vk_rows or report.ladder or report.remnant_columns):
+    if not (report.power_rows or report.vk_columns or report.ladder or report.remnant_columns):
         raise ReportError(f"no simulation CSV files found in {out}")
     _power_verdicts(report)
     _vk_verdicts(report)
@@ -297,16 +345,13 @@ def render_report(report: Report, note: str = "") -> str:
             for key in sorted(report.derived):
                 lines.append(f"  {key} = {_fmt(report.derived[key])}")
         lines.append("")
-    if report.vk_rows:
-        lines.append(f"V/K models: {len(report.vk_rows)} rows")
-        show = report.vk_rows if len(report.vk_rows) <= 8 else report.vk_rows[:8]
-        for r in show:
-            lines.append(
-                f"  {r['model']}[{r['a_or_V_source']}]: V={_fmt(r['V'])} "
-                f"K={_fmt(r['K'])} V2K2={_fmt(r['V2K2'])}"
-            )
-        if len(report.vk_rows) > 8:
-            lines.append(f"  ... ({len(report.vk_rows) - 8} more rows)")
+    if report.vk_columns:
+        n_rows = len(report.vk_columns["model"])
+        lines.append(f"V/K models: {n_rows} rows")
+        for model, source, v, k, check in zip(*(report.vk_columns[c][:8] for c in VK_COLUMNS)):
+            lines.append(f"  {model}[{source}]: V={_fmt(v)} K={_fmt(k)} V2K2={_fmt(check)}")
+        if n_rows > 8:
+            lines.append(f"  ... ({n_rows - 8} more rows)")
         lines.append("")
     if report.ladder:
         lines.append("coarse-bin visibility ladder (bin_width_m, V)")

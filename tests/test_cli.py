@@ -10,10 +10,32 @@ from hypothesis import strategies as st
 from afsharsim import AfsharGeometry, duality
 from afsharsim.cli import main
 from afsharsim.config import Config, ConfigError, load_config
+from afsharsim.report import _fmt, _fmt_rows, _parse
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def cosine_pattern(n=512, shift=None, set_i=None):
+    """x_m and intensity of a 32-sample-period cosine on n samples of 10 um.
+
+    ``shift = (i, f)`` moves sample i by f spacings; ``set_i = (i, v)`` sets
+    its intensity to v.
+    """
+    dx = 1e-5
+    xs = (np.arange(n) - n // 2) * dx
+    intensity = 1 + np.cos(2 * np.pi * xs / (32 * dx))
+    if shift is not None:
+        xs[shift[0]] += shift[1] * dx
+    if set_i is not None:
+        intensity[set_i[0]] = set_i[1]
+    return xs, intensity
+
+
+def pattern_csv(xs, intensity):
+    rows = (f"{float(x)!r},{float(v)!r}" for x, v in zip(xs, intensity))
+    return "x_m,intensity\n" + "\n".join(rows) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +161,8 @@ class TestSimulate:
 
 
 class TestDuality:
+    COSINE = pattern_csv(*cosine_pattern())
+
     def test_probe_endpoint_row(self, tmp_path):
         out = tmp_path / "d"
         assert run("duality", "--probe", "1,0", "--out", str(out)) == 0
@@ -163,15 +187,8 @@ class TestDuality:
         assert values[-1] < 0.01
 
     def test_pattern_csv_input(self, tmp_path):
-        grid_n, dx = 512, 1e-5
-        xs = (np.arange(grid_n) - grid_n // 2) * dx
-        pattern = 1 + np.cos(2 * np.pi * xs / (32 * dx))
         csv = tmp_path / "pattern.csv"
-        csv.write_text(
-            "x_m,intensity\n"
-            + "\n".join(f"{float(x)!r},{float(v)!r}" for x, v in zip(xs, pattern))
-            + "\n"
-        )
+        csv.write_text(self.COSINE)
         out = tmp_path / "d"
         assert (
             run(
@@ -222,6 +239,63 @@ class TestDuality:
         assert where in err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize(
+        "text, flags, where",
+        [
+            pytest.param(
+                pattern_csv(*cosine_pattern(shift=(100, 0.3))),
+                (),
+                "pattern.csv: x_m is not a uniform grid",
+                id="shifted-x",
+            ),
+            pytest.param(
+                pattern_csv(*cosine_pattern(set_i=(7, np.nan))),
+                (),
+                "pattern.csv: intensity must be finite",
+                id="nan-i",
+            ),
+            pytest.param(
+                pattern_csv(*cosine_pattern(set_i=(7, np.inf))),
+                (),
+                "pattern.csv: intensity must be finite",
+                id="inf-i",
+            ),
+            pytest.param(
+                pattern_csv(*cosine_pattern(set_i=(7, -0.5))),
+                (),
+                "pattern.csv: intensity must be finite and non-negative",
+                id="neg-i",
+            ),
+            pytest.param(
+                pattern_csv(*cosine_pattern(n=500)), (), "power of two", id="500-samples"
+            ),
+            pytest.param(
+                pattern_csv(*cosine_pattern(n=1)), (), "pattern.csv: fewer than two", id="1-sample"
+            ),
+            pytest.param("x_m,intensity\n0.0,1.0\nabc,1.0\n", (), "pattern.csv:3: x_m", id="abc"),
+            pytest.param("x_m,I\n0.0,1.0\n1.0,1.0\n", (), "pattern.csv:1: missing", id="header"),
+            pytest.param("x_m,intensity\n", (), "pattern.csv: no data rows", id="no-rows"),
+            # the widest ladder bin, one period, must leave two bins of the 512 samples
+            pytest.param(COSINE, ("--period-samples", "256"), "[1, 255], got 256", id="period"),
+            pytest.param(COSINE, ("--period-samples", "2048"), "[1, 255]", id="period-2048"),
+        ],
+    )
+    def test_bad_pattern_exits_2_with_one_line(self, tmp_path, capsys, text, flags, where):
+        csv = tmp_path / "pattern.csv"
+        csv.write_text(text)
+        argv = ("--pattern", str(csv), *flags, "--out", str(tmp_path / "d"))
+        assert run("duality", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert where in err
+        assert not (tmp_path / "d").exists()
+
+    def test_widest_period_that_fits_the_pattern(self, tmp_path):
+        csv = tmp_path / "pattern.csv"
+        csv.write_text(self.COSINE)
+        argv = ("--pattern", str(csv), "--period-samples", "255", "--out", str(tmp_path / "d"))
+        assert run("duality", *argv) == 0
+
     def test_random_detector_bound_checked_before_allocation(self, tmp_path, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("detectors drawn")
@@ -264,6 +338,16 @@ class TestRemnant:
         assert (out_a / "remnant_samples.csv").read_bytes() == (
             out_b / "remnant_samples.csv"
         ).read_bytes()
+
+    def test_sampled_x_m_are_remnant_csv_strings(self, tmp_path):
+        out = tmp_path / "r"
+        assert run("remnant", "--seed", "4", "--samples", "500", "--out", str(out)) == 0
+        remnant_rows = (out / "remnant.csv").read_text().splitlines()[1:]
+        sites = {line.split(",", 1)[0] for line in remnant_rows}
+        samples = (out / "remnant_samples.csv").read_text().splitlines()
+        assert samples[0] == "index,x_m" and len(samples) == 501
+        assert [line.split(",")[0] for line in samples[1:]] == [str(i) for i in range(500)]
+        assert {line.split(",")[1] for line in samples[1:]} <= sites
 
     def test_samples_without_seed_exit_2(self, tmp_path):
         assert run("remnant", "--samples", "5", "--out", str(tmp_path / "r")) == 2
@@ -340,6 +424,34 @@ class TestReport:
                 "x_m,total,post_vL,post_plus,post_minus\n0.0,1.0,1.0,1.0,1.0\n",
                 "remnant.csv:1: missing column 'post_vU'",
             ),
+            # a surplus field fails the field-count check even where no column reads it
+            (
+                "remnant.csv",
+                "x_m,total,post_vU,post_vL,post_plus,post_minus\n0.0,1.0,1.0,1.0,1.0,1.0,9.9\n",
+                "remnant.csv:2: 7 fields where the header has 6",
+            ),
+            # x_m is parsed although no verdict reads it
+            (
+                "remnant.csv",
+                "x_m,total,post_vU,post_vL,post_plus,post_minus\nabc,1.0,1.0,1.0,1.0,1.0\n",
+                "remnant.csv:2: x_m = 'abc'",
+            ),
+            # the first bad line in row order is named, whatever its column
+            (
+                "vk.csv",
+                "model,a_or_V_source,V,K,V2K2\nprobe,x,0.6,0.8,bad\nprobe,x,bad,0.8,1.0\n",
+                "vk.csv:2: V2K2 = 'bad'",
+            ),
+            (
+                "vk.csv",
+                "model,a_or_V_source,V,K,V2K2\nprobe,x,0.6,0.8,1.0x\nprobe,x,0.5\n",
+                "vk.csv:2: V2K2",
+            ),
+            (
+                "vk.csv",
+                "model,a_or_V_source,V,K,V2K2\nprobe,x,0.5\nprobe,x,a,b,c\n",
+                "vk.csv:2: 3 fields",
+            ),
         ],
     )
     def test_malformed_csv_exits_2_with_one_line(self, tmp_path, capsys, name, text, where):
@@ -378,6 +490,43 @@ class TestReport:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert where in err
         assert not (tmp_path / "report.txt").exists()
+
+
+# values whose repr is easy to get wrong: signed zero, the smallest subnormal,
+# the switch to exponent notation at both ends, and the non-finite ones
+_EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, 1e16, 1e-7, 1e-5, 9999999999999998.0, math.inf, -math.inf, math.nan
+]
+_CSV_FLOATS = st.lists(
+    st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()), min_size=1, max_size=30
+)
+
+
+class TestCsvFormat:
+    """The column formatter and the bulk parser keep the byte-identical-rerun contract."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=_CSV_FLOATS)
+    def test_rows_are_fmt_of_each_value(self, values):
+        assert list(_fmt_rows(values)) == [_fmt(v) for v in values]
+        assert list(_fmt_rows(np.array(values))) == [_fmt(v) for v in values]
+        backwards = values[::-1]
+        assert list(_fmt_rows(values, backwards)) == [
+            f"{_fmt(a)},{_fmt(b)}" for a, b in zip(values, backwards)
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=_CSV_FLOATS)
+    def test_bulk_parse_reads_what_float_reads(self, values):
+        lines = list(_fmt_rows(values, values))
+        parsed = _parse(lines, [0, 1])
+        expected = np.array([float(_fmt(v)) for v in values])
+        assert parsed.shape == (len(values), 2)
+        assert parsed[:, 0].tobytes() == expected.tobytes()
+        assert parsed[:, 1].tobytes() == expected.tobytes()
+
+    def test_scalar_is_one_row(self):
+        assert list(_fmt_rows(0.96, np.float64(0.28))) == ["0.96,0.28"]
 
 
 class TestConfig:

@@ -164,7 +164,17 @@ class TestSampling:
         state = build_remnant(*sigma1_fields)
         a = sample_sites(state, 100, np.random.default_rng(42))
         b = sample_sites(state, 100, np.random.default_rng(42))
+        assert np.issubdtype(a.dtype, np.integer)
+        assert a.min() >= 0 and a.max() < state.sites.size
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_indices_draw_the_sites_of_the_same_stream(self, sigma1_fields, seed):
+        state = build_remnant(*sigma1_fields)
+        p = total_pattern(state)
+        expected = np.random.default_rng(seed).choice(state.sites, size=1000, p=p / p.sum())
+        drawn = state.sites[sample_sites(state, 1000, np.random.default_rng(seed))]
+        np.testing.assert_array_equal(drawn, expected)
 
 
 class TestQubitAnalogy:
