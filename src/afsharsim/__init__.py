@@ -28,7 +28,7 @@ from .apparatus import (
     image_windows,
     imaging_distance,
     run_scenario,
-    sigma1_field,
+    sigma1_fields,
     slit_mask,
 )
 from .duality import (

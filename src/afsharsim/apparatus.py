@@ -8,17 +8,23 @@ the window powers act as which-slit detectors.
 
 Numerical design notes
 ----------------------
-The slit source is built directly in the spatial-frequency domain: the
-aperture-pair spectrum is multiplied by a raised-cosine low-pass window
+The upper-slit source is built directly in the spatial-frequency domain:
+the aperture spectrum is multiplied by a raised-cosine low-pass window
 whose cutoff keeps (a) the outer Nyquist band empty, so spectral
 propagation never aliases, and (b) the diffracted beam inside the periodic
 computation box all the way to the lens.  The window's flat passband covers
 the whole fringe region at sigma1, so fringe positions and the single-slit
 envelope there are unaffected.  The wire bars are given a narrow tanh edge
 (about one sample) for the same reason; their nominal width is preserved.
+The lower slit is the mirror image x -> -x of the upper one (sample i ->
+(n - i) mod n on the periodic grid), which propagation preserves, and both
+slits are the exact sum phi_U + phi_L; the three slit masks share one
+scale, max(|upper| + |lower|), which keeps each of them passive.
 
 Every stage of a scenario run is checked against the band-limit guard and
-violations raise :class:`BandLimitError` naming the stage.
+violations raise :class:`BandLimitError` naming the stage: ``source`` on
+the one synthesized source, ``sigma1`` on the field the scenario carries
+(phi_U, phi_L or phi_U + phi_L).
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ __all__ = [
     "default_grid",
     "imaging_distance",
     "slit_mask",
-    "sigma1_field",
+    "sigma1_fields",
     "fringe_minima",
     "build_wire_grid",
     "fill_factor",
@@ -274,27 +280,24 @@ def _guard(field: ComplexField, stage: str) -> None:
         )
 
 
+def _mirror(values: np.ndarray) -> np.ndarray:
+    """Reflection x -> -x on the periodic grid: sample i -> (n - i) mod n."""
+    return np.roll(values[::-1], 1)
+
+
 def slit_mask(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> Mask:
     """Transmission profile of the slit pair (or a single slit).
 
-    Built in the frequency domain: rectangular-aperture spectra at the two
-    slit positions, multiplied by a raised-cosine low-pass window (see the
-    module notes).  The profile is real, within [-1, 1], and its sampled
-    spectrum vanishes identically beyond the window cutoff.
+    Built in the frequency domain for the upper slit, a rectangular-aperture
+    spectrum multiplied by a raised-cosine low-pass window, and mirrored for
+    the lower one (see the module notes).  Each profile is real, within
+    [-1, 1], and its sampled spectrum vanishes identically beyond the cutoff.
     """
     _check_sampling(geometry, grid)
     k_flat, k_cut = _source_cutoffs(geometry, grid)
     kx = grid.wavenumbers()
     a = geometry.slit_width
-    rect_spectrum = a * np.sinc(kx * a / (2.0 * np.pi))
-    centers = {
-        Slits.BOTH: (+geometry.slit_separation / 2.0, -geometry.slit_separation / 2.0),
-        Slits.UPPER_ONLY: (+geometry.slit_separation / 2.0,),
-        Slits.LOWER_ONLY: (-geometry.slit_separation / 2.0,),
-    }[slits]
-    spectrum = np.zeros_like(kx, dtype=complex)
-    for c in centers:
-        spectrum += rect_spectrum * np.exp(-1j * kx * c)
+    spectrum = a * np.sinc(kx * a / (2.0 * np.pi)) * np.exp(-0.5j * kx * geometry.slit_separation)
 
     akx = np.abs(kx)
     window = np.zeros_like(akx)
@@ -304,22 +307,21 @@ def slit_mask(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> Mask:
     spectrum *= window
 
     x0 = grid.coordinates[0]
-    profile = np.fft.ifft(spectrum * np.exp(1j * kx * x0)).real / grid.spacing
-    peak = np.max(np.abs(profile))
+    upper = np.fft.ifft(spectrum * np.exp(1j * kx * x0)).real / grid.spacing
+    peak = np.max(np.abs(upper) + np.abs(_mirror(upper)))
     if peak > 1.0:
-        profile = profile / (peak * (1.0 + 1e-12))
-    return Mask(grid, profile)
+        upper = upper / (peak * (1.0 + 1e-12))
+    lower = _mirror(upper)
+    return Mask(grid, {Slits.UPPER_ONLY: upper, Slits.LOWER_ONLY: lower}.get(slits, upper + lower))
 
 
-def sigma1_field(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> ComplexField:
-    """Guarded field at sigma1 behind the given slits."""
-    src = apply_mask(
-        make_plane_wave(grid, geometry.wavelength), slit_mask(geometry, grid, slits)
-    )
+def sigma1_fields(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, ComplexField]:
+    """Fields (phi_U, phi_L) at sigma1 behind each slit alone; callers guard sigma1."""
+    upper = slit_mask(geometry, grid, Slits.UPPER_ONLY)
+    src = apply_mask(make_plane_wave(grid, geometry.wavelength), upper)
     _guard(src, "source")
-    at_sigma1 = propagate(src, geometry.z_slits_to_grid)
-    _guard(at_sigma1, "sigma1")
-    return at_sigma1
+    phi_u = propagate(src, geometry.z_slits_to_grid)
+    return phi_u, phi_u.with_amplitudes(_mirror(phi_u.amplitudes))
 
 
 def _refine_minima(geometry: AfsharGeometry, at_sigma1: ComplexField) -> np.ndarray:
@@ -383,24 +385,26 @@ def _refine_minima(geometry: AfsharGeometry, at_sigma1: ComplexField) -> np.ndar
     return np.array([-p for p in reversed(positive)] + positive)
 
 
-def fringe_minima(geometry: AfsharGeometry, grid: Grid | None = None) -> np.ndarray:
+def fringe_minima(geometry: AfsharGeometry, grid: Grid) -> np.ndarray:
     """Positions of the ``n_wires`` interference minima nearest the axis.
 
-    Simulates the both-slit field at sigma1, seeds each minimum at the
-    small-angle estimate ``(m + 1/2) * lambda*L/d`` and refines it by
+    Guards the both-slit field phi_U + phi_L at sigma1, seeds each minimum
+    at the small-angle estimate ``(m + 1/2) * lambda*L/d`` and refines it by
     Newton's method on the derivative of the band-limited interpolation of
     the intensity, so the result is not quantized to the sample spacing.
     The set is symmetric under reflection; the positive-side minima are
     refined and mirrored.
     """
-    grid = grid if grid is not None else default_grid()
-    return _refine_minima(geometry, sigma1_field(geometry, grid, Slits.BOTH))
+    phi_u, phi_l = sigma1_fields(geometry, grid)
+    both = phi_u.with_amplitudes(phi_u.amplitudes + phi_l.amplitudes)
+    _guard(both, "sigma1")
+    return _refine_minima(geometry, both)
 
 
 def build_wire_grid(
     geometry: AfsharGeometry,
     minima: np.ndarray,
-    grid: Grid | None = None,
+    grid: Grid,
     edge_sigma: float = 0.0,
 ) -> Mask:
     """Absorbing wire bars of ``wire_width`` centered on the given minima.
@@ -411,7 +415,6 @@ def build_wire_grid(
     odd-symmetric about the nominal bar boundary, which preserves the
     bar's nominal width.
     """
-    grid = grid if grid is not None else default_grid()
     centers = np.sort(np.asarray(minima, dtype=float))
     if centers.size >= 2:
         gaps = np.diff(centers)
@@ -457,27 +460,27 @@ def image_windows(geometry: AfsharGeometry) -> tuple[tuple[float, float], tuple[
     return ((-md, 0.0), (0.0, md))
 
 
-def run_scenario(
-    geometry: AfsharGeometry, scenario: Scenario, grid: Grid | None = None
-) -> SimulationRecord:
+def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> SimulationRecord:
     """Propagate one scenario through the bench and record power accounting.
 
-    Pipeline: slit mask -> propagate to sigma1 -> (wire grid if in) ->
+    Pipeline: phi_U, phi_L or their sum at sigma1 -> (wire grid if in) ->
     propagate to lens -> thin lens -> propagate to sigma2.  The band-limit
     guard runs after every stage; ``power_incident`` is measured at sigma1
     before the grid, ``intensity_sigma1`` after it.  A sample exactly on
     the shared window boundary at x = 0 is assigned to window U
     (deterministic tie-break).
     """
-    grid = grid if grid is not None else default_grid()
-    at_sigma1 = sigma1_field(geometry, grid, scenario.slits)
+    phi_u, phi_l = sigma1_fields(geometry, grid)
+    both = phi_u.with_amplitudes(phi_u.amplitudes + phi_l.amplitudes)
+    at_sigma1 = {Slits.UPPER_ONLY: phi_u, Slits.LOWER_ONLY: phi_l}.get(scenario.slits, both)
+    del phi_u, phi_l  # holding the uncarried fields through later stages raises peak RSS
+    _guard(at_sigma1, "sigma1")
     power_incident = total_power(at_sigma1)
 
     minima: tuple[float, ...] = ()
-    if scenario.slits is Slits.BOTH:
-        minima = tuple(float(p) for p in _refine_minima(geometry, at_sigma1))
-    elif scenario.grid is GridState.IN:
-        minima = tuple(float(p) for p in fringe_minima(geometry, grid))
+    if scenario.slits is Slits.BOTH or scenario.grid is GridState.IN:
+        minima = tuple(float(p) for p in _refine_minima(geometry, both))
+    del both
 
     if scenario.grid is GridState.IN:
         wires = build_wire_grid(

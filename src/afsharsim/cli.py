@@ -141,7 +141,7 @@ def _check_count(value: int, flag: str, low: int = 0, high: int | None = None) -
 
 
 # How far, as a fraction of the sample spacing, a --pattern x_m value may
-# sit from the uniform grid spanned by its first two samples.
+# sit from the uniform grid spanned by its end samples.
 _PATTERN_GRID_TOL = 1e-3
 
 
@@ -189,7 +189,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
         xs, pattern = columns["x_m"], columns["intensity"]
         if xs.size < 2:
             raise ConfigError(f"pattern CSV {path}: fewer than two samples")
-        spacing = float(xs[1] - xs[0])
+        spacing = float((xs[-1] - xs[0]) / (len(xs) - 1))
         try:
             grid = Grid(n_samples=len(xs), spacing=spacing, center=float(xs[len(xs) // 2]))
         except ValueError as exc:
@@ -243,10 +243,7 @@ def cmd_remnant(args: argparse.Namespace) -> int:
         raise ConfigError("--samples requires --seed (or seed in config)")
     geometry = cfg.geometry()
     grid = cfg.grid()
-    phi_u, phi_l = (
-        apparatus.sigma1_field(geometry, grid, slits)
-        for slits in (apparatus.Slits.UPPER_ONLY, apparatus.Slits.LOWER_ONLY)
-    )
+    phi_u, phi_l = apparatus.sigma1_fields(geometry, grid)
     try:
         state = remnant.build_remnant(phi_u, phi_l)
     except ValueError as exc:

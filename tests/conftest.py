@@ -6,9 +6,9 @@ from afsharsim import (
     GridState,
     Scenario,
     Slits,
+    apparatus,
     default_grid,
     run_scenario,
-    sigma1_field,
 )
 
 
@@ -37,6 +37,4 @@ def records(geometry, bench_grid):
 @pytest.fixture(scope="session")
 def sigma1_fields(geometry, bench_grid):
     """Per-slit fields at the sigma1 plane (upper, lower)."""
-    return tuple(
-        sigma1_field(geometry, bench_grid, which) for which in (Slits.UPPER_ONLY, Slits.LOWER_ONLY)
-    )
+    return apparatus.sigma1_fields(geometry, bench_grid)

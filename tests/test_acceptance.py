@@ -32,7 +32,7 @@ from afsharsim import (
     qubit_analogy,
     random_detector_model,
     run_scenario,
-    sigma1_field,
+    sigma1_fields,
     total_pattern,
     total_power,
     visibility_from_pattern,
@@ -308,9 +308,7 @@ def _main() -> int:
         for slits in Slits
         for grid_state in GridState
     }
-    sigma1_fields = tuple(
-        sigma1_field(geometry, grid, which) for which in (Slits.UPPER_ONLY, Slits.LOWER_ONLY)
-    )
+    fields = sigma1_fields(geometry, grid)
 
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -322,7 +320,7 @@ def _main() -> int:
             (5, check_discrimination, (records,)),
             (6, check_fringe_fidelity, (records, geometry, grid)),
             (7, check_resolution_collapse, ()),
-            (8, check_remnant_completeness, (sigma1_fields,)),
+            (8, check_remnant_completeness, (fields,)),
             (9, check_propagation_soundness, ()),
             (10, check_qubit_analogy, ()),
             (11, check_determinism, (Path(tmp),)),

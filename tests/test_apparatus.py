@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from afsharsim import apparatus
 from afsharsim.apparatus import (
     AfsharGeometry,
     _refine_minima,
+    _source_cutoffs,
     BandLimitError,
     GridState,
     Scenario,
@@ -21,13 +23,17 @@ from afsharsim.apparatus import (
     slit_mask,
 )
 from afsharsim.wavefield import (
+    ComplexField,
     Grid,
     Mask,
     apply_mask,
     make_plane_wave,
     nyquist_tail_fraction,
+    propagate,
     total_power,
 )
+
+FINE_GRID = Grid(2**16, 1.25e-6)
 
 
 class TestGeometry:
@@ -74,6 +80,14 @@ class TestSlitMask:
         lower = slit_mask(geometry, bench_grid, Slits.LOWER_ONLY).transmission
         # x -> -x maps sample i to n-i for interior samples
         np.testing.assert_allclose(upper[1:], lower[1:][::-1], atol=1e-12)
+
+    @pytest.mark.parametrize("grid", [default_grid(), FINE_GRID], ids=["2^14", "2^16"])
+    def test_both_is_the_sum_of_the_single_slits(self, geometry, grid):
+        upper, lower, both = (
+            slit_mask(geometry, grid, which).transmission
+            for which in (Slits.UPPER_ONLY, Slits.LOWER_ONLY, Slits.BOTH)
+        )
+        np.testing.assert_array_equal(both, upper + lower)
 
     def test_coarse_sampling_rejected(self, geometry):
         coarse = Grid(n_samples=64, spacing=1e-3)
@@ -234,6 +248,61 @@ class TestScenarios:
         with pytest.raises(BandLimitError) as err:
             run_scenario(geometry, Scenario(Slits.BOTH, GridState.OUT), coarse)
         assert err.value.stage == "source"
+
+
+class TestSuperposition:
+    def test_both_slit_intensity_is_the_coherent_sum(self, records, sigma1_fields):
+        phi_u, phi_l = sigma1_fields
+        expected = np.abs(phi_u.amplitudes + phi_l.amplitudes) ** 2
+        got = records[("both", "out")].intensity_sigma1
+        assert np.max(np.abs(got - expected)) <= 1e-12 * expected.max()
+
+    @pytest.mark.parametrize("grid", [default_grid(), FINE_GRID], ids=["2^14", "2^16"])
+    def test_lower_field_matches_its_own_synthesis(self, geometry, grid):
+        # premise of the mirror construction, checked without the reflection:
+        # the lower slit built from its own spectrum exp(+i kx d/2) and
+        # propagated to sigma1 is the field sigma1_fields returns for it
+        kx = grid.wavenumbers()
+        k_flat, k_cut = _source_cutoffs(geometry, grid)
+        ramp = np.clip((np.abs(kx) - k_flat) / (k_cut - k_flat), 0.0, 1.0)
+        window = np.where(ramp < 1.0, np.cos(0.5 * np.pi * ramp) ** 2, 0.0)
+        a, d = geometry.slit_width, geometry.slit_separation
+        aperture = a * np.sinc(kx * a / (2.0 * np.pi)) * window
+        x0 = grid.coordinates[0]
+
+        def profile(center):
+            spectrum = aperture * np.exp(-1j * kx * center) * np.exp(1j * kx * x0)
+            return np.fft.ifft(spectrum).real / grid.spacing
+
+        upper, lower = profile(+d / 2), profile(-d / 2)
+        lower = lower / np.max(np.abs(upper) + np.abs(lower))
+        source = make_plane_wave(grid, geometry.wavelength).amplitudes * lower
+        direct = propagate(
+            ComplexField(grid, source, geometry.wavelength), geometry.z_slits_to_grid
+        ).amplitudes
+        mirrored = apparatus.sigma1_fields(geometry, grid)[1].amplitudes
+        assert np.max(np.abs(mirrored - direct)) <= 1e-11 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
+    @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
+    def test_one_source_and_three_propagations_per_scenario(
+        self, geometry, bench_grid, monkeypatch, slits, state
+    ):
+        calls = {"propagate": 0, "slit_mask": 0}
+
+        def counted(name):
+            original = getattr(apparatus, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(apparatus, name, counted(name))
+        run_scenario(geometry, Scenario(slits, state), bench_grid)
+        assert calls == {"propagate": 3, "slit_mask": 1}
 
 
 class TestDiscrimination:

@@ -92,6 +92,18 @@ class TestSimulate:
                 vals = [float(v) for v in parts[2:]]
                 assert vals[3] / vals[2] >= 0.99
 
+    def test_mirrored_slits_have_identical_power_rows(self, tmp_path):
+        out = tmp_path / "s"
+        for scenario in ("upper", "lower"):
+            assert run("simulate", "--scenario", scenario, "--grid", "out", "--out", str(out)) == 0
+        rows = {
+            line.split(",")[0]: line.split(",")[2]
+            for line in (out / "powers.csv").read_text().splitlines()[1:]
+        }
+        # equal up to the rounding of a sum taken in mirrored order (the
+        # separately scaled slits of earlier versions differed by 1.6e-13)
+        assert float(rows["upper"]) == pytest.approx(float(rows["lower"]), rel=1e-15, abs=0)
+
     def test_missing_config_exits_2_without_partial_files(self, tmp_path):
         out = tmp_path / "never_created"
         code = run("simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(out))
@@ -290,6 +302,15 @@ class TestDuality:
         assert where in err
         assert not (tmp_path / "d").exists()
 
+    def test_fine_grid_far_off_axis_is_uniform(self, tmp_path):
+        # 1 nm samples at x ~ 100 m: xs[1] - xs[0] is 1.1e-5 nm short, which
+        # drifts the grid 0.087 spacings over 16384 samples; the spacing of
+        # the end samples drifts 1.4e-5 spacings
+        xs = 100.0 + (np.arange(2**14) - 2**13) * 1e-9
+        csv = tmp_path / "pattern.csv"
+        csv.write_text(pattern_csv(xs, 1 + np.cos(2 * np.pi * (xs - 100.0) / 64e-9)))
+        assert run("duality", "--pattern", str(csv), "--out", str(tmp_path / "d")) == 0
+
     def test_widest_period_that_fits_the_pattern(self, tmp_path):
         csv = tmp_path / "pattern.csv"
         csv.write_text(self.COSINE)
@@ -319,6 +340,9 @@ class TestRemnant:
             key, val = line.split(",")
             probs[key] = float(val)
         assert probs["post_vU"] + probs["post_vL"] == pytest.approx(1.0, abs=1e-12)
+        # the lower slit mirrors the upper: equal up to the rounding of a sum
+        # taken in mirrored order (separately scaled slits differed by 8e-14)
+        assert probs["post_vU"] == pytest.approx(probs["post_vL"], rel=1e-15, abs=0)
         assert probs["post_plus"] + probs["post_minus"] == pytest.approx(1.0, abs=1e-12)
 
     def test_completeness_from_files(self, cli_out):
