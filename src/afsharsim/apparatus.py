@@ -126,10 +126,11 @@ class Scenario:
 class AfsharGeometry:
     """Physical dimensions of the bench (SI units, meters).
 
-    The lens must image the slit plane onto the detector plane:
-    ``1/(z_slits_to_grid + z_grid_to_lens) + 1/z_lens_to_detectors ==
-    1/focal_length`` to a relative 1e-9, otherwise the detector windows
-    carry no which-slit meaning.
+    The lens images the slit plane onto the detector plane, which is what
+    gives the detector windows their which-slit meaning, so the lens-to-
+    detector distance is not a free length: :attr:`z_lens_to_detectors`
+    solves ``1/(z_slits_to_grid + z_grid_to_lens) + 1/z = 1/focal_length``.
+    A geometry whose lens has no real image of the slits is rejected.
     """
 
     slit_width: float
@@ -137,7 +138,6 @@ class AfsharGeometry:
     z_slits_to_grid: float
     z_grid_to_lens: float
     focal_length: float
-    z_lens_to_detectors: float
     wire_width: float
     n_wires: int
     wavelength: float
@@ -159,14 +159,7 @@ class AfsharGeometry:
                 f"wire_width {self.wire_width} is not below the sigma1 fringe "
                 f"spacing {self.fringe_spacing:.4g}"
             )
-        s = self.z_slits_to_grid + self.z_grid_to_lens
-        lhs = 1.0 / s + 1.0 / self.z_lens_to_detectors
-        rhs = 1.0 / self.focal_length
-        if abs(lhs - rhs) > 1e-9 * abs(rhs):
-            raise ValueError(
-                f"imaging condition violated: 1/{s} + 1/{self.z_lens_to_detectors} "
-                f"differs from 1/{self.focal_length} by more than 1e-9 relative"
-            )
+        imaging_distance(self.object_distance, self.focal_length)
 
     @staticmethod
     def default() -> "AfsharGeometry":
@@ -183,7 +176,6 @@ class AfsharGeometry:
             z_slits_to_grid=1.0,
             z_grid_to_lens=0.5,
             focal_length=0.5,
-            z_lens_to_detectors=imaging_distance(1.0 + 0.5, 0.5),
             wire_width=130e-6,
             n_wires=6,
             wavelength=650e-9,
@@ -197,6 +189,11 @@ class AfsharGeometry:
     @property
     def object_distance(self) -> float:
         return self.z_slits_to_grid + self.z_grid_to_lens
+
+    @property
+    def z_lens_to_detectors(self) -> float:
+        """Lens-to-sigma2 distance at which the lens images the slit plane."""
+        return imaging_distance(self.object_distance, self.focal_length)
 
     @property
     def magnification(self) -> float:
@@ -227,7 +224,8 @@ class SimulationRecord:
 
 def imaging_distance(object_distance: float, focal_length: float) -> float:
     """Lens-to-image distance z solving the thin-lens condition 1/s + 1/z = 1/f."""
-    if not object_distance > focal_length > 0:
+    # the second test catches an s so close to f that 1/f - 1/s rounds to zero
+    if not (object_distance > focal_length > 0 and 1.0 / focal_length > 1.0 / object_distance):
         raise ValueError(
             f"imaging condition has no solution for object distance {object_distance} m "
             f"and focal length {focal_length} m (needs object distance > focal length > 0)"
@@ -450,7 +448,7 @@ def fill_factor(geometry: AfsharGeometry) -> float:
 
 
 def image_windows(geometry: AfsharGeometry) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Detector windows (U, L) at sigma2 as closed coordinate intervals.
+    """Detector windows (U, L) at sigma2 as (lo, hi) coordinate intervals.
 
     Each window has half-width ``M*d/2`` and is centered on the geometric
     image ``-M*(+-d/2)`` of its slit; the lens inverts, so the upper slit
@@ -467,8 +465,8 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     propagate to lens -> thin lens -> propagate to sigma2.  The band-limit
     guard runs after every stage; ``power_incident`` is measured at sigma1
     before the grid, ``intensity_sigma1`` after it.  A sample exactly on
-    the shared window boundary at x = 0 is assigned to window U
-    (deterministic tie-break).
+    the shared window boundary x = 0 counts in neither window, so mirrored
+    fields give mirrored window powers.
     """
     phi_u, phi_l = sigma1_fields(geometry, grid)
     both = phi_u.with_amplitudes(phi_u.amplitudes + phi_l.amplitudes)
@@ -502,8 +500,8 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     power_at_detectors = total_power(at_sigma2)
     (u_lo, u_hi), (l_lo, l_hi) = image_windows(geometry)
     x = grid.coordinates
-    in_u = (x >= u_lo) & (x <= u_hi)
-    in_l = (x >= l_lo) & (x <= l_hi) & ~in_u
+    in_u = (x >= u_lo) & (x < u_hi)
+    in_l = (x > l_lo) & (x <= l_hi)
     i2 = intensity(at_sigma2)
     power_window_u = float(np.sum(i2[in_u]) * grid.spacing)
     power_window_l = float(np.sum(i2[in_l]) * grid.spacing)

@@ -149,7 +149,11 @@ def cmd_duality(args: argparse.Namespace) -> int:
     _check_count(args.seed, "--seed")
     _check_count(args.random_detectors, "--random-detectors", high=MAX_N_SAMPLES)
     _check_count(args.bin_ladder, "--bin-ladder", low=1)
-    _check_count(args.period_samples, "--period-samples", low=1)
+    # the built-in cosine has a fixed period; the flag describes a --pattern file
+    if args.period_samples is not None and not args.pattern:
+        raise ConfigError("--period-samples applies only to a --pattern file")
+    period_samples = 64 if args.period_samples is None else args.period_samples
+    _check_count(period_samples, "--period-samples", low=1)
     rows: list[str] = [",".join(VK_COLUMNS)]
     deviations: list[float] = [0.0]  # max |V^2+K^2-1| of each add_rows call
 
@@ -199,13 +203,11 @@ def cmd_duality(args: argparse.Namespace) -> int:
         if not np.all(np.isfinite(pattern) & (pattern >= 0.0)):
             raise ConfigError(f"pattern CSV {path}: intensity must be finite and non-negative")
         # the widest ladder bin, one period, must leave at least two bins
-        _check_count(args.period_samples, "--period-samples", low=1, high=(len(xs) - 1) // 2)
-        period_samples = args.period_samples
+        _check_count(period_samples, "--period-samples", low=1, high=(len(xs) - 1) // 2)
         region = (float(xs[0]), float(xs[0]) + (len(xs) - 1) * spacing)
         source = path.name
     else:
         grid = Grid(n_samples=1024, spacing=5e-6)
-        period_samples = 64
         xs = grid.coordinates
         pattern = 1.0 + np.cos(2.0 * np.pi * xs / (period_samples * grid.spacing))
         region = (float(xs[0]), float(xs[0]) + 512 * grid.spacing)
@@ -301,9 +303,7 @@ def cmd_remnant(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    report = build_report(args.out)
-    note = remnant.ORTHONORMAL_NOTE if report.remnant_columns else ""
-    text = render_report(report, note)
+    text = render_report(build_report(args.out))
     (Path(args.out) / "report.txt").write_text(text)
     print(text, end="")
     return EXIT_OK
@@ -334,8 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dual.add_argument(
         "--period-samples",
         type=int,
-        default=64,
-        help="fringe period of the pattern in samples (ladder upper end)",
+        help="fringe period of the --pattern file in samples (ladder upper end; default 64)",
     )
     p_dual.add_argument("--bin-ladder", type=int, default=7, metavar="N")
     p_dual.add_argument("--out", default="out")

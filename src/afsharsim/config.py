@@ -1,16 +1,18 @@
 """Flat key = value configuration files (SI units, '#' comments).
 
-Every geometric key is optional and defaults to the reference bench
-:meth:`AfsharGeometry.default`; ``z_lens_to_detectors`` may be omitted
-entirely, in which case it is derived from the imaging condition.
+The keys are the fields of :class:`AfsharGeometry` plus ``n_samples``,
+``spacing``, ``out_dir`` and ``seed``.  Every key is optional: a geometry
+key a file leaves out keeps its value from :meth:`AfsharGeometry.default`.
+The lens-to-detector distance is not a key; the geometry derives it from
+the imaging condition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .apparatus import DEFAULT_N_SAMPLES, DEFAULT_SPACING, AfsharGeometry, imaging_distance
+from .apparatus import DEFAULT_N_SAMPLES, DEFAULT_SPACING, AfsharGeometry
 from .wavefield import Grid
 
 __all__ = ["Config", "ConfigError", "load_config", "parse_config", "MAX_N_SAMPLES"]
@@ -18,7 +20,7 @@ __all__ = ["Config", "ConfigError", "load_config", "parse_config", "MAX_N_SAMPLE
 # Largest accepted grid; a bigger one would only fail at allocation time.
 MAX_N_SAMPLES = 2**20
 
-_REFERENCE = AfsharGeometry.default()
+_GEOMETRY_KEYS = {f.name for f in fields(AfsharGeometry)}
 
 
 class ConfigError(ValueError):
@@ -27,28 +29,15 @@ class ConfigError(ValueError):
 
 @dataclass
 class Config:
-    wavelength: float = _REFERENCE.wavelength
-    slit_width: float = _REFERENCE.slit_width
-    slit_separation: float = _REFERENCE.slit_separation
-    z_slits_to_grid: float = _REFERENCE.z_slits_to_grid
-    z_grid_to_lens: float = _REFERENCE.z_grid_to_lens
-    focal_length: float = _REFERENCE.focal_length
-    z_lens_to_detectors: float | None = None
-    wire_width: float = _REFERENCE.wire_width
-    n_wires: int = _REFERENCE.n_wires
+    geometry_keys: dict[str, float | int] = field(default_factory=dict)
     n_samples: int = DEFAULT_N_SAMPLES
     spacing: float = DEFAULT_SPACING
     out_dir: str = "out"
     seed: int | None = None
 
     def geometry(self) -> AfsharGeometry:
-        values = {f.name: getattr(self, f.name) for f in fields(AfsharGeometry)}
         try:
-            if values["z_lens_to_detectors"] is None:
-                values["z_lens_to_detectors"] = imaging_distance(
-                    self.z_slits_to_grid + self.z_grid_to_lens, self.focal_length
-                )
-            return AfsharGeometry(**values)
+            return replace(AfsharGeometry.default(), **self.geometry_keys)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -63,7 +52,7 @@ class Config:
 
 def parse_config(text: str) -> Config:
     cfg = Config()
-    known = {f.name for f in fields(Config)}
+    known = _GEOMETRY_KEYS | {"n_samples", "spacing", "out_dir", "seed"}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -73,15 +62,15 @@ def parse_config(text: str) -> Config:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        convert = {"n_wires": int, "n_samples": int, "seed": int, "out_dir": str}.get(key, float)
         try:
-            if key in ("n_wires", "n_samples", "seed"):
-                setattr(cfg, key, int(value))
-            elif key == "out_dir":
-                setattr(cfg, key, value)
-            else:
-                setattr(cfg, key, float(value))
+            parsed = convert(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
+        if key in _GEOMETRY_KEYS:
+            cfg.geometry_keys[key] = parsed
+        else:
+            setattr(cfg, key, parsed)
     return cfg
 
 

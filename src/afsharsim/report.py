@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .remnant import COMPLETENESS_PAIRS, completeness_residue
+from .remnant import COMPLETENESS_PAIRS, ORTHONORMAL_NOTE, completeness_residue
 
 __all__ = [
     "Report",
@@ -333,7 +333,7 @@ def build_report(out_dir: str | Path) -> Report:
     return report
 
 
-def render_report(report: Report, note: str = "") -> str:
+def render_report(report: Report) -> str:
     lines: list[str] = ["simulation report", "=" * 17, ""]
     if report.power_rows:
         lines.append("scenario powers")
@@ -367,8 +367,8 @@ def render_report(report: Report, note: str = "") -> str:
     lines.append("verdicts")
     for text, ok, source in report.verdicts:
         lines.append(f"  [{'PASS' if ok else 'FAIL'}] {text}  (from {source})")
-    if note:
+    if report.remnant_columns:
         lines.append("")
-        lines.append(note)
+        lines.append(ORTHONORMAL_NOTE)
     lines.append("")
     return "\n".join(lines)

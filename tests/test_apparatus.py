@@ -19,6 +19,7 @@ from afsharsim.apparatus import (
     fill_factor,
     fringe_minima,
     image_windows,
+    imaging_distance,
     run_scenario,
     slit_mask,
 )
@@ -41,9 +42,25 @@ class TestGeometry:
         assert geometry.fringe_spacing == pytest.approx(650e-9 * 1.0 / 187.5e-6)
         assert geometry.magnification == pytest.approx(0.5)
 
-    def test_imaging_condition_enforced(self, geometry):
-        with pytest.raises(ValueError, match="imaging"):
-            dataclasses.replace(geometry, z_lens_to_detectors=0.8)
+    def test_detector_distance_follows_the_lens(self, geometry):
+        shorter = dataclasses.replace(geometry, focal_length=0.4)
+        assert shorter.z_lens_to_detectors == imaging_distance(1.5, 0.4)
+        # oracle: the thin-lens equation 1/s + 1/z = 1/f
+        assert 1 / 1.5 + 1 / shorter.z_lens_to_detectors == pytest.approx(1 / 0.4, rel=1e-15)
+        assert geometry.z_lens_to_detectors == 0.7499999999999999
+
+    @pytest.mark.parametrize(
+        "object_distance, focal_length",
+        [(1.5, 2.0), (1.5, 1.5), (1.5, 0.0), (0.716875, 0.7168749999999999)],
+        ids=["f>s", "f=s", "f=0", "f-one-ulp-below-s"],
+    )
+    def test_lens_without_a_real_image_rejected(self, object_distance, focal_length):
+        with pytest.raises(ValueError, match="imaging condition has no solution"):
+            imaging_distance(object_distance, focal_length)
+
+    def test_geometry_without_a_real_image_rejected(self, geometry):
+        with pytest.raises(ValueError, match="imaging condition"):
+            dataclasses.replace(geometry, focal_length=2.0)
 
     def test_separation_must_exceed_width(self, geometry):
         with pytest.raises(ValueError, match="slit_separation"):
@@ -224,6 +241,19 @@ class TestScenarios:
         lower = records[("lower", "out")].intensity_sigma2
         scale = upper.max()
         np.testing.assert_allclose(upper[1:] / scale, lower[1:][::-1] / scale, atol=1e-9)
+
+    @pytest.mark.parametrize("grid_state", ["in", "out"])
+    def test_mirrored_fields_give_mirrored_window_powers(self, records, grid_state):
+        # the lower slit is the exact mirror of the upper one, so each window
+        # of one is the other window of the other (x = 0 counts in neither)
+        upper, lower = records[("upper", grid_state)], records[("lower", grid_state)]
+        both = records[("both", grid_state)]
+        for a, b in (
+            (upper.power_window_U, lower.power_window_L),
+            (upper.power_window_L, lower.power_window_U),
+            (both.power_window_U, both.power_window_L),
+        ):
+            assert a == pytest.approx(b, rel=1e-12, abs=0)
 
     def test_energy_bookkeeping(self, records):
         for rec in records.values():

@@ -9,8 +9,15 @@ from hypothesis import strategies as st
 
 from afsharsim import AfsharGeometry, duality
 from afsharsim.cli import main
-from afsharsim.config import Config, ConfigError, load_config
+from afsharsim.config import Config, ConfigError, load_config, parse_config
 from afsharsim.report import _fmt, _fmt_rows, _parse
+
+
+# a focal length one ulp below the 0.716875 m object distance: 1/f - 1/s
+# rounds to zero, so the lens has no real image of the slits
+ULP_SHORT_FOCUS = (
+    "z_slits_to_grid = 0.216875\nz_grid_to_lens = 0.5\nfocal_length = 0.7168749999999999\n"
+)
 
 
 def run(*argv):
@@ -115,6 +122,15 @@ class TestSimulate:
         cfg.write_text("wavelenght = 650e-9\n")
         assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
 
+    def test_detector_distance_is_not_a_config_key(self, tmp_path, capsys):
+        # the lens fixes it: 1/s + 1/z = 1/f
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("focal_length = 0.5\nz_lens_to_detectors = 0.75\n")
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 2: unknown key 'z_lens_to_detectors'\n"
+        assert not (tmp_path / "o").exists()
+
     def test_band_limit_violation_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "coarse.cfg"
         cfg.write_text("spacing = 1e-3\nn_samples = 256\n")
@@ -135,6 +151,7 @@ class TestSimulate:
             ("slit_width = 150e-6\n", "both", "in"),
             ("slit_width = 150e-6\n", "upper", "in"),
             ("z_slits_to_grid = 0.1\n", "both", "in"),
+            (ULP_SHORT_FOCUS, "both", "out"),
         ],
     )
     def test_invalid_config_exits_2_with_one_line(self, tmp_path, capsys, text, scenario, grid):
@@ -241,6 +258,9 @@ class TestDuality:
             (("--bin-ladder", "-1"), "--bin-ladder"),
             (("--bin-ladder", "0"), "--bin-ladder"),
             (("--period-samples", "0"), "--period-samples"),
+            # the built-in cosine has a fixed period: the flag needs --pattern
+            (("--period-samples", "7"), "--period-samples applies only to a --pattern"),
+            (("--period-samples", "100000"), "--period-samples applies only to a --pattern"),
             (("--probe", "nan,1"), "nan"),
         ],
     )
@@ -380,7 +400,7 @@ class TestRemnant:
         "text, flags",
         [
             pytest.param(text, (), id=text)
-            for text in ("n_samples = 1099511627776\n", "slit_width = 1e-300\n")
+            for text in ("n_samples = 1099511627776\n", "slit_width = 1e-300\n", ULP_SHORT_FOCUS)
         ]
         + [
             ("", ("--seed", "-1", "--samples", "5")),
@@ -556,6 +576,12 @@ class TestCsvFormat:
 class TestConfig:
     def test_defaults_are_the_reference_bench(self):
         assert load_config(None).geometry() == AfsharGeometry.default()
+
+    def test_keys_set_only_what_they_name(self):
+        geometry = parse_config("focal_length = 0.4\nn_wires = 4\n").geometry()
+        assert geometry == dataclasses.replace(
+            AfsharGeometry.default(), focal_length=0.4, n_wires=4
+        )
 
     def test_n_samples_bound_checked_before_allocation(self, monkeypatch):
         def no_allocation(*args, **kwargs):
