@@ -60,7 +60,6 @@ from .wavefield import (
     Grid,
     Mask,
     apply_mask,
-    field_at,
     intensity,
     make_plane_wave,
     nyquist_tail_fraction,

@@ -15,7 +15,8 @@ propagation never aliases, and (b) the diffracted beam inside the periodic
 computation box all the way to the lens.  The window's flat passband covers
 the whole fringe region at sigma1, so fringe positions and the single-slit
 envelope there are unaffected.  The wire bars are given a narrow tanh edge
-(about one sample) for the same reason; their nominal width is preserved.
+(about one sample) for the same reason; their nominal width is preserved in
+amplitude, and in power each bar takes wire_width + edge from a uniform beam.
 The lower slit is the mirror image x -> -x of the upper one (sample i ->
 (n - i) mod n on the periodic grid), which propagation preserves, and both
 slits are the exact sum phi_U + phi_L; the three slit masks share one
@@ -24,7 +25,9 @@ scale, max(|upper| + |lower|), which keeps each of them passive.
 Every stage of a scenario run is checked against the band-limit guard and
 violations raise :class:`BandLimitError` naming the stage: ``source`` on
 the one synthesized source, ``sigma1`` on the field the scenario carries
-(phi_U, phi_L or phi_U + phi_L).
+(phi_U, phi_L or phi_U + phi_L).  The detector windows are measured by
+``total_power`` over open intervals, so a window beyond the grid is
+rejected like any other.
 """
 
 from __future__ import annotations
@@ -399,19 +402,15 @@ def fringe_minima(geometry: AfsharGeometry, grid: Grid) -> np.ndarray:
     return _refine_minima(geometry, both)
 
 
-def build_wire_grid(
-    geometry: AfsharGeometry,
-    minima: np.ndarray,
-    grid: Grid,
-    edge_sigma: float = 0.0,
-) -> Mask:
+def build_wire_grid(geometry: AfsharGeometry, minima: np.ndarray, grid: Grid) -> Mask:
     """Absorbing wire bars of ``wire_width`` centered on the given minima.
 
-    With ``edge_sigma == 0`` the mask is strictly binary (0 inside a bar,
-    1 elsewhere).  Scenario runs pass a tanh edge of about one sample so
-    the bars do not inject energy at the sampling limit; the transition is
-    odd-symmetric about the nominal bar boundary, which preserves the
-    bar's nominal width.
+    Each bar edge is a tanh of scale ``edge = _WIRE_EDGE_SAMPLES * spacing``
+    so the bars do not inject energy at the sampling limit.  The transition
+    is odd-symmetric about the nominal bar boundary, which preserves the
+    bar's nominal width in amplitude.  In power a uniform beam loses
+    ``wire_width + edge`` per bar: 1 - s**2 = (1 - s) + s*(1 - s) for the
+    transmission s across an edge, and s*(1 - s) integrates to edge/2.
     """
     centers = np.sort(np.asarray(minima, dtype=float))
     if centers.size >= 2:
@@ -420,16 +419,11 @@ def build_wire_grid(
             raise ValueError("wire bars overlap: minima closer than wire_width")
     x = grid.coordinates
     w = geometry.wire_width
+    edge = _WIRE_EDGE_SAMPLES * grid.spacing
     t = np.ones_like(x)
     for c in centers:
-        if edge_sigma > 0.0:
-            bar = 0.5 * (
-                np.tanh((x - (c - w / 2)) / edge_sigma)
-                - np.tanh((x - (c + w / 2)) / edge_sigma)
-            )
-            t = t * (1.0 - bar)
-        else:
-            t[np.abs(x - c) <= w / 2] = 0.0
+        bar = 0.5 * (np.tanh((x - (c - w / 2)) / edge) - np.tanh((x - (c + w / 2)) / edge))
+        t = t * (1.0 - bar)
     return Mask(grid, t)
 
 
@@ -464,9 +458,10 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     Pipeline: phi_U, phi_L or their sum at sigma1 -> (wire grid if in) ->
     propagate to lens -> thin lens -> propagate to sigma2.  The band-limit
     guard runs after every stage; ``power_incident`` is measured at sigma1
-    before the grid, ``intensity_sigma1`` after it.  A sample exactly on
-    the shared window boundary x = 0 counts in neither window, so mirrored
-    fields give mirrored window powers.
+    before the grid, ``intensity_sigma1`` after it.  The window powers are
+    ``total_power`` over the two :func:`image_windows`; a sample exactly on
+    the shared boundary x = 0 counts in neither, so mirrored fields give
+    mirrored window powers, and a window beyond the grid raises ValueError.
     """
     phi_u, phi_l = sigma1_fields(geometry, grid)
     both = phi_u.with_amplitudes(phi_u.amplitudes + phi_l.amplitudes)
@@ -481,9 +476,7 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     del both
 
     if scenario.grid is GridState.IN:
-        wires = build_wire_grid(
-            geometry, np.asarray(minima), grid, edge_sigma=_WIRE_EDGE_SAMPLES * grid.spacing
-        )
+        wires = build_wire_grid(geometry, np.asarray(minima), grid)
         after_grid = apply_mask(at_sigma1, wires)
         _guard(after_grid, "wire_grid")
     else:
@@ -497,25 +490,17 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     at_sigma2 = propagate(after_lens, geometry.z_lens_to_detectors)
     _guard(at_sigma2, "sigma2")
 
-    power_at_detectors = total_power(at_sigma2)
-    (u_lo, u_hi), (l_lo, l_hi) = image_windows(geometry)
-    x = grid.coordinates
-    in_u = (x >= u_lo) & (x < u_hi)
-    in_l = (x > l_lo) & (x <= l_hi)
-    i2 = intensity(at_sigma2)
-    power_window_u = float(np.sum(i2[in_u]) * grid.spacing)
-    power_window_l = float(np.sum(i2[in_l]) * grid.spacing)
-
+    window_u, window_l = image_windows(geometry)
     record_minima = minima if scenario.slits is Slits.BOTH else ()
     return SimulationRecord(
         scenario=scenario,
         power_incident=power_incident,
         power_after_grid=power_after_grid,
-        power_at_detectors=power_at_detectors,
-        power_window_U=power_window_u,
-        power_window_L=power_window_l,
+        power_at_detectors=total_power(at_sigma2),
+        power_window_U=total_power(at_sigma2, window_u),
+        power_window_L=total_power(at_sigma2, window_l),
         intensity_sigma1=intensity(after_grid),
-        intensity_sigma2=i2,
+        intensity_sigma2=intensity(at_sigma2),
         minima_positions=record_minima,
     )
 

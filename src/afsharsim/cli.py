@@ -219,7 +219,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
         v = duality.visibility_from_pattern(pattern, grid, bw, region)
         ladder_lines.append(f"{_fmt(bw)},{_fmt(v)}")
     fine_v = duality.visibility_from_pattern(pattern, grid, grid.spacing, region)
-    rows.append(f"pattern,{source},{_fmt(fine_v)},{_fmt(np.sqrt(max(0.0, 1 - fine_v**2)))},1.0")
+    add_rows("pattern", [source], duality.VKPair(fine_v, np.sqrt(max(0.0, 1 - fine_v**2))))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

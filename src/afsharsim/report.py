@@ -55,6 +55,9 @@ _POSTSELECTED = tuple(name for _, names in COMPLETENESS_PAIRS for name in names)
 # Columns of the emitted CSVs that hold labels; every other column is a float.
 _TEXT_COLUMNS = frozenset({"scenario", "grid", "key", "model", "a_or_V_source"})
 
+# vk.csv rows the report lists; no verdict reads the labels of the others.
+_VK_SHOWN = 8
+
 
 class ReportError(ValueError):
     """No usable inputs for a report, or a malformed CSV file."""
@@ -109,12 +112,13 @@ def _first_bad_line(path: Path, lines: list[str], header: list[str]) -> ReportEr
 
 
 def _read_csv(
-    path: Path, required: tuple[str, ...] = ()
+    path: Path, required: tuple[str, ...] = (), label_rows: int | None = None
 ) -> tuple[list[str], dict[str, np.ndarray | list[str]]]:
     """Header and columns of an emitted CSV, by header name.
 
-    A label column is a list of strings; every other column is one float
-    array, parsed in bulk.  Every line must have the header's field count.
+    A label column is a list of strings, of the first ``label_rows`` rows
+    when that is given; every other column is one float array of all rows,
+    parsed in bulk.  Every line must have the header's field count.
     Raises ReportError when the header lacks one of the ``required``
     columns, on a malformed line (naming the first one) and when there are
     no data rows.
@@ -136,8 +140,9 @@ def _read_csv(
     except ValueError:
         raise _first_bad_line(path, lines, header) from None
     floats = dict(zip(numeric, data.T))
+    labelled = rows[:label_rows]
     columns = {
-        name: floats[j] if j in floats else [line.split(",", j + 1)[j] for line in rows]
+        name: floats[j] if j in floats else [line.split(",", j + 1)[j] for line in labelled]
         for j, name in enumerate(header)
     }
     return header, columns
@@ -185,7 +190,7 @@ def _load_powers(report: Report, out_dir: Path) -> None:
 def _load_vk(report: Report, out_dir: Path) -> None:
     path = out_dir / "vk.csv"
     if path.is_file():
-        _, report.vk_columns = _read_csv(path, VK_COLUMNS)
+        _, report.vk_columns = _read_csv(path, VK_COLUMNS, label_rows=_VK_SHOWN)
     ladder_path = out_dir / "visibility_bins.csv"
     if ladder_path.is_file():
         report.ladder = _read_pairs(ladder_path, "bin_width_m", "V")
@@ -346,12 +351,13 @@ def render_report(report: Report) -> str:
                 lines.append(f"  {key} = {_fmt(report.derived[key])}")
         lines.append("")
     if report.vk_columns:
-        n_rows = len(report.vk_columns["model"])
+        n_rows = report.vk_columns["V2K2"].size
         lines.append(f"V/K models: {n_rows} rows")
-        for model, source, v, k, check in zip(*(report.vk_columns[c][:8] for c in VK_COLUMNS)):
+        shown = (report.vk_columns[c][:_VK_SHOWN] for c in VK_COLUMNS)
+        for model, source, v, k, check in zip(*shown):
             lines.append(f"  {model}[{source}]: V={_fmt(v)} K={_fmt(k)} V2K2={_fmt(check)}")
-        if n_rows > 8:
-            lines.append(f"  ... ({n_rows - 8} more rows)")
+        if n_rows > _VK_SHOWN:
+            lines.append(f"  ... ({n_rows - _VK_SHOWN} more rows)")
         lines.append("")
     if report.ladder:
         lines.append("coarse-bin visibility ladder (bin_width_m, V)")

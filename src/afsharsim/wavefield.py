@@ -4,8 +4,9 @@ A field is a sampled complex amplitude at a fixed plane; the elementary
 transforms are free-space propagation (exact angular-spectrum transfer
 function, evanescent components discarded), passive amplitude masks, and
 the thin-lens quadratic phase.  Power is accounted as a Riemann sum
-``sum(|u|^2) * spacing``, so all power statements in this package are
-ratios of that quantity.
+``sum(|u|^2) * spacing``, over the whole grid or over the samples strictly
+inside an open coordinate window, so all power statements in this package
+are ratios of that quantity.
 
 All operations are pure: they return new values and never mutate their
 inputs (amplitude buffers are frozen at construction).
@@ -29,13 +30,8 @@ __all__ = [
     "thin_lens",
     "intensity",
     "total_power",
-    "field_at",
     "nyquist_tail_fraction",
 ]
-
-# Fields whose quadratic lens phase would be below this bound everywhere are
-# treated as unaffected by the lens (the focal length is effectively infinite).
-_LENS_IDENTITY_PHASE = 1e-15
 
 
 class FieldFlagWarning(UserWarning):
@@ -158,8 +154,6 @@ def propagate(field: ComplexField, distance: float) -> ComplexField:
     """
     if np.isnan(field.amplitudes).any():
         raise ValueError("field contains NaN amplitudes")
-    if distance == 0.0:
-        return field
     k = field.wavenumber
     kx = field.grid.wavenumbers()
     propagating = kx * kx <= k * k
@@ -179,16 +173,11 @@ def apply_mask(field: ComplexField, mask: Mask) -> ComplexField:
 def thin_lens(field: ComplexField, focal_length: float) -> ComplexField:
     """Ideal thin lens: quadratic phase ``exp(-i*pi*x^2/(lambda*f))``.
 
-    Pure phase element, so power is unchanged.  A focal length so long
-    that the phase is everywhere below 1e-15 is treated as no lens.
+    Pure phase element, so power is unchanged.
     """
     if focal_length == 0:
         raise ValueError("focal length must be nonzero")
     x = field.grid.coordinates
-    x_max = np.max(np.abs(x))
-    peak_phase = np.pi * x_max * x_max / (field.wavelength * abs(focal_length))
-    if peak_phase < _LENS_IDENTITY_PHASE:
-        return field
     phase = -np.pi * x * x / (field.wavelength * focal_length)
     return field.with_amplitudes(field.amplitudes * np.exp(1j * phase))
 
@@ -203,9 +192,10 @@ def total_power(
 ) -> float:
     """Riemann-sum power, optionally restricted to a coordinate window.
 
-    ``window`` is a closed interval (lo, hi) that must lie within the grid
-    extent.  A window containing no sample is legal and yields 0.0 with a
-    :class:`FieldFlagWarning`.
+    ``window`` is an open interval (lo, hi) that must lie within the grid
+    extent: a sample exactly on an edge counts in neither of two windows
+    that share it.  A window containing no sample is legal and yields 0.0
+    with a :class:`FieldFlagWarning`.
     """
     I = intensity(field)
     if window is None:
@@ -217,7 +207,7 @@ def total_power(
     half = field.grid.spacing / 2
     if lo < x[0] - half or hi > x[-1] + half:
         raise ValueError(f"window ({lo}, {hi}) extends beyond the grid")
-    sel = (x >= lo) & (x <= hi)
+    sel = (x > lo) & (x < hi)
     if not sel.any():
         warnings.warn("power window contains no samples", FieldFlagWarning)
         return 0.0
@@ -241,21 +231,6 @@ def _interpolate(
     du = 1j * (terms @ kx) / n
     d2u = -(terms @ (kx * kx)) / n
     return complex(u), complex(du), complex(d2u)
-
-
-def field_at(field: ComplexField, x: float | np.ndarray) -> np.ndarray | complex:
-    """Evaluate the band-limited field at arbitrary coordinates.
-
-    Exact trigonometric interpolation of the sampled field (sum of its
-    discrete spectrum), so values between samples are consistent with the
-    spectral propagation model.
-    """
-    spectrum = np.fft.fft(field.amplitudes)
-    kx = field.grid.wavenumbers()
-    x0 = field.grid.coordinates[0]
-    xq = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([_interpolate(spectrum, kx, x0, xi)[0] for xi in xq])
-    return out if np.ndim(x) else complex(out[0])
 
 
 def nyquist_tail_fraction(field: ComplexField) -> float:

@@ -178,17 +178,19 @@ class TestWireGrid:
         mask = build_wire_grid(geometry, np.array([]), bench_grid)
         np.testing.assert_array_equal(mask.transmission, 1.0)
 
-    def test_uniform_illumination_blocks_geometric_fraction(self, geometry, bench_grid):
-        # oracle: binary bars aligned with the sample lattice block exactly
-        # n_wires * wire_width / extent of a uniform field's power
-        # bar edges land 2.5 um away from the nearest sample, so each bar
-        # covers exactly wire_width/spacing = 26 samples
-        dx = bench_grid.spacing
+    @pytest.mark.parametrize("grid", [default_grid(), FINE_GRID], ids=["2^14", "2^16"])
+    def test_uniform_illumination_loses_width_plus_edge_per_bar(self, geometry, grid):
+        # oracle: a bar's transmission across an edge of scale sigma is
+        # s = (1 + tanh(u/sigma))/2, and 1 - s**2 = (1 - s) + s(1 - s); the
+        # odd edge keeps the nominal width in (1 - s) and s(1 - s) adds
+        # sigma/2, so each bar takes wire_width + sigma of a uniform beam
+        dx = grid.spacing
+        sigma = apparatus._WIRE_EDGE_SAMPLES * dx
         centers = np.array([(k * 600 + 0.5) * dx for k in (-3, -2, -1, 0, 1, 2)])
-        mask = build_wire_grid(geometry, centers, bench_grid, edge_sigma=0.0)
-        wave = make_plane_wave(bench_grid, geometry.wavelength)
+        mask = build_wire_grid(geometry, centers, grid)
+        wave = make_plane_wave(grid, geometry.wavelength)
         ratio = total_power(apply_mask(wave, mask)) / total_power(wave)
-        expected = 1.0 - 6 * geometry.wire_width / bench_grid.extent
+        expected = 1.0 - 6 * (geometry.wire_width + sigma) / grid.extent
         assert abs(ratio - expected) < 1e-6
 
     def test_overlapping_wires_rejected(self, geometry, bench_grid):

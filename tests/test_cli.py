@@ -152,6 +152,8 @@ class TestSimulate:
             ("slit_width = 150e-6\n", "upper", "in"),
             ("z_slits_to_grid = 0.1\n", "both", "in"),
             (ULP_SHORT_FOCUS, "both", "out"),
+            # a real image 9e15 m away: the detector windows lie beyond the grid
+            ("focal_length = 1.4999999999999998\n", "upper", "out"),
         ],
     )
     def test_invalid_config_exits_2_with_one_line(self, tmp_path, capsys, text, scenario, grid):
