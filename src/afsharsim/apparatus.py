@@ -22,12 +22,21 @@ The lower slit is the mirror image x -> -x of the upper one (sample i ->
 slits are the exact sum phi_U + phi_L; the three slit masks share one
 scale, max(|upper| + |lower|), which keeps each of them passive.
 
+Synthesis and minima refinement work only on the source band, the bins
+with |kx| within k_cut: the slit spectrum is evaluated there and scattered
+into a zero spectrum, and the interpolant that refines the minima sums
+only those bins.  This is exact to roundoff, because the source spectrum
+is zero beyond k_cut by construction and propagation multiplies each bin
+by a phase, so the sigma1 field's bins beyond k_cut hold only FFT roundoff
+(1e-31 to 2e-31 of its energy).  The wire grid breaks the band limit, so
+``propagate`` stays general.
+
 Every stage of a scenario run is checked against the band-limit guard and
 violations raise :class:`BandLimitError` naming the stage: ``source`` on
 the one synthesized source, ``sigma1`` on the field the scenario carries
 (phi_U, phi_L or phi_U + phi_L).  The detector windows are measured by
-``total_power`` over open intervals, so a window beyond the grid is
-rejected like any other.
+``total_power`` over open intervals; a window beyond the grid is rejected
+by ``check_window`` before any field is built.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from .wavefield import (
     Mask,
     _interpolate,
     apply_mask,
+    check_window,
     intensity,
     make_plane_wave,
     nyquist_tail_fraction,
@@ -291,24 +301,26 @@ def slit_mask(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> Mask:
 
     Built in the frequency domain for the upper slit, a rectangular-aperture
     spectrum multiplied by a raised-cosine low-pass window, and mirrored for
-    the lower one (see the module notes).  Each profile is real, within
-    [-1, 1], and its sampled spectrum vanishes identically beyond the cutoff.
+    the lower one (see the module notes).  The spectrum is evaluated only
+    below the cutoff and scattered into zeros, so each profile is real,
+    within [-1, 1], and its sampled spectrum vanishes identically beyond it.
     """
     _check_sampling(geometry, grid)
     k_flat, k_cut = _source_cutoffs(geometry, grid)
     kx = grid.wavenumbers()
+    band = np.abs(kx) < k_cut
+    kx = kx[band]
     a = geometry.slit_width
     spectrum = a * np.sinc(kx * a / (2.0 * np.pi)) * np.exp(-0.5j * kx * geometry.slit_separation)
 
     akx = np.abs(kx)
-    window = np.zeros_like(akx)
-    window[akx <= k_flat] = 1.0
-    roll = (akx > k_flat) & (akx < k_cut)
-    window[roll] = np.cos(0.5 * np.pi * (akx[roll] - k_flat) / (k_cut - k_flat)) ** 2
-    spectrum *= window
+    roll = np.cos(0.5 * np.pi * (akx - k_flat) / (k_cut - k_flat)) ** 2
+    spectrum *= np.where(akx <= k_flat, 1.0, roll)
 
     x0 = grid.coordinates[0]
-    upper = np.fft.ifft(spectrum * np.exp(1j * kx * x0)).real / grid.spacing
+    full = np.zeros(grid.n_samples, dtype=complex)
+    full[band] = spectrum * np.exp(1j * kx * x0)
+    upper = np.fft.ifft(full).real / grid.spacing
     peak = np.max(np.abs(upper) + np.abs(_mirror(upper)))
     if peak > 1.0:
         upper = upper / (peak * (1.0 + 1e-12))
@@ -337,6 +349,12 @@ def _refine_minima(geometry: AfsharGeometry, at_sigma1: ComplexField) -> np.ndar
     A point that does not converge, converges to the wrong kind of
     extremum, or a minimum shallower than ``_MINIMUM_DEPTH`` of its
     neighboring maxima, is not resolvable.
+
+    The interpolant sums only the bins with |kx| <= k_cut of the source
+    window (see the module notes), keeping the full-grid ``1/n`` scale:
+    the field is a propagated slit source, so the bins beyond hold only
+    FFT roundoff and dropping them changes ``u``, ``u'`` and ``u''`` by
+    roundoff only.
     """
     fringe = geometry.fringe_spacing
     half_pairs = geometry.n_wires // 2
@@ -344,8 +362,9 @@ def _refine_minima(geometry: AfsharGeometry, at_sigma1: ComplexField) -> np.ndar
     if (half_pairs - 0.5 + _BRACKET_FRINGES) * fringe > grid.coordinates[-1]:
         raise ValueError(f"fewer than {geometry.n_wires} resolvable minima within the grid")
 
-    spectrum = np.fft.fft(at_sigma1.amplitudes)
     kx = grid.wavenumbers()
+    band = np.abs(kx) <= _source_cutoffs(geometry, grid)[1]
+    spectrum, kx = np.fft.fft(at_sigma1.amplitudes)[band], kx[band]
     x0 = grid.coordinates[0]
 
     def extremum(seed: float, minimum: bool) -> tuple[float, float]:
@@ -353,7 +372,7 @@ def _refine_minima(geometry: AfsharGeometry, at_sigma1: ComplexField) -> np.ndar
         lo, hi = seed - _BRACKET_FRINGES * fringe, seed + _BRACKET_FRINGES * fringe
         x = seed
         for _ in range(_NEWTON_MAX_STEPS):
-            u, du, d2u = _interpolate(spectrum, kx, x0, x)
+            u, du, d2u = _interpolate(spectrum, kx, x0, x, grid.n_samples)
             slope = 2.0 * (u.conjugate() * du).real
             curvature = 2.0 * (abs(du) ** 2 + (u.conjugate() * d2u).real)
             step = -slope / curvature if curvature != 0.0 else math.inf
@@ -461,8 +480,13 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     before the grid, ``intensity_sigma1`` after it.  The window powers are
     ``total_power`` over the two :func:`image_windows`; a sample exactly on
     the shared boundary x = 0 counts in neither, so mirrored fields give
-    mirrored window powers, and a window beyond the grid raises ValueError.
+    mirrored window powers.  A window beyond the grid raises ValueError,
+    naming the window and the magnification, before any field is built.
     """
+    window_u, window_l = image_windows(geometry)
+    for name, window in (("U", window_u), ("L", window_l)):
+        label = f"detector window {name} at magnification {geometry.magnification:.4g}"
+        check_window(grid, window, label)
     phi_u, phi_l = sigma1_fields(geometry, grid)
     both = phi_u.with_amplitudes(phi_u.amplitudes + phi_l.amplitudes)
     at_sigma1 = {Slits.UPPER_ONLY: phi_u, Slits.LOWER_ONLY: phi_l}.get(scenario.slits, both)
@@ -490,7 +514,6 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     at_sigma2 = propagate(after_lens, geometry.z_lens_to_detectors)
     _guard(at_sigma2, "sigma2")
 
-    window_u, window_l = image_windows(geometry)
     record_minima = minima if scenario.slits is Slits.BOTH else ()
     return SimulationRecord(
         scenario=scenario,

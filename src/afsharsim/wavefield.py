@@ -29,6 +29,7 @@ __all__ = [
     "apply_mask",
     "thin_lens",
     "intensity",
+    "check_window",
     "total_power",
     "nyquist_tail_fraction",
 ]
@@ -187,46 +188,57 @@ def intensity(field: ComplexField) -> np.ndarray:
     return np.abs(field.amplitudes) ** 2
 
 
+def check_window(grid: Grid, window: tuple[float, float], name: str = "window") -> None:
+    """Reject a reversed window or one that extends beyond the grid.
+
+    The grid extends half a spacing past its first and last samples;
+    ``name`` leads the ``ValueError`` message.
+    """
+    lo, hi = window
+    if lo > hi:
+        raise ValueError(f"{name} ({lo}, {hi}) is reversed")
+    n, dx = grid.n_samples, grid.spacing
+    first, last = grid.center - (n // 2) * dx, grid.center + (n - 1 - n // 2) * dx
+    if lo < first - dx / 2 or hi > last + dx / 2:
+        raise ValueError(f"{name} ({lo}, {hi}) extends beyond the grid")
+
+
 def total_power(
     field: ComplexField, window: tuple[float, float] | None = None
 ) -> float:
     """Riemann-sum power, optionally restricted to a coordinate window.
 
-    ``window`` is an open interval (lo, hi) that must lie within the grid
-    extent: a sample exactly on an edge counts in neither of two windows
-    that share it.  A window containing no sample is legal and yields 0.0
-    with a :class:`FieldFlagWarning`.
+    ``window`` is an open interval (lo, hi) that must pass
+    :func:`check_window`: a sample exactly on an edge counts in neither of
+    two windows that share it.  Only the samples inside the window are
+    squared.  A window containing no sample is legal and yields 0.0 with a
+    :class:`FieldFlagWarning`.
     """
-    I = intensity(field)
     if window is None:
-        return float(np.sum(I) * field.grid.spacing)
+        return float(np.sum(intensity(field)) * field.grid.spacing)
+    check_window(field.grid, window)
     lo, hi = window
-    if lo > hi:
-        raise ValueError(f"window ({lo}, {hi}) is reversed")
     x = field.grid.coordinates
-    half = field.grid.spacing / 2
-    if lo < x[0] - half or hi > x[-1] + half:
-        raise ValueError(f"window ({lo}, {hi}) extends beyond the grid")
-    sel = (x > lo) & (x < hi)
-    if not sel.any():
+    first, stop = np.searchsorted(x, lo, side="right"), np.searchsorted(x, hi, side="left")
+    if first >= stop:
         warnings.warn("power window contains no samples", FieldFlagWarning)
         return 0.0
-    return float(np.sum(I[sel]) * field.grid.spacing)
+    return float(np.sum(np.abs(field.amplitudes[first:stop]) ** 2) * field.grid.spacing)
 
 
 def _interpolate(
-    spectrum: np.ndarray, kx: np.ndarray, x0: float, x: float
+    spectrum: np.ndarray, kx: np.ndarray, x0: float, x: float, n: int
 ) -> tuple[complex, complex, complex]:
     """Trigonometric interpolant of a sampled field and its first two derivatives.
 
-    ``spectrum`` is the FFT of samples starting at ``x0`` and ``kx`` its
-    angular frequencies in FFT order; the interpolant is
-    ``u(x) = sum(spectrum * exp(i*kx*(x - x0))) / n``, so ``u'`` and ``u''``
-    weight the same terms by ``i*kx`` and ``-kx**2``.  One point at a time
-    keeps the working set at O(n).
+    ``spectrum`` holds bins of the FFT of ``n`` samples starting at ``x0``,
+    and ``kx`` their angular frequencies: all ``n`` bins, or only those
+    where the spectrum can be non-zero, since the interpolant
+    ``u(x) = sum(spectrum * exp(i*kx*(x - x0))) / n`` gets nothing from a
+    zero bin.  ``u'`` and ``u''`` weight the same terms by ``i*kx`` and
+    ``-kx**2``.  One point at a time keeps the working set at O(len(kx)).
     """
     terms = spectrum * np.exp(1j * (x - x0) * kx)
-    n = spectrum.size
     u = terms.sum() / n
     du = 1j * (terms @ kx) / n
     d2u = -(terms @ (kx * kx)) / n

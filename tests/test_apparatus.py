@@ -25,6 +25,7 @@ from afsharsim.apparatus import (
 )
 from afsharsim.wavefield import (
     ComplexField,
+    _interpolate,
     Grid,
     Mask,
     apply_mask,
@@ -171,6 +172,56 @@ class TestFringeMinima:
         wide = dataclasses.replace(geometry, n_wires=40)
         with pytest.raises((BandLimitError, ValueError)):
             fringe_minima(wide, bench_grid)
+
+
+class TestSourceBand:
+    """Synthesis and minima refinement work only on the bins within k_cut."""
+
+    @pytest.mark.parametrize("grid", [default_grid(), FINE_GRID], ids=["2^14", "2^16"])
+    def test_sigma1_energy_beyond_the_cutoff_is_negligible(self, geometry, grid):
+        # premise of the band limit, checked on the fields rather than assumed
+        phi_u, phi_l = apparatus.sigma1_fields(geometry, grid)
+        outside = np.abs(grid.wavenumbers()) > _source_cutoffs(geometry, grid)[1]
+        for amplitudes in (phi_u.amplitudes, phi_u.amplitudes + phi_l.amplitudes):
+            energy = np.abs(np.fft.fft(amplitudes)) ** 2
+            assert np.sum(energy[outside]) < 1e-20 * np.sum(energy)
+
+    def test_band_interpolant_matches_the_full_trigonometric_sum(self, geometry, sigma1_fields):
+        # second method: u(x) = (1/N) sum_m F_m exp(2 pi i m (x - x0) / (N dx))
+        # over all N bins m = -N/2 .. N/2 - 1, and its first two derivatives
+        phi_u, phi_l = sigma1_fields
+        grid = phi_u.grid
+        n, dx = grid.n_samples, grid.spacing
+        x = grid.coordinates
+        spectrum = np.fft.fft(phi_u.amplitudes + phi_l.amplitudes)
+        m = np.concatenate([np.arange(n // 2), np.arange(-n // 2, 0)])
+        k_all = 2 * np.pi * m / (n * dx)
+        band = np.abs(k_all) <= _source_cutoffs(geometry, grid)[1]
+        rng = np.random.default_rng(5)
+        i = rng.integers(n // 2 - 2500, n // 2 + 2500, size=20)
+        points = x[i] + rng.uniform(0.05, 0.95, size=20) * dx
+        phases = np.exp(2j * np.pi * np.outer(points - x[0], m) / (n * dx))
+        full = [phases @ (spectrum * (1j * k_all) ** p) / n for p in range(3)]
+        banded = np.array(
+            [_interpolate(spectrum[band], k_all[band], x[0], xq, n) for xq in points]
+        ).T
+        for got, expected in zip(banded, full):
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_refinement_sums_over_the_band_only(self, geometry, bench_grid, monkeypatch):
+        sizes = []
+
+        def recorded(spectrum, kx, x0, x, n):
+            sizes.append(spectrum.size)
+            return _interpolate(spectrum, kx, x0, x, n)
+
+        monkeypatch.setattr(apparatus, "_interpolate", recorded)
+        fringe_minima(geometry, bench_grid)
+        in_band = np.count_nonzero(
+            np.abs(bench_grid.wavenumbers()) <= _source_cutoffs(geometry, bench_grid)[1]
+        )
+        assert sizes and set(sizes) == {in_band}
+        assert in_band < bench_grid.n_samples
 
 
 class TestWireGrid:
@@ -358,6 +409,20 @@ class TestDiscrimination:
 
 
 class TestWindows:
+    def test_window_beyond_the_grid_rejected_before_any_field(
+        self, geometry, bench_grid, monkeypatch
+    ):
+        # an image 9e15 m away: each window covers 1.1e12 m, far beyond the grid
+        far = dataclasses.replace(geometry, focal_length=1.4999999999999998)
+
+        def no_fields(*args, **kwargs):
+            raise AssertionError("a field was propagated")
+
+        monkeypatch.setattr(apparatus, "propagate", no_fields)
+        message = r"detector window U at magnification 6\.\d+e\+15 .* beyond the grid"
+        with pytest.raises(ValueError, match=message):
+            run_scenario(far, Scenario(Slits.UPPER_ONLY, GridState.OUT), bench_grid)
+
     def test_windows_touch_at_axis(self, geometry):
         (u_lo, u_hi), (l_lo, l_hi) = image_windows(geometry)
         md = geometry.magnification * geometry.slit_separation

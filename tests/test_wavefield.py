@@ -7,6 +7,7 @@ from afsharsim.wavefield import (
     ComplexField,
     _interpolate,
     FieldFlagWarning,
+    check_window,
     Grid,
     Mask,
     apply_mask,
@@ -298,13 +299,38 @@ class TestIntensityAndPower:
         with pytest.raises(ValueError, match="beyond"):
             total_power(f, window=(0.0, 1.0))
 
+    def test_window_check_names_the_window(self):
+        grid = small_grid()
+        x, dx = grid.coordinates, grid.spacing
+        check_window(grid, (x[0] - dx / 2, x[-1] + dx / 2))  # the outer sample cells
+        message = r"^detector window L \(0\.0, 1\.0\) extends beyond the grid$"
+        with pytest.raises(ValueError, match=message):
+            check_window(grid, (0.0, 1.0), "detector window L")
+        with pytest.raises(ValueError, match="reversed"):
+            check_window(grid, (1e-6, -1e-6))
+
+    @pytest.mark.parametrize("n", [1024, 2**16])
+    def test_window_power_equals_the_masked_full_intensity_sum(self, n):
+        # squaring only the window's samples gives the bits of squaring the
+        # whole field and summing the samples strictly inside the window
+        f = band_limited_field(small_grid(n=n), seed=n)
+        x, dx = f.grid.coordinates, f.grid.spacing
+        for lo, hi in (
+            (x[0] - dx / 2, 0.0),
+            (0.0, x[-1] + dx / 2),
+            (x[3], x[n // 2 + 7]),
+            (x[5] + 0.3 * dx, x[-9] - 0.6 * dx),
+        ):
+            sel = (x > lo) & (x < hi)
+            assert total_power(f, (lo, hi)) == float(np.sum(intensity(f)[sel]) * dx)
+
 
 class TestInterpolate:
     def test_matches_samples(self):
         f = band_limited_field(small_grid(n=256), seed=11)
         x = f.grid.coordinates
         spectrum, kx = np.fft.fft(f.amplitudes), f.grid.wavenumbers()
-        interpolated = [_interpolate(spectrum, kx, x[0], x[i])[0] for i in (3, 77, 200)]
+        interpolated = [_interpolate(spectrum, kx, x[0], x[i], 256)[0] for i in (3, 77, 200)]
         np.testing.assert_allclose(interpolated, f.amplitudes[[3, 77, 200]], atol=1e-12)
 
     @pytest.mark.parametrize("bin_index", [37, -150])
@@ -317,7 +343,7 @@ class TestInterpolate:
         spectrum = np.fft.fft(f.amplitudes)
         x = grid.coordinates
         for xq in (x[100] + 0.3 * grid.spacing, x[700] + 0.77 * grid.spacing):
-            u, du, d2u = _interpolate(spectrum, grid.wavenumbers(), x[0], xq)
+            u, du, d2u = _interpolate(spectrum, grid.wavenumbers(), x[0], xq, grid.n_samples)
             assert u == pytest.approx(np.exp(1j * kt * xq), rel=1e-9)
             assert du == pytest.approx(1j * kt * u, rel=1e-9)
             assert d2u == pytest.approx(-kt**2 * u, rel=1e-9)
