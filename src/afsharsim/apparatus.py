@@ -17,13 +17,14 @@ the whole fringe region at sigma1, so fringe positions and the single-slit
 envelope there are unaffected.  The wire bars are given a narrow tanh edge
 (about one sample) for the same reason; their nominal width is preserved in
 amplitude, and in power each bar takes wire_width + edge from a uniform beam.
-The lower slit is the mirror image x -> -x of the upper one (sample i ->
-(n - i) mod n on the periodic grid), which propagation preserves, and both
-slits are the exact sum phi_U + phi_L; the three slit masks share one
-scale, max(|upper| + |lower|), which keeps each of them passive.
+The upper slit's transmission is the one source field (a unit plane wave
+at normal incidence); the lower slit is its mirror image x -> -x (sample
+i -> (n - i) mod n on the periodic grid), formed at sigma1 since
+propagation preserves it, so both slits are exactly phi_U + phi_L there.
+The scale max(|upper| + |mirror(upper)|) keeps the slit pair passive.
 
 Synthesis and minima refinement work only on the source band, the bins
-with |kx| within k_cut: the slit spectrum is evaluated there and scattered
+with |kx| < k_cut: the slit spectrum is evaluated there and scattered
 into a zero spectrum, and the interpolant that refines the minima sums
 only those bins.  This is exact to roundoff, because the source spectrum
 is zero beyond k_cut by construction and propagation multiplies each bin
@@ -55,7 +56,6 @@ from .wavefield import (
     apply_mask,
     check_window,
     intensity,
-    make_plane_wave,
     nyquist_tail_fraction,
     propagate,
     thin_lens,
@@ -261,6 +261,13 @@ def _source_cutoffs(geometry: AfsharGeometry, grid: Grid) -> tuple[float, float]
     return _FLAT_FRACTION * k_cut, k_cut
 
 
+def _source_band(geometry: AfsharGeometry, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The source band, |kx| < k_cut: its bins in FFT order and their kx."""
+    kx = grid.wavenumbers()
+    band = np.abs(kx) < _source_cutoffs(geometry, grid)[1]
+    return band, kx[band]
+
+
 def _check_sampling(geometry: AfsharGeometry, grid: Grid) -> None:
     fringe_samples = geometry.fringe_spacing / grid.spacing
     if fringe_samples < GUARD_MIN_SAMPLES_PER_FRINGE:
@@ -296,20 +303,18 @@ def _mirror(values: np.ndarray) -> np.ndarray:
     return np.roll(values[::-1], 1)
 
 
-def slit_mask(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> Mask:
-    """Transmission profile of the slit pair (or a single slit).
+def slit_mask(geometry: AfsharGeometry, grid: Grid) -> Mask:
+    """Transmission profile of the upper slit, on the slit pair's scale.
 
-    Built in the frequency domain for the upper slit, a rectangular-aperture
-    spectrum multiplied by a raised-cosine low-pass window, and mirrored for
-    the lower one (see the module notes).  The spectrum is evaluated only
-    below the cutoff and scattered into zeros, so each profile is real,
-    within [-1, 1], and its sampled spectrum vanishes identically beyond it.
+    Built in the frequency domain: a rectangular-aperture spectrum times a
+    raised-cosine low-pass window, evaluated only on the source band and
+    scattered into zeros, so the profile is real and its sampled spectrum
+    vanishes identically beyond the band.  The lower slit is its mirror
+    image, and the two sum to at most 1 in magnitude (see the module notes).
     """
     _check_sampling(geometry, grid)
     k_flat, k_cut = _source_cutoffs(geometry, grid)
-    kx = grid.wavenumbers()
-    band = np.abs(kx) < k_cut
-    kx = kx[band]
+    band, kx = _source_band(geometry, grid)
     a = geometry.slit_width
     spectrum = a * np.sinc(kx * a / (2.0 * np.pi)) * np.exp(-0.5j * kx * geometry.slit_separation)
 
@@ -324,14 +329,12 @@ def slit_mask(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> Mask:
     peak = np.max(np.abs(upper) + np.abs(_mirror(upper)))
     if peak > 1.0:
         upper = upper / (peak * (1.0 + 1e-12))
-    lower = _mirror(upper)
-    return Mask(grid, {Slits.UPPER_ONLY: upper, Slits.LOWER_ONLY: lower}.get(slits, upper + lower))
+    return Mask(grid, upper)
 
 
 def sigma1_fields(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, ComplexField]:
     """Fields (phi_U, phi_L) at sigma1 behind each slit alone; callers guard sigma1."""
-    upper = slit_mask(geometry, grid, Slits.UPPER_ONLY)
-    src = apply_mask(make_plane_wave(grid, geometry.wavelength), upper)
+    src = ComplexField(grid, slit_mask(geometry, grid).transmission, geometry.wavelength)
     _guard(src, "source")
     phi_u = propagate(src, geometry.z_slits_to_grid)
     return phi_u, phi_u.with_amplitudes(_mirror(phi_u.amplitudes))
@@ -350,11 +353,10 @@ def _refine_minima(geometry: AfsharGeometry, at_sigma1: ComplexField) -> np.ndar
     extremum, or a minimum shallower than ``_MINIMUM_DEPTH`` of its
     neighboring maxima, is not resolvable.
 
-    The interpolant sums only the bins with |kx| <= k_cut of the source
-    window (see the module notes), keeping the full-grid ``1/n`` scale:
-    the field is a propagated slit source, so the bins beyond hold only
-    FFT roundoff and dropping them changes ``u``, ``u'`` and ``u''`` by
-    roundoff only.
+    The interpolant sums only the source-band bins (see the module notes),
+    keeping the full-grid ``1/n`` scale: the field is a propagated slit
+    source, so the bins beyond hold only FFT roundoff and dropping them
+    changes ``u``, ``u'`` and ``u''`` by roundoff only.
     """
     fringe = geometry.fringe_spacing
     half_pairs = geometry.n_wires // 2
@@ -362,9 +364,8 @@ def _refine_minima(geometry: AfsharGeometry, at_sigma1: ComplexField) -> np.ndar
     if (half_pairs - 0.5 + _BRACKET_FRINGES) * fringe > grid.coordinates[-1]:
         raise ValueError(f"fewer than {geometry.n_wires} resolvable minima within the grid")
 
-    kx = grid.wavenumbers()
-    band = np.abs(kx) <= _source_cutoffs(geometry, grid)[1]
-    spectrum, kx = np.fft.fft(at_sigma1.amplitudes)[band], kx[band]
+    band, kx = _source_band(geometry, grid)
+    spectrum = np.fft.fft(at_sigma1.amplitudes)[band]
     x0 = grid.coordinates[0]
 
     def extremum(seed: float, minimum: bool) -> tuple[float, float]:

@@ -213,12 +213,10 @@ def cmd_duality(args: argparse.Namespace) -> int:
         region = (float(xs[0]), float(xs[0]) + 512 * grid.spacing)
         source = "cosine"
 
-    ladder_lines = ["bin_width_m,V"]
-    for j in _ladder_widths(period_samples, args.bin_ladder):
-        bw = j * grid.spacing
-        v = duality.visibility_from_pattern(pattern, grid, bw, region)
-        ladder_lines.append(f"{_fmt(bw)},{_fmt(v)}")
-    fine_v = duality.visibility_from_pattern(pattern, grid, grid.spacing, region)
+    widths = [j * grid.spacing for j in _ladder_widths(period_samples, args.bin_ladder)]
+    vs = [duality.visibility_from_pattern(pattern, grid, bw, region) for bw in widths]
+    ladder_lines = ["bin_width_m,V"] + [f"{_fmt(bw)},{_fmt(v)}" for bw, v in zip(widths, vs)]
+    fine_v = vs[0]  # the ladder starts at one sample, the fine-resolution estimator
     add_rows("pattern", [source], duality.VKPair(fine_v, np.sqrt(max(0.0, 1 - fine_v**2))))
 
     out = Path(args.out)

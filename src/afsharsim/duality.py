@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavefield import ComplexField, FieldFlagWarning, Grid
+from .wavefield import ComplexField, FieldFlagWarning, Grid, check_window
 
 __all__ = [
     "ProbeAmplitudes",
@@ -249,11 +249,9 @@ def visibility_from_pattern(
         raise ValueError(
             f"bin_width {bin_width} is below the sample spacing {grid.spacing}"
         )
+    check_window(grid, region, "region")
     lo, hi = region
     x = grid.coordinates
-    half = grid.spacing / 2
-    if lo > hi or lo < x[0] - half or hi > x[-1] + half:
-        raise ValueError(f"region ({lo}, {hi}) does not lie within the grid")
     start = lo + anchor_offset
     n_bins = int(np.floor((hi - start) / bin_width + 1e-12))
     if n_bins < 2:

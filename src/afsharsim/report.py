@@ -209,6 +209,13 @@ def _load_remnant(report: Report, out_dir: Path) -> None:
             raise ReportError(f"{summary}: missing key {missing[0]!r}")
 
 
+def _grid_loss(row: dict | None) -> float | None:
+    """Wire-grid loss of a powers row; None unless its power_incident is positive."""
+    if not row or row["power_incident"] <= 0:
+        return None
+    return 1.0 - row["power_after_grid"] / row["power_incident"]
+
+
 def _power_verdicts(report: Report) -> None:
     by_key = {(r["scenario"], r["grid"]): r for r in report.power_rows}
     both_in, both_out = by_key.get(("both", "in")), by_key.get(("both", "out"))
@@ -223,10 +230,10 @@ def _power_verdicts(report: Report) -> None:
             )
         )
     phi = report.derived.get("fill_factor")
+    loss_both = _grid_loss(both_in)
     for slit in ("upper", "lower"):
-        row = by_key.get((slit, "in"))
-        if row and phi:
-            loss = 1.0 - row["power_after_grid"] / row["power_incident"]
+        loss = _grid_loss(by_key.get((slit, "in")))
+        if loss is not None and phi:
             ok = abs(loss - phi) <= SINGLE_LOSS_REL_TOL * phi
             report.verdicts.append(
                 (
@@ -236,14 +243,12 @@ def _power_verdicts(report: Report) -> None:
                     "powers.csv + derived.csv",
                 )
             )
-        if both_in and row:
-            loss_single = 1.0 - row["power_after_grid"] / row["power_incident"]
-            loss_both = 1.0 - both_in["power_after_grid"] / both_in["power_incident"]
-            ok = loss_both < LOSS_ORDERING_FACTOR * loss_single
+        if loss is not None and loss_both is not None:
+            ok = loss_both < LOSS_ORDERING_FACTOR * loss
             report.verdicts.append(
                 (
                     f"loss ordering: both-slit loss {_fmt(loss_both)} < "
-                    f"{LOSS_ORDERING_FACTOR} x single-slit ({slit}) loss {_fmt(loss_single)}",
+                    f"{LOSS_ORDERING_FACTOR} x single-slit ({slit}) loss {_fmt(loss)}",
                     ok,
                     "powers.csv",
                 )
@@ -366,7 +371,7 @@ def render_report(report: Report) -> str:
         lines.append("")
     if report.remnant_columns:
         lines.append("post-selection summary")
-        for key in ("post_vU", "post_vL", "post_plus", "post_minus"):
+        for key in _POSTSELECTED:
             if key in report.remnant_probs:
                 lines.append(f"  P({key}) = {_fmt(report.remnant_probs[key])}")
         lines.append("")

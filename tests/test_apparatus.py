@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from afsharsim import apparatus
+from afsharsim import apparatus, wavefield
 from afsharsim.apparatus import (
     AfsharGeometry,
     _refine_minima,
@@ -82,35 +82,24 @@ class TestGeometry:
 
 
 class TestSlitMask:
-    def test_passive_real_profile(self, geometry, bench_grid):
-        for which in Slits:
-            mask = slit_mask(geometry, bench_grid, which)
-            assert np.max(np.abs(mask.transmission)) <= 1.0
-            assert np.max(np.abs(mask.transmission.imag)) < 1e-15
+    @pytest.mark.parametrize("grid", [default_grid(), FINE_GRID], ids=["2^14", "2^16"])
+    def test_slit_pair_is_passive_and_real(self, geometry, grid):
+        # the upper slit is scaled so that it and its mirror image, the lower
+        # slit, are passive together wherever the two overlap
+        upper = slit_mask(geometry, grid).transmission
+        lower = np.concatenate([upper[:1], upper[:0:-1]])  # x -> -x: sample i -> (n - i) mod n
+        assert np.max(np.abs(upper) + np.abs(lower)) <= 1.0
+        assert np.max(np.abs(upper.imag)) < 1e-15
 
     def test_spectrum_clean_at_nyquist(self, geometry, bench_grid):
-        mask = slit_mask(geometry, bench_grid, Slits.BOTH)
+        mask = slit_mask(geometry, bench_grid)
         src = apply_mask(make_plane_wave(bench_grid, geometry.wavelength), mask)
         assert nyquist_tail_fraction(src) < 1e-30
-
-    def test_single_slit_masks_are_mirror_images(self, geometry, bench_grid):
-        upper = slit_mask(geometry, bench_grid, Slits.UPPER_ONLY).transmission
-        lower = slit_mask(geometry, bench_grid, Slits.LOWER_ONLY).transmission
-        # x -> -x maps sample i to n-i for interior samples
-        np.testing.assert_allclose(upper[1:], lower[1:][::-1], atol=1e-12)
-
-    @pytest.mark.parametrize("grid", [default_grid(), FINE_GRID], ids=["2^14", "2^16"])
-    def test_both_is_the_sum_of_the_single_slits(self, geometry, grid):
-        upper, lower, both = (
-            slit_mask(geometry, grid, which).transmission
-            for which in (Slits.UPPER_ONLY, Slits.LOWER_ONLY, Slits.BOTH)
-        )
-        np.testing.assert_array_equal(both, upper + lower)
 
     def test_coarse_sampling_rejected(self, geometry):
         coarse = Grid(n_samples=64, spacing=1e-3)
         with pytest.raises(BandLimitError, match="source"):
-            slit_mask(geometry, coarse, Slits.BOTH)
+            slit_mask(geometry, coarse)
 
 
 class TestFringeMinima:
@@ -175,13 +164,13 @@ class TestFringeMinima:
 
 
 class TestSourceBand:
-    """Synthesis and minima refinement work only on the bins within k_cut."""
+    """Synthesis and minima refinement work only on the bins with |kx| < k_cut."""
 
     @pytest.mark.parametrize("grid", [default_grid(), FINE_GRID], ids=["2^14", "2^16"])
     def test_sigma1_energy_beyond_the_cutoff_is_negligible(self, geometry, grid):
         # premise of the band limit, checked on the fields rather than assumed
         phi_u, phi_l = apparatus.sigma1_fields(geometry, grid)
-        outside = np.abs(grid.wavenumbers()) > _source_cutoffs(geometry, grid)[1]
+        outside = np.abs(grid.wavenumbers()) >= _source_cutoffs(geometry, grid)[1]
         for amplitudes in (phi_u.amplitudes, phi_u.amplitudes + phi_l.amplitudes):
             energy = np.abs(np.fft.fft(amplitudes)) ** 2
             assert np.sum(energy[outside]) < 1e-20 * np.sum(energy)
@@ -196,7 +185,7 @@ class TestSourceBand:
         spectrum = np.fft.fft(phi_u.amplitudes + phi_l.amplitudes)
         m = np.concatenate([np.arange(n // 2), np.arange(-n // 2, 0)])
         k_all = 2 * np.pi * m / (n * dx)
-        band = np.abs(k_all) <= _source_cutoffs(geometry, grid)[1]
+        band = np.abs(k_all) < _source_cutoffs(geometry, grid)[1]
         rng = np.random.default_rng(5)
         i = rng.integers(n // 2 - 2500, n // 2 + 2500, size=20)
         points = x[i] + rng.uniform(0.05, 0.95, size=20) * dx
@@ -217,11 +206,12 @@ class TestSourceBand:
 
         monkeypatch.setattr(apparatus, "_interpolate", recorded)
         fringe_minima(geometry, bench_grid)
-        in_band = np.count_nonzero(
-            np.abs(bench_grid.wavenumbers()) <= _source_cutoffs(geometry, bench_grid)[1]
-        )
-        assert sizes and set(sizes) == {in_band}
-        assert in_band < bench_grid.n_samples
+        band = np.abs(bench_grid.wavenumbers()) < _source_cutoffs(geometry, bench_grid)[1]
+        assert sizes and set(sizes) == {np.count_nonzero(band)}
+        assert np.count_nonzero(band) < bench_grid.n_samples
+        # synthesis fills the same bins: the mask's spectrum beyond them is roundoff
+        spectrum = np.abs(np.fft.fft(slit_mask(geometry, bench_grid).transmission))
+        assert np.max(spectrum[~band]) <= 1e-13 * np.max(spectrum)
 
 
 class TestWireGrid:
@@ -371,11 +361,11 @@ class TestSuperposition:
     def test_one_source_and_three_propagations_per_scenario(
         self, geometry, bench_grid, monkeypatch, slits, state
     ):
-        calls = {"propagate": 0, "slit_mask": 0}
+        # the slit mask is the source field itself: no plane wave is built and
+        # the one mask applied to a field is the wire grid
+        calls = {"propagate": 0, "slit_mask": 0, "apply_mask": 0, "make_plane_wave": 0}
 
-        def counted(name):
-            original = getattr(apparatus, name)
-
+        def counted(name, original):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
@@ -383,9 +373,14 @@ class TestSuperposition:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(apparatus, name, counted(name))
+            for module in (apparatus, wavefield):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         run_scenario(geometry, Scenario(slits, state), bench_grid)
-        assert calls == {"propagate": 3, "slit_mask": 1}
+        wire_masks = 1 if state is GridState.IN else 0
+        assert calls == {
+            "propagate": 3, "slit_mask": 1, "apply_mask": wire_masks, "make_plane_wave": 0
+        }
 
 
 class TestDiscrimination:

@@ -439,6 +439,28 @@ class TestReport:
     def test_empty_directory_exits_2(self, tmp_path):
         assert run("report", "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("slits", ["upper", "both"])
+    def test_zero_incident_power_skips_its_grid_losses(self, cli_out, tmp_path, capsys, slits):
+        # a grid loss is a ratio to power_incident: like the other power
+        # ratios, it is left out when its denominator is not positive
+        lines = (cli_out / "powers.csv").read_text().splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            if line.startswith(f"{slits},in,"):
+                fields = line.split(",")
+                lines[i] = ",".join(fields[:2] + ["0.0"] + fields[3:])
+        (tmp_path / "powers.csv").write_text("".join(lines))
+        (tmp_path / "derived.csv").write_bytes((cli_out / "derived.csv").read_bytes())
+        assert run("report", "--out", str(tmp_path)) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        verdicts = (tmp_path / "report.txt").read_text().split("verdicts\n")[1]
+        assert "grid transparency" in verdicts
+        if slits == "both":
+            assert "loss ordering" not in verdicts
+            assert "single-slit (upper) grid loss" in verdicts
+        else:
+            assert "single-slit (upper)" not in verdicts
+            assert "both-slit loss" not in verdicts
+
     POWERS = (
         "scenario,grid,power_incident,power_after_grid,power_at_detectors,"
         "power_window_U,power_window_L\n"

@@ -267,6 +267,22 @@ class TestBinnedVisibility:
         with pytest.raises(ValueError, match="two bins"):
             visibility_from_pattern(pattern, grid, 64 * grid.spacing, (lo, lo + 80 * grid.spacing))
 
+    def test_reversed_region_rejected(self, cosine):
+        grid, _, pattern, (lo, hi) = cosine
+        with pytest.raises(ValueError, match=r"region \(.*\) is reversed"):
+            visibility_from_pattern(pattern, grid, grid.spacing, (hi, lo))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_region_beyond_the_grid_rejected(self, cosine, side):
+        # the grid reaches half a spacing past its end samples and no further
+        grid, _, pattern, _ = cosine
+        x, half = grid.coordinates, grid.spacing / 2
+        lo, hi = x[0] - half, x[-1] + half
+        visibility_from_pattern(pattern, grid, grid.spacing, (lo, hi))
+        beyond = {"left": (np.nextafter(lo, -1.0), hi), "right": (lo, np.nextafter(hi, 1.0))}
+        with pytest.raises(ValueError, match=r"region \(.*\) extends beyond the grid"):
+            visibility_from_pattern(pattern, grid, grid.spacing, beyond[side])
+
     def test_subsample_bins_rejected(self, cosine):
         grid, _, pattern, region = cosine
         with pytest.raises(ValueError, match="spacing"):
