@@ -35,9 +35,29 @@ by a phase, so the sigma1 field's bins beyond k_cut hold only FFT roundoff
 Every stage of a scenario run is checked against the band-limit guard and
 violations raise :class:`BandLimitError` naming the stage: ``source`` on
 the one synthesized source, ``sigma1`` on the field the scenario carries
-(phi_U, phi_L or phi_U + phi_L).  The detector windows are measured by
-``total_power`` over open intervals; a window beyond the grid is rejected
-by ``check_window`` before any field is built.
+(phi_U, phi_L or phi_U + phi_L), then ``wire_grid`` (grid in only),
+``lens``, ``lens_phase`` and ``sigma2``.  The detector windows are measured
+by ``total_power`` over open intervals; a window beyond the grid is
+rejected by ``check_window`` before any field is built.
+
+A scenario takes each full-size transform once per change of domain, and
+every later reader uses the spectrum the field holds (see ``wavefield``):
+
+- ``source``: one ``ifft`` synthesizes the slit from its band spectrum,
+  which the source field holds for its guard and the first propagation;
+- ``sigma1``: ``propagate`` takes one ``ifft`` and holds S*H; phi_L holds
+  the mirrored spectrum and phi_U + phi_L the summed one, which the guard
+  and the minima refinement read;
+- ``wire_grid``: one ``fft`` of the masked field serves its guard and the
+  propagation to the lens, whose one ``ifft`` holds the spectrum the
+  ``lens`` guard reads;
+- ``lens_phase``: one ``fft`` after the thin lens serves its guard and the
+  propagation to sigma2, whose one ``ifft`` holds the spectrum the
+  ``sigma2`` guard reads.
+
+That is 2 ``fft`` and 4 ``ifft`` with the grid in, one ``fft`` fewer with it
+out.  A held spectrum is the FFT of the field's samples to roundoff, so
+every guard checks the quantity a fresh FFT would give it.
 """
 
 from __future__ import annotations
@@ -53,6 +73,7 @@ from .wavefield import (
     Grid,
     Mask,
     _interpolate,
+    _spectrum,
     apply_mask,
     check_window,
     intensity,
@@ -289,28 +310,32 @@ def _check_sampling(geometry: AfsharGeometry, grid: Grid) -> None:
         )
 
 
-def _guard(field: ComplexField, stage: str) -> None:
+def _guarded(field: ComplexField, stage: str) -> ComplexField:
+    """Check the band-limit guard on ``field``; return it holding its spectrum."""
+    field = field.with_spectrum()
     frac = nyquist_tail_fraction(field)
     if frac > GUARD_TAIL_LIMIT:
         raise BandLimitError(
             stage,
             f"outer-band spectral energy fraction {frac:.3e} exceeds {GUARD_TAIL_LIMIT:.0e}",
         )
+    return field
 
 
 def _mirror(values: np.ndarray) -> np.ndarray:
-    """Reflection x -> -x on the periodic grid: sample i -> (n - i) mod n."""
+    """Reflection x -> -x on the periodic grid: sample i -> (n - i) mod n.
+
+    The same map sends spectrum bin k to (n - k) mod n, so it mirrors a
+    field's samples and its spectrum alike.
+    """
     return np.roll(values[::-1], 1)
 
 
-def slit_mask(geometry: AfsharGeometry, grid: Grid) -> Mask:
-    """Transmission profile of the upper slit, on the slit pair's scale.
+def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> ComplexField:
+    """The upper-slit source field, holding the band spectrum it is built from.
 
-    Built in the frequency domain: a rectangular-aperture spectrum times a
-    raised-cosine low-pass window, evaluated only on the source band and
-    scattered into zeros, so the profile is real and its sampled spectrum
-    vanishes identically beyond the band.  The lower slit is its mirror
-    image, and the two sum to at most 1 in magnitude (see the module notes).
+    The band spectrum is Hermitian, so it is the FFT of the real profile to
+    roundoff.
     """
     _check_sampling(geometry, grid)
     k_flat, k_cut = _source_cutoffs(geometry, grid)
@@ -326,18 +351,52 @@ def slit_mask(geometry: AfsharGeometry, grid: Grid) -> Mask:
     full = np.zeros(grid.n_samples, dtype=complex)
     full[band] = spectrum * np.exp(1j * kx * x0)
     upper = np.fft.ifft(full).real / grid.spacing
+    full /= grid.spacing
     peak = np.max(np.abs(upper) + np.abs(_mirror(upper)))
     if peak > 1.0:
         upper = upper / (peak * (1.0 + 1e-12))
-    return Mask(grid, upper)
+        full /= peak * (1.0 + 1e-12)
+    return ComplexField(grid, upper, geometry.wavelength, full)
+
+
+def slit_mask(geometry: AfsharGeometry, grid: Grid) -> Mask:
+    """Transmission profile of the upper slit, on the slit pair's scale.
+
+    Built in the frequency domain: a rectangular-aperture spectrum times a
+    raised-cosine low-pass window, evaluated only on the source band and
+    scattered into zeros, so the profile is real and its sampled spectrum
+    vanishes identically beyond the band.  The lower slit is its mirror
+    image, and the two sum to at most 1 in magnitude (see the module notes).
+    """
+    return Mask(grid, _upper_slit(geometry, grid).amplitudes)
+
+
+def _mirrored(field: ComplexField) -> ComplexField:
+    """The mirror image x -> -x of a field that holds its spectrum."""
+    return ComplexField(
+        field.grid, _mirror(field.amplitudes), field.wavelength, _mirror(field.spectrum)
+    )
+
+
+def _superposed(phi_u: ComplexField, phi_l: ComplexField) -> ComplexField:
+    """phi_U + phi_L of two fields that hold their spectra, holding the sum's."""
+    return ComplexField(
+        phi_u.grid,
+        phi_u.amplitudes + phi_l.amplitudes,
+        phi_u.wavelength,
+        phi_u.spectrum + phi_l.spectrum,
+    )
 
 
 def sigma1_fields(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, ComplexField]:
-    """Fields (phi_U, phi_L) at sigma1 behind each slit alone; callers guard sigma1."""
-    src = ComplexField(grid, slit_mask(geometry, grid).transmission, geometry.wavelength)
-    _guard(src, "source")
-    phi_u = propagate(src, geometry.z_slits_to_grid)
-    return phi_u, phi_u.with_amplitudes(_mirror(phi_u.amplitudes))
+    """Fields (phi_U, phi_L) at sigma1 behind each slit alone; callers guard sigma1.
+
+    Both hold their spectra: phi_U the propagated source band, phi_L its
+    mirror image.
+    """
+    source = _guarded(_upper_slit(geometry, grid), "source")
+    phi_u = propagate(source, geometry.z_slits_to_grid)
+    return phi_u, _mirrored(phi_u)
 
 
 def _refine_minima(geometry: AfsharGeometry, at_sigma1: ComplexField) -> np.ndarray:
@@ -353,10 +412,11 @@ def _refine_minima(geometry: AfsharGeometry, at_sigma1: ComplexField) -> np.ndar
     extremum, or a minimum shallower than ``_MINIMUM_DEPTH`` of its
     neighboring maxima, is not resolvable.
 
-    The interpolant sums only the source-band bins (see the module notes),
-    keeping the full-grid ``1/n`` scale: the field is a propagated slit
-    source, so the bins beyond hold only FFT roundoff and dropping them
-    changes ``u``, ``u'`` and ``u''`` by roundoff only.
+    The interpolant sums only the source-band bins of the field's spectrum
+    (the held one, or one FFT; see the module notes), keeping the full-grid
+    ``1/n`` scale: the field is a propagated slit source, so the bins beyond
+    hold only FFT roundoff and dropping them changes ``u``, ``u'`` and
+    ``u''`` by roundoff only.
     """
     fringe = geometry.fringe_spacing
     half_pairs = geometry.n_wires // 2
@@ -365,7 +425,7 @@ def _refine_minima(geometry: AfsharGeometry, at_sigma1: ComplexField) -> np.ndar
         raise ValueError(f"fewer than {geometry.n_wires} resolvable minima within the grid")
 
     band, kx = _source_band(geometry, grid)
-    spectrum = np.fft.fft(at_sigma1.amplitudes)[band]
+    spectrum = _spectrum(at_sigma1)[band]
     x0 = grid.coordinates[0]
 
     def extremum(seed: float, minimum: bool) -> tuple[float, float]:
@@ -416,9 +476,7 @@ def fringe_minima(geometry: AfsharGeometry, grid: Grid) -> np.ndarray:
     The set is symmetric under reflection; the positive-side minima are
     refined and mirrored.
     """
-    phi_u, phi_l = sigma1_fields(geometry, grid)
-    both = phi_u.with_amplitudes(phi_u.amplitudes + phi_l.amplitudes)
-    _guard(both, "sigma1")
+    both = _guarded(_superposed(*sigma1_fields(geometry, grid)), "sigma1")
     return _refine_minima(geometry, both)
 
 
@@ -489,11 +547,13 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
         label = f"detector window {name} at magnification {geometry.magnification:.4g}"
         check_window(grid, window, label)
     phi_u, phi_l = sigma1_fields(geometry, grid)
-    both = phi_u.with_amplitudes(phi_u.amplitudes + phi_l.amplitudes)
-    at_sigma1 = {Slits.UPPER_ONLY: phi_u, Slits.LOWER_ONLY: phi_l}.get(scenario.slits, both)
-    del phi_u, phi_l  # holding the uncarried fields through later stages raises peak RSS
-    _guard(at_sigma1, "sigma1")
-    power_incident = total_power(at_sigma1)
+    both = _superposed(phi_u, phi_l)
+    field = {Slits.UPPER_ONLY: phi_u, Slits.LOWER_ONLY: phi_l}.get(scenario.slits, both)
+    # each field pins its samples and its spectrum: release every one as soon
+    # as the stage after it is formed, or peak RSS rises
+    del phi_u, phi_l
+    field = _guarded(field, "sigma1")
+    power_incident = total_power(field)
 
     minima: tuple[float, ...] = ()
     if scenario.slits is Slits.BOTH or scenario.grid is GridState.IN:
@@ -502,29 +562,24 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
 
     if scenario.grid is GridState.IN:
         wires = build_wire_grid(geometry, np.asarray(minima), grid)
-        after_grid = apply_mask(at_sigma1, wires)
-        _guard(after_grid, "wire_grid")
-    else:
-        after_grid = at_sigma1
-    power_after_grid = total_power(after_grid)
+        field = _guarded(apply_mask(field, wires), "wire_grid")
+    power_after_grid = total_power(field)
+    intensity_sigma1 = intensity(field)
 
-    at_lens = propagate(after_grid, geometry.z_grid_to_lens)
-    _guard(at_lens, "lens")
-    after_lens = thin_lens(at_lens, geometry.focal_length)
-    _guard(after_lens, "lens_phase")
-    at_sigma2 = propagate(after_lens, geometry.z_lens_to_detectors)
-    _guard(at_sigma2, "sigma2")
+    field = _guarded(propagate(field, geometry.z_grid_to_lens), "lens")
+    field = _guarded(thin_lens(field, geometry.focal_length), "lens_phase")
+    field = _guarded(propagate(field, geometry.z_lens_to_detectors), "sigma2")
 
     record_minima = minima if scenario.slits is Slits.BOTH else ()
     return SimulationRecord(
         scenario=scenario,
         power_incident=power_incident,
         power_after_grid=power_after_grid,
-        power_at_detectors=total_power(at_sigma2),
-        power_window_U=total_power(at_sigma2, window_u),
-        power_window_L=total_power(at_sigma2, window_l),
-        intensity_sigma1=intensity(after_grid),
-        intensity_sigma2=intensity(at_sigma2),
+        power_at_detectors=total_power(field),
+        power_window_U=total_power(field, window_u),
+        power_window_L=total_power(field, window_l),
+        intensity_sigma1=intensity_sigma1,
+        intensity_sigma2=intensity(field),
         minima_positions=record_minima,
     )
 

@@ -243,9 +243,9 @@ def cmd_remnant(args: argparse.Namespace) -> int:
         raise ConfigError("--samples requires --seed (or seed in config)")
     geometry = cfg.geometry()
     grid = cfg.grid()
-    phi_u, phi_l = apparatus.sigma1_fields(geometry, grid)
     try:
-        state = remnant.build_remnant(phi_u, phi_l)
+        # the sigma1 fields and their spectra are released once the state is built
+        state = remnant.build_remnant(*apparatus.sigma1_fields(geometry, grid))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     total = remnant.total_pattern(state)

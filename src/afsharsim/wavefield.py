@@ -8,12 +8,24 @@ the thin-lens quadratic phase.  Power is accounted as a Riemann sum
 inside an open coordinate window, so all power statements in this package
 are ratios of that quantity.
 
+A field may hold its spectrum, the FFT of its samples, when the operation
+that made it already computed that spectrum: :func:`propagate` forms
+``S*H`` and returns ``ifft(S*H)`` holding ``S*H``, which equals the FFT of
+those samples to roundoff.  :func:`propagate` and
+:func:`nyquist_tail_fraction` read a held spectrum and take one FFT only
+when there is none, so a pipeline transforms once per change of domain.
+The spatial elements (:func:`apply_mask`, :func:`thin_lens`) and
+:meth:`ComplexField.with_amplitudes` return fields without one, and
+:meth:`ComplexField.with_spectrum` takes that one FFT for every later
+reader.
+
 All operations are pure: they return new values and never mutate their
-inputs (amplitude buffers are frozen at construction).
+inputs (amplitude and spectrum buffers are frozen at construction).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -86,11 +98,19 @@ class Grid:
 
 @dataclass(frozen=True)
 class ComplexField:
-    """Complex scalar amplitude sampled on a grid at one plane."""
+    """Complex scalar amplitude sampled on a grid at one plane.
+
+    ``spectrum``, if given, must be ``np.fft.fft(amplitudes)`` to roundoff:
+    only a producer that has just computed it passes one (so
+    ``dataclasses.replace`` with new amplitudes must also pass
+    ``spectrum=None``).  It is frozen like the amplitudes, and ``==``
+    compares the samples, not the held spectrum.
+    """
 
     grid: Grid
     amplitudes: np.ndarray
     wavelength: float
+    spectrum: np.ndarray | None = dataclasses.field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -101,13 +121,38 @@ class ComplexField:
         if not self.wavelength > 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
         object.__setattr__(self, "amplitudes", _frozen(amps))
+        if self.spectrum is not None:
+            spectrum = np.asarray(self.spectrum, dtype=np.complex128)
+            if spectrum.shape != amps.shape:
+                raise ValueError(
+                    f"spectrum shape {spectrum.shape} does not match grid ({self.grid.n_samples},)"
+                )
+            object.__setattr__(self, "spectrum", _frozen(spectrum))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ComplexField):
+            return NotImplemented
+        return (
+            self.grid == other.grid
+            and self.wavelength == other.wavelength
+            and np.array_equal(self.amplitudes, other.amplitudes)
+        )
 
     @property
     def wavenumber(self) -> float:
         return 2.0 * np.pi / self.wavelength
 
     def with_amplitudes(self, amplitudes: np.ndarray) -> "ComplexField":
+        """The same grid and wavelength with new samples, holding no spectrum."""
         return ComplexField(self.grid, amplitudes, self.wavelength)
+
+    def with_spectrum(self) -> "ComplexField":
+        """This field holding its spectrum: itself if it holds one, else one FFT."""
+        if self.spectrum is not None:
+            return self
+        return ComplexField(
+            self.grid, self.amplitudes, self.wavelength, np.fft.fft(self.amplitudes)
+        )
 
 
 @dataclass(frozen=True)
@@ -145,23 +190,38 @@ def make_plane_wave(grid: Grid, wavelength: float, tilt_angle: float = 0.0) -> C
     return ComplexField(grid, np.exp(1j * kt * grid.coordinates), wavelength)
 
 
+def _transfer(grid: Grid, k: float, distance: float) -> np.ndarray:
+    """Angular-spectrum transfer function ``exp(i*distance*kz)`` in FFT order.
+
+    Zero on evanescent bins (``kx^2 > k^2``).  It is even in kx, so it is
+    computed on the bins 0..n/2 and mirrored onto n/2+1..n-1; the phase
+    factor is filled from ``cos``/``sin``, which gives the same bits as the
+    complex ``exp`` of a purely imaginary argument.
+    """
+    n = grid.n_samples
+    kx = grid.wavenumbers()[: n // 2 + 1]
+    kz = np.sqrt(np.maximum(k * k - kx * kx, 0.0))
+    phase = distance * kz
+    half = np.empty(n // 2 + 1, dtype=np.complex128)
+    half.real = np.cos(phase)
+    half.imag = np.sin(phase)
+    half[kx * kx > k * k] = 0.0
+    return np.concatenate([half, half[n // 2 - 1 : 0 : -1]])
+
+
 def propagate(field: ComplexField, distance: float) -> ComplexField:
     """Free-space transport by ``distance`` (negative values back-propagate).
 
     Exact angular-spectrum solution: each spectral component picks up
     ``exp(i * distance * sqrt(k^2 - kx^2))``; evanescent components
     (``kx^2 > k^2``) are removed.  Power in propagating components is
-    conserved.
+    conserved.  Reads the field's held spectrum if it has one, and returns
+    the propagated field holding its own.
     """
     if np.isnan(field.amplitudes).any():
         raise ValueError("field contains NaN amplitudes")
-    k = field.wavenumber
-    kx = field.grid.wavenumbers()
-    propagating = kx * kx <= k * k
-    kz = np.sqrt(np.maximum(k * k - kx * kx, 0.0))
-    transfer = np.where(propagating, np.exp(1j * distance * kz), 0.0)
-    spectrum = np.fft.fft(field.amplitudes)
-    return field.with_amplitudes(np.fft.ifft(spectrum * transfer))
+    spectrum = _spectrum(field) * _transfer(field.grid, field.wavenumber, distance)
+    return ComplexField(field.grid, np.fft.ifft(spectrum), field.wavelength, spectrum)
 
 
 def apply_mask(field: ComplexField, mask: Mask) -> ComplexField:
@@ -180,7 +240,10 @@ def thin_lens(field: ComplexField, focal_length: float) -> ComplexField:
         raise ValueError("focal length must be nonzero")
     x = field.grid.coordinates
     phase = -np.pi * x * x / (field.wavelength * focal_length)
-    return field.with_amplitudes(field.amplitudes * np.exp(1j * phase))
+    factor = np.empty(x.shape, dtype=np.complex128)
+    factor.real = np.cos(phase)
+    factor.imag = np.sin(phase)
+    return field.with_amplitudes(field.amplitudes * factor)
 
 
 def intensity(field: ComplexField) -> np.ndarray:
@@ -245,14 +308,19 @@ def _interpolate(
     return complex(u), complex(du), complex(d2u)
 
 
+def _spectrum(field: ComplexField) -> np.ndarray:
+    """The field's held spectrum, or its FFT if it holds none."""
+    return field.spectrum if field.spectrum is not None else np.fft.fft(field.amplitudes)
+
+
 def nyquist_tail_fraction(field: ComplexField) -> float:
     """Fraction of spectral energy in the outer 5% of the Nyquist band.
 
     This is the aliasing diagnostic: spectral propagation is only trustworthy
-    when essentially no energy sits against the sampling limit.
+    when essentially no energy sits against the sampling limit.  Reads the
+    field's held spectrum if it has one.
     """
-    spectrum = np.fft.fft(field.amplitudes)
-    energy = np.abs(spectrum) ** 2
+    energy = np.abs(_spectrum(field)) ** 2
     total = float(np.sum(energy))
     if total == 0.0:
         return 0.0

@@ -361,9 +361,12 @@ class TestSuperposition:
     def test_one_source_and_three_propagations_per_scenario(
         self, geometry, bench_grid, monkeypatch, slits, state
     ):
-        # the slit mask is the source field itself: no plane wave is built and
-        # the one mask applied to a field is the wire grid
-        calls = {"propagate": 0, "slit_mask": 0, "apply_mask": 0, "make_plane_wave": 0}
+        # the slit source is synthesized once and is the source field itself:
+        # no plane wave is built and the one mask applied to a field is the
+        # wire grid; each change of domain takes one full-size transform, so
+        # a scenario takes at most 6
+        calls = {"propagate": 0, "_upper_slit": 0, "apply_mask": 0, "make_plane_wave": 0}
+        transforms = {"fft": 0, "ifft": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -372,15 +375,56 @@ class TestSuperposition:
 
             return wrapper
 
+        def counted_transform(name, original):
+            def wrapper(a, *args, **kwargs):
+                if np.size(a) == bench_grid.n_samples:
+                    transforms[name] += 1
+                return original(a, *args, **kwargs)
+
+            return wrapper
+
         for name in calls:
             for module in (apparatus, wavefield):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for name in transforms:
+            monkeypatch.setattr(np.fft, name, counted_transform(name, getattr(np.fft, name)))
         run_scenario(geometry, Scenario(slits, state), bench_grid)
         wire_masks = 1 if state is GridState.IN else 0
         assert calls == {
-            "propagate": 3, "slit_mask": 1, "apply_mask": wire_masks, "make_plane_wave": 0
+            "propagate": 3, "_upper_slit": 1, "apply_mask": wire_masks, "make_plane_wave": 0
         }
+        assert transforms == {"fft": 1 + wire_masks, "ifft": 4}
+
+
+class TestHeldSpectra:
+    """Guards read the spectrum a stage's field holds instead of taking an FFT."""
+
+    @pytest.mark.parametrize("grid", [default_grid(), FINE_GRID], ids=["2^14", "2^16"])
+    @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
+    @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
+    def test_tail_fraction_from_held_spectrum_matches_a_fresh_fft(
+        self, geometry, grid, monkeypatch, slits, state
+    ):
+        # oracle: the same field without a held spectrum, whose tail fraction
+        # comes from its own FFT of the samples
+        seen = {}
+        guarded = apparatus._guarded
+
+        def recorded(field, stage):
+            field = guarded(field, stage)
+            fresh = ComplexField(field.grid, field.amplitudes, field.wavelength)
+            seen[stage] = (nyquist_tail_fraction(field), nyquist_tail_fraction(fresh))
+            return field
+
+        monkeypatch.setattr(apparatus, "_guarded", recorded)
+        run_scenario(geometry, Scenario(slits, state), grid)
+        stages = ["source", "sigma1", "wire_grid", "lens", "lens_phase", "sigma2"]
+        if state is GridState.OUT:
+            stages.remove("wire_grid")
+        assert list(seen) == stages
+        for stage, (held, fresh) in seen.items():
+            assert abs(held - fresh) <= 1e-12, stage
 
 
 class TestDiscrimination:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from afsharsim.wavefield import (
     ComplexField,
     _interpolate,
+    _transfer,
     FieldFlagWarning,
     check_window,
     Grid,
@@ -209,11 +210,81 @@ class TestMask:
         assert total_power(apply_mask(f, m)) <= total_power(f) * (1 + 1e-12)
 
 
+class TestHeldSpectrum:
+    def test_held_spectrum_is_read_only_and_shape_checked(self):
+        f = band_limited_field(small_grid(), seed=20)
+        spectrum = np.fft.fft(f.amplitudes)
+        held = ComplexField(f.grid, f.amplitudes, WAVELENGTH, spectrum)
+        spectrum[0] = 99.0  # the field holds its own copy
+        assert held.spectrum[0] != 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            held.spectrum[0] = 1.0
+        with pytest.raises(ValueError, match="spectrum shape"):
+            ComplexField(f.grid, f.amplitudes, WAVELENGTH, spectrum[:-1])
+
+    def test_equality_ignores_the_held_spectrum(self):
+        f = band_limited_field(small_grid(), seed=21)
+        held = ComplexField(f.grid, f.amplitudes, WAVELENGTH, np.fft.fft(f.amplitudes))
+        assert held == ComplexField(f.grid, f.amplitudes.copy(), WAVELENGTH)
+        assert held != f.with_amplitudes(2.0 * f.amplitudes)
+        assert held != ComplexField(f.grid, f.amplitudes, 2.0 * WAVELENGTH)
+
+    def test_spatial_operations_drop_the_held_spectrum(self):
+        grid = small_grid()
+        f = propagate(band_limited_field(grid, seed=22), 0.4)
+        assert f.spectrum is not None
+        mask = Mask(grid, np.full(grid.n_samples, 0.5))
+        for g in (f.with_amplitudes(f.amplitudes), apply_mask(f, mask), thin_lens(f, 0.3)):
+            assert g.spectrum is None
+
+    @pytest.mark.parametrize("distance", [0.3, -1.7, 4.0])
+    def test_propagate_reads_the_held_spectrum(self, distance, monkeypatch):
+        grid = small_grid()
+        plain = band_limited_field(grid, seed=23)
+        held = plain.with_spectrum()
+        expected = propagate(plain, distance)
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("a held spectrum was transformed again")
+
+        monkeypatch.setattr(np.fft, "fft", no_fft)
+        got = propagate(held, distance)
+        peak = np.max(np.abs(expected.amplitudes))
+        assert np.max(np.abs(got.amplitudes - expected.amplitudes)) <= 1e-14 * peak
+        # the result holds S*H, which is the FFT of its samples to roundoff
+        monkeypatch.undo()
+        fresh = np.fft.fft(got.amplitudes)
+        assert np.max(np.abs(got.spectrum - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+    @pytest.mark.parametrize(
+        "grid, evanescent",
+        [(Grid(2**14, 5e-6), 0), (Grid(2**16, 1.25e-6), 0), (Grid(2**12, 2e-7), 1575)],
+        ids=["2^14", "2^16", "2^12-evanescent"],
+    )
+    @pytest.mark.parametrize("distance", [1.0, 0.7499999999999999, -0.3])
+    def test_half_built_transfer_function_is_the_direct_build(self, grid, evanescent, distance):
+        k = 2 * np.pi / WAVELENGTH
+        kx = grid.wavenumbers()
+        propagating = kx * kx <= k * k
+        kz = np.sqrt(np.maximum(k * k - kx * kx, 0.0))
+        direct = np.where(propagating, np.exp(1j * distance * kz), 0.0)
+        assert np.count_nonzero(~propagating) == evanescent
+        got = _transfer(grid, k, distance)
+        np.testing.assert_array_equal(got.view(float), direct.view(float))
+
+
 class TestThinLens:
     def test_zero_focal_length_rejected(self):
         f = make_plane_wave(small_grid(), WAVELENGTH)
         with pytest.raises(ValueError):
             thin_lens(f, 0.0)
+
+    @pytest.mark.parametrize("grid", [Grid(2**14, 5e-6), Grid(2**16, 1.25e-6)], ids=["2^14", "2^16"])
+    def test_factor_is_the_complex_exponential_bit_for_bit(self, grid):
+        x = grid.coordinates
+        factor = thin_lens(ComplexField(grid, np.ones(grid.n_samples), WAVELENGTH), 0.5)
+        direct = np.exp(1j * (-np.pi * x * x / (WAVELENGTH * 0.5)))
+        np.testing.assert_array_equal(factor.amplitudes.view(float), direct.view(float))
 
     def test_power_preserved(self):
         f = band_limited_field(small_grid(), seed=9)
