@@ -17,6 +17,9 @@ the whole fringe region at sigma1, so fringe positions and the single-slit
 envelope there are unaffected.  The wire bars are given a narrow tanh edge
 (about one sample) for the same reason; their nominal width is preserved in
 amplitude, and in power each bar takes wire_width + edge from a uniform beam.
+Each bar's tanh is evaluated only within ``_WIRE_EDGE_REACH`` edge scales
+of the bar: beyond that tanh is exactly +-1 in double precision, so the bar
+is exactly 0 and the windowed mask equals the full-grid product bit for bit.
 The upper slit's transmission is the one source field (a unit plane wave
 at normal incidence); the lower slit is its mirror image x -> -x (sample
 i -> (n - i) mod n on the periodic grid), formed at sigma1 since
@@ -73,6 +76,7 @@ from .wavefield import (
     Grid,
     Mask,
     _interpolate,
+    _owned,
     _spectrum,
     apply_mask,
     check_window,
@@ -118,6 +122,8 @@ _CUT_BOX_MARGIN = 0.95
 _CUT_NYQUIST_FRACTION = 0.55
 _FLAT_FRACTION = 0.5
 _WIRE_EDGE_SAMPLES = 1.3
+# tanh(x) rounds to exactly 1.0 from x ~ 18.99 on (numpy 2.4, float64)
+_WIRE_EDGE_REACH = 20.0
 
 # Acceptable depth of a refined interference minimum relative to the
 # neighboring maxima; shallower minima are not resolvable wire sites.
@@ -314,7 +320,8 @@ def _guarded(field: ComplexField, stage: str) -> ComplexField:
     """Check the band-limit guard on ``field``; return it holding its spectrum."""
     field = field.with_spectrum()
     frac = nyquist_tail_fraction(field)
-    if frac > GUARD_TAIL_LIMIT:
+    # fails closed: a non-finite spectrum gives nan, which no limit admits
+    if not frac <= GUARD_TAIL_LIMIT:
         raise BandLimitError(
             stage,
             f"outer-band spectral energy fraction {frac:.3e} exceeds {GUARD_TAIL_LIMIT:.0e}",
@@ -326,9 +333,9 @@ def _mirror(values: np.ndarray) -> np.ndarray:
     """Reflection x -> -x on the periodic grid: sample i -> (n - i) mod n.
 
     The same map sends spectrum bin k to (n - k) mod n, so it mirrors a
-    field's samples and its spectrum alike.
+    field's samples and its spectrum alike.  The result owns its memory.
     """
-    return np.roll(values[::-1], 1)
+    return np.concatenate((values[:1], values[:0:-1]))
 
 
 def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> ComplexField:
@@ -347,16 +354,16 @@ def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> ComplexField:
     roll = np.cos(0.5 * np.pi * (akx - k_flat) / (k_cut - k_flat)) ** 2
     spectrum *= np.where(akx <= k_flat, 1.0, roll)
 
-    x0 = grid.coordinates[0]
     full = np.zeros(grid.n_samples, dtype=complex)
-    full[band] = spectrum * np.exp(1j * kx * x0)
+    full[band] = spectrum * np.exp(1j * kx * grid.coordinate(0))
     upper = np.fft.ifft(full).real / grid.spacing
     full /= grid.spacing
     peak = np.max(np.abs(upper) + np.abs(_mirror(upper)))
     if peak > 1.0:
         upper = upper / (peak * (1.0 + 1e-12))
         full /= peak * (1.0 + 1e-12)
-    return ComplexField(grid, upper, geometry.wavelength, full)
+    samples = _owned(upper.astype(np.complex128))
+    return ComplexField(grid, samples, geometry.wavelength, _owned(full))
 
 
 def slit_mask(geometry: AfsharGeometry, grid: Grid) -> Mask:
@@ -374,7 +381,10 @@ def slit_mask(geometry: AfsharGeometry, grid: Grid) -> Mask:
 def _mirrored(field: ComplexField) -> ComplexField:
     """The mirror image x -> -x of a field that holds its spectrum."""
     return ComplexField(
-        field.grid, _mirror(field.amplitudes), field.wavelength, _mirror(field.spectrum)
+        field.grid,
+        _owned(_mirror(field.amplitudes)),
+        field.wavelength,
+        _owned(_mirror(field.spectrum)),
     )
 
 
@@ -382,9 +392,9 @@ def _superposed(phi_u: ComplexField, phi_l: ComplexField) -> ComplexField:
     """phi_U + phi_L of two fields that hold their spectra, holding the sum's."""
     return ComplexField(
         phi_u.grid,
-        phi_u.amplitudes + phi_l.amplitudes,
+        _owned(phi_u.amplitudes + phi_l.amplitudes),
         phi_u.wavelength,
-        phi_u.spectrum + phi_l.spectrum,
+        _owned(phi_u.spectrum + phi_l.spectrum),
     )
 
 
@@ -421,12 +431,12 @@ def _refine_minima(geometry: AfsharGeometry, at_sigma1: ComplexField) -> np.ndar
     fringe = geometry.fringe_spacing
     half_pairs = geometry.n_wires // 2
     grid = at_sigma1.grid
-    if (half_pairs - 0.5 + _BRACKET_FRINGES) * fringe > grid.coordinates[-1]:
+    if (half_pairs - 0.5 + _BRACKET_FRINGES) * fringe > grid.coordinate(grid.n_samples - 1):
         raise ValueError(f"fewer than {geometry.n_wires} resolvable minima within the grid")
 
     band, kx = _source_band(geometry, grid)
     spectrum = _spectrum(at_sigma1)[band]
-    x0 = grid.coordinates[0]
+    x0 = grid.coordinate(0)
 
     def extremum(seed: float, minimum: bool) -> tuple[float, float]:
         """Position and intensity of the extremum near ``seed``."""
@@ -489,20 +499,30 @@ def build_wire_grid(geometry: AfsharGeometry, minima: np.ndarray, grid: Grid) ->
     bar's nominal width in amplitude.  In power a uniform beam loses
     ``wire_width + edge`` per bar: 1 - s**2 = (1 - s) + s*(1 - s) for the
     transmission s across an edge, and s*(1 - s) integrates to edge/2.
+
+    Each bar is evaluated only on the samples within ``_WIRE_EDGE_REACH``
+    edge scales of it, rounded outward to whole samples; elsewhere both tanh
+    terms are exactly -1 or exactly +1, so the bar's factor is exactly 1.
     """
     centers = np.sort(np.asarray(minima, dtype=float))
     if centers.size >= 2:
         gaps = np.diff(centers)
         if np.any(gaps < geometry.wire_width):
             raise ValueError("wire bars overlap: minima closer than wire_width")
-    x = grid.coordinates
+    n, dx = grid.n_samples, grid.spacing
     w = geometry.wire_width
-    edge = _WIRE_EDGE_SAMPLES * grid.spacing
-    t = np.ones_like(x)
+    edge = _WIRE_EDGE_SAMPLES * dx
+    reach = _WIRE_EDGE_REACH * edge
+    t = np.ones(n)
     for c in centers:
+        lo = max(math.floor((c - w / 2 - reach - grid.center) / dx) + n // 2, 0)
+        hi = min(math.ceil((c + w / 2 + reach - grid.center) / dx) + n // 2 + 1, n)
+        if lo >= hi:
+            continue
+        x = grid.coordinate(np.arange(lo, hi))
         bar = 0.5 * (np.tanh((x - (c - w / 2)) / edge) - np.tanh((x - (c + w / 2)) / edge))
-        t = t * (1.0 - bar)
-    return Mask(grid, t)
+        t[lo:hi] *= 1.0 - bar
+    return Mask(grid, _owned(t.astype(np.complex128)))
 
 
 def fill_factor(geometry: AfsharGeometry) -> float:
@@ -553,7 +573,13 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     # as the stage after it is formed, or peak RSS rises
     del phi_u, phi_l
     field = _guarded(field, "sigma1")
-    power_incident = total_power(field)
+
+    def power(profile: np.ndarray) -> float:
+        # the whole-grid total_power of the field this intensity profile is of
+        return float(np.sum(profile) * grid.spacing)
+
+    intensity_sigma1 = intensity(field)
+    power_incident = power(intensity_sigma1)
 
     minima: tuple[float, ...] = ()
     if scenario.slits is Slits.BOTH or scenario.grid is GridState.IN:
@@ -563,23 +589,23 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     if scenario.grid is GridState.IN:
         wires = build_wire_grid(geometry, np.asarray(minima), grid)
         field = _guarded(apply_mask(field, wires), "wire_grid")
-    power_after_grid = total_power(field)
-    intensity_sigma1 = intensity(field)
+        intensity_sigma1 = intensity(field)
 
     field = _guarded(propagate(field, geometry.z_grid_to_lens), "lens")
     field = _guarded(thin_lens(field, geometry.focal_length), "lens_phase")
     field = _guarded(propagate(field, geometry.z_lens_to_detectors), "sigma2")
+    intensity_sigma2 = intensity(field)
 
     record_minima = minima if scenario.slits is Slits.BOTH else ()
     return SimulationRecord(
         scenario=scenario,
         power_incident=power_incident,
-        power_after_grid=power_after_grid,
-        power_at_detectors=total_power(field),
+        power_after_grid=power(intensity_sigma1),
+        power_at_detectors=power(intensity_sigma2),
         power_window_U=total_power(field, window_u),
         power_window_L=total_power(field, window_l),
         intensity_sigma1=intensity_sigma1,
-        intensity_sigma2=intensity(field),
+        intensity_sigma2=intensity_sigma2,
         minima_positions=record_minima,
     )
 

@@ -20,12 +20,18 @@ The spatial elements (:func:`apply_mask`, :func:`thin_lens`) and
 reader.
 
 All operations are pure: they return new values and never mutate their
-inputs (amplitude and spectrum buffers are frozen at construction).
+inputs.  Buffers are read-only and owned by the value that holds them:
+:class:`ComplexField` and :class:`Mask` keep an array that is read-only
+and owns its memory as it is, and copy anything else (a caller's writeable
+array, or a view, whose base may still be written).  So a producer that
+has just made an array hands it over with :func:`_owned` and no copy is
+taken, while an array from outside is copied once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -51,10 +57,17 @@ class FieldFlagWarning(UserWarning):
     """Degenerate-but-legal input (empty power window, all-zero pattern)."""
 
 
+def _owned(a: np.ndarray) -> np.ndarray:
+    """Mark a freshly made array read-only, handing it over without a copy."""
+    a.flags.writeable = False
+    return a
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, copy=True)
-    out.flags.writeable = False
-    return out
+    """``a`` itself if it is read-only and owns its memory, else a read-only copy."""
+    if not a.flags.writeable and a.flags.owndata:
+        return a
+    return _owned(np.array(a, copy=True))
 
 
 @dataclass(frozen=True)
@@ -79,7 +92,10 @@ class Grid:
 
     @property
     def coordinates(self) -> np.ndarray:
-        i = np.arange(self.n_samples)
+        return self.coordinate(np.arange(self.n_samples))
+
+    def coordinate(self, i: int | np.ndarray) -> float | np.ndarray:
+        """Coordinate of sample ``i`` (an index or an array of indices)."""
         return self.center + (i - self.n_samples // 2) * self.spacing
 
     @property
@@ -103,8 +119,12 @@ class ComplexField:
     ``spectrum``, if given, must be ``np.fft.fft(amplitudes)`` to roundoff:
     only a producer that has just computed it passes one (so
     ``dataclasses.replace`` with new amplitudes must also pass
-    ``spectrum=None``).  It is frozen like the amplitudes, and ``==``
-    compares the samples, not the held spectrum.
+    ``spectrum=None``).  ``==`` compares the samples, not the held spectrum.
+
+    Both buffers are read-only.  A complex128 array that is read-only and
+    owns its memory is kept as it is, so producers hand over the arrays
+    they have just made; anything else (a writeable array, a view, another
+    dtype) is copied, so later writes by the caller cannot reach the field.
     """
 
     grid: Grid
@@ -151,7 +171,7 @@ class ComplexField:
         if self.spectrum is not None:
             return self
         return ComplexField(
-            self.grid, self.amplitudes, self.wavelength, np.fft.fft(self.amplitudes)
+            self.grid, self.amplitudes, self.wavelength, _owned(np.fft.fft(self.amplitudes))
         )
 
 
@@ -187,7 +207,7 @@ def make_plane_wave(grid: Grid, wavelength: float, tilt_angle: float = 0.0) -> C
             f"tilt angle {tilt_angle} puts the transverse wavenumber {abs(kt):.4g} "
             f"at or beyond the Nyquist limit {grid.nyquist:.4g}"
         )
-    return ComplexField(grid, np.exp(1j * kt * grid.coordinates), wavelength)
+    return ComplexField(grid, _owned(np.exp(1j * kt * grid.coordinates)), wavelength)
 
 
 def _transfer(grid: Grid, k: float, distance: float) -> np.ndarray:
@@ -196,10 +216,12 @@ def _transfer(grid: Grid, k: float, distance: float) -> np.ndarray:
     Zero on evanescent bins (``kx^2 > k^2``).  It is even in kx, so it is
     computed on the bins 0..n/2 and mirrored onto n/2+1..n-1; the phase
     factor is filled from ``cos``/``sin``, which gives the same bits as the
-    complex ``exp`` of a purely imaginary argument.
+    complex ``exp`` of a purely imaginary argument.  The n/2 + 1 values of
+    kx are built directly (bin n/2 as +n/2 where :meth:`Grid.wavenumbers`
+    has -n/2; only kx^2 is used).
     """
     n = grid.n_samples
-    kx = grid.wavenumbers()[: n // 2 + 1]
+    kx = 2.0 * np.pi * (np.arange(n // 2 + 1) * (1.0 / (n * grid.spacing)))
     kz = np.sqrt(np.maximum(k * k - kx * kx, 0.0))
     phase = distance * kz
     half = np.empty(n // 2 + 1, dtype=np.complex128)
@@ -218,17 +240,17 @@ def propagate(field: ComplexField, distance: float) -> ComplexField:
     conserved.  Reads the field's held spectrum if it has one, and returns
     the propagated field holding its own.
     """
-    if np.isnan(field.amplitudes).any():
-        raise ValueError("field contains NaN amplitudes")
-    spectrum = _spectrum(field) * _transfer(field.grid, field.wavenumber, distance)
-    return ComplexField(field.grid, np.fft.ifft(spectrum), field.wavelength, spectrum)
+    if not np.isfinite(field.amplitudes).all():
+        raise ValueError("field contains NaN or infinite amplitudes")
+    spectrum = _owned(_spectrum(field) * _transfer(field.grid, field.wavenumber, distance))
+    return ComplexField(field.grid, _owned(np.fft.ifft(spectrum)), field.wavelength, spectrum)
 
 
 def apply_mask(field: ComplexField, mask: Mask) -> ComplexField:
     """Multiply the field by a passive transmission mask on the same grid."""
     if mask.grid != field.grid:
         raise ValueError("mask grid does not match field grid")
-    return field.with_amplitudes(field.amplitudes * mask.transmission)
+    return field.with_amplitudes(_owned(field.amplitudes * mask.transmission))
 
 
 def thin_lens(field: ComplexField, focal_length: float) -> ComplexField:
@@ -243,7 +265,7 @@ def thin_lens(field: ComplexField, focal_length: float) -> ComplexField:
     factor = np.empty(x.shape, dtype=np.complex128)
     factor.real = np.cos(phase)
     factor.imag = np.sin(phase)
-    return field.with_amplitudes(field.amplitudes * factor)
+    return field.with_amplitudes(_owned(field.amplitudes * factor))
 
 
 def intensity(field: ComplexField) -> np.ndarray:
@@ -260,8 +282,8 @@ def check_window(grid: Grid, window: tuple[float, float], name: str = "window") 
     lo, hi = window
     if lo > hi:
         raise ValueError(f"{name} ({lo}, {hi}) is reversed")
-    n, dx = grid.n_samples, grid.spacing
-    first, last = grid.center - (n // 2) * dx, grid.center + (n - 1 - n // 2) * dx
+    dx = grid.spacing
+    first, last = grid.coordinate(0), grid.coordinate(grid.n_samples - 1)
     if lo < first - dx / 2 or hi > last + dx / 2:
         raise ValueError(f"{name} ({lo}, {hi}) extends beyond the grid")
 
@@ -300,8 +322,14 @@ def _interpolate(
     ``u(x) = sum(spectrum * exp(i*kx*(x - x0))) / n`` gets nothing from a
     zero bin.  ``u'`` and ``u''`` weight the same terms by ``i*kx`` and
     ``-kx**2``.  One point at a time keeps the working set at O(len(kx)).
+    The rotation ``exp(i*kx*(x - x0))`` is filled from ``cos``/``sin``, the
+    same bits as the complex ``exp`` of that purely imaginary argument.
     """
-    terms = spectrum * np.exp(1j * (x - x0) * kx)
+    phase = (x - x0) * kx
+    rotation = np.empty(kx.shape, dtype=np.complex128)
+    rotation.real = np.cos(phase)
+    rotation.imag = np.sin(phase)
+    terms = spectrum * rotation
     u = terms.sum() / n
     du = 1j * (terms @ kx) / n
     d2u = -(terms @ (kx * kx)) / n
@@ -313,17 +341,35 @@ def _spectrum(field: ComplexField) -> np.ndarray:
     return field.spectrum if field.spectrum is not None else np.fft.fft(field.amplitudes)
 
 
+def _energy(bins: np.ndarray) -> float:
+    """``sum(|bins|^2)``, summed over the squares of the real and imaginary parts.
+
+    Squares and a sum are loops every run already executes; ``np.vdot`` would
+    be as exact with no temporary but faults 128 KiB of BLAS code into a
+    process that makes no other BLAS call, such as ``remnant``.
+    """
+    return np.sum(np.square(bins.view(np.float64)))
+
+
 def nyquist_tail_fraction(field: ComplexField) -> float:
     """Fraction of spectral energy in the outer 5% of the Nyquist band.
 
     This is the aliasing diagnostic: spectral propagation is only trustworthy
     when essentially no energy sits against the sampling limit.  Reads the
     field's held spectrum if it has one.
+
+    The outer band, ``|kx| >= 0.95 * nyquist``, is the bins i with
+    ``min(i, n - i) >= 19n/40``: in FFT order the one contiguous run
+    ``ceil(19n/40) .. n - ceil(19n/40)``, so no wavenumber array or mask is
+    built.  A spectrum whose energy is not finite gives ``nan``, whichever
+    band holds the non-finite bins.
     """
-    energy = np.abs(_spectrum(field)) ** 2
-    total = float(np.sum(energy))
+    spectrum = _spectrum(field)
+    total = _energy(spectrum)
+    if not math.isfinite(total):
+        return math.nan
     if total == 0.0:
         return 0.0
-    kx = field.grid.wavenumbers()
-    outer = np.abs(kx) >= 0.95 * field.grid.nyquist
-    return float(np.sum(energy[outer]) / total)
+    n = field.grid.n_samples
+    first = -(-19 * n // 40)
+    return float(_energy(spectrum[first : n - first + 1]) / total)

@@ -234,6 +234,27 @@ class TestWireGrid:
         expected = 1.0 - 6 * (geometry.wire_width + sigma) / grid.extent
         assert abs(ratio - expected) < 1e-6
 
+    @pytest.mark.parametrize("grid", [default_grid(), FINE_GRID], ids=["2^14", "2^16"])
+    def test_windowed_bars_are_the_full_grid_product_bit_for_bit(self, geometry, grid):
+        # reference: every bar's tanh product over the whole grid
+        x, w = grid.coordinates, geometry.wire_width
+        edge = apparatus._WIRE_EDGE_SAMPLES * grid.spacing
+        reach = apparatus._WIRE_EDGE_REACH * edge
+        extra = [
+            x[0] + w / 2 + 0.3 * edge,  # reach beyond the first sample
+            x[-1] - w / 2 - 5.0 * edge,  # reach beyond the last sample
+            0.02, 0.02 + w + reach,  # windows overlap: edges reach apart
+            -0.02, -0.02 - w,  # touching bars
+            x[0] - w - 3.0 * reach, x[-1] + w + 3.0 * reach,  # off the grid
+        ]
+        centers = np.sort(np.concatenate([fringe_minima(geometry, grid), extra]))
+        expected = np.ones_like(x)
+        for c in centers:
+            bar = 0.5 * (np.tanh((x - (c - w / 2)) / edge) - np.tanh((x - (c + w / 2)) / edge))
+            expected = expected * (1.0 - bar)
+        got = build_wire_grid(geometry, centers[::-1], grid).transmission
+        assert got.tobytes() == expected.astype(complex).tobytes()
+
     def test_overlapping_wires_rejected(self, geometry, bench_grid):
         with pytest.raises(ValueError, match="overlap"):
             build_wire_grid(geometry, np.array([0.0, geometry.wire_width / 3]), bench_grid)
@@ -322,6 +343,23 @@ class TestScenarios:
             run_scenario(geometry, Scenario(Slits.BOTH, GridState.OUT), coarse)
         assert err.value.stage == "source"
 
+    def test_guard_fails_closed_on_non_finite_fields(self, geometry):
+        # an inf sample spreads nan over the spectrum (the FFT warns), and an
+        # inf bin in the inner band leaves the outer band finite: neither
+        # fraction is <= 1e-6
+        grid = Grid(n_samples=256, spacing=5e-6)
+        amps = np.ones(grid.n_samples, dtype=complex)
+        amps[7] = np.inf
+        spectrum = np.zeros(grid.n_samples, dtype=complex)
+        spectrum[0] = np.inf
+        fields = (
+            ComplexField(grid, amps, geometry.wavelength),
+            ComplexField(grid, np.ones(grid.n_samples), geometry.wavelength, spectrum),
+        )
+        for field in fields:
+            with np.errstate(invalid="ignore"), pytest.raises(BandLimitError, match="nan"):
+                apparatus._guarded(field, "sigma1")
+
 
 class TestSuperposition:
     def test_both_slit_intensity_is_the_coherent_sum(self, records, sigma1_fields):
@@ -364,9 +402,11 @@ class TestSuperposition:
         # the slit source is synthesized once and is the source field itself:
         # no plane wave is built and the one mask applied to a field is the
         # wire grid; each change of domain takes one full-size transform, so
-        # a scenario takes at most 6
+        # a scenario takes at most 6; every field and mask takes over the
+        # arrays its producer made, so no buffer is copied
         calls = {"propagate": 0, "_upper_slit": 0, "apply_mask": 0, "make_plane_wave": 0}
         transforms = {"fft": 0, "ifft": 0}
+        copies = []
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -389,12 +429,22 @@ class TestSuperposition:
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         for name in transforms:
             monkeypatch.setattr(np.fft, name, counted_transform(name, getattr(np.fft, name)))
+        frozen = wavefield._frozen
+
+        def counted_frozen(a):
+            kept = frozen(a)
+            if kept is not a:
+                copies.append(a.size)
+            return kept
+
+        monkeypatch.setattr(wavefield, "_frozen", counted_frozen)
         run_scenario(geometry, Scenario(slits, state), bench_grid)
         wire_masks = 1 if state is GridState.IN else 0
         assert calls == {
             "propagate": 3, "_upper_slit": 1, "apply_mask": wire_masks, "make_plane_wave": 0
         }
         assert transforms == {"fft": 1 + wire_masks, "ifft": 4}
+        assert copies == []
 
 
 class TestHeldSpectra:

@@ -141,6 +141,16 @@ class TestPropagate:
         with pytest.raises(ValueError, match="NaN"):
             propagate(ComplexField(grid, amps, WAVELENGTH), 1.0)
 
+    @pytest.mark.parametrize(
+        "value", [np.inf, -np.inf, complex(0.0, np.inf)], ids=["inf", "-inf", "inf-j"]
+    )
+    def test_infinite_sample_rejected(self, value):
+        grid = small_grid()
+        amps = np.ones(grid.n_samples, dtype=complex)
+        amps[3] = value
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            propagate(ComplexField(grid, amps, WAVELENGTH), 1.0)
+
     def test_evanescent_components_removed(self):
         # spacing below lambda/2 makes the outer band evanescent; that power is lost
         grid = Grid(n_samples=1024, spacing=2e-7)
@@ -208,6 +218,38 @@ class TestMask:
         rng = np.random.default_rng(seed + 1)
         m = Mask(grid, rng.uniform(0, 1, grid.n_samples) * np.exp(1j * rng.uniform(0, 2 * np.pi, grid.n_samples)))
         assert total_power(apply_mask(f, m)) <= total_power(f) * (1 + 1e-12)
+
+
+class TestOwnership:
+    """A field keeps a read-only array that owns its memory and copies any other."""
+
+    def test_writeable_array_is_copied(self):
+        grid = small_grid()
+        amps = np.ones(grid.n_samples, dtype=complex)
+        f = ComplexField(grid, amps, WAVELENGTH)
+        amps[0] = 7.0
+        assert f.amplitudes is not amps and f.amplitudes[0] == 1.0
+        assert amps.flags.writeable
+
+    def test_read_only_view_of_a_writeable_base_is_copied(self):
+        grid = small_grid()
+        base = np.ones(2 * grid.n_samples, dtype=complex)
+        view = base[: grid.n_samples]
+        view.flags.writeable = False
+        f = ComplexField(grid, view, WAVELENGTH, view)
+        base[0] = 7.0
+        assert f.amplitudes[0] == 1.0 and f.spectrum[0] == 1.0
+        assert f.amplitudes.flags.owndata and f.spectrum.flags.owndata
+
+    def test_read_only_owning_array_is_shared(self):
+        grid = small_grid()
+        amps = np.ones(grid.n_samples, dtype=complex)
+        amps.flags.writeable = False
+        spectrum = np.fft.fft(amps)
+        spectrum.flags.writeable = False
+        f = ComplexField(grid, amps, WAVELENGTH, spectrum)
+        assert f.amplitudes is amps and f.spectrum is spectrum
+        assert Mask(grid, amps).transmission is amps
 
 
 class TestHeldSpectrum:
@@ -419,6 +461,24 @@ class TestInterpolate:
             assert du == pytest.approx(1j * kt * u, rel=1e-9)
             assert d2u == pytest.approx(-kt**2 * u, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [2**14, 2**16])
+    def test_rotation_is_the_complex_exponential_bit_for_bit(self, n):
+        # reference: the interpolant with its rotation from the complex exp;
+        # the rotation is named because numpy may evaluate a product with a
+        # temporary of 256 KiB or more in place in the temporary, which swaps
+        # the operands of the complex multiply and can change its last bit
+        grid = Grid(n, 5e-6 * 2**14 / n)
+        f = band_limited_field(grid, seed=25)
+        spectrum, kx, x = np.fft.fft(f.amplitudes), grid.wavenumbers(), grid.coordinates
+        for xq in (x[0], x[n // 3] + 0.41 * grid.spacing, -0.7 * grid.spacing, x[0] - 3.3e-6):
+            rotation = np.exp(1j * (xq - x[0]) * kx)
+            terms = spectrum * rotation
+            expected = (
+                terms.sum() / n, 1j * (terms @ kx) / n, -(terms @ (kx * kx)) / n
+            )
+            got = _interpolate(spectrum, kx, x[0], xq, n)
+            assert np.array(got).tobytes() == np.array(expected, dtype=complex).tobytes()
+
 
 class TestNyquistTail:
     def test_smooth_field_is_clean(self):
@@ -430,3 +490,24 @@ class TestNyquistTail:
         t = (np.abs(grid.coordinates) < 20e-6).astype(complex)
         f = ComplexField(grid, t, WAVELENGTH)
         assert nyquist_tail_fraction(f) > 1e-6
+
+    @pytest.mark.parametrize("n", [2**p for p in range(3, 21)])
+    def test_outer_band_is_the_bin_set_above_95_percent_of_nyquist(self, n):
+        # all energy on the |kx| >= 0.95*nyquist bins reads 1, all energy on
+        # the other bins reads 0: the summed bins are exactly that set
+        grid = Grid(n, 1.25e-6)
+        outer = np.abs(grid.wavenumbers()) >= 0.95 * grid.nyquist
+        for bins, expected in ((outer, 1.0), (~outer, 0.0)):
+            spectrum = bins.astype(complex)
+            f = ComplexField(grid, np.fft.ifft(spectrum), WAVELENGTH, spectrum)
+            assert nyquist_tail_fraction(f) == expected
+
+    @pytest.mark.parametrize("dc", [np.inf, np.nan, 1e200], ids=["inf", "nan", "overflow"])
+    def test_non_finite_energy_gives_nan(self, dc):
+        # the DC bin is in the inner band, so the outer band's energy is 0
+        grid = small_grid()
+        spectrum = np.zeros(grid.n_samples, dtype=complex)
+        spectrum[0] = dc
+        held = ComplexField(grid, np.fft.ifft(spectrum), WAVELENGTH, spectrum)
+        with np.errstate(over="ignore"):  # 1e200 squared
+            assert np.isnan(nyquist_tail_fraction(held))
