@@ -21,8 +21,6 @@ from .apparatus import (
     SimulationRecord,
     Slits,
     build_wire_grid,
-    default_grid,
-    discrimination,
     fill_factor,
     fringe_minima,
     image_windows,
@@ -44,12 +42,10 @@ from .duality import (
     vk_from_probe,
 )
 from .remnant import (
-    CollapsedSite,
     RemnantState,
     VibrationalDirection,
     build_remnant,
     completeness_residue,
-    detect,
     postselect,
     qubit_analogy,
     sample_sites,

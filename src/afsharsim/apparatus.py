@@ -96,7 +96,6 @@ __all__ = [
     "BandLimitError",
     "DEFAULT_N_SAMPLES",
     "DEFAULT_SPACING",
-    "default_grid",
     "imaging_distance",
     "slit_mask",
     "sigma1_fields",
@@ -105,7 +104,6 @@ __all__ = [
     "fill_factor",
     "image_windows",
     "run_scenario",
-    "discrimination",
 ]
 
 DEFAULT_N_SAMPLES = 2**14
@@ -271,10 +269,6 @@ def imaging_distance(object_distance: float, focal_length: float) -> float:
             f"and focal length {focal_length} m (needs object distance > focal length > 0)"
         )
     return 1.0 / (1.0 / focal_length - 1.0 / object_distance)
-
-
-def default_grid(n_samples: int = DEFAULT_N_SAMPLES, spacing: float = DEFAULT_SPACING) -> Grid:
-    return Grid(n_samples=n_samples, spacing=spacing)
 
 
 def _source_cutoffs(geometry: AfsharGeometry, grid: Grid) -> tuple[float, float]:
@@ -609,10 +603,3 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
         minima_positions=record_minima,
     )
 
-
-def discrimination(record: SimulationRecord) -> float:
-    """Which-slit contrast |P_U - P_L| / (P_U + P_L) of the window powers."""
-    total = record.power_window_U + record.power_window_L
-    if total <= 0.0:
-        raise ValueError("no detector power in the image windows")
-    return abs(record.power_window_U - record.power_window_L) / total

@@ -5,8 +5,8 @@ binned-visibility ladder), ``remnant`` (screen model with vibrational
 post-selection), ``report`` (aggregate prior CSV outputs).  All outputs
 are CSV plus plain text; identical inputs produce byte-identical files.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 band-limit guard
-violation (the message names the failing stage).
+Exit codes: 0 success, 2 usage, configuration or file-system error, 3
+band-limit guard violation (the message names the failing stage).
 """
 
 from __future__ import annotations
@@ -358,7 +358,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ReportError) as exc:
+    # OSError: an output or input path the file system refuses, e.g. --out
+    # naming a regular file
+    except (ConfigError, ReportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except apparatus.BandLimitError as exc:

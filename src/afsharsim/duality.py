@@ -49,7 +49,8 @@ class ProbeAmplitudes:
     b: complex
 
     def __post_init__(self) -> None:
-        norm = abs(self.a) ** 2 + abs(self.b) ** 2
+        # abs(z) * abs(z) is inf where abs(z) ** 2 raises OverflowError
+        norm = abs(self.a) * abs(self.a) + abs(self.b) * abs(self.b)
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"|a|^2 + |b|^2 = {norm}, expected 1 within {_NORM_TOL}")
 
@@ -156,21 +157,12 @@ def vk_from_probe(probe: ProbeAmplitudes) -> VKPair:
     return VKPair(V=v, K=k)
 
 
-def vk_from_detector(model: DetectorModel, ordering: str = "primary") -> VKPair:
+def vk_from_detector(model: DetectorModel) -> VKPair:
     """V = |<d| U_minus U_plus^dag |d>| and K = sqrt(1 - V^2) for every detector.
 
-    ``ordering="adjoint"`` computes the alternative operator ordering
-    ``|<d| U_minus^dag U_plus |d>|`` seen elsewhere in the literature; for
-    the real-rotation construction of :func:`probe_detector_model` (and for
-    any commuting pair) the two agree.  V and K have the stack's leading
-    shape (scalars for a single detector).
+    V and K have the stack's leading shape (scalars for a single detector).
     """
-    if ordering == "primary":
-        op = model.U_minus @ _adjoint(model.U_plus)
-    elif ordering == "adjoint":
-        op = _adjoint(model.U_minus) @ model.U_plus
-    else:
-        raise ValueError(f"unknown ordering {ordering!r}")
+    op = model.U_minus @ _adjoint(model.U_plus)
     v = np.minimum(np.abs(_dot(model.d.conj(), (op @ model.d[..., None])[..., 0])), 1.0)
     # the clamp absorbs ~1e-16 negatives from the subtraction
     k = np.sqrt(np.maximum(0.0, 1.0 - v * v))
@@ -231,16 +223,15 @@ def visibility_from_pattern(
     grid: Grid,
     bin_width: float,
     region: tuple[float, float],
-    anchor_offset: float = 0.0,
 ) -> float:
     """Visibility (Imax - Imin)/(Imax + Imin) at a chosen resolution.
 
     The region is partitioned into contiguous disjoint bins of
-    ``bin_width`` anchored at its left edge (plus ``anchor_offset``); each
-    bin is reduced to its mean intensity and V is computed from the bin
-    means.  ``bin_width == grid.spacing`` recovers the fine-resolution
-    estimator; widths approaching one fringe period average maxima and
-    minima together and drive the estimate toward zero.
+    ``bin_width`` anchored at its left edge, ``region[0]``; each bin is
+    reduced to its mean intensity and V is computed from the bin means.
+    ``bin_width == grid.spacing`` recovers the fine-resolution estimator;
+    widths approaching one fringe period average maxima and minima
+    together and drive the estimate toward zero.
     """
     pattern = np.asarray(pattern, dtype=float)
     if pattern.shape != (grid.n_samples,):
@@ -252,13 +243,12 @@ def visibility_from_pattern(
     check_window(grid, region, "region")
     lo, hi = region
     x = grid.coordinates
-    start = lo + anchor_offset
-    n_bins = int(np.floor((hi - start) / bin_width + 1e-12))
+    n_bins = int(np.floor((hi - lo) / bin_width + 1e-12))
     if n_bins < 2:
         raise ValueError("region covers fewer than two bins")
-    # half-open bins [start + j*bw, start + (j+1)*bw); the half-ulp nudge keeps
+    # half-open bins [lo + j*bw, lo + (j+1)*bw); the half-ulp nudge keeps
     # samples that sit exactly on a bin boundary in the upper bin
-    ratio = (x - start) / bin_width
+    ratio = (x - lo) / bin_width
     idx = np.floor(ratio + 1e-12).astype(int)
     sel = (idx >= 0) & (idx < n_bins)
     sums = np.bincount(idx[sel], weights=pattern[sel], minlength=n_bins)

@@ -35,13 +35,11 @@ from .wavefield import ComplexField
 
 __all__ = [
     "RemnantState",
-    "CollapsedSite",
     "VibrationalDirection",
     "ORTHONORMAL_NOTE",
     "COMPLETENESS_PAIRS",
     "build_remnant",
     "total_pattern",
-    "detect",
     "postselect",
     "completeness_residue",
     "sample_sites",
@@ -89,20 +87,6 @@ class RemnantState:
 
 
 @dataclass(frozen=True)
-class CollapsedSite:
-    """Post-detection state at one site: the remnant vibrational superposition."""
-
-    x: float
-    c_U: complex
-    c_L: complex
-
-    def __post_init__(self) -> None:
-        norm = abs(self.c_U) ** 2 + abs(self.c_L) ** 2
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"collapsed-site norm {norm} differs from 1")
-
-
-@dataclass(frozen=True)
 class VibrationalDirection:
     """Post-selection direction alpha|v_U> + beta|v_L> (unit norm)."""
 
@@ -110,7 +94,8 @@ class VibrationalDirection:
     beta: complex
 
     def __post_init__(self) -> None:
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        # abs(z) * abs(z) is inf where abs(z) ** 2 raises OverflowError
+        norm = abs(self.alpha) * abs(self.alpha) + abs(self.beta) * abs(self.beta)
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"direction norm {norm} differs from 1")
 
@@ -156,21 +141,6 @@ def build_remnant(phi_U: ComplexField, phi_L: ComplexField) -> RemnantState:
 def total_pattern(state: RemnantState) -> np.ndarray:
     """Unconditioned arrival probability per site, |a_x|^2 + |b_x|^2."""
     return np.abs(state.amps_U) ** 2 + np.abs(state.amps_L) ** 2
-
-
-def detect(state: RemnantState, x: float) -> tuple[float, CollapsedSite]:
-    """Arrival probability at site x and the remnant superposition left there."""
-    sites = state.sites
-    idx = int(np.argmin(np.abs(sites - x)))
-    spacing = np.min(np.diff(sites)) if sites.size > 1 else np.inf
-    if abs(sites[idx] - x) > spacing / 2:
-        raise ValueError(f"{x} is not a site of this state")
-    a, b = state.amps_U[idx], state.amps_L[idx]
-    p = float(abs(a) ** 2 + abs(b) ** 2)
-    if p <= 0.0:
-        raise ValueError(f"zero arrival probability at x = {sites[idx]}: no collapse defined")
-    root = np.sqrt(p)
-    return p, CollapsedSite(x=float(sites[idx]), c_U=a / root, c_L=b / root)
 
 
 def postselect(

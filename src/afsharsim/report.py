@@ -18,6 +18,7 @@ from .remnant import COMPLETENESS_PAIRS, ORTHONORMAL_NOTE, completeness_residue
 __all__ = [
     "Report",
     "build_report",
+    "discrimination",
     "render_report",
     "ReportError",
     "POWERS_COLUMNS",
@@ -216,6 +217,17 @@ def _grid_loss(row: dict | None) -> float | None:
     return 1.0 - row["power_after_grid"] / row["power_incident"]
 
 
+def discrimination(p_u: float, p_l: float) -> float | None:
+    """Which-slit contrast |P_U - P_L| / (P_U + P_L) of two window powers.
+
+    None unless P_U + P_L is positive.
+    """
+    total = p_u + p_l
+    if not total > 0:
+        return None
+    return abs(p_u - p_l) / total
+
+
 def _power_verdicts(report: Report) -> None:
     by_key = {(r["scenario"], r["grid"]): r for r in report.power_rows}
     both_in, both_out = by_key.get(("both", "in")), by_key.get(("both", "out"))
@@ -269,9 +281,8 @@ def _power_verdicts(report: Report) -> None:
                 "powers.csv",
             )
         )
-        denom = row["power_window_U"] + row["power_window_L"]
-        if denom > 0:
-            disc = abs(row["power_window_U"] - row["power_window_L"]) / denom
+        disc = discrimination(row["power_window_U"], row["power_window_L"])
+        if disc is not None:
             report.verdicts.append(
                 (
                     f"discrimination ({slit}, grid out): "

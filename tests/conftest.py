@@ -3,11 +3,11 @@ import pytest
 
 from afsharsim import (
     AfsharGeometry,
+    Grid,
     GridState,
     Scenario,
     Slits,
     apparatus,
-    default_grid,
     run_scenario,
 )
 
@@ -19,7 +19,7 @@ def geometry():
 
 @pytest.fixture(scope="session")
 def bench_grid(geometry):
-    return default_grid()
+    return Grid(apparatus.DEFAULT_N_SAMPLES, apparatus.DEFAULT_SPACING)
 
 
 @pytest.fixture(scope="session")

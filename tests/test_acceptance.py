@@ -15,14 +15,13 @@ import numpy as np
 from afsharsim import (
     AfsharGeometry,
     ComplexField,
+    Grid,
     GridState,
     ProbeAmplitudes,
     Scenario,
     Slits,
     VibrationalDirection,
     build_remnant,
-    default_grid,
-    discrimination,
     duality_check,
     fill_factor,
     intensity,
@@ -39,7 +38,9 @@ from afsharsim import (
     vk_from_detector,
     vk_from_probe,
 )
+from afsharsim.apparatus import DEFAULT_N_SAMPLES, DEFAULT_SPACING
 from afsharsim.cli import main as cli_main
+from afsharsim.report import discrimination
 
 ROOT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -106,7 +107,7 @@ def check_discrimination(records) -> None:
         rec = records[(slit, "out")]
         frac = getattr(rec, window) / rec.power_at_detectors
         assert frac >= 0.99, f"{slit} window fraction {frac}"
-        disc = discrimination(rec)
+        disc = discrimination(rec.power_window_U, rec.power_window_L)
         assert disc >= 0.98, f"{slit} discrimination {disc}"
     _report(5, "single-slit runs: >= 99% power in the correct window, discrimination >= 0.98")
 
@@ -129,7 +130,7 @@ def check_fringe_fidelity(records, geometry, grid) -> None:
 
 
 def check_resolution_collapse() -> None:
-    grid = default_grid(n_samples=1024, spacing=5e-6)
+    grid = Grid(n_samples=1024, spacing=5e-6)
     period = 64 * grid.spacing
     pattern = 1.0 + np.cos(2 * np.pi * grid.coordinates / period)
     lo = grid.coordinates[0]
@@ -168,7 +169,7 @@ def check_remnant_completeness(sigma1_fields) -> None:
 
 def check_propagation_soundness() -> None:
     geometry = AfsharGeometry.default()
-    grid = default_grid(n_samples=1024, spacing=5e-6)
+    grid = Grid(n_samples=1024, spacing=5e-6)
     x = grid.coordinates
     rng = np.random.default_rng(7)
     kx = grid.wavenumbers()
@@ -302,7 +303,7 @@ def test_criterion_11_determinism(tmp_path):
 
 def _main() -> int:
     geometry = AfsharGeometry.default()
-    grid = default_grid()
+    grid = Grid(DEFAULT_N_SAMPLES, DEFAULT_SPACING)
     records = {
         (slits.value, grid_state.value): run_scenario(geometry, Scenario(slits, grid_state), grid)
         for slits in Slits

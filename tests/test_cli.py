@@ -264,6 +264,8 @@ class TestDuality:
             (("--period-samples", "7"), "--period-samples applies only to a --pattern"),
             (("--period-samples", "100000"), "--period-samples applies only to a --pattern"),
             (("--probe", "nan,1"), "nan"),
+            # |a|^2 overflows: the norm check must reject it, not raise OverflowError
+            (("--probe", "1e200,0"), "inf"),
         ],
     )
     def test_bad_flag_exits_2_with_one_line(self, tmp_path, capsys, flags, where):
@@ -412,6 +414,7 @@ class TestRemnant:
             ("", ("--seed", "1", "--samples", str(2**40))),
             ("", ("--samples", "5")),
             ("", ("--direction", "nan,1")),
+            ("", ("--direction", "1e200,1")),
         ],
     )
     def test_invalid_config_exits_2_with_one_line(self, tmp_path, capsys, text, flags):
@@ -673,6 +676,17 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             run()
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["simulate", "duality", "remnant"])
+    def test_out_on_regular_file_exits_2_with_one_line(self, tmp_path, capsys, command, under):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "o" if under else taken
+        assert run(command, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert taken.read_text() == "kept\n"
 
     def test_unknown_scenario_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -82,18 +82,6 @@ class TestDetector:
             assert abs(from_probe.V - from_detector.V) < 1e-12
             assert abs(from_probe.K - from_detector.K) < 1e-12
 
-    def test_both_operator_orderings_agree_for_rotations(self):
-        probe = ProbeAmplitudes(0.6, 0.8)
-        model = probe_detector_model(probe)
-        primary = vk_from_detector(model, ordering="primary")
-        adjoint = vk_from_detector(model, ordering="adjoint")
-        assert abs(primary.V - adjoint.V) < 1e-12
-
-    def test_unknown_ordering_rejected(self):
-        model = probe_detector_model(ProbeAmplitudes(1.0, 0.0))
-        with pytest.raises(ValueError, match="ordering"):
-            vk_from_detector(model, ordering="sideways")
-
     def test_complex_amplitudes_rejected_by_rotation_construction(self):
         with pytest.raises(ValueError, match="real"):
             probe_detector_model(ProbeAmplitudes(1j, 0.0))
@@ -111,11 +99,9 @@ class TestDetectorStack:
     def test_matches_per_detector_oracle(self, seed):
         model = random_detector_model(np.random.default_rng(seed), 1000)
         pair = vk_from_detector(model)
-        adjoint = vk_from_detector(model, ordering="adjoint")
         assert pair.V.shape == pair.K.shape == (1000,)
         for i, (d, u_plus, u_minus) in enumerate(zip(model.d, model.U_plus, model.U_minus)):
             assert abs(pair.V[i] - abs(np.vdot(d, u_minus @ u_plus.conj().T @ d))) <= 1e-15
-            assert abs(adjoint.V[i] - abs(np.vdot(d, u_minus.conj().T @ u_plus @ d))) <= 1e-15
         assert np.max(np.abs(pair.V**2 + pair.K**2 - 1.0)) < 1e-12
 
     def test_prefix_does_not_depend_on_stack_size(self):
@@ -252,14 +238,6 @@ class TestBinnedVisibility:
         widths = [j * grid.spacing for j in (1, 2, 4, 8, 16, 32, 64)]
         ladder = [visibility_from_pattern(pattern, grid, w, region) for w in widths]
         assert all(a >= b - 1e-12 for a, b in zip(ladder, ladder[1:]))
-
-    def test_anchor_offset_shifts_bins(self, cosine):
-        grid, period, pattern, region = cosine
-        v0 = visibility_from_pattern(pattern, grid, period / 2, region)
-        v_shift = visibility_from_pattern(
-            pattern, grid, period / 2, region, anchor_offset=period / 4
-        )
-        assert v0 != v_shift
 
     def test_short_region_rejected(self, cosine):
         grid, _, pattern, _ = cosine

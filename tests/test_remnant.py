@@ -2,20 +2,15 @@ import numpy as np
 import pytest
 
 from afsharsim.remnant import (
-    CollapsedSite,
     RemnantState,
     VibrationalDirection,
     build_remnant,
-    detect,
     postselect,
     qubit_analogy,
     sample_sites,
     total_pattern,
 )
 from afsharsim.wavefield import ComplexField, Grid
-
-ROOT_HALF = 1.0 / np.sqrt(2.0)
-
 
 def toy_state(a, b):
     a = np.asarray(a, dtype=complex)
@@ -71,42 +66,6 @@ class TestTotalPattern:
         state = build_remnant(*sigma1_fields)
         p = total_pattern(state)
         np.testing.assert_allclose(p[1:], p[1:][::-1], atol=1e-12)
-
-
-class TestDetect:
-    def test_balanced_site_collapses_to_diagonal(self):
-        state = toy_state([1.0, 1.0], [1.0, 0.0])
-        _, collapsed = detect(state, 0.0)
-        assert collapsed.c_U == pytest.approx(ROOT_HALF, abs=1e-12)
-        assert collapsed.c_L == pytest.approx(ROOT_HALF, abs=1e-12)
-
-    def test_one_sided_site_is_pure(self):
-        state = toy_state([1.0, 1.0], [1.0, 0.0])
-        _, collapsed = detect(state, 1.0)
-        assert collapsed.c_U == pytest.approx(1.0, abs=1e-12)
-        assert collapsed.c_L == 0.0
-
-    def test_probabilities_complete(self, sigma1_fields):
-        state = build_remnant(*sigma1_fields)
-        total = sum(detect(state, x)[0] for x in state.sites[::512])
-        subset = total_pattern(state)[::512].sum()
-        assert total == pytest.approx(subset, abs=1e-12)
-
-    def test_remnant_purity(self):
-        state = toy_state([0.3 + 0.1j, 0.2], [0.15j, 0.9])
-        for x in state.sites:
-            _, collapsed = detect(state, x)
-            assert abs(abs(collapsed.c_U) ** 2 + abs(collapsed.c_L) ** 2 - 1.0) < 1e-12
-
-    def test_dark_site_rejected(self):
-        state = toy_state([1.0, 0.0], [1.0, 0.0])
-        with pytest.raises(ValueError, match="probability"):
-            detect(state, 1.0)
-
-    def test_off_lattice_site_rejected(self):
-        state = toy_state([1.0, 1.0], [0.0, 1.0])
-        with pytest.raises(ValueError, match="site"):
-            detect(state, 7.5)
 
 
 class TestPostselect:
@@ -215,7 +174,3 @@ class TestStateValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             RemnantState(np.array([0.0, 1.0]), np.array([1.0]), np.array([0.0]))
-
-    def test_collapsed_site_norm_enforced(self):
-        with pytest.raises(ValueError):
-            CollapsedSite(0.0, 1.0, 1.0)
