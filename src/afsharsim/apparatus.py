@@ -33,7 +33,18 @@ only those bins.  This is exact to roundoff, because the source spectrum
 is zero beyond k_cut by construction and propagation multiplies each bin
 by a phase, so the sigma1 field's bins beyond k_cut hold only FFT roundoff
 (1e-31 to 2e-31 of its energy).  The wire grid breaks the band limit, so
-``propagate`` stays general.
+``propagate`` stays general.  The minima are refined from the both-slit
+spectrum on the band alone, formed from phi_U's as ``S[i] + S[(n - i) mod n]``
+(phi_L's bin i is phi_U's bin n - i), which are the bits phi_U + phi_L holds
+there.  So a scenario builds phi_L only for ``lower`` and phi_U + phi_L
+only for ``both``, also where it refines the minima (grid in).
+
+The source band's bin indices and their kx depend on the geometry and the
+grid alone, so, like the kernels of ``wavefield``, they are built once and
+cached, read-only, for the last (geometry, grid) pair (both frozen, so the
+key is immutable and a hit returns the bits a miss would build).  Fields,
+minima, the wire grid and records are never cached: every scenario run
+computes them again.
 
 Every stage of a scenario run is checked against the band-limit guard and
 violations raise :class:`BandLimitError` naming the stage: ``source`` on
@@ -48,9 +59,9 @@ every later reader uses the spectrum the field holds (see ``wavefield``):
 
 - ``source``: one ``ifft`` synthesizes the slit from its band spectrum,
   which the source field holds for its guard and the first propagation;
-- ``sigma1``: ``propagate`` takes one ``ifft`` and holds S*H; phi_L holds
+- ``sigma1``: ``propagate`` takes one ``ifft`` and holds H*S; phi_L holds
   the mirrored spectrum and phi_U + phi_L the summed one, which the guard
-  and the minima refinement read;
+  reads, and the minima refinement reads the band bins of phi_U's;
 - ``wire_grid``: one ``fft`` of the masked field serves its guard and the
   propagation to the lens, whose one ``ifft`` holds the spectrum the
   ``lens`` guard reads;
@@ -66,6 +77,7 @@ every guard checks the quantity a fresh FFT would give it.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -77,7 +89,6 @@ from .wavefield import (
     Mask,
     _interpolate,
     _owned,
-    _spectrum,
     apply_mask,
     check_window,
     intensity,
@@ -282,11 +293,16 @@ def _source_cutoffs(geometry: AfsharGeometry, grid: Grid) -> tuple[float, float]
     return _FLAT_FRACTION * k_cut, k_cut
 
 
+@functools.lru_cache(maxsize=1)
 def _source_band(geometry: AfsharGeometry, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The source band, |kx| < k_cut: its bins in FFT order and their kx."""
+    """The source band, |kx| < k_cut: its bin indices in FFT order and their kx.
+
+    Both arrays are read-only and cached for the last (geometry, grid); see
+    the module notes.
+    """
     kx = grid.wavenumbers()
-    band = np.abs(kx) < _source_cutoffs(geometry, grid)[1]
-    return band, kx[band]
+    band = np.flatnonzero(np.abs(kx) < _source_cutoffs(geometry, grid)[1])
+    return _owned(band), _owned(kx[band])
 
 
 def _check_sampling(geometry: AfsharGeometry, grid: Grid) -> None:
@@ -382,14 +398,33 @@ def _mirrored(field: ComplexField) -> ComplexField:
     )
 
 
-def _superposed(phi_u: ComplexField, phi_l: ComplexField) -> ComplexField:
-    """phi_U + phi_L of two fields that hold their spectra, holding the sum's."""
-    return ComplexField(
-        phi_u.grid,
-        _owned(phi_u.amplitudes + phi_l.amplitudes),
-        phi_u.wavelength,
-        _owned(phi_u.spectrum + phi_l.spectrum),
-    )
+def _superposed(phi_u: ComplexField) -> ComplexField:
+    """phi_U + phi_L of phi_U holding its spectrum, holding the sum's.
+
+    Each buffer is the mirror image with phi_U added in place; addition is
+    commutative, so these are the bits of phi_U + phi_L.
+    """
+    amplitudes = _mirror(phi_u.amplitudes)
+    amplitudes += phi_u.amplitudes
+    spectrum = _mirror(phi_u.spectrum)
+    spectrum += phi_u.spectrum
+    return ComplexField(phi_u.grid, _owned(amplitudes), phi_u.wavelength, _owned(spectrum))
+
+
+def _band_superposition(geometry: AfsharGeometry, phi_u: ComplexField) -> np.ndarray:
+    """The source-band bins of the phi_U + phi_L spectrum, from phi_U's held one.
+
+    Bin i of phi_L is bin (n - i) mod n of phi_U, so these are the bits the
+    full superposition holds on the band, with no full-size array built.
+    """
+    band, _ = _source_band(geometry, phi_u.grid)
+    return phi_u.spectrum[band] + phi_u.spectrum[-band % phi_u.grid.n_samples]
+
+
+def _sigma1_upper(geometry: AfsharGeometry, grid: Grid) -> ComplexField:
+    """phi_U: the guarded upper-slit source propagated to sigma1, holding its spectrum."""
+    source = _guarded(_upper_slit(geometry, grid), "source")
+    return propagate(source, geometry.z_slits_to_grid)
 
 
 def sigma1_fields(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, ComplexField]:
@@ -398,12 +433,11 @@ def sigma1_fields(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, C
     Both hold their spectra: phi_U the propagated source band, phi_L its
     mirror image.
     """
-    source = _guarded(_upper_slit(geometry, grid), "source")
-    phi_u = propagate(source, geometry.z_slits_to_grid)
+    phi_u = _sigma1_upper(geometry, grid)
     return phi_u, _mirrored(phi_u)
 
 
-def _refine_minima(geometry: AfsharGeometry, at_sigma1: ComplexField) -> np.ndarray:
+def _refine_minima(geometry: AfsharGeometry, grid: Grid, spectrum: np.ndarray) -> np.ndarray:
     """Interference minima of a both-slit sigma1 field, refined by Newton's method.
 
     Newton iterates on I'(x) = 0 for I = |u|^2, with u the band-limited
@@ -416,20 +450,18 @@ def _refine_minima(geometry: AfsharGeometry, at_sigma1: ComplexField) -> np.ndar
     extremum, or a minimum shallower than ``_MINIMUM_DEPTH`` of its
     neighboring maxima, is not resolvable.
 
-    The interpolant sums only the source-band bins of the field's spectrum
-    (the held one, or one FFT; see the module notes), keeping the full-grid
-    ``1/n`` scale: the field is a propagated slit source, so the bins beyond
-    hold only FFT roundoff and dropping them changes ``u``, ``u'`` and
-    ``u''`` by roundoff only.
+    ``spectrum`` holds the field's spectrum on the source-band bins of
+    :func:`_source_band` only, and the interpolant sums those bins, keeping
+    the full-grid ``1/n`` scale: the field is a propagated slit source, so
+    the bins beyond hold only FFT roundoff and dropping them changes ``u``,
+    ``u'`` and ``u''`` by roundoff only (see the module notes).
     """
     fringe = geometry.fringe_spacing
     half_pairs = geometry.n_wires // 2
-    grid = at_sigma1.grid
     if (half_pairs - 0.5 + _BRACKET_FRINGES) * fringe > grid.coordinate(grid.n_samples - 1):
         raise ValueError(f"fewer than {geometry.n_wires} resolvable minima within the grid")
 
-    band, kx = _source_band(geometry, grid)
-    spectrum = _spectrum(at_sigma1)[band]
+    _, kx = _source_band(geometry, grid)
     x0 = grid.coordinate(0)
 
     def extremum(seed: float, minimum: bool) -> tuple[float, float]:
@@ -480,8 +512,9 @@ def fringe_minima(geometry: AfsharGeometry, grid: Grid) -> np.ndarray:
     The set is symmetric under reflection; the positive-side minima are
     refined and mirrored.
     """
-    both = _guarded(_superposed(*sigma1_fields(geometry, grid)), "sigma1")
-    return _refine_minima(geometry, both)
+    phi_u = _sigma1_upper(geometry, grid)
+    _guarded(_superposed(phi_u), "sigma1")
+    return _refine_minima(geometry, grid, _band_superposition(geometry, phi_u))
 
 
 def build_wire_grid(geometry: AfsharGeometry, minima: np.ndarray, grid: Grid) -> Mask:
@@ -560,12 +593,20 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     for name, window in (("U", window_u), ("L", window_l)):
         label = f"detector window {name} at magnification {geometry.magnification:.4g}"
         check_window(grid, window, label)
-    phi_u, phi_l = sigma1_fields(geometry, grid)
-    both = _superposed(phi_u, phi_l)
-    field = {Slits.UPPER_ONLY: phi_u, Slits.LOWER_ONLY: phi_l}.get(scenario.slits, both)
+    phi_u = _sigma1_upper(geometry, grid)
+    # the minima are refined from the both-slit spectrum on the source band
+    # alone, so a single-slit scenario builds no both-slit field
+    refine = scenario.slits is Slits.BOTH or scenario.grid is GridState.IN
+    band_spectrum = _band_superposition(geometry, phi_u) if refine else None
+    if scenario.slits is Slits.UPPER_ONLY:
+        field = phi_u
+    elif scenario.slits is Slits.LOWER_ONLY:
+        field = _mirrored(phi_u)
+    else:
+        field = _superposed(phi_u)
     # each field pins its samples and its spectrum: release every one as soon
     # as the stage after it is formed, or peak RSS rises
-    del phi_u, phi_l
+    del phi_u
     field = _guarded(field, "sigma1")
 
     def power(profile: np.ndarray) -> float:
@@ -576,18 +617,25 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     power_incident = power(intensity_sigma1)
 
     minima: tuple[float, ...] = ()
-    if scenario.slits is Slits.BOTH or scenario.grid is GridState.IN:
-        minima = tuple(float(p) for p in _refine_minima(geometry, both))
-    del both
+    if refine:
+        minima = tuple(float(p) for p in _refine_minima(geometry, grid, band_spectrum))
+    del band_spectrum
 
     if scenario.grid is GridState.IN:
         wires = build_wire_grid(geometry, np.asarray(minima), grid)
-        field = _guarded(apply_mask(field, wires), "wire_grid")
+        field = apply_mask(field, wires)
+        del wires
+        field = _guarded(field, "wire_grid")
         intensity_sigma1 = intensity(field)
 
-    field = _guarded(propagate(field, geometry.z_grid_to_lens), "lens")
-    field = _guarded(thin_lens(field, geometry.focal_length), "lens_phase")
-    field = _guarded(propagate(field, geometry.z_lens_to_detectors), "sigma2")
+    # each stage's field is bound before its guard runs, which releases the
+    # field before it
+    field = propagate(field, geometry.z_grid_to_lens)
+    field = _guarded(field, "lens")
+    field = thin_lens(field, geometry.focal_length)
+    field = _guarded(field, "lens_phase")
+    field = propagate(field, geometry.z_lens_to_detectors)
+    field = _guarded(field, "sigma2")
     intensity_sigma2 = intensity(field)
 
     record_minima = minima if scenario.slits is Slits.BOTH else ()

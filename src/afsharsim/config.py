@@ -81,4 +81,8 @@ def load_config(path: str | Path | None) -> Config:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config(p.read_text())
+    try:
+        text = p.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {p}: not a text file: {exc}") from None
+    return parse_config(text)

@@ -120,11 +120,14 @@ def _read_csv(
     A label column is a list of strings, of the first ``label_rows`` rows
     when that is given; every other column is one float array of all rows,
     parsed in bulk.  Every line must have the header's field count.
-    Raises ReportError when the header lacks one of the ``required``
-    columns, on a malformed line (naming the first one) and when there are
-    no data rows.
+    Raises ReportError when the file is not text, when the header lacks one
+    of the ``required`` columns, on a malformed line (naming the first one)
+    and when there are no data rows.
     """
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ReportError(f"{path}: not a text file: {exc}") from None
     header = lines[0].split(",") if lines else []
     missing = [name for name in required if name not in header]
     if lines and missing:

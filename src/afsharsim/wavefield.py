@@ -10,7 +10,7 @@ are ratios of that quantity.
 
 A field may hold its spectrum, the FFT of its samples, when the operation
 that made it already computed that spectrum: :func:`propagate` forms
-``S*H`` and returns ``ifft(S*H)`` holding ``S*H``, which equals the FFT of
+``H*S`` and returns ``ifft(H*S)`` holding ``H*S``, which equals the FFT of
 those samples to roundoff.  :func:`propagate` and
 :func:`nyquist_tail_fraction` read a held spectrum and take one FFT only
 when there is none, so a pipeline transforms once per change of domain.
@@ -26,11 +26,27 @@ and owns its memory as it is, and copy anything else (a caller's writeable
 array, or a view, whose base may still be written).  So a producer that
 has just made an array hands it over with :func:`_owned` and no copy is
 taken, while an array from outside is copied once.
+
+Kernels, the factors that depend on the geometry alone, are built once and
+cached, as an FFT library caches its plans: the transfer function of
+:func:`propagate`, keyed by (grid, wavenumber, distance) and holding the
+last three (one bench propagates over three distances), and the factor of
+:func:`thin_lens`, keyed by (grid, wavelength, focal length) and holding the
+last one.  The keys are immutable values (a frozen :class:`Grid` and
+floats), a cached kernel is read-only, and building one reads nothing but
+its key, so a hit returns the very bits a miss would build and no caller
+can tell them apart.  ``propagate`` forms ``H*S`` with the transfer
+function as the first operand (a complex product can round differently
+with its operands swapped) and applies the n/2 + 1 stored bins to the
+upper bins as a reversed view, so no full-length kernel is built.  Fields
+and results are never cached: every call still computes its field, so a
+repeated scenario costs its full arithmetic less the kernel builds.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -210,15 +226,18 @@ def make_plane_wave(grid: Grid, wavelength: float, tilt_angle: float = 0.0) -> C
     return ComplexField(grid, _owned(np.exp(1j * kt * grid.coordinates)), wavelength)
 
 
+# one bench propagates over three distances
+@functools.lru_cache(maxsize=3)
 def _transfer(grid: Grid, k: float, distance: float) -> np.ndarray:
-    """Angular-spectrum transfer function ``exp(i*distance*kz)`` in FFT order.
+    """Angular-spectrum transfer function ``exp(i*distance*kz)`` on bins 0..n/2.
 
-    Zero on evanescent bins (``kx^2 > k^2``).  It is even in kx, so it is
-    computed on the bins 0..n/2 and mirrored onto n/2+1..n-1; the phase
-    factor is filled from ``cos``/``sin``, which gives the same bits as the
-    complex ``exp`` of a purely imaginary argument.  The n/2 + 1 values of
-    kx are built directly (bin n/2 as +n/2 where :meth:`Grid.wavenumbers`
-    has -n/2; only kx^2 is used).
+    Zero on evanescent bins (``kx^2 > k^2``).  It is even in kx, so bins
+    n/2+1..n-1 are bins n/2-1..1 mirrored, and only the n/2 + 1 bins 0..n/2
+    are built and returned, read-only; the phase factor is filled from
+    ``cos``/``sin``, which gives the same bits as the complex ``exp`` of a
+    purely imaginary argument.  The n/2 + 1 values of kx are built directly
+    (bin n/2 as +n/2 where :meth:`Grid.wavenumbers` has -n/2; only kx^2 is
+    used).  Cached: see the module notes.
     """
     n = grid.n_samples
     kx = 2.0 * np.pi * (np.arange(n // 2 + 1) * (1.0 / (n * grid.spacing)))
@@ -228,7 +247,7 @@ def _transfer(grid: Grid, k: float, distance: float) -> np.ndarray:
     half.real = np.cos(phase)
     half.imag = np.sin(phase)
     half[kx * kx > k * k] = 0.0
-    return np.concatenate([half, half[n // 2 - 1 : 0 : -1]])
+    return _owned(half)
 
 
 def propagate(field: ComplexField, distance: float) -> ComplexField:
@@ -242,7 +261,17 @@ def propagate(field: ComplexField, distance: float) -> ComplexField:
     """
     if not np.isfinite(field.amplitudes).all():
         raise ValueError("field contains NaN or infinite amplitudes")
-    spectrum = _owned(_spectrum(field) * _transfer(field.grid, field.wavenumber, distance))
+    n = field.grid.n_samples
+    # -0.0 + 0.0 is 0.0: the two zero distances are one cache key, so they
+    # must give one transfer function
+    half = _transfer(field.grid, field.wavenumber, distance + 0.0)
+    source = _spectrum(field)
+    # H*S with the transfer function first, bin by bin, on the built half and
+    # on its mirror image
+    spectrum = np.empty(n, dtype=np.complex128)
+    np.multiply(half, source[: n // 2 + 1], out=spectrum[: n // 2 + 1])
+    np.multiply(half[n // 2 - 1 : 0 : -1], source[n // 2 + 1 :], out=spectrum[n // 2 + 1 :])
+    spectrum = _owned(spectrum)
     return ComplexField(field.grid, _owned(np.fft.ifft(spectrum)), field.wavelength, spectrum)
 
 
@@ -253,6 +282,21 @@ def apply_mask(field: ComplexField, mask: Mask) -> ComplexField:
     return field.with_amplitudes(_owned(field.amplitudes * mask.transmission))
 
 
+@functools.lru_cache(maxsize=1)
+def _lens_factor(grid: Grid, wavelength: float, focal_length: float) -> np.ndarray:
+    """The thin-lens factor ``exp(-i*pi*x^2/(lambda*f))`` on the grid, read-only.
+
+    Filled from ``cos``/``sin``, the same bits as the complex ``exp`` of the
+    purely imaginary phase.  Cached: see the module notes.
+    """
+    x = grid.coordinates
+    phase = -np.pi * x * x / (wavelength * focal_length)
+    factor = np.empty(x.shape, dtype=np.complex128)
+    factor.real = np.cos(phase)
+    factor.imag = np.sin(phase)
+    return _owned(factor)
+
+
 def thin_lens(field: ComplexField, focal_length: float) -> ComplexField:
     """Ideal thin lens: quadratic phase ``exp(-i*pi*x^2/(lambda*f))``.
 
@@ -260,11 +304,7 @@ def thin_lens(field: ComplexField, focal_length: float) -> ComplexField:
     """
     if focal_length == 0:
         raise ValueError("focal length must be nonzero")
-    x = field.grid.coordinates
-    phase = -np.pi * x * x / (field.wavelength * focal_length)
-    factor = np.empty(x.shape, dtype=np.complex128)
-    factor.real = np.cos(phase)
-    factor.imag = np.sin(phase)
+    factor = _lens_factor(field.grid, field.wavelength, focal_length)
     return field.with_amplitudes(_owned(field.amplitudes * factor))
 
 

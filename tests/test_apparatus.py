@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from afsharsim import apparatus, wavefield
 from afsharsim.apparatus import (
     AfsharGeometry,
     _refine_minima,
+    _source_band,
     _source_cutoffs,
     BandLimitError,
     GridState,
@@ -38,6 +40,11 @@ from afsharsim.report import discrimination
 
 DEFAULT_GRID = Grid(DEFAULT_N_SAMPLES, DEFAULT_SPACING)
 FINE_GRID = Grid(2**16, 1.25e-6)
+
+
+def band_bins(geometry, field):
+    """The source-band bins of a fresh FFT of the field's samples."""
+    return np.fft.fft(field.amplitudes)[_source_band(geometry, field.grid)[0]]
 
 
 class TestGeometry:
@@ -147,7 +154,7 @@ class TestFringeMinima:
     def test_single_slit_field_has_no_resolvable_minima(self, geometry, sigma1_fields):
         upper, _ = sigma1_fields
         with pytest.raises(ValueError, match="not resolvable"):
-            _refine_minima(geometry, upper)
+            _refine_minima(geometry, upper.grid, band_bins(geometry, upper))
 
     def test_shallow_minima_fail_depth_guard(self, geometry, sigma1_fields):
         # unbalanced slits: the fringes exist but their minima sit near
@@ -155,7 +162,7 @@ class TestFringeMinima:
         upper, lower = sigma1_fields
         unbalanced = upper.with_amplitudes(upper.amplitudes + 0.9 * lower.amplitudes)
         with pytest.raises(ValueError, match="not resolvable: intensity is .* of the neighboring"):
-            _refine_minima(geometry, unbalanced)
+            _refine_minima(geometry, unbalanced.grid, band_bins(geometry, unbalanced))
 
     def test_unreachable_minima_raise_diagnostic(self, geometry, bench_grid):
         # minima pushed far outside the box trip the guard chain one way or
@@ -214,6 +221,22 @@ class TestSourceBand:
         # synthesis fills the same bins: the mask's spectrum beyond them is roundoff
         spectrum = np.abs(np.fft.fft(slit_mask(geometry, bench_grid).transmission))
         assert np.max(spectrum[~band]) <= 1e-13 * np.max(spectrum)
+
+    def test_cached_band_is_the_uncached_build_and_read_only(self, geometry, bench_grid):
+        cached = _source_band(geometry, bench_grid)
+        assert _source_band(geometry, bench_grid) is cached
+        for kept, fresh in zip(cached, _source_band.__wrapped__(geometry, bench_grid)):
+            np.testing.assert_array_equal(kept, fresh)
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 1
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_band_superposition_is_the_full_superposition_on_the_band(self, geometry, grid):
+        phi_u = apparatus._sigma1_upper(geometry, grid)
+        band, _ = _source_band(geometry, grid)
+        full = apparatus._superposed(phi_u).spectrum[band]
+        got = apparatus._band_superposition(geometry, phi_u)
+        np.testing.assert_array_equal(got.view(float), full.view(float))
 
 
 class TestWireGrid:
@@ -447,6 +470,27 @@ class TestSuperposition:
         }
         assert transforms == {"fft": 1 + wire_masks, "ifft": 4}
         assert copies == []
+
+
+class TestMemory:
+    @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
+    @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
+    def test_scenario_peak_allocation_on_the_fine_grid(self, geometry, slits, state):
+        # a 2^16 field is 1 MiB of samples and 1 MiB of spectrum.  At its
+        # peak, inside a propagation, a scenario holds the field it
+        # propagates, the new spectrum, its ifft and the 0.5 MiB sigma1
+        # profile (4.6 MiB): no both-slit field it does not carry, no wire
+        # mask past its use and no field a later stage has replaced.  The
+        # first run fills the kernel caches, which outlive the call
+        scenario = Scenario(slits, state)
+        run_scenario(geometry, scenario, FINE_GRID)
+        tracemalloc.start()
+        try:
+            run_scenario(geometry, scenario, FINE_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestHeldSpectra:

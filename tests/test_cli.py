@@ -688,6 +688,31 @@ class TestUsage:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert taken.read_text() == "kept\n"
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("simulate --config", "bench.cfg"),
+            ("duality --pattern", "pattern.csv"),
+            ("report", "powers.csv"),
+            ("simulate", "powers.csv"),
+        ],
+    )
+    def test_undecodable_input_exits_2_with_one_line(self, tmp_path, capsys, command, name):
+        # a file holding the byte 0xff, which no UTF-8 text holds; powers.csv
+        # is read from the output directory, the other files are named
+        out = tmp_path / "o"
+        out.mkdir()
+        in_out = name == "powers.csv"
+        path = (out if in_out else tmp_path) / name
+        path.write_bytes(b"x_m,intensity\n0.0,\xff\n")
+        argv = command.split() + ([] if in_out else [str(path)])
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err and "Traceback" not in err
+        # nothing is written
+        assert [p.name for p in out.iterdir()] == ([name] if in_out else [])
+
     def test_unknown_scenario_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run("simulate", "--scenario", "middle", "--out", str(tmp_path))

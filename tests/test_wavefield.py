@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from afsharsim.wavefield import (
     ComplexField,
     _interpolate,
+    _lens_factor,
     _transfer,
     FieldFlagWarning,
     check_window,
@@ -25,6 +26,15 @@ WAVELENGTH = 650e-9
 
 def small_grid(n=1024, dx=5e-6):
     return Grid(n_samples=n, spacing=dx)
+
+
+def direct_transfer(grid, distance):
+    """Full-length ``exp(i*distance*kz)`` with evanescent bins zeroed, and the propagating mask."""
+    k = 2 * np.pi / WAVELENGTH
+    kx = grid.wavenumbers()
+    propagating = kx * kx <= k * k
+    kz = np.sqrt(np.maximum(k * k - kx * kx, 0.0))
+    return np.where(propagating, np.exp(1j * distance * kz), 0.0), propagating
 
 
 def band_limited_field(grid, seed, cut_fraction=0.25):
@@ -293,7 +303,7 @@ class TestHeldSpectrum:
         got = propagate(held, distance)
         peak = np.max(np.abs(expected.amplitudes))
         assert np.max(np.abs(got.amplitudes - expected.amplitudes)) <= 1e-14 * peak
-        # the result holds S*H, which is the FFT of its samples to roundoff
+        # the result holds H*S, which is the FFT of its samples to roundoff
         monkeypatch.undo()
         fresh = np.fft.fft(got.amplitudes)
         assert np.max(np.abs(got.spectrum - fresh)) <= 1e-12 * np.max(np.abs(fresh))
@@ -305,14 +315,59 @@ class TestHeldSpectrum:
     )
     @pytest.mark.parametrize("distance", [1.0, 0.7499999999999999, -0.3])
     def test_half_built_transfer_function_is_the_direct_build(self, grid, evanescent, distance):
+        # the n/2 + 1 built bins are bins 0..n/2 of the full-length direct
+        # build, and read backwards from n/2 - 1 they are bins n/2+1..n-1
+        n = grid.n_samples
         k = 2 * np.pi / WAVELENGTH
-        kx = grid.wavenumbers()
-        propagating = kx * kx <= k * k
-        kz = np.sqrt(np.maximum(k * k - kx * kx, 0.0))
-        direct = np.where(propagating, np.exp(1j * distance * kz), 0.0)
+        direct, propagating = direct_transfer(grid, distance)
         assert np.count_nonzero(~propagating) == evanescent
-        got = _transfer(grid, k, distance)
-        np.testing.assert_array_equal(got.view(float), direct.view(float))
+        half = _transfer(grid, k, distance)
+        assert half.shape == (n // 2 + 1,)
+        np.testing.assert_array_equal(half.view(float), direct[: n // 2 + 1].view(float))
+        mirrored = np.array(half[n // 2 - 1 : 0 : -1])
+        np.testing.assert_array_equal(mirrored.view(float), direct[n // 2 + 1 :].view(float))
+
+
+class TestKernelCache:
+    """Geometry-only kernels are built once per key, and a hit is a miss's bits."""
+
+    GRIDS = [Grid(2**14, 5e-6), Grid(2**16, 1.25e-6), Grid(2**12, 2e-7)]
+    IDS = ["2^14", "2^16", "2^12-evanescent"]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+    def test_cached_kernels_are_the_uncached_builds_and_read_only(self, grid):
+        k = 2 * np.pi / WAVELENGTH
+        for cached, args in ((_transfer, (grid, k, 0.75)), (_lens_factor, (grid, WAVELENGTH, 0.5))):
+            first, again = cached(*args), cached(*args)
+            assert again is first
+            fresh = cached.__wrapped__(*args)
+            assert fresh is not first
+            np.testing.assert_array_equal(first.view(float), fresh.view(float))
+            with pytest.raises(ValueError, match="read-only"):
+                first[0] = 0.0
+
+    def test_negative_zero_distance_caches_the_zero_distance_kernel(self):
+        # 0.0 and -0.0 are one cache key, and their builds differ in the sign
+        # of zero phases; propagate asks for +0.0 either way, so the kernel
+        # kept under the key is the +0.0 build, whichever call came first
+        grid = Grid(512, 3e-6)  # a key no other test builds
+        field = band_limited_field(grid, seed=24)
+        propagate(field, -0.0)
+        cached = _transfer(grid, field.wavenumber, 0.0)
+        fresh = _transfer.__wrapped__(grid, field.wavenumber, 0.0)
+        np.testing.assert_array_equal(cached.view(np.uint64), fresh.view(np.uint64))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+    @pytest.mark.parametrize("distance", [1.0, -0.3])
+    def test_propagate_is_the_direct_full_length_product(self, grid, distance):
+        # H*S with a full-length H built directly: the same operand order,
+        # bin by bin, whether H's upper bins are built or read as the
+        # reversed half, so the bits agree on every grid
+        field = band_limited_field(grid, seed=25).with_spectrum()
+        direct, _ = direct_transfer(grid, distance)
+        expected = np.fft.ifft(direct * field.spectrum)
+        got = propagate(field, distance).amplitudes
+        np.testing.assert_array_equal(got.view(float), expected.view(float))
 
 
 class TestThinLens:
