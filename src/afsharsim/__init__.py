@@ -1,6 +1,6 @@
 """Wave-optics bench for the Afshar two-slit experiment.
 
-Subpackages:
+Modules:
 
 * :mod:`afsharsim.wavefield` -- sampled scalar fields and the elementary
   optical transforms (angular-spectrum propagation, masks, thin lens);
@@ -10,6 +10,9 @@ Subpackages:
   resolution-dependent visibility estimator;
 * :mod:`afsharsim.remnant` -- the unitary screen model with vibrational
   post-selection, and the spin pre/post-selection analogy;
+* :mod:`afsharsim.config` -- the flat ``key = value`` configuration files
+  and their defaults;
+* :mod:`afsharsim.report` -- the verdicts recomputed from the CSV outputs;
 * :mod:`afsharsim.cli` -- the ``afsharsim`` command line front end.
 """
 
@@ -27,7 +30,6 @@ from .apparatus import (
     imaging_distance,
     run_scenario,
     sigma1_fields,
-    slit_mask,
 )
 from .duality import (
     DetectorModel,

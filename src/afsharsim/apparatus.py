@@ -27,24 +27,20 @@ propagation preserves it, so both slits are exactly phi_U + phi_L there.
 The scale max(|upper| + |mirror(upper)|) keeps the slit pair passive.
 
 Synthesis and minima refinement work only on the source band, the bins
-with |kx| < k_cut: the slit spectrum is evaluated there and scattered
-into a zero spectrum, and the interpolant that refines the minima sums
-only those bins.  This is exact to roundoff, because the source spectrum
-is zero beyond k_cut by construction and propagation multiplies each bin
-by a phase, so the sigma1 field's bins beyond k_cut hold only FFT roundoff
+with |kx| < k_cut: in FFT order two runs, 0..m-1 and n-m+1..n-1, whose kx
+are built directly.  The slit spectrum is evaluated there and written into
+a zero spectrum, and the interpolant that refines the minima sums only
+those bins.  This is exact to roundoff, because the source spectrum is
+zero beyond k_cut by construction and propagation multiplies each bin by a
+phase, so the sigma1 field's bins beyond k_cut hold only FFT roundoff
 (1e-31 to 2e-31 of its energy).  The wire grid breaks the band limit, so
-``propagate`` stays general.  The minima are refined from the both-slit
-spectrum on the band alone, formed from phi_U's as ``S[i] + S[(n - i) mod n]``
-(phi_L's bin i is phi_U's bin n - i), which are the bits phi_U + phi_L holds
-there.  So a scenario builds phi_L only for ``lower`` and phi_U + phi_L
-only for ``both``, also where it refines the minima (grid in).
-
-The source band's bin indices and their kx depend on the geometry and the
-grid alone, so, like the kernels of ``wavefield``, they are built once and
-cached, read-only, for the last (geometry, grid) pair (both frozen, so the
-key is immutable and a hit returns the bits a miss would build).  Fields,
-minima, the wire grid and records are never cached: every scenario run
-computes them again.
+``propagate`` stays general.  One sigma1 stage serves ``run_scenario``,
+``fringe_minima`` and ``sigma1_fields``: it carries phi_U, phi_L or
+phi_U + phi_L, and with it the both-slit band bins the minima are refined
+from, ``b + mirror(b)`` for phi_U's band bins b (phi_L's bin i is phi_U's
+bin n - i, and the mirror map swaps the two runs), the bits phi_U + phi_L
+holds there.  So a scenario builds phi_L only for ``lower`` and
+phi_U + phi_L only for ``both``.  Nothing in this module is cached.
 
 Every stage of a scenario run is checked against the band-limit guard and
 violations raise :class:`BandLimitError` naming the stage: ``source`` on
@@ -61,7 +57,8 @@ every later reader uses the spectrum the field holds (see ``wavefield``):
   which the source field holds for its guard and the first propagation;
 - ``sigma1``: ``propagate`` takes one ``ifft`` and holds H*S; phi_L holds
   the mirrored spectrum and phi_U + phi_L the summed one, which the guard
-  reads, and the minima refinement reads the band bins of phi_U's;
+  reads, and the minima refinement reads phi_U + phi_L's band bins, summed
+  from phi_U's;
 - ``wire_grid``: one ``fft`` of the masked field serves its guard and the
   propagation to the lens, whose one ``ifft`` holds the spectrum the
   ``lens`` guard reads;
@@ -77,7 +74,6 @@ every guard checks the quantity a fresh FFT would give it.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -87,8 +83,10 @@ from .wavefield import (
     ComplexField,
     Grid,
     Mask,
+    _frozen,
     _interpolate,
     _owned,
+    _wavenumbers,
     apply_mask,
     check_window,
     intensity,
@@ -108,7 +106,6 @@ __all__ = [
     "DEFAULT_N_SAMPLES",
     "DEFAULT_SPACING",
     "imaging_distance",
-    "slit_mask",
     "sigma1_fields",
     "fringe_minima",
     "build_wire_grid",
@@ -267,8 +264,7 @@ class SimulationRecord:
     def __post_init__(self) -> None:
         for arr_name in ("intensity_sigma1", "intensity_sigma2"):
             arr = np.asarray(getattr(self, arr_name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, arr_name, arr)
+            object.__setattr__(self, arr_name, _frozen(arr))
 
 
 def imaging_distance(object_distance: float, focal_length: float) -> float:
@@ -293,16 +289,16 @@ def _source_cutoffs(geometry: AfsharGeometry, grid: Grid) -> tuple[float, float]
     return _FLAT_FRACTION * k_cut, k_cut
 
 
-@functools.lru_cache(maxsize=1)
-def _source_band(geometry: AfsharGeometry, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The source band, |kx| < k_cut: its bin indices in FFT order and their kx.
+def _source_band(geometry: AfsharGeometry, grid: Grid) -> np.ndarray:
+    """kx of the source band, the bits of ``grid.wavenumbers()[|kx| < k_cut]``.
 
-    Both arrays are read-only and cached for the last (geometry, grid); see
-    the module notes.
+    Bins 0..m-1, built up to one bin past the cutoff, then bins n-m+1..n-1,
+    which hold the kx of bins m-1..1 negated.
     """
-    kx = grid.wavenumbers()
-    band = np.flatnonzero(np.abs(kx) < _source_cutoffs(geometry, grid)[1])
-    return _owned(band), _owned(kx[band])
+    k_cut = _source_cutoffs(geometry, grid)[1]
+    kx = _wavenumbers(grid, int(k_cut * grid.extent / (2.0 * np.pi)) + 2)
+    positive = kx[: np.searchsorted(kx, k_cut)]
+    return np.concatenate((positive, -positive[:0:-1]))
 
 
 def _check_sampling(geometry: AfsharGeometry, grid: Grid) -> None:
@@ -356,7 +352,7 @@ def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> ComplexField:
     """
     _check_sampling(geometry, grid)
     k_flat, k_cut = _source_cutoffs(geometry, grid)
-    band, kx = _source_band(geometry, grid)
+    kx = _source_band(geometry, grid)
     a = geometry.slit_width
     spectrum = a * np.sinc(kx * a / (2.0 * np.pi)) * np.exp(-0.5j * kx * geometry.slit_separation)
 
@@ -364,8 +360,11 @@ def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> ComplexField:
     roll = np.cos(0.5 * np.pi * (akx - k_flat) / (k_cut - k_flat)) ** 2
     spectrum *= np.where(akx <= k_flat, 1.0, roll)
 
-    full = np.zeros(grid.n_samples, dtype=complex)
-    full[band] = spectrum * np.exp(1j * kx * grid.coordinate(0))
+    spectrum *= np.exp(1j * kx * grid.coordinate(0))
+    n, m = grid.n_samples, (kx.size + 1) // 2
+    full = np.zeros(n, dtype=complex)
+    full[:m] = spectrum[:m]
+    full[n - m + 1 :] = spectrum[m:]
     upper = np.fft.ifft(full).real / grid.spacing
     full /= grid.spacing
     peak = np.max(np.abs(upper) + np.abs(_mirror(upper)))
@@ -376,65 +375,45 @@ def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> ComplexField:
     return ComplexField(grid, samples, geometry.wavelength, _owned(full))
 
 
-def slit_mask(geometry: AfsharGeometry, grid: Grid) -> Mask:
-    """Transmission profile of the upper slit, on the slit pair's scale.
+def _carried(phi_u: ComplexField, slits: Slits) -> ComplexField:
+    """phi_U, its mirror image phi_L, or phi_U + phi_L, each holding its spectrum.
 
-    Built in the frequency domain: a rectangular-aperture spectrum times a
-    raised-cosine low-pass window, evaluated only on the source band and
-    scattered into zeros, so the profile is real and its sampled spectrum
-    vanishes identically beyond the band.  The lower slit is its mirror
-    image, and the two sum to at most 1 in magnitude (see the module notes).
+    The sum is the mirror image with phi_U added in place: the bits of
+    phi_U + phi_L, since addition is commutative.
     """
-    return Mask(grid, _upper_slit(geometry, grid).amplitudes)
-
-
-def _mirrored(field: ComplexField) -> ComplexField:
-    """The mirror image x -> -x of a field that holds its spectrum."""
-    return ComplexField(
-        field.grid,
-        _owned(_mirror(field.amplitudes)),
-        field.wavelength,
-        _owned(_mirror(field.spectrum)),
-    )
-
-
-def _superposed(phi_u: ComplexField) -> ComplexField:
-    """phi_U + phi_L of phi_U holding its spectrum, holding the sum's.
-
-    Each buffer is the mirror image with phi_U added in place; addition is
-    commutative, so these are the bits of phi_U + phi_L.
-    """
+    if slits is Slits.UPPER_ONLY:
+        return phi_u
     amplitudes = _mirror(phi_u.amplitudes)
-    amplitudes += phi_u.amplitudes
     spectrum = _mirror(phi_u.spectrum)
-    spectrum += phi_u.spectrum
+    if slits is Slits.BOTH:
+        amplitudes += phi_u.amplitudes
+        spectrum += phi_u.spectrum
     return ComplexField(phi_u.grid, _owned(amplitudes), phi_u.wavelength, _owned(spectrum))
 
 
-def _band_superposition(geometry: AfsharGeometry, phi_u: ComplexField) -> np.ndarray:
-    """The source-band bins of the phi_U + phi_L spectrum, from phi_U's held one.
+def _sigma1(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> tuple[ComplexField, np.ndarray]:
+    """The field ``slits`` carries at sigma1, guarded there, and phi_U + phi_L's band bins.
 
-    Bin i of phi_L is bin (n - i) mod n of phi_U, so these are the bits the
-    full superposition holds on the band, with no full-size array built.
+    The one upper-slit source is guarded at ``source`` and propagated to
+    phi_U; the bins, in the order of :func:`_source_band`, are the same
+    whichever field is carried.
     """
-    band, _ = _source_band(geometry, phi_u.grid)
-    return phi_u.spectrum[band] + phi_u.spectrum[-band % phi_u.grid.n_samples]
-
-
-def _sigma1_upper(geometry: AfsharGeometry, grid: Grid) -> ComplexField:
-    """phi_U: the guarded upper-slit source propagated to sigma1, holding its spectrum."""
-    source = _guarded(_upper_slit(geometry, grid), "source")
-    return propagate(source, geometry.z_slits_to_grid)
+    phi_u = propagate(_guarded(_upper_slit(geometry, grid), "source"), geometry.z_slits_to_grid)
+    n, m = grid.n_samples, (_source_band(geometry, grid).size + 1) // 2
+    band = np.concatenate((phi_u.spectrum[:m], phi_u.spectrum[n - m + 1 :]))
+    band += _mirror(band)
+    field = _carried(phi_u, slits)
+    del phi_u  # released before the guard's temporaries are made
+    return _guarded(field, "sigma1"), band
 
 
 def sigma1_fields(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, ComplexField]:
-    """Fields (phi_U, phi_L) at sigma1 behind each slit alone; callers guard sigma1.
+    """Fields (phi_U, phi_L) at sigma1 behind each slit alone, holding their spectra.
 
-    Both hold their spectra: phi_U the propagated source band, phi_L its
-    mirror image.
+    phi_U is guarded at sigma1; phi_L is its mirror image, with the same bins.
     """
-    phi_u = _sigma1_upper(geometry, grid)
-    return phi_u, _mirrored(phi_u)
+    phi_u, _ = _sigma1(geometry, grid, Slits.UPPER_ONLY)
+    return phi_u, _carried(phi_u, Slits.LOWER_ONLY)
 
 
 def _refine_minima(geometry: AfsharGeometry, grid: Grid, spectrum: np.ndarray) -> np.ndarray:
@@ -450,8 +429,8 @@ def _refine_minima(geometry: AfsharGeometry, grid: Grid, spectrum: np.ndarray) -
     extremum, or a minimum shallower than ``_MINIMUM_DEPTH`` of its
     neighboring maxima, is not resolvable.
 
-    ``spectrum`` holds the field's spectrum on the source-band bins of
-    :func:`_source_band` only, and the interpolant sums those bins, keeping
+    ``spectrum`` holds the field's spectrum on the source-band bins only,
+    in the order of :func:`_source_band`, and the interpolant sums them, keeping
     the full-grid ``1/n`` scale: the field is a propagated slit source, so
     the bins beyond hold only FFT roundoff and dropping them changes ``u``,
     ``u'`` and ``u''`` by roundoff only (see the module notes).
@@ -461,7 +440,7 @@ def _refine_minima(geometry: AfsharGeometry, grid: Grid, spectrum: np.ndarray) -
     if (half_pairs - 0.5 + _BRACKET_FRINGES) * fringe > grid.coordinate(grid.n_samples - 1):
         raise ValueError(f"fewer than {geometry.n_wires} resolvable minima within the grid")
 
-    _, kx = _source_band(geometry, grid)
+    kx = _source_band(geometry, grid)
     x0 = grid.coordinate(0)
 
     def extremum(seed: float, minimum: bool) -> tuple[float, float]:
@@ -512,9 +491,7 @@ def fringe_minima(geometry: AfsharGeometry, grid: Grid) -> np.ndarray:
     The set is symmetric under reflection; the positive-side minima are
     refined and mirrored.
     """
-    phi_u = _sigma1_upper(geometry, grid)
-    _guarded(_superposed(phi_u), "sigma1")
-    return _refine_minima(geometry, grid, _band_superposition(geometry, phi_u))
+    return _refine_minima(geometry, grid, _sigma1(geometry, grid, Slits.BOTH)[1])
 
 
 def build_wire_grid(geometry: AfsharGeometry, minima: np.ndarray, grid: Grid) -> Mask:
@@ -593,50 +570,36 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     for name, window in (("U", window_u), ("L", window_l)):
         label = f"detector window {name} at magnification {geometry.magnification:.4g}"
         check_window(grid, window, label)
-    phi_u = _sigma1_upper(geometry, grid)
-    # the minima are refined from the both-slit spectrum on the source band
-    # alone, so a single-slit scenario builds no both-slit field
-    refine = scenario.slits is Slits.BOTH or scenario.grid is GridState.IN
-    band_spectrum = _band_superposition(geometry, phi_u) if refine else None
-    if scenario.slits is Slits.UPPER_ONLY:
-        field = phi_u
-    elif scenario.slits is Slits.LOWER_ONLY:
-        field = _mirrored(phi_u)
-    else:
-        field = _superposed(phi_u)
-    # each field pins its samples and its spectrum: release every one as soon
-    # as the stage after it is formed, or peak RSS rises
-    del phi_u
-    field = _guarded(field, "sigma1")
+    field, band = _sigma1(geometry, grid, scenario.slits)
 
     def power(profile: np.ndarray) -> float:
         # the whole-grid total_power of the field this intensity profile is of
         return float(np.sum(profile) * grid.spacing)
 
-    intensity_sigma1 = intensity(field)
+    intensity_sigma1 = _owned(intensity(field))
     power_incident = power(intensity_sigma1)
 
     minima: tuple[float, ...] = ()
-    if refine:
-        minima = tuple(float(p) for p in _refine_minima(geometry, grid, band_spectrum))
-    del band_spectrum
+    if scenario.slits is Slits.BOTH or scenario.grid is GridState.IN:
+        minima = tuple(float(p) for p in _refine_minima(geometry, grid, band))
+    del band
 
     if scenario.grid is GridState.IN:
         wires = build_wire_grid(geometry, np.asarray(minima), grid)
         field = apply_mask(field, wires)
         del wires
         field = _guarded(field, "wire_grid")
-        intensity_sigma1 = intensity(field)
+        intensity_sigma1 = _owned(intensity(field))
 
-    # each stage's field is bound before its guard runs, which releases the
-    # field before it
+    # each field pins its samples and its spectrum: each stage's field is
+    # bound before its guard runs, which releases the field before it
     field = propagate(field, geometry.z_grid_to_lens)
     field = _guarded(field, "lens")
     field = thin_lens(field, geometry.focal_length)
     field = _guarded(field, "lens_phase")
     field = propagate(field, geometry.z_lens_to_detectors)
     field = _guarded(field, "sigma2")
-    intensity_sigma2 = intensity(field)
+    intensity_sigma2 = _owned(intensity(field))
 
     record_minima = minima if scenario.slits is Slits.BOTH else ()
     return SimulationRecord(

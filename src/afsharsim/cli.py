@@ -154,6 +154,10 @@ def cmd_duality(args: argparse.Namespace) -> int:
         raise ConfigError("--period-samples applies only to a --pattern file")
     period_samples = 64 if args.period_samples is None else args.period_samples
     _check_count(period_samples, "--period-samples", low=1)
+    # the file name is the source field of its vk.csv row
+    name = Path(args.pattern).name if args.pattern else ""
+    if any(c in name for c in ",\r\n"):
+        raise ConfigError(f"--pattern file name {name!r}: a comma or line break splits vk.csv")
     rows: list[str] = [",".join(VK_COLUMNS)]
     deviations: list[float] = [0.0]  # max |V^2+K^2-1| of each add_rows call
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavefield import ComplexField, FieldFlagWarning, Grid, check_window
+from .wavefield import ComplexField, FieldFlagWarning, Grid, _frozen, _owned, check_window
 
 __all__ = [
     "ProbeAmplitudes",
@@ -81,10 +81,8 @@ class DetectorModel:
                 raise ValueError(f"{name} has shape {u.shape}, expected {d.shape[:-1] + (2, 2)}")
             dev = np.max(np.abs(_adjoint(u) @ u - ident), axis=(-2, -1))
             _reject(dev, f"{name} is not unitary to {_NORM_TOL}: max|U^dag U - I| = {{}}")
-            u.flags.writeable = False
-            mats.append(u)
-        d.flags.writeable = False
-        object.__setattr__(self, "d", d)
+            mats.append(_frozen(u))
+        object.__setattr__(self, "d", _frozen(d))
         object.__setattr__(self, "U_plus", mats[0])
         object.__setattr__(self, "U_minus", mats[1])
 
@@ -206,12 +204,12 @@ def random_detector_model(rng: np.random.Generator, n: int) -> DetectorModel:
     """
     z = rng.normal(size=(n, 20))
     re, im = z[:, 0:2], z[:, 2:4]
-    d = (re + 1j * im) / np.sqrt(_dot(re, re) + _dot(im, im))[:, None]
+    d = _owned((re + 1j * im) / np.sqrt(_dot(re, re) + _dot(im, im))[:, None])
 
     def haar_unitaries(block: np.ndarray) -> np.ndarray:
         q, r = np.linalg.qr((block[:, :4] + 1j * block[:, 4:]).reshape(n, 2, 2))
         diag = np.diagonal(r, axis1=-2, axis2=-1)
-        return q * (diag / np.abs(diag))[..., None, :]
+        return _owned(q * (diag / np.abs(diag))[..., None, :])
 
     return DetectorModel(
         d=d, U_plus=haar_unitaries(z[:, 4:12]), U_minus=haar_unitaries(z[:, 12:20])

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .wavefield import ComplexField
+from .wavefield import ComplexField, _frozen, _owned
 
 __all__ = [
     "RemnantState",
@@ -82,8 +82,7 @@ class RemnantState:
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm {norm} differs from 1 beyond {_NORM_TOL}")
         for name, arr in (("sites", sites), ("amps_U", a), ("amps_L", b)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def build_remnant(phi_U: ComplexField, phi_L: ComplexField) -> RemnantState:
     if norm <= 0.0:
         raise ValueError("both slit fields are zero; no state to build")
     scale = 1.0 / np.sqrt(norm)
-    return RemnantState(phi_U.grid.coordinates, a * scale, b * scale)
+    return RemnantState(_owned(phi_U.grid.coordinates), _owned(a * scale), _owned(b * scale))
 
 
 def total_pattern(state: RemnantState) -> np.ndarray:

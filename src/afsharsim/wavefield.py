@@ -226,6 +226,14 @@ def make_plane_wave(grid: Grid, wavelength: float, tilt_angle: float = 0.0) -> C
     return ComplexField(grid, _owned(np.exp(1j * kt * grid.coordinates)), wavelength)
 
 
+def _wavenumbers(grid: Grid, count: int) -> np.ndarray:
+    """kx of bins 0..count-1 by ``np.fft.fftfreq``'s formula, so :meth:`Grid.wavenumbers`'s bits.
+
+    Bin n/2 comes out as +n/2 where :meth:`Grid.wavenumbers` has -n/2.
+    """
+    return 2.0 * np.pi * (np.arange(count) * (1.0 / (grid.n_samples * grid.spacing)))
+
+
 # one bench propagates over three distances
 @functools.lru_cache(maxsize=3)
 def _transfer(grid: Grid, k: float, distance: float) -> np.ndarray:
@@ -235,15 +243,13 @@ def _transfer(grid: Grid, k: float, distance: float) -> np.ndarray:
     n/2+1..n-1 are bins n/2-1..1 mirrored, and only the n/2 + 1 bins 0..n/2
     are built and returned, read-only; the phase factor is filled from
     ``cos``/``sin``, which gives the same bits as the complex ``exp`` of a
-    purely imaginary argument.  The n/2 + 1 values of kx are built directly
-    (bin n/2 as +n/2 where :meth:`Grid.wavenumbers` has -n/2; only kx^2 is
-    used).  Cached: see the module notes.
+    purely imaginary argument.  The n/2 + 1 values of kx come from
+    :func:`_wavenumbers`; only kx^2 is used.  Cached: see the module notes.
     """
-    n = grid.n_samples
-    kx = 2.0 * np.pi * (np.arange(n // 2 + 1) * (1.0 / (n * grid.spacing)))
+    kx = _wavenumbers(grid, grid.n_samples // 2 + 1)
     kz = np.sqrt(np.maximum(k * k - kx * kx, 0.0))
     phase = distance * kz
-    half = np.empty(n // 2 + 1, dtype=np.complex128)
+    half = np.empty(kx.shape, dtype=np.complex128)
     half.real = np.cos(phase)
     half.imag = np.sin(phase)
     half[kx * kx > k * k] = 0.0

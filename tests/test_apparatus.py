@@ -23,7 +23,6 @@ from afsharsim.apparatus import (
     image_windows,
     imaging_distance,
     run_scenario,
-    slit_mask,
 )
 from afsharsim.wavefield import (
     ComplexField,
@@ -43,8 +42,13 @@ FINE_GRID = Grid(2**16, 1.25e-6)
 
 
 def band_bins(geometry, field):
-    """The source-band bins of a fresh FFT of the field's samples."""
-    return np.fft.fft(field.amplitudes)[_source_band(geometry, field.grid)[0]]
+    """The source-band bins of a fresh FFT of the field's samples, in FFT order.
+
+    Selected by |kx| < k_cut over the whole grid, so they are the two runs
+    0..m-1 and n-m+1..n-1 without building them as such.
+    """
+    in_band = np.abs(field.grid.wavenumbers()) < _source_cutoffs(geometry, field.grid)[1]
+    return np.fft.fft(field.amplitudes)[in_band]
 
 
 class TestGeometry:
@@ -90,25 +94,25 @@ class TestGeometry:
             dataclasses.replace(geometry, **{name: float("inf")})
 
 
-class TestSlitMask:
+class TestUpperSlit:
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
     def test_slit_pair_is_passive_and_real(self, geometry, grid):
         # the upper slit is scaled so that it and its mirror image, the lower
         # slit, are passive together wherever the two overlap
-        upper = slit_mask(geometry, grid).transmission
+        upper = apparatus._upper_slit(geometry, grid).amplitudes
         lower = np.concatenate([upper[:1], upper[:0:-1]])  # x -> -x: sample i -> (n - i) mod n
         assert np.max(np.abs(upper) + np.abs(lower)) <= 1.0
         assert np.max(np.abs(upper.imag)) < 1e-15
 
     def test_spectrum_clean_at_nyquist(self, geometry, bench_grid):
-        mask = slit_mask(geometry, bench_grid)
-        src = apply_mask(make_plane_wave(bench_grid, geometry.wavelength), mask)
-        assert nyquist_tail_fraction(src) < 1e-30
+        # a fresh FFT of the samples, not the band spectrum the source holds
+        source = apparatus._upper_slit(geometry, bench_grid)
+        assert nyquist_tail_fraction(source.with_amplitudes(source.amplitudes)) < 1e-30
 
     def test_coarse_sampling_rejected(self, geometry):
         coarse = Grid(n_samples=64, spacing=1e-3)
         with pytest.raises(BandLimitError, match="source"):
-            slit_mask(geometry, coarse)
+            apparatus.sigma1_fields(geometry, coarse)
 
 
 class TestFringeMinima:
@@ -164,6 +168,15 @@ class TestFringeMinima:
         with pytest.raises(ValueError, match="not resolvable: intensity is .* of the neighboring"):
             _refine_minima(geometry, unbalanced.grid, band_bins(geometry, unbalanced))
 
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_positions_are_the_both_slit_records_bit_for_bit(self, geometry, grid):
+        # the records refine the minima in the scenario run, fringe_minima on
+        # its own call: one sigma1 stage gives both the same bits
+        positions = fringe_minima(geometry, grid)
+        for state in GridState:
+            record = run_scenario(geometry, Scenario(Slits.BOTH, state), grid)
+            assert np.array(record.minima_positions).tobytes() == positions.tobytes()
+
     def test_unreachable_minima_raise_diagnostic(self, geometry, bench_grid):
         # minima pushed far outside the box trip the guard chain one way or
         # another before silently returning garbage
@@ -218,25 +231,30 @@ class TestSourceBand:
         band = np.abs(bench_grid.wavenumbers()) < _source_cutoffs(geometry, bench_grid)[1]
         assert sizes and set(sizes) == {np.count_nonzero(band)}
         assert np.count_nonzero(band) < bench_grid.n_samples
-        # synthesis fills the same bins: the mask's spectrum beyond them is roundoff
-        spectrum = np.abs(np.fft.fft(slit_mask(geometry, bench_grid).transmission))
+        # synthesis fills the same bins: the slit's spectrum beyond them is roundoff
+        spectrum = np.abs(np.fft.fft(apparatus._upper_slit(geometry, bench_grid).amplitudes))
         assert np.max(spectrum[~band]) <= 1e-13 * np.max(spectrum)
 
-    def test_cached_band_is_the_uncached_build_and_read_only(self, geometry, bench_grid):
-        cached = _source_band(geometry, bench_grid)
-        assert _source_band(geometry, bench_grid) is cached
-        for kept, fresh in zip(cached, _source_band.__wrapped__(geometry, bench_grid)):
-            np.testing.assert_array_equal(kept, fresh)
-            with pytest.raises(ValueError, match="read-only"):
-                kept[0] = 1
+    @pytest.mark.parametrize("spacing", [1e-7, 1.25e-6, 2.5e-6, 5e-6, 1e-5, 3.3e-5, 1e-3])
+    def test_band_is_the_wavenumbers_below_the_cutoff_bit_for_bit(self, geometry, spacing):
+        # oracle: the whole grid's wavenumbers, selected by the cutoff; the
+        # spacings cover both the box limit and the Nyquist limit of k_cut
+        for n in (2**p for p in range(3, 21)):
+            grid = Grid(n, spacing)
+            kx = grid.wavenumbers()
+            expected = kx[np.abs(kx) < _source_cutoffs(geometry, grid)[1]]
+            assert _source_band(geometry, grid).tobytes() == expected.tobytes(), n
 
+    @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
-    def test_band_superposition_is_the_full_superposition_on_the_band(self, geometry, grid):
-        phi_u = apparatus._sigma1_upper(geometry, grid)
-        band, _ = _source_band(geometry, grid)
-        full = apparatus._superposed(phi_u).spectrum[band]
-        got = apparatus._band_superposition(geometry, phi_u)
-        np.testing.assert_array_equal(got.view(float), full.view(float))
+    def test_band_superposition_is_the_full_superposition_on_the_band(self, geometry, grid, slits):
+        # oracle: the full phi_U + phi_L spectrum, sliced to the band by |kx|,
+        # whichever field the sigma1 stage carries
+        phi_u, phi_l = apparatus.sigma1_fields(geometry, grid)
+        in_band = np.abs(grid.wavenumbers()) < _source_cutoffs(geometry, grid)[1]
+        full = (phi_u.spectrum + phi_l.spectrum)[in_band]
+        _, got = apparatus._sigma1(geometry, grid, slits)
+        assert got.tobytes() == full.tobytes()
 
 
 class TestWireGrid:
@@ -387,6 +405,19 @@ class TestScenarios:
 
 
 class TestSuperposition:
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_carried_fields_are_the_indexed_mirror_bit_for_bit(self, geometry, grid):
+        # oracle: the mirror x -> -x built by indexing, sample i -> (n - i) mod n
+        phi_u, _ = apparatus.sigma1_fields(geometry, grid)
+        mirror = -np.arange(grid.n_samples) % grid.n_samples
+        assert apparatus._carried(phi_u, Slits.UPPER_ONLY) is phi_u
+        lower = apparatus._carried(phi_u, Slits.LOWER_ONLY)
+        both = apparatus._carried(phi_u, Slits.BOTH)
+        for name in ("amplitudes", "spectrum"):
+            values = getattr(phi_u, name)
+            assert getattr(lower, name).tobytes() == values[mirror].tobytes()
+            assert getattr(both, name).tobytes() == (values + values[mirror]).tobytes()
+
     def test_both_slit_intensity_is_the_coherent_sum(self, records, sigma1_fields):
         phi_u, phi_l = sigma1_fields
         expected = np.abs(phi_u.amplitudes + phi_l.amplitudes) ** 2

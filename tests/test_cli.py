@@ -326,6 +326,16 @@ class TestDuality:
         assert where in err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("name", ["a,b.csv", "a\nb.csv"], ids=["comma", "newline"])
+    def test_pattern_name_that_would_split_its_row_exits_2(self, tmp_path, capsys, name):
+        # the file name is the source field of the pattern's vk.csv row
+        csv = tmp_path / name
+        csv.write_text(self.COSINE)
+        assert run("duality", "--pattern", str(csv), "--out", str(tmp_path / "d")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --pattern ") and err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
+
     def test_fine_grid_far_off_axis_is_uniform(self, tmp_path):
         # 1 nm samples at x ~ 100 m: xs[1] - xs[0] is 1.1e-5 nm short, which
         # drifts the grid 0.087 spacings over 16384 samples; the spacing of
