@@ -24,19 +24,28 @@ The upper slit's transmission is the one source field (a unit plane wave
 at normal incidence); the lower slit is its mirror image x -> -x (sample
 i -> (n - i) mod n on the periodic grid), formed at sigma1 since
 propagation preserves it, so both slits are exactly phi_U + phi_L there.
-The scale max(|upper| + |mirror(upper)|) keeps the slit pair passive.
+The scale max(|upper| + |mirror(upper)|) keeps the slit pair passive; the
+sum at sample i is the sum at n - i, so the peak is scanned over samples
+0..n/2 only.  The synthesis ``ifft``'s own buffer becomes the source's
+samples, its real part scaled in place and its imaginary part zeroed.
 
 Synthesis and minima refinement work only on the source band, the bins
 with |kx| < k_cut: in FFT order two runs, 0..m-1 and n-m+1..n-1, whose kx
 are built directly.  The slit spectrum is evaluated there and written into
 a zero spectrum, and the interpolant that refines the minima sums only
-those bins.  This is exact to roundoff, because the source spectrum is
-zero beyond k_cut by construction and propagation multiplies each bin by a
-phase, so the sigma1 field's bins beyond k_cut hold only FFT roundoff
-(1e-31 to 2e-31 of its energy).  The wire grid breaks the band limit, so
-``propagate`` stays general.  One sigma1 stage serves ``run_scenario``,
-``fringe_minima`` and ``sigma1_fields``: it carries phi_U, phi_L or
-phi_U + phi_L, and with it the both-slit band bins the minima are refined
+those bins.  The band holds kx and then -kx of the first run's bins after
+the first, reversed, so the refinement's rotation exp(i*kx*(x - x0)) on
+the second run is the first run's conjugate, reversed, bit for bit (numpy's
+``cos`` is even and its ``sin`` odd): each evaluation takes ``cos`` and
+``sin`` of the first run's m phases only, and the complex kx and kx^2 and
+the scratch buffers are built once per refinement (``wavefield._Band``).
+The restriction to the band is exact to roundoff, because the source
+spectrum is zero beyond k_cut by construction and propagation multiplies
+each bin by a phase, so the sigma1 field's bins beyond k_cut hold only FFT
+roundoff (1e-31 to 2e-31 of its energy).  The wire grid breaks the band
+limit, so ``propagate`` stays general.  One sigma1 stage serves
+``run_scenario``, ``fringe_minima`` and ``sigma1_fields``: it carries
+phi_U, phi_L or phi_U + phi_L, and with it the both-slit band bins the minima are refined
 from, ``b + mirror(b)`` for phi_U's band bins b (phi_L's bin i is phi_U's
 bin n - i, and the mirror map swaps the two runs), the bits phi_U + phi_L
 holds there.  So a scenario builds phi_L only for ``lower`` and
@@ -83,6 +92,7 @@ from .wavefield import (
     ComplexField,
     Grid,
     Mask,
+    _Band,
     _frozen,
     _interpolate,
     _owned,
@@ -365,14 +375,23 @@ def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> ComplexField:
     full = np.zeros(n, dtype=complex)
     full[:m] = spectrum[:m]
     full[n - m + 1 :] = spectrum[m:]
-    upper = np.fft.ifft(full).real / grid.spacing
+    # the ifft's own buffer becomes the samples: its real part is scaled in
+    # place and its imaginary part, roundoff of a Hermitian spectrum, zeroed
+    samples = np.fft.ifft(full)
+    upper = samples.real
+    np.divide(upper, grid.spacing, out=upper)
+    samples.imag = 0.0
     full /= grid.spacing
-    peak = np.max(np.abs(upper) + np.abs(_mirror(upper)))
+    # max(|u_i| + |u_(n-i)|) over samples 0..n/2: the sum is symmetric in i <-> n-i
+    half = n // 2
+    pair = np.abs(upper[: half + 1])
+    pair[:1] += pair[:1]
+    pair[1:] += np.abs(upper[n - 1 : n - half - 1 : -1])
+    peak = np.max(pair)
     if peak > 1.0:
-        upper = upper / (peak * (1.0 + 1e-12))
+        np.divide(upper, peak * (1.0 + 1e-12), out=upper)
         full /= peak * (1.0 + 1e-12)
-    samples = _owned(upper.astype(np.complex128))
-    return ComplexField(grid, samples, geometry.wavelength, _owned(full))
+    return ComplexField(grid, _owned(samples), geometry.wavelength, _owned(full))
 
 
 def _carried(phi_u: ComplexField, slits: Slits) -> ComplexField:
@@ -440,7 +459,7 @@ def _refine_minima(geometry: AfsharGeometry, grid: Grid, spectrum: np.ndarray) -
     if (half_pairs - 0.5 + _BRACKET_FRINGES) * fringe > grid.coordinate(grid.n_samples - 1):
         raise ValueError(f"fewer than {geometry.n_wires} resolvable minima within the grid")
 
-    kx = _source_band(geometry, grid)
+    kx = _Band(_source_band(geometry, grid))
     x0 = grid.coordinate(0)
 
     def extremum(seed: float, minimum: bool) -> tuple[float, float]:
@@ -517,7 +536,9 @@ def build_wire_grid(geometry: AfsharGeometry, minima: np.ndarray, grid: Grid) ->
     w = geometry.wire_width
     edge = _WIRE_EDGE_SAMPLES * dx
     reach = _WIRE_EDGE_REACH * edge
-    t = np.ones(n)
+    # the bars are written into the real part of the complex transmission
+    transmission = np.ones(n, dtype=np.complex128)
+    t = transmission.real
     for c in centers:
         lo = max(math.floor((c - w / 2 - reach - grid.center) / dx) + n // 2, 0)
         hi = min(math.ceil((c + w / 2 + reach - grid.center) / dx) + n // 2 + 1, n)
@@ -526,7 +547,7 @@ def build_wire_grid(geometry: AfsharGeometry, minima: np.ndarray, grid: Grid) ->
         x = grid.coordinate(np.arange(lo, hi))
         bar = 0.5 * (np.tanh((x - (c - w / 2)) / edge) - np.tanh((x - (c + w / 2)) / edge))
         t[lo:hi] *= 1.0 - bar
-    return Mask(grid, _owned(t.astype(np.complex128)))
+    return Mask(grid, _owned(transmission))
 
 
 def fill_factor(geometry: AfsharGeometry) -> float:

@@ -4,6 +4,8 @@ Commands: ``simulate`` (bench scenarios), ``duality`` (V/K models and the
 binned-visibility ladder), ``remnant`` (screen model with vibrational
 post-selection), ``report`` (aggregate prior CSV outputs).  All outputs
 are CSV plus plain text; identical inputs produce byte-identical files.
+Each output file is replaced whole (a temporary file, then ``os.replace``),
+so a failed write leaves the previous file as it was.
 
 Exit codes: 0 success, 2 usage, configuration or file-system error, 3
 band-limit guard violation (the message names the failing stage).
@@ -12,6 +14,8 @@ band-limit guard violation (the message names the failing stage).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from itertools import chain
 from pathlib import Path
@@ -43,10 +47,27 @@ EXIT_GUARD = 3
 _SCENARIO_ORDER = [(s.value, g.value) for s in apparatus.Slits for g in apparatus.GridState]
 
 
+def _replace_text(path: Path, text: str) -> None:
+    """Write ``path`` whole or not at all: a temporary file in its directory, then ``os.replace``.
+
+    A failure removes the temporary file and leaves an existing ``path`` as
+    it was, so a crash or a full disk never leaves a truncated output.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        # a temporary file that was never made must not hide the first error
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
+
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
     # a trailing "" ends the text with a newline without copying the text; an
     # iterator of lines is joined without a list that outlives the join
-    path.write_text("\n".join(chain(lines, [""])))
+    _replace_text(path, "\n".join(chain(lines, [""])))
 
 
 def _parse_complex_pair(text: str, flag: str) -> tuple[complex, complex]:
@@ -306,7 +327,7 @@ def cmd_remnant(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     text = render_report(build_report(args.out))
-    (Path(args.out) / "report.txt").write_text(text)
+    _replace_text(Path(args.out) / "report.txt", text)
     print(text, end="")
     return EXIT_OK
 

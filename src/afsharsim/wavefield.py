@@ -41,6 +41,17 @@ with its operands swapped) and applies the n/2 + 1 stored bins to the
 upper bins as a reversed view, so no full-length kernel is built.  Fields
 and results are never cached: every call still computes its field, so a
 repeated scenario costs its full arithmetic less the kernel builds.
+
+A stage allocates only the buffers its result owns.  A temporary the size
+of a field is not made: an element-wise step writes into the array its
+result will own (:func:`intensity` squares its ``abs`` in place), and a
+sum over a field (:func:`total_power`, the energies of
+:func:`nyquist_tail_fraction`) forms its terms in blocks of at most
+``_BLOCK`` elements in one reused scratch buffer.  The blocks follow
+numpy's pairwise summation tree, so a blocked sum has the bits of
+``np.sum`` over the whole array.  A freed array of a field's size goes
+back to the kernel and its pages fault in again when the next one is made,
+so these temporaries cost page faults as well as copies.
 """
 
 from __future__ import annotations
@@ -315,8 +326,9 @@ def thin_lens(field: ComplexField, focal_length: float) -> ComplexField:
 
 
 def intensity(field: ComplexField) -> np.ndarray:
-    """Per-sample intensity |u|^2."""
-    return np.abs(field.amplitudes) ** 2
+    """Per-sample intensity |u|^2, squared in place in the array it returns."""
+    profile = np.abs(field.amplitudes)
+    return np.square(profile, out=profile)
 
 
 def check_window(grid: Grid, window: tuple[float, float], name: str = "window") -> None:
@@ -334,6 +346,31 @@ def check_window(grid: Grid, window: tuple[float, float], name: str = "window") 
         raise ValueError(f"{name} ({lo}, {hi}) extends beyond the grid")
 
 
+def _first_index(grid: Grid, above: float, strict: bool) -> int:
+    """The smallest i in [0, n] with ``coordinate(i) > above`` (``>=`` if not ``strict``).
+
+    ``np.searchsorted(grid.coordinates, above, side)`` with side "right"
+    (``strict``) or "left", without building the coordinates.  The index
+    is estimated by arithmetic, then stepped to the first sample whose
+    coordinate, the bits :meth:`Grid.coordinate` gives, passes the edge;
+    the coordinates never decrease with i, so that is searchsorted's index.
+    A NaN edge gives n, as it sorts after every sample.
+    """
+    n = grid.n_samples
+
+    def inside(i: int) -> bool:
+        x = grid.coordinate(i)
+        return x > above if strict else x >= above
+
+    estimate = (above - grid.center) / grid.spacing + n // 2
+    i = n if math.isnan(estimate) else math.ceil(min(max(estimate, 0.0), n))
+    while i > 0 and inside(i - 1):
+        i -= 1
+    while i < n and not inside(i):
+        i += 1
+    return i
+
+
 def total_power(
     field: ComplexField, window: tuple[float, float] | None = None
 ) -> float:
@@ -342,23 +379,52 @@ def total_power(
     ``window`` is an open interval (lo, hi) that must pass
     :func:`check_window`: a sample exactly on an edge counts in neither of
     two windows that share it.  Only the samples inside the window are
-    squared.  A window containing no sample is legal and yields 0.0 with a
-    :class:`FieldFlagWarning`.
+    squared, in blocks (see the module notes), and their indices come from
+    :func:`_first_index`.  A window containing no sample is legal and
+    yields 0.0 with a :class:`FieldFlagWarning`.
     """
-    if window is None:
-        return float(np.sum(intensity(field)) * field.grid.spacing)
-    check_window(field.grid, window)
-    lo, hi = window
-    x = field.grid.coordinates
-    first, stop = np.searchsorted(x, lo, side="right"), np.searchsorted(x, hi, side="left")
-    if first >= stop:
-        warnings.warn("power window contains no samples", FieldFlagWarning)
-        return 0.0
-    return float(np.sum(np.abs(field.amplitudes[first:stop]) ** 2) * field.grid.spacing)
+    grid = field.grid
+    first, stop = 0, grid.n_samples
+    if window is not None:
+        check_window(grid, window)
+        first, stop = _first_index(grid, window[0], True), _first_index(grid, window[1], False)
+        if first >= stop:
+            warnings.warn("power window contains no samples", FieldFlagWarning)
+            return 0.0
+    return float(_blocked_sum(field.amplitudes[first:stop], _abs_squared) * grid.spacing)
+
+
+class _Band:
+    """Wavenumbers prepared once for many :func:`_interpolate` calls.
+
+    Holds the complex copies of ``kx`` and ``kx**2`` that the derivative
+    sums take (the bits numpy's cast of the float arrays gives each call)
+    and the scratch buffers every call writes.  When ``kx`` has the layout
+    ``k_0 .. k_(m-1), -k_(m-1) .. -k_1`` bit for bit, as a source band
+    does, the phases of the negative run are the positive run's negated,
+    and numpy's ``cos`` is even and its ``sin`` odd bit for bit, so the
+    rotation there is the positive run's conjugate, reversed, and only the
+    m phases of ``positive`` are taken through ``cos``/``sin``; otherwise
+    ``positive`` is all of ``kx``.
+    """
+
+    def __init__(self, kx: np.ndarray) -> None:
+        kx = np.asarray(kx, dtype=np.float64)
+        half = (kx.size + 1) // 2
+        if kx[half:].tobytes() != (-kx[half - 1 : 0 : -1]).tobytes():
+            half = kx.size
+        self.positive = kx[:half]
+        self.kx_complex = kx.astype(np.complex128)
+        self.kx2_complex = (kx * kx).astype(np.complex128)
+        self.phase = np.empty(half)
+        self.cos = np.empty(half)
+        self.sin = np.empty(half)
+        self.rotation = np.empty(kx.size, dtype=np.complex128)
+        self.terms = np.empty(kx.size, dtype=np.complex128)
 
 
 def _interpolate(
-    spectrum: np.ndarray, kx: np.ndarray, x0: float, x: float, n: int
+    spectrum: np.ndarray, kx: np.ndarray | _Band, x0: float, x: float, n: int
 ) -> tuple[complex, complex, complex]:
     """Trigonometric interpolant of a sampled field and its first two derivatives.
 
@@ -370,15 +436,23 @@ def _interpolate(
     ``-kx**2``.  One point at a time keeps the working set at O(len(kx)).
     The rotation ``exp(i*kx*(x - x0))`` is filled from ``cos``/``sin``, the
     same bits as the complex ``exp`` of that purely imaginary argument.
+    ``kx`` may be a :class:`_Band`, which a caller evaluating many points
+    builds once, or an array, which is prepared for this call alone.
     """
-    phase = (x - x0) * kx
-    rotation = np.empty(kx.shape, dtype=np.complex128)
-    rotation.real = np.cos(phase)
-    rotation.imag = np.sin(phase)
-    terms = spectrum * rotation
+    band = kx if isinstance(kx, _Band) else _Band(kx)
+    m = band.positive.size
+    # cos/sin write contiguous buffers, the loops a call without out= runs,
+    # which are then copied into the rotation's strided real and imaginary parts
+    np.multiply(x - x0, band.positive, out=band.phase)
+    rotation = band.rotation
+    rotation.real[:m] = np.cos(band.phase, out=band.cos)
+    rotation.imag[:m] = np.sin(band.phase, out=band.sin)
+    if m < rotation.size:
+        np.conjugate(rotation[m - 1 : 0 : -1], out=rotation[m:])
+    terms = np.multiply(spectrum, rotation, out=band.terms)
     u = terms.sum() / n
-    du = 1j * (terms @ kx) / n
-    d2u = -(terms @ (kx * kx)) / n
+    du = 1j * (terms @ band.kx_complex) / n
+    d2u = -(terms @ band.kx2_complex) / n
     return complex(u), complex(du), complex(d2u)
 
 
@@ -387,14 +461,54 @@ def _spectrum(field: ComplexField) -> np.ndarray:
     return field.spectrum if field.spectrum is not None else np.fft.fft(field.amplitudes)
 
 
-def _energy(bins: np.ndarray) -> float:
+# elements per block of a blocked sum: 32 KiB of float64 terms, well below
+# glibc's 128 KiB mmap threshold, so the scratch buffer comes from the heap
+_BLOCK = 4096
+
+
+def _blocked_sum(values: np.ndarray, terms) -> np.floating:
+    """``np.sum(terms(values))``, with the terms formed ``_BLOCK`` at a time.
+
+    ``terms(block, out)`` writes one float64 term per element of ``block``
+    into ``out``, which is reused by every block.  The blocks are the
+    leaves of numpy's pairwise summation of a contiguous array (split in
+    halves rounded down to a multiple of 8 while longer than ``_BLOCK``),
+    and the leaf sums are added back up the same tree, so the result has
+    the bits of the whole-array sum.
+    """
+    return _pairwise(values, terms, np.empty(min(values.size, _BLOCK)))
+
+
+def _pairwise(values: np.ndarray, terms, scratch: np.ndarray) -> np.floating:
+    # a module-level recursion: a nested function that calls itself is a
+    # reference cycle, which would keep ``values`` alive until a collection
+    if values.size <= _BLOCK:
+        # add.reduce is np.sum's own reduction, without its dispatch
+        return np.add.reduce(terms(values, scratch[: values.size]))
+    half = values.size // 2
+    half -= half % 8
+    return _pairwise(values[:half], terms, scratch) + _pairwise(values[half:], terms, scratch)
+
+
+def _squared(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.square(block, out=out)
+
+
+def _abs_squared(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # |u|**2 as intensity() forms it: abs, then its square
+    np.abs(block, out=out)
+    return np.square(out, out=out)
+
+
+def _energy(bins: np.ndarray) -> np.floating:
     """``sum(|bins|^2)``, summed over the squares of the real and imaginary parts.
 
-    Squares and a sum are loops every run already executes; ``np.vdot`` would
-    be as exact with no temporary but faults 128 KiB of BLAS code into a
-    process that makes no other BLAS call, such as ``remnant``.
+    A blocked sum (see :func:`_blocked_sum`) of the squares, so no
+    temporary grows with the spectrum; ``np.vdot`` would be as exact with
+    no temporary but faults 128 KiB of BLAS code into a process that makes
+    no other BLAS call, such as ``remnant``.
     """
-    return np.sum(np.square(bins.view(np.float64)))
+    return _blocked_sum(bins.view(np.float64), _squared)
 
 
 def nyquist_tail_fraction(field: ComplexField) -> float:

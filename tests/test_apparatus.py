@@ -26,6 +26,7 @@ from afsharsim.apparatus import (
 )
 from afsharsim.wavefield import (
     ComplexField,
+    _Band,
     _interpolate,
     Grid,
     Mask,
@@ -103,6 +104,13 @@ class TestUpperSlit:
         lower = np.concatenate([upper[:1], upper[:0:-1]])  # x -> -x: sample i -> (n - i) mod n
         assert np.max(np.abs(upper) + np.abs(lower)) <= 1.0
         assert np.max(np.abs(upper.imag)) < 1e-15
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_samples_are_exactly_real_and_owned(self, geometry, grid):
+        # the synthesis ifft's buffer is handed over with its imaginary part zeroed
+        upper = apparatus._upper_slit(geometry, grid).amplitudes
+        assert not upper.imag.any()
+        assert upper.flags.owndata and not upper.flags.writeable
 
     def test_spectrum_clean_at_nyquist(self, geometry, bench_grid):
         # a fresh FFT of the samples, not the band spectrum the source holds
@@ -234,6 +242,39 @@ class TestSourceBand:
         # synthesis fills the same bins: the slit's spectrum beyond them is roundoff
         spectrum = np.abs(np.fft.fft(apparatus._upper_slit(geometry, bench_grid).amplitudes))
         assert np.max(spectrum[~band]) <= 1e-13 * np.max(spectrum)
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_mirrored_band_rotation_is_the_complex_exponential_bit_for_bit(self, geometry, grid):
+        # reference: the interpolant with its rotation from the complex exp
+        # over the whole band, against the prepared band that takes cos/sin
+        # of the first run only and conjugates it onto the second; one band
+        # serves every point in turn, as in a refinement.  A band whose
+        # second run is not the first one negated, bit for bit, takes every
+        # phase through cos/sin and gives the same bits
+        kx = _source_band(geometry, grid)
+        _, spectrum = apparatus._sigma1(geometry, grid, Slits.BOTH)
+        n, x0, dx = grid.n_samples, grid.coordinate(0), grid.spacing
+        points = (x0, 0.0, 1.5 * geometry.fringe_spacing, -0.7 * dx, x0 + 0.41 * n * dx, 3.3e-6)
+        moved = kx.copy()
+        moved[-1] = np.nextafter(moved[-1], 0.0)
+        for wavenumbers, phases in ((kx, (kx.size + 1) // 2), (moved, kx.size)):
+            band = _Band(wavenumbers)
+            assert band.positive.size == phases
+            for xq in points:
+                rotation = np.exp(1j * (xq - x0) * wavenumbers)
+                terms = spectrum * rotation
+                expected = (
+                    terms.sum() / n,
+                    1j * (terms @ wavenumbers) / n,
+                    -(terms @ (wavenumbers * wavenumbers)) / n,
+                )
+                got = _interpolate(spectrum, band, x0, xq, n)
+                assert np.array(got).tobytes() == np.array(expected, dtype=complex).tobytes()
+                # the rotation itself is exp of the purely imaginary phase bit
+                # for bit; 1j * phase would turn a phase of -0.0 into +0.0j
+                argument = np.zeros(kx.size, dtype=complex)
+                argument.imag = (xq - x0) * wavenumbers
+                assert band.rotation.tobytes() == np.exp(argument).tobytes(), xq
 
     @pytest.mark.parametrize("spacing", [1e-7, 1.25e-6, 2.5e-6, 5e-6, 1e-5, 3.3e-5, 1e-3])
     def test_band_is_the_wavenumbers_below_the_cutoff_bit_for_bit(self, geometry, spacing):

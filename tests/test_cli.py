@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afsharsim import AfsharGeometry, duality
+from afsharsim import cli
 from afsharsim.cli import main
 from afsharsim.config import Config, ConfigError, load_config, parse_config
 from afsharsim.report import _fmt, _fmt_rows, _parse
@@ -679,6 +682,65 @@ class TestFuzz:
                 if value is not None:
                     argv += [flag, str(value)]
             assert main(argv) in (0, 2, 3)
+
+
+class TestCrashSafeWrites:
+    """An output file is replaced whole or left as it was."""
+
+    OLD = b"x_m,intensity\n0.0,1.0\n"
+
+    def test_line_generator_failing_midway_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "sigma1.csv"
+        path.write_bytes(self.OLD)
+
+        def lines():
+            yield "x_m,intensity"
+            yield "0.0,2.0"
+            raise RuntimeError("formatting failed midway")
+
+        with pytest.raises(RuntimeError, match="midway"):
+            cli._write_lines(path, lines())
+        assert path.read_bytes() == self.OLD
+        assert [p.name for p in tmp_path.iterdir()] == ["sigma1.csv"]
+
+    def test_write_failing_after_the_temporary_exists_removes_it(self, tmp_path):
+        # a lone surrogate has no UTF-8 encoding, so the write fails after
+        # the temporary file has been created
+        path = tmp_path / "vk.csv"
+        path.write_bytes(self.OLD)
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_lines(path, ["a,b", "\ud800"])
+        assert path.read_bytes() == self.OLD
+        assert [p.name for p in tmp_path.iterdir()] == ["vk.csv"]
+
+    def test_report_failing_to_replace_exits_2_and_keeps_the_old_report(
+        self, cli_out, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "o"
+        shutil.copytree(cli_out, out)
+        (out / "report.txt").write_bytes(b"old report\n")
+        before = sorted(p.name for p in out.iterdir())
+
+        def refused(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", refused)
+        assert run("report", "--out", str(out)) == 2
+        assert "cannot replace" in capsys.readouterr().err
+        assert (out / "report.txt").read_bytes() == b"old report\n"
+        assert sorted(p.name for p in out.iterdir()) == before
+
+    def test_rewrite_leaves_only_the_outputs_with_fresh_file_permissions(self, tmp_path):
+        # the replaced file has the mode a newly created file gets
+        path = tmp_path / "powers.csv"
+        path.write_bytes(self.OLD)
+        os.chmod(path, 0o600)
+        reference = tmp_path / "reference"
+        reference.write_text("")
+        cli._write_lines(path, ["a", "b"])
+        assert path.read_text() == "a\nb\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["powers.csv", "reference"]
+        assert path.stat().st_mode == reference.stat().st_mode
 
 
 class TestUsage:

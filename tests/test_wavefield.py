@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,12 @@ from hypothesis import strategies as st
 
 from afsharsim.wavefield import (
     ComplexField,
+    _abs_squared,
+    _blocked_sum,
+    _first_index,
     _interpolate,
     _lens_factor,
+    _squared,
     _transfer,
     FieldFlagWarning,
     check_window,
@@ -566,3 +572,112 @@ class TestNyquistTail:
         held = ComplexField(grid, np.fft.ifft(spectrum), WAVELENGTH, spectrum)
         with np.errstate(over="ignore"):  # 1e200 squared
             assert np.isnan(nyquist_tail_fraction(held))
+
+
+class TestWindowIndices:
+    """total_power's window indices by arithmetic, against a search of the coordinates."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.integers(3, 20),
+        spacing=st.sampled_from([1e-7, 1.25e-6, 5e-6, 3.3e-5, 1e-3]),
+        center=st.sampled_from([0.0, 2.5e-4, -1.7e-3, 0.37, -12.5]),
+        data=st.data(),
+    )
+    def test_indices_are_searchsorted_over_the_coordinates(self, p, spacing, center, data):
+        # oracle: np.searchsorted over the whole coordinate array, side
+        # "right" for a lower edge and "left" for an upper one; the edges sit
+        # exactly on a sample, one ulp either side of one, between two
+        # samples (a window between neighbours holds none), or past the ends
+        grid = Grid(2**p, spacing, center)
+        x = grid.coordinates
+        i = data.draw(st.integers(0, grid.n_samples - 1))
+        fraction = data.draw(st.floats(0.0, 1.0))
+        edges = [
+            x[i],
+            np.nextafter(x[i], -np.inf),
+            np.nextafter(x[i], np.inf),
+            x[i] + fraction * spacing,
+            x[0] - spacing / 2,
+            x[-1] + spacing / 2,
+            x[0] - 3 * spacing,
+            x[-1] + 3 * spacing,
+        ]
+        for edge in map(float, edges):
+            assert _first_index(grid, edge, True) == np.searchsorted(x, edge, "right"), edge
+            assert _first_index(grid, edge, False) == np.searchsorted(x, edge, "left"), edge
+
+    @pytest.mark.parametrize("edge", [np.nan, -1e300, 1e300])
+    def test_non_finite_and_far_edges_are_searchsorted(self, edge):
+        grid = Grid(2**10, 5e-6, 1e-3)
+        x = grid.coordinates
+        assert _first_index(grid, edge, True) == np.searchsorted(x, edge, "right")
+        assert _first_index(grid, edge, False) == np.searchsorted(x, edge, "left")
+
+    def test_window_between_neighbouring_samples_holds_none(self):
+        grid = Grid(2**16, 1.25e-6, 3e-4)
+        f = ComplexField(grid, np.ones(grid.n_samples), WAVELENGTH)
+        x = grid.coordinates
+        for lo, hi in ((x[7], x[8]), (np.nextafter(x[7], np.inf), np.nextafter(x[8], -np.inf))):
+            with pytest.warns(FieldFlagWarning):
+                assert total_power(f, (float(lo), float(hi))) == 0.0
+
+
+class TestBlockedSums:
+    """Sums formed in bounded blocks have the bits of np.sum over the whole array."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(0, 3 * 2**16), offset=st.integers(0, 9), seed=st.integers(0, 2**16))
+    def test_blocked_sums_are_the_whole_array_sums_bit_for_bit(self, size, offset, seed):
+        # the terms of the spectral energy (squares of a float view) and of
+        # the power (|u|**2 as intensity forms it), over a slice that need
+        # not start at the array's start
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-8, 8, size + offset)
+        u = (rng.normal(size=size + offset) + 1j * rng.normal(size=size + offset)) * scale
+        u = u[offset:]
+        floats = u.view(np.float64)
+        assert _blocked_sum(floats, _squared).tobytes() == np.sum(np.square(floats)).tobytes()
+        expected = np.sum(np.abs(u) ** 2)
+        assert _blocked_sum(u, _abs_squared).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [2**p for p in range(3, 21, 3)])
+    def test_whole_grid_power_is_the_intensity_sum(self, n):
+        f = band_limited_field(small_grid(n=n), seed=n)
+        assert total_power(f) == float(np.sum(intensity(f)) * f.grid.spacing)
+
+
+class TestAllocation:
+    """A stage allocates only what its result owns: bounded by tracemalloc on 2^16.
+
+    A 2^16 field is 1 MiB of samples and its intensity 512 KiB; a blocked
+    sum's scratch buffer is 32 KiB.
+    """
+
+    GRID = Grid(2**16, 1.25e-6)
+
+    @staticmethod
+    def peak(fn, *args):
+        fn(*args)  # any first-call setup is not the stage's
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_tail_fraction_of_a_held_spectrum(self):
+        f = band_limited_field(self.GRID, seed=3).with_spectrum()
+        assert self.peak(nyquist_tail_fraction, f) < 256 * 2**10
+
+    def test_intensity_is_its_output_alone(self):
+        f = band_limited_field(self.GRID, seed=4)
+        assert self.peak(intensity, f) <= 512 * 2**10 + 64 * 2**10
+
+    @pytest.mark.parametrize("half_width", [75, 2**15])
+    def test_window_power(self, half_width):
+        # the detector windows of the bench hold about 75 samples each; the
+        # second window is half the grid
+        f = band_limited_field(self.GRID, seed=5)
+        dx = self.GRID.spacing
+        assert self.peak(total_power, f, (-half_width * dx, 0.5 * dx)) < 64 * 2**10
