@@ -45,11 +45,26 @@ each bin by a phase, so the sigma1 field's bins beyond k_cut hold only FFT
 roundoff (1e-31 to 2e-31 of its energy).  The wire grid breaks the band
 limit, so ``propagate`` stays general.  One sigma1 stage serves
 ``run_scenario``, ``fringe_minima`` and ``sigma1_fields``: it carries
-phi_U, phi_L or phi_U + phi_L, and with it the both-slit band bins the minima are refined
-from, ``b + mirror(b)`` for phi_U's band bins b (phi_L's bin i is phi_U's
-bin n - i, and the mirror map swaps the two runs), the bits phi_U + phi_L
-holds there.  So a scenario builds phi_L only for ``lower`` and
-phi_U + phi_L only for ``both``.  Nothing in this module is cached.
+phi_U, phi_L or phi_U + phi_L, formed from phi_U and guarded at sigma1 on
+every call.  The minima are refined from the both-slit band bins,
+``b + mirror(b)`` for phi_U's band bins b (phi_L's bin i is phi_U's bin
+n - i, and the mirror map swaps the two runs), the bits phi_U + phi_L holds
+there.  So a scenario builds phi_L only for ``lower`` and phi_U + phi_L
+only for ``both``.
+
+The sigma1 source stage is a kernel of (geometry, grid), cached as
+``wavefield`` caches its transfer functions: phi_U with its spectrum and
+the both-slit band bins (``_phi_u``), and the refined minima (``_minima``),
+each holding the last key only, since one bench is one (geometry, grid).
+The keys are frozen values, the cached arrays are read-only, and building
+them reads nothing but the key, so a hit returns the very bits a miss
+builds; a build that raises (a guard, an unresolvable minimum) caches
+nothing, so the next call raises again.  The minima are refined only by a
+scenario that needs them, so a single slit with the grid out still runs
+where they cannot be resolved.  Records and every field downstream of
+sigma1 are never cached.  The cache keeps one phi_U resident, samples and
+spectrum: 2 MiB on 2^16 samples and 512 KiB on 2^14, plus 102 KiB of band
+bins at the default geometry.
 
 Every stage of a scenario run is checked against the band-limit guard and
 violations raise :class:`BandLimitError` naming the stage: ``source`` on
@@ -63,11 +78,12 @@ A scenario takes each full-size transform once per change of domain, and
 every later reader uses the spectrum the field holds (see ``wavefield``):
 
 - ``source``: one ``ifft`` synthesizes the slit from its band spectrum,
-  which the source field holds for its guard and the first propagation;
-- ``sigma1``: ``propagate`` takes one ``ifft`` and holds H*S; phi_L holds
-  the mirrored spectrum and phi_U + phi_L the summed one, which the guard
-  reads, and the minima refinement reads phi_U + phi_L's band bins, summed
-  from phi_U's;
+  which the source field holds for its guard and the first propagation
+  (on a cache miss only);
+- ``sigma1``: ``propagate`` takes one ``ifft`` and holds H*S (on a cache
+  miss only); phi_L holds the mirrored spectrum and phi_U + phi_L the
+  summed one, which the guard reads, and the minima refinement reads
+  phi_U + phi_L's band bins, summed from phi_U's;
 - ``wire_grid``: one ``fft`` of the masked field serves its guard and the
   propagation to the lens, whose one ``ifft`` holds the spectrum the
   ``lens`` guard reads;
@@ -76,13 +92,16 @@ every later reader uses the spectrum the field holds (see ``wavefield``):
   ``sigma2`` guard reads.
 
 That is 2 ``fft`` and 4 ``ifft`` with the grid in, one ``fft`` fewer with it
-out.  A held spectrum is the FFT of the field's samples to roundoff, so
-every guard checks the quantity a fresh FFT would give it.
+out, of which the two ``source`` and ``sigma1`` ``ifft`` run once per
+(geometry, grid): six scenarios take 9 ``fft`` and 14 ``ifft``.  A held
+spectrum is the FFT of the field's samples to roundoff, so every guard
+checks the quantity a fresh FFT would give it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -410,20 +429,31 @@ def _carried(phi_u: ComplexField, slits: Slits) -> ComplexField:
     return ComplexField(phi_u.grid, _owned(amplitudes), phi_u.wavelength, _owned(spectrum))
 
 
-def _sigma1(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> tuple[ComplexField, np.ndarray]:
-    """The field ``slits`` carries at sigma1, guarded there, and phi_U + phi_L's band bins.
+# one bench is one (geometry, grid): its scenarios share the sigma1 source stage
+@functools.lru_cache(maxsize=1)
+def _phi_u(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, np.ndarray]:
+    """phi_U at sigma1, holding its spectrum, and phi_U + phi_L's band bins, read-only.
 
     The one upper-slit source is guarded at ``source`` and propagated to
-    phi_U; the bins, in the order of :func:`_source_band`, are the same
-    whichever field is carried.
+    sigma1; the bins are in the order of :func:`_source_band`.  Cached: see
+    the module notes.
     """
     phi_u = propagate(_guarded(_upper_slit(geometry, grid), "source"), geometry.z_slits_to_grid)
     n, m = grid.n_samples, (_source_band(geometry, grid).size + 1) // 2
     band = np.concatenate((phi_u.spectrum[:m], phi_u.spectrum[n - m + 1 :]))
     band += _mirror(band)
-    field = _carried(phi_u, slits)
-    del phi_u  # released before the guard's temporaries are made
-    return _guarded(field, "sigma1"), band
+    return phi_u, _owned(band)
+
+
+@functools.lru_cache(maxsize=1)
+def _minima(geometry: AfsharGeometry, grid: Grid) -> tuple[float, ...]:
+    """The refined minima of phi_U + phi_L at sigma1.  Cached: see the module notes."""
+    return tuple(float(p) for p in _refine_minima(geometry, grid, _phi_u(geometry, grid)[1]))
+
+
+def _sigma1(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> ComplexField:
+    """The field ``slits`` carries at sigma1, guarded there, holding its spectrum."""
+    return _guarded(_carried(_phi_u(geometry, grid)[0], slits), "sigma1")
 
 
 def sigma1_fields(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, ComplexField]:
@@ -431,7 +461,7 @@ def sigma1_fields(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, C
 
     phi_U is guarded at sigma1; phi_L is its mirror image, with the same bins.
     """
-    phi_u, _ = _sigma1(geometry, grid, Slits.UPPER_ONLY)
+    phi_u = _sigma1(geometry, grid, Slits.UPPER_ONLY)
     return phi_u, _carried(phi_u, Slits.LOWER_ONLY)
 
 
@@ -510,7 +540,8 @@ def fringe_minima(geometry: AfsharGeometry, grid: Grid) -> np.ndarray:
     The set is symmetric under reflection; the positive-side minima are
     refined and mirrored.
     """
-    return _refine_minima(geometry, grid, _sigma1(geometry, grid, Slits.BOTH)[1])
+    _sigma1(geometry, grid, Slits.BOTH)
+    return np.array(_minima(geometry, grid))
 
 
 def build_wire_grid(geometry: AfsharGeometry, minima: np.ndarray, grid: Grid) -> Mask:
@@ -591,7 +622,7 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     for name, window in (("U", window_u), ("L", window_l)):
         label = f"detector window {name} at magnification {geometry.magnification:.4g}"
         check_window(grid, window, label)
-    field, band = _sigma1(geometry, grid, scenario.slits)
+    field = _sigma1(geometry, grid, scenario.slits)
 
     def power(profile: np.ndarray) -> float:
         # the whole-grid total_power of the field this intensity profile is of
@@ -602,8 +633,7 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
 
     minima: tuple[float, ...] = ()
     if scenario.slits is Slits.BOTH or scenario.grid is GridState.IN:
-        minima = tuple(float(p) for p in _refine_minima(geometry, grid, band))
-    del band
+        minima = _minima(geometry, grid)
 
     if scenario.grid is GridState.IN:
         wires = build_wire_grid(geometry, np.asarray(minima), grid)

@@ -7,6 +7,11 @@ are CSV plus plain text; identical inputs produce byte-identical files.
 Each output file is replaced whole (a temporary file, then ``os.replace``),
 so a failed write leaves the previous file as it was.
 
+powers.csv, derived.csv and remnant_summary.csv depend on the bench config
+and start with its stamp (see ``report``): ``simulate`` and ``remnant``
+refuse an output directory holding one of them from another config, before
+anything is computed or written, so results of two configs never mix.
+
 Exit codes: 0 success, 2 usage, configuration or file-system error, 3
 band-limit guard violation (the message names the failing stage).
 """
@@ -15,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
+import zlib
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -29,11 +36,14 @@ from .report import (
     POWERS_COLUMNS,
     VK_COLUMNS,
     ReportError,
+    _STAMP,
+    _STAMPED,
     _fmt,
     _fmt_rows,
     _powers_line,
     _read_csv,
     _read_powers,
+    _read_stamp,
     build_report,
     render_report,
 )
@@ -80,15 +90,39 @@ def _parse_complex_pair(text: str, flag: str) -> tuple[complex, complex]:
         raise ConfigError(f"{flag}: cannot parse {text!r} as complex numbers") from exc
 
 
+# ------------------------------------------------------------- provenance
+
+
+def _fingerprint(geometry: apparatus.AfsharGeometry, grid: Grid) -> str:
+    """The CRC-32, as 8 hex digits, of the config a bench result depends on.
+
+    The geometry's 8 fields, then the grid's, each formatted with ``_fmt``
+    in field order and joined by commas; the lens-to-detector distance is
+    derived from them, and the output directory and seed change no stamped
+    number.  CRC-32 tells configs apart by accident only, which is all a
+    stamp guards against, and zlib is loaded with numpy already, where
+    ``hashlib`` would map 3.5 MB of OpenSSL into every process.
+    """
+    values = (getattr(v, f.name) for v in (geometry, grid) for f in dataclasses.fields(v))
+    return f"{zlib.crc32(','.join(map(_fmt, values)).encode()):08x}"
+
+
+def _check_stamps(out: Path, fingerprint: str) -> None:
+    """Refuse an ``--out`` holding a config-dependent CSV that another config made."""
+    for name in _STAMPED:
+        path = out / name
+        if not path.is_file():
+            continue
+        found = _read_stamp(path)
+        if found != fingerprint:
+            made = f"config {found}" if found else "an unstamped config"
+            raise ConfigError(
+                f"{path} holds results of {made}, not of this run's config {fingerprint}; "
+                "use another --out"
+            )
+
+
 # ---------------------------------------------------------------- simulate
-
-
-def _powers_lines(path: Path, row: dict) -> list[str]:
-    """powers.csv with ``row`` replacing any earlier row of its scenario."""
-    rows = {(r["scenario"], r["grid"]): r for r in _read_powers(path)} if path.is_file() else {}
-    rows[(row["scenario"], row["grid"])] = row
-    ordered = [rows[key] for key in _SCENARIO_ORDER if key in rows]
-    return [",".join(POWERS_COLUMNS)] + [_powers_line(r) for r in ordered]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -98,16 +132,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = apparatus.Scenario(
         slits=apparatus.Slits(args.scenario), grid=apparatus.GridState(args.grid)
     )
+    out = Path(args.out or cfg.out_dir)
+    fingerprint = _fingerprint(geometry, grid)
+    # the rows this run's row joins; a malformed file is named before the stamps are compared
+    powers_path = out / "powers.csv"
+    rows = (
+        {(r["scenario"], r["grid"]): r for r in _read_powers(powers_path)}
+        if powers_path.is_file()
+        else {}
+    )
+    _check_stamps(out, fingerprint)
     try:
         record = apparatus.run_scenario(geometry, scenario, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     row = {column: getattr(record, column) for column in POWERS_COLUMNS[2:]}
     row.update(scenario=scenario.slits.value, grid=scenario.grid.value)
-    powers = _powers_lines(out / "powers.csv", row)
+    rows[(row["scenario"], row["grid"])] = row
+    stamp = _STAMP + fingerprint
+    powers = [stamp, ",".join(POWERS_COLUMNS)]
+    powers += [_powers_line(rows[key]) for key in _SCENARIO_ORDER if key in rows]
     x_m = list(_fmt_rows(grid.coordinates))
     for name, profile in (
         ("sigma1.csv", record.intensity_sigma1),
@@ -120,6 +166,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_lines(
         out / "derived.csv",
         [
+            stamp,
             "key,value",
             f"fill_factor,{_fmt(apparatus.fill_factor(geometry))}",
             f"fringe_spacing_m,{_fmt(geometry.fringe_spacing)}",
@@ -268,8 +315,11 @@ def cmd_remnant(args: argparse.Namespace) -> int:
         raise ConfigError("--samples requires --seed (or seed in config)")
     geometry = cfg.geometry()
     grid = cfg.grid()
+    out = Path(args.out or cfg.out_dir)
+    fingerprint = _fingerprint(geometry, grid)
+    _check_stamps(out, fingerprint)
     try:
-        # the sigma1 fields and their spectra are released once the state is built
+        # phi_U stays in the sigma1 cache; phi_L is released once the state is built
         state = remnant.build_remnant(*apparatus.sigma1_fields(geometry, grid))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -293,7 +343,6 @@ def cmd_remnant(args: argparse.Namespace) -> int:
     for name, direction in directions:
         probs[name], patterns[name] = remnant.postselect(state, direction)
 
-    out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = [name for name, _ in directions]
     # x_m is formatted once, for remnant.csv and for the sampled sites
@@ -304,7 +353,7 @@ def cmd_remnant(args: argparse.Namespace) -> int:
     _write_lines(out / "remnant.csv", chain(["x_m,total," + ",".join(names)], rows))
     _write_lines(
         out / "remnant_summary.csv",
-        ["key,value"] + [f"{name},{_fmt(probs[name])}" for name in names],
+        [_STAMP + fingerprint, "key,value"] + [f"{name},{_fmt(probs[name])}" for name in names],
     )
 
     if args.samples:

@@ -3,6 +3,11 @@
 Every verdict in the report is recomputed from numbers present in the
 emitted CSV files (plus the geometric fill factor recorded alongside
 them); nothing is trusted from in-memory state.
+
+The CSVs whose numbers depend on the bench config (powers.csv, derived.csv
+and remnant_summary.csv) start with a stamp line, ``# config `` and the
+config's fingerprint, above the header.  A report is built only from files
+whose stamps agree; a file without a stamp counts as a config of its own.
 """
 
 from __future__ import annotations
@@ -53,6 +58,10 @@ VK_COLUMNS = ("model", "a_or_V_source", "V", "K", "V2K2")
 # remnant_summary.csv.
 _POSTSELECTED = tuple(name for _, names in COMPLETENESS_PAIRS for name in names)
 
+# The stamp line that starts each config-dependent CSV, and those CSVs.
+_STAMP = "# config "
+_STAMPED = ("powers.csv", "derived.csv", "remnant_summary.csv")
+
 # Columns of the emitted CSVs that hold labels; every other column is a float.
 _TEXT_COLUMNS = frozenset({"scenario", "grid", "key", "model", "a_or_V_source"})
 
@@ -88,13 +97,24 @@ def _parse(lines: list[str], usecols: list[int]) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", usecols=usecols, ndmin=2, comments=None)
 
 
-def _first_bad_line(path: Path, lines: list[str], header: list[str]) -> ReportError:
+def _read_stamp(path: Path) -> str | None:
+    """The config fingerprint on a stamped CSV's first line; None if it has no stamp."""
+    with path.open("rb") as f:
+        first = f.readline()
+    prefix = _STAMP.encode()
+    if not first.startswith(prefix):
+        return None
+    return first[len(prefix) :].decode("ascii", "replace").rstrip("\r\n")
+
+
+def _first_bad_line(path: Path, lines: list[str], top: int, header: list[str]) -> ReportError:
     """The error for the first malformed line of a CSV, in row order.
 
-    Runs only after the bulk checks in ``_read_csv`` have failed, so it
-    parses one field at a time with the same parser.
+    ``lines[top]`` is the header.  Runs only after the bulk checks in
+    ``_read_csv`` have failed, so it parses one field at a time with the
+    same parser.
     """
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines[top + 1 :], start=top + 2):
         if not line:
             continue
         fields = line.split(",")
@@ -117,7 +137,8 @@ def _read_csv(
 ) -> tuple[list[str], dict[str, np.ndarray | list[str]]]:
     """Header and columns of an emitted CSV, by header name.
 
-    A label column is a list of strings, of the first ``label_rows`` rows
+    A stamp line above the header is skipped (see :func:`_read_stamp`).  A
+    label column is a list of strings, of the first ``label_rows`` rows
     when that is given; every other column is one float array of all rows,
     parsed in bulk.  Every line must have the header's field count.
     Raises ReportError when the file is not text, when the header lacks one
@@ -128,21 +149,22 @@ def _read_csv(
         lines = path.read_text().splitlines()
     except UnicodeDecodeError as exc:
         raise ReportError(f"{path}: not a text file: {exc}") from None
-    header = lines[0].split(",") if lines else []
+    top = 1 if lines and lines[0].startswith(_STAMP) else 0
+    header = lines[top].split(",") if len(lines) > top else []
     missing = [name for name in required if name not in header]
-    if lines and missing:
-        raise ReportError(f"{path}:1: missing column {missing[0]!r}")
-    rows = [line for line in lines[1:] if line]
+    if header and missing:
+        raise ReportError(f"{path}:{top + 1}: missing column {missing[0]!r}")
+    rows = [line for line in lines[top + 1 :] if line]
     if not rows:
         raise ReportError(f"{path}: no data rows")
     numeric = [j for j, name in enumerate(header) if name not in _TEXT_COLUMNS]
     commas = len(header) - 1
     if any(line.count(",") != commas for line in rows):
-        raise _first_bad_line(path, lines, header)
+        raise _first_bad_line(path, lines, top, header)
     try:
         data = _parse(rows, numeric)
     except ValueError:
-        raise _first_bad_line(path, lines, header) from None
+        raise _first_bad_line(path, lines, top, header) from None
     floats = dict(zip(numeric, data.T))
     labelled = rows[:label_rows]
     columns = {
@@ -160,7 +182,8 @@ def _as_list(column) -> list:
 def _read_powers(path: Path) -> list[dict]:
     header, columns = _read_csv(path)
     if tuple(header) != POWERS_COLUMNS:
-        raise ReportError(f"{path}:1: header is not {','.join(POWERS_COLUMNS)}")
+        line = 1 if _read_stamp(path) is None else 2
+        raise ReportError(f"{path}:{line}: header is not {','.join(POWERS_COLUMNS)}")
     return [dict(zip(header, row)) for row in zip(*(_as_list(columns[name]) for name in header))]
 
 
@@ -179,6 +202,8 @@ class Report:
     remnant_columns: dict[str, np.ndarray] = field(default_factory=dict)
     remnant_probs: dict[str, float] = field(default_factory=dict)
     verdicts: list[tuple[str, bool, str]] = field(default_factory=list)
+    # the stamp of each config-dependent file read, None for an unstamped one
+    stamps: dict[str, str | None] = field(default_factory=dict)
 
 
 def _load_powers(report: Report, out_dir: Path) -> None:
@@ -186,9 +211,11 @@ def _load_powers(report: Report, out_dir: Path) -> None:
     if not path.is_file():
         return
     report.power_rows = _read_powers(path)
+    report.stamps[path.name] = _read_stamp(path)
     derived_path = out_dir / "derived.csv"
     if derived_path.is_file():
         report.derived = dict(_read_pairs(derived_path, "key", "value"))
+        report.stamps[derived_path.name] = _read_stamp(derived_path)
 
 
 def _load_vk(report: Report, out_dir: Path) -> None:
@@ -208,6 +235,7 @@ def _load_remnant(report: Report, out_dir: Path) -> None:
     summary = out_dir / "remnant_summary.csv"
     if summary.is_file():
         report.remnant_probs = dict(_read_pairs(summary, "key", "value"))
+        report.stamps[summary.name] = _read_stamp(summary)
         missing = [name for name in _POSTSELECTED if name not in report.remnant_probs]
         if missing:
             raise ReportError(f"{summary}: missing key {missing[0]!r}")
@@ -351,6 +379,9 @@ def build_report(out_dir: str | Path) -> Report:
     _load_remnant(report, out)
     if not (report.power_rows or report.vk_columns or report.ladder or report.remnant_columns):
         raise ReportError(f"no simulation CSV files found in {out}")
+    if len(set(report.stamps.values())) > 1:
+        found = ", ".join(f"{name} {stamp or 'unstamped'}" for name, stamp in report.stamps.items())
+        raise ReportError(f"{out} mixes results of different configs: {found}")
     _power_verdicts(report)
     _vk_verdicts(report)
     _remnant_verdicts(report)

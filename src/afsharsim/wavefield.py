@@ -38,9 +38,11 @@ its key, so a hit returns the very bits a miss would build and no caller
 can tell them apart.  ``propagate`` forms ``H*S`` with the transfer
 function as the first operand (a complex product can round differently
 with its operands swapped) and applies the n/2 + 1 stored bins to the
-upper bins as a reversed view, so no full-length kernel is built.  Fields
-and results are never cached: every call still computes its field, so a
-repeated scenario costs its full arithmetic less the kernel builds.
+upper bins as a reversed view, so no full-length kernel is built.  The
+one field that is a kernel is the bench's sigma1 source stage, a function
+of (geometry, grid) alone, which ``apparatus`` caches by the same rule;
+records and every field downstream of it are never cached, so a repeated
+scenario costs its full arithmetic from sigma1 on.
 
 A stage allocates only the buffers its result owns.  A temporary the size
 of a field is not made: an element-wise step writes into the array its

@@ -38,3 +38,14 @@ def records(geometry, bench_grid):
 def sigma1_fields(geometry, bench_grid):
     """Per-slit fields at the sigma1 plane (upper, lower)."""
     return apparatus.sigma1_fields(geometry, bench_grid)
+
+
+@pytest.fixture(autouse=True)
+def cold_sigma1_cache():
+    """Each test starts with the sigma1 source stage uncached.
+
+    A test that counts or replaces a stage (``_upper_slit``, ``_guarded``)
+    then sees it run whichever tests ran before it.
+    """
+    apparatus._phi_u.cache_clear()
+    apparatus._minima.cache_clear()

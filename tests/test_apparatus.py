@@ -252,7 +252,7 @@ class TestSourceBand:
         # second run is not the first one negated, bit for bit, takes every
         # phase through cos/sin and gives the same bits
         kx = _source_band(geometry, grid)
-        _, spectrum = apparatus._sigma1(geometry, grid, Slits.BOTH)
+        spectrum = apparatus._phi_u(geometry, grid)[1]
         n, x0, dx = grid.n_samples, grid.coordinate(0), grid.spacing
         points = (x0, 0.0, 1.5 * geometry.fringe_spacing, -0.7 * dx, x0 + 0.41 * n * dx, 3.3e-6)
         moved = kx.copy()
@@ -290,12 +290,13 @@ class TestSourceBand:
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
     def test_band_superposition_is_the_full_superposition_on_the_band(self, geometry, grid, slits):
         # oracle: the full phi_U + phi_L spectrum, sliced to the band by |kx|,
-        # whichever field the sigma1 stage carries
+        # whichever field the sigma1 stage carried when it filled the cache
         phi_u, phi_l = apparatus.sigma1_fields(geometry, grid)
         in_band = np.abs(grid.wavenumbers()) < _source_cutoffs(geometry, grid)[1]
         full = (phi_u.spectrum + phi_l.spectrum)[in_band]
-        _, got = apparatus._sigma1(geometry, grid, slits)
-        assert got.tobytes() == full.tobytes()
+        apparatus._phi_u.cache_clear()
+        apparatus._sigma1(geometry, grid, slits)
+        assert apparatus._phi_u(geometry, grid)[1].tobytes() == full.tobytes()
 
 
 class TestWireGrid:
@@ -496,52 +497,218 @@ class TestSuperposition:
     def test_one_source_and_three_propagations_per_scenario(
         self, geometry, bench_grid, monkeypatch, slits, state
     ):
-        # the slit source is synthesized once and is the source field itself:
-        # no plane wave is built and the one mask applied to a field is the
-        # wire grid; each change of domain takes one full-size transform, so
-        # a scenario takes at most 6; every field and mask takes over the
-        # arrays its producer made, so no buffer is copied
-        calls = {"propagate": 0, "_upper_slit": 0, "apply_mask": 0, "make_plane_wave": 0}
-        transforms = {"fft": 0, "ifft": 0}
-        copies = []
+        # on a cold sigma1 cache the slit source is synthesized once and is
+        # the source field itself: no plane wave is built and the one mask
+        # applied to a field is the wire grid; each change of domain takes
+        # one full-size transform, so a scenario takes at most 6; every
+        # field and mask takes over the arrays its producer made, so no
+        # buffer is copied
+        counts = _StageCounts(monkeypatch, bench_grid.n_samples)
+        run_scenario(geometry, Scenario(slits, state), bench_grid)
+        wire_masks = 1 if state is GridState.IN else 0
+        needs_minima = 1 if slits is Slits.BOTH or state is GridState.IN else 0
+        assert counts.calls == {
+            "propagate": 3,
+            "_upper_slit": 1,
+            "_refine_minima": needs_minima,
+            "_guarded": 5 + wire_masks,
+            "apply_mask": wire_masks,
+            "make_plane_wave": 0,
+        }
+        assert counts.transforms == {"fft": 1 + wire_masks, "ifft": 4}
+        assert counts.copies == []
+
+    @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
+    @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
+    def test_warm_cache_takes_no_source_and_two_propagations_per_scenario(
+        self, geometry, bench_grid, monkeypatch, slits, state
+    ):
+        # a repeated scenario takes phi_U and the minima from the sigma1
+        # cache: no synthesis, no propagation to sigma1 and no refinement,
+        # but the sigma1 guard still runs on the field it carries
+        run_scenario(geometry, Scenario(slits, state), bench_grid)
+        counts = _StageCounts(monkeypatch, bench_grid.n_samples)
+        run_scenario(geometry, Scenario(slits, state), bench_grid)
+        wire_masks = 1 if state is GridState.IN else 0
+        assert counts.calls == {
+            "propagate": 2,
+            "_upper_slit": 0,
+            "_refine_minima": 0,
+            "_guarded": 4 + wire_masks,
+            "apply_mask": wire_masks,
+            "make_plane_wave": 0,
+        }
+        assert counts.transforms == {"fft": 1 + wire_masks, "ifft": 2}
+        assert counts.copies == []
+
+    def test_six_scenarios_share_one_source_stage(self, geometry, bench_grid, monkeypatch):
+        # the pass synthesizes, propagates to sigma1 and refines the minima
+        # once; each scenario then makes its own two or three transforms
+        counts = _StageCounts(monkeypatch, bench_grid.n_samples)
+        for slits in Slits:
+            for state in GridState:
+                run_scenario(geometry, Scenario(slits, state), bench_grid)
+        assert counts.calls == {
+            "propagate": 13,
+            "_upper_slit": 1,
+            "_refine_minima": 1,
+            "_guarded": 28,
+            "apply_mask": 3,
+            "make_plane_wave": 0,
+        }
+        assert counts.transforms == {"fft": 9, "ifft": 14}
+        assert counts.copies == []
+
+
+class _StageCounts:
+    """Calls of the scenario stages, full-size transforms and buffer copies from now on."""
+
+    def __init__(self, monkeypatch, n_samples):
+        stages = ("propagate", "_upper_slit", "_refine_minima", "_guarded", "apply_mask")
+        self.calls = dict.fromkeys((*stages, "make_plane_wave"), 0)
+        self.transforms = {"fft": 0, "ifft": 0}
+        self.copies = []
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                self.calls[name] += 1
                 return original(*args, **kwargs)
 
             return wrapper
 
         def counted_transform(name, original):
             def wrapper(a, *args, **kwargs):
-                if np.size(a) == bench_grid.n_samples:
-                    transforms[name] += 1
+                if np.size(a) == n_samples:
+                    self.transforms[name] += 1
                 return original(a, *args, **kwargs)
 
             return wrapper
 
-        for name in calls:
+        for name in self.calls:
             for module in (apparatus, wavefield):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        for name in transforms:
+        for name in self.transforms:
             monkeypatch.setattr(np.fft, name, counted_transform(name, getattr(np.fft, name)))
         frozen = wavefield._frozen
 
         def counted_frozen(a):
             kept = frozen(a)
             if kept is not a:
-                copies.append(a.size)
+                self.copies.append(a.size)
             return kept
 
         monkeypatch.setattr(wavefield, "_frozen", counted_frozen)
-        run_scenario(geometry, Scenario(slits, state), bench_grid)
-        wire_masks = 1 if state is GridState.IN else 0
-        assert calls == {
-            "propagate": 3, "_upper_slit": 1, "apply_mask": wire_masks, "make_plane_wave": 0
-        }
-        assert transforms == {"fft": 1 + wire_masks, "ifft": 4}
-        assert copies == []
+
+
+class TestSigma1Cache:
+    """The sigma1 source stage is cached per (geometry, grid); nothing else is."""
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_cached_stage_is_the_uncached_build_bit_for_bit(self, geometry, grid):
+        phi_u, band = apparatus._phi_u(geometry, grid)
+        fresh_u, fresh_band = apparatus._phi_u.__wrapped__(geometry, grid)
+        for got, expected in (
+            (phi_u.amplitudes, fresh_u.amplitudes),
+            (phi_u.spectrum, fresh_u.spectrum),
+            (band, fresh_band),
+        ):
+            assert got.tobytes() == expected.tobytes()
+            assert got.flags.owndata and not got.flags.writeable
+        minima = apparatus._minima(geometry, grid)
+        assert isinstance(minima, tuple)
+        expected = apparatus._minima.__wrapped__(geometry, grid)
+        assert np.array(minima).tobytes() == np.array(expected).tobytes()
+        # a hit is the very value the miss built
+        assert apparatus._phi_u(geometry, grid)[0] is phi_u
+        assert apparatus._minima(geometry, grid) is minima
+
+    def test_guard_failure_is_not_cached(self, geometry, monkeypatch):
+        coarse = Grid(n_samples=256, spacing=1e-3)
+        calls = []
+        upper_slit = apparatus._upper_slit
+
+        def counted(*args):
+            calls.append(args)
+            return upper_slit(*args)
+
+        monkeypatch.setattr(apparatus, "_upper_slit", counted)
+        for attempt in (1, 2):
+            with pytest.raises(BandLimitError, match="source"):
+                run_scenario(geometry, Scenario(Slits.UPPER_ONLY, GridState.OUT), coarse)
+            assert len(calls) == attempt
+        assert apparatus._phi_u.cache_info().currsize == 0
+
+    def test_unresolvable_minima_are_not_cached(self, geometry, bench_grid, monkeypatch):
+        # a single slit with the grid out needs no minima, so it still runs
+        # for a geometry whose minima cannot be resolved
+        wide = dataclasses.replace(geometry, slit_width=150e-6)
+        refinements = []
+        refine = apparatus._refine_minima
+
+        def counted(*args):
+            refinements.append(args)
+            return refine(*args)
+
+        monkeypatch.setattr(apparatus, "_refine_minima", counted)
+        for slits in (Slits.UPPER_ONLY, Slits.LOWER_ONLY):
+            record = run_scenario(wide, Scenario(slits, GridState.OUT), bench_grid)
+            assert record.minima_positions == ()
+        assert refinements == []
+        for attempt, scenario in enumerate(
+            (Scenario(Slits.BOTH, GridState.OUT), Scenario(Slits.UPPER_ONLY, GridState.IN)), 1
+        ):
+            with pytest.raises(ValueError, match="not resolvable"):
+                run_scenario(wide, scenario, bench_grid)
+            assert len(refinements) == attempt
+        with pytest.raises(ValueError, match="not resolvable"):
+            fringe_minima(wide, bench_grid)
+        assert len(refinements) == 3
+        assert apparatus._minima.cache_info().currsize == 0
+
+    def test_another_geometry_or_grid_never_hits(self, geometry, bench_grid):
+        # focal_length does not enter phi_U, so a hit on it would return the
+        # right bits by accident: the key is the whole geometry all the same
+        other_lens = dataclasses.replace(geometry, focal_length=0.4)
+        other_slits = dataclasses.replace(geometry, slit_width=25e-6)
+        keys = [
+            (geometry, bench_grid),
+            (other_lens, bench_grid),
+            (other_slits, bench_grid),
+            (geometry, FINE_GRID),
+            (geometry, Grid(bench_grid.n_samples, bench_grid.spacing, center=1e-3)),
+        ]
+        for misses, (geo, grid) in enumerate(keys, 1):
+            phi_u, band = apparatus._phi_u(geo, grid)
+            assert apparatus._phi_u.cache_info().misses == misses
+            fresh_u, fresh_band = apparatus._phi_u.__wrapped__(geo, grid)
+            assert phi_u.grid == grid
+            assert phi_u.amplitudes.tobytes() == fresh_u.amplitudes.tobytes()
+            assert band.tobytes() == fresh_band.tobytes()
+        # an equal key made anew is a hit
+        geo, grid = keys[-1]
+        apparatus._phi_u(dataclasses.replace(geo), dataclasses.replace(grid))
+        assert apparatus._phi_u.cache_info()[:2] == (1, len(keys))
+
+    def test_another_geometry_gets_its_own_minima(self, geometry, bench_grid):
+        apart = dataclasses.replace(geometry, slit_separation=200e-6)
+        got = fringe_minima(apart, bench_grid)
+        assert got.tobytes() != fringe_minima(geometry, bench_grid).tobytes()
+        assert got.tobytes() == np.array(apparatus._minima.__wrapped__(apart, bench_grid)).tobytes()
+
+    def test_fringe_minima_hands_out_a_fresh_array(self, geometry, bench_grid):
+        first = fringe_minima(geometry, bench_grid)
+        expected = first.copy()
+        first[:] = 0.0
+        second = fringe_minima(geometry, bench_grid)
+        assert second is not first and second.flags.writeable
+        assert second.tobytes() == expected.tobytes()
+
+    def test_sigma1_fields_share_the_cached_phi_u(self, geometry, bench_grid):
+        phi_u, phi_l = apparatus.sigma1_fields(geometry, bench_grid)
+        assert phi_u is apparatus._phi_u(geometry, bench_grid)[0]
+        assert not phi_u.amplitudes.flags.writeable and not phi_u.spectrum.flags.writeable
+        assert apparatus.sigma1_fields(geometry, bench_grid)[1] is not phi_l
 
 
 class TestMemory:
@@ -563,6 +730,25 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
+    @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
+    def test_cold_cache_peak_allocation_on_the_fine_grid(self, geometry, slits, state):
+        # the same run on an empty sigma1 cache also builds phi_U, which the
+        # cache keeps: 1 MiB of samples and 1 MiB of spectrum over the warm
+        # bound, and the 0.1 MiB of band bins.  The kernel caches are filled
+        # first, as in the warm case
+        scenario = Scenario(slits, state)
+        run_scenario(geometry, scenario, FINE_GRID)
+        apparatus._phi_u.cache_clear()
+        apparatus._minima.cache_clear()
+        tracemalloc.start()
+        try:
+            run_scenario(geometry, scenario, FINE_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20
 
 
 class TestHeldSpectra:

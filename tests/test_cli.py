@@ -3,6 +3,7 @@ import math
 import os
 import shutil
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from afsharsim import cli
 from afsharsim.cli import main
 from afsharsim.config import Config, ConfigError, load_config, parse_config
 from afsharsim.report import _fmt, _fmt_rows, _parse
+from afsharsim.wavefield import Grid
 
 
 # a focal length one ulp below the 0.716875 m object distance: 1/f - 1/s
@@ -25,6 +27,26 @@ ULP_SHORT_FOCUS = (
 
 def run(*argv):
     return main(list(argv))
+
+
+def fingerprint(geometry, grid):
+    """The config stamp, from its definition: CRC-32 of the 8 geometry and 3 grid fields."""
+    values = [getattr(geometry, name) for name in GEOMETRY_FIELDS]
+    values += [grid.n_samples, grid.spacing, grid.center]
+    return format(zlib.crc32(",".join(repr(float(v)) for v in values).encode()), "08x")
+
+
+GEOMETRY_FIELDS = (
+    "slit_width",
+    "slit_separation",
+    "z_slits_to_grid",
+    "z_grid_to_lens",
+    "focal_length",
+    "wire_width",
+    "n_wires",
+    "wavelength",
+)
+DEFAULT_FINGERPRINT = fingerprint(AfsharGeometry.default(), Grid(2**14, 5e-6))
 
 
 def cosine_pattern(n=512, shift=None, set_i=None):
@@ -74,11 +96,12 @@ class TestSimulate:
         assert (cli_out / "sigma1.csv").read_text().splitlines()[0] == "x_m,intensity"
         assert (cli_out / "sigma2.csv").read_text().splitlines()[0] == "x_m,intensity"
         powers = (cli_out / "powers.csv").read_text().splitlines()
-        assert powers[0] == (
+        assert powers[0] == f"# config {DEFAULT_FINGERPRINT}"
+        assert powers[1] == (
             "scenario,grid,power_incident,power_after_grid,power_at_detectors,"
             "power_window_U,power_window_L"
         )
-        assert len(powers) == 5  # header + four accumulated scenario rows
+        assert len(powers) == 6  # stamp, header and four accumulated scenario rows
 
     def test_full_double_precision_round_trip(self, cli_out):
         row = (cli_out / "sigma1.csv").read_text().splitlines()[1]
@@ -88,7 +111,7 @@ class TestSimulate:
 
     def test_grid_transparency_row(self, cli_out):
         rows = {}
-        for line in (cli_out / "powers.csv").read_text().splitlines()[1:]:
+        for line in (cli_out / "powers.csv").read_text().splitlines()[2:]:
             parts = line.split(",")
             rows[(parts[0], parts[1])] = [float(v) for v in parts[2:]]
         p_in = rows[("both", "in")][2]
@@ -96,7 +119,7 @@ class TestSimulate:
         assert p_in / p_out >= 0.99
 
     def test_window_fraction_row(self, cli_out):
-        for line in (cli_out / "powers.csv").read_text().splitlines()[1:]:
+        for line in (cli_out / "powers.csv").read_text().splitlines()[2:]:
             parts = line.split(",")
             if (parts[0], parts[1]) == ("upper", "out"):
                 vals = [float(v) for v in parts[2:]]
@@ -108,7 +131,7 @@ class TestSimulate:
             assert run("simulate", "--scenario", scenario, "--grid", "out", "--out", str(out)) == 0
         rows = {
             line.split(",")[0]: line.split(",")[2]
-            for line in (out / "powers.csv").read_text().splitlines()[1:]
+            for line in (out / "powers.csv").read_text().splitlines()[2:]
         }
         # equal up to the rounding of a sum taken in mirrored order (the
         # separately scaled slits of earlier versions differed by 1.6e-13)
@@ -373,7 +396,7 @@ class TestRemnant:
 
     def test_summary_probabilities(self, cli_out):
         probs = {}
-        for line in (cli_out / "remnant_summary.csv").read_text().splitlines()[1:]:
+        for line in (cli_out / "remnant_summary.csv").read_text().splitlines()[2:]:
             key, val = line.split(",")
             probs[key] = float(val)
         assert probs["post_vU"] + probs["post_vL"] == pytest.approx(1.0, abs=1e-12)
@@ -387,7 +410,7 @@ class TestRemnant:
         data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
         probs = dict(
             line.split(",")
-            for line in (cli_out / "remnant_summary.csv").read_text().splitlines()[1:]
+            for line in (cli_out / "remnant_summary.csv").read_text().splitlines()[2:]
         )
         recomposed = float(probs["post_vU"]) * data[:, 2] + float(probs["post_vL"]) * data[:, 3]
         np.testing.assert_allclose(recomposed, data[:, 1], atol=1e-12)
@@ -574,6 +597,109 @@ class TestReport:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert where in err
         assert not (tmp_path / "report.txt").exists()
+
+
+def snapshot(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestProvenance:
+    """Results of two configs never share an output directory or a report."""
+
+    def test_config_dependent_files_are_stamped(self, cli_out):
+        for name in ("powers.csv", "derived.csv", "remnant_summary.csv"):
+            first = (cli_out / name).read_text().splitlines()[0]
+            assert first == f"# config {DEFAULT_FINGERPRINT}", name
+        for name in ("sigma1.csv", "sigma2.csv", "vk.csv", "remnant.csv", "report.txt"):
+            assert "# config" not in (cli_out / name).read_text(), name
+
+    @pytest.mark.parametrize("name", GEOMETRY_FIELDS + ("n_samples", "spacing", "center"))
+    def test_every_config_field_moves_the_fingerprint(self, name):
+        geometry, grid = AfsharGeometry.default(), Grid(2**14, 5e-6)
+        if name in GEOMETRY_FIELDS:
+            value = getattr(geometry, name)
+            changed = 2 * value if name == "n_wires" else value * (1 + 1e-15)
+            geometry = dataclasses.replace(geometry, **{name: changed})
+        else:
+            value = getattr(grid, name)
+            grid = dataclasses.replace(grid, **{name: 2 * value if value else 1e-12})
+        got = cli._fingerprint(geometry, grid)
+        assert got == fingerprint(geometry, grid)
+        assert got != DEFAULT_FINGERPRINT
+
+    def test_equal_config_merges_rows(self, tmp_path):
+        # the same geometry spelled out, with another seed and output key,
+        # is the same config
+        cfg = tmp_path / "same.cfg"
+        cfg.write_text("slit_width = 30e-6\nn_samples = 16384\nseed = 4\nout_dir = elsewhere\n")
+        out = tmp_path / "o"
+        assert run("simulate", "--grid", "out", "--out", str(out)) == 0
+        assert run("simulate", "--config", str(cfg), "--grid", "in", "--out", str(out)) == 0
+        assert run("remnant", "--config", str(cfg), "--out", str(out)) == 0
+        powers = (out / "powers.csv").read_text().splitlines()
+        assert powers[0] == f"# config {DEFAULT_FINGERPRINT}"
+        assert [line.split(",", 2)[:2] for line in powers[2:]] == [["both", "in"], ["both", "out"]]
+        assert run("report", "--out", str(out)) == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "remnant"])
+    def test_another_config_is_refused_and_the_directory_kept(self, tmp_path, capsys, command):
+        # the mix that once made report fail grid transparency silently:
+        # both/out at the defaults, then both/in with 20 um slits
+        out = tmp_path / "o"
+        assert run("simulate", "--scenario", "both", "--grid", "out", "--out", str(out)) == 0
+        assert run("remnant", "--out", str(out)) == 0
+        capsys.readouterr()
+        before = snapshot(out)
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text("slit_width = 20e-6\n")
+        flags = ("--scenario", "both", "--grid", "in") if command == "simulate" else ()
+        assert run(command, "--config", str(cfg), *flags, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        narrow = fingerprint(
+            dataclasses.replace(AfsharGeometry.default(), slit_width=20e-6), Grid(2**14, 5e-6)
+        )
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert DEFAULT_FINGERPRINT in err and narrow in err
+        assert snapshot(out) == before
+
+    def test_unstamped_powers_csv_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        unstamped = TestReport.POWERS
+        (out / "powers.csv").write_text(unstamped)
+        assert run("simulate", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "unstamped" in err and DEFAULT_FINGERPRINT in err and err.count("\n") == 1
+        assert snapshot(out) == {"powers.csv": unstamped.encode()}
+
+    @pytest.mark.parametrize("name", ["derived.csv", "remnant_summary.csv"])
+    def test_report_refuses_inputs_of_different_configs(self, cli_out, tmp_path, capsys, name):
+        out = tmp_path / "o"
+        shutil.copytree(cli_out, out)
+        (out / "report.txt").unlink()
+        lines = (out / name).read_text().splitlines(keepends=True)
+        lines[0] = "# config 0123abcd\n"
+        (out / name).write_text("".join(lines))
+        assert run("report", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "0123abcd" in err and DEFAULT_FINGERPRINT in err
+        assert not (out / "report.txt").exists()
+        # an unstamped file is a config of its own
+        (out / name).write_text("".join(lines[1:]))
+        assert run("report", "--out", str(out)) == 2
+        assert "unstamped" in capsys.readouterr().err
+
+    def test_stamped_file_errors_name_their_own_lines(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        stamp = f"# config {DEFAULT_FINGERPRINT}\n"
+        (out / "powers.csv").write_text(stamp + TestReport.POWERS + "both,in,1.0\n")
+        assert run("report", "--out", str(out)) == 2
+        assert "powers.csv:4: 3 fields" in capsys.readouterr().err
+        (out / "powers.csv").write_text(stamp + TestReport.POWERS.replace("power_incident", "p_in"))
+        assert run("report", "--out", str(out)) == 2
+        assert "powers.csv:2: header is not" in capsys.readouterr().err
 
 
 # values whose repr is easy to get wrong: signed zero, the smallest subnormal,
