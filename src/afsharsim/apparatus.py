@@ -75,7 +75,8 @@ by ``total_power`` over open intervals; a window beyond the grid is
 rejected by ``check_window`` before any field is built.
 
 A scenario takes each full-size transform once per change of domain, and
-every later reader uses the spectrum the field holds (see ``wavefield``):
+every later reader uses the spectrum its stage already holds (see
+``wavefield``):
 
 - ``source``: one ``ifft`` synthesizes the slit from its band spectrum,
   which the source field holds for its guard and the first propagation
@@ -84,18 +85,46 @@ every later reader uses the spectrum the field holds (see ``wavefield``):
   miss only); phi_L holds the mirrored spectrum and phi_U + phi_L the
   summed one, which the guard reads, and the minima refinement reads
   phi_U + phi_L's band bins, summed from phi_U's;
-- ``wire_grid``: one ``fft`` of the masked field serves its guard and the
-  propagation to the lens, whose one ``ifft`` holds the spectrum the
-  ``lens`` guard reads;
+- ``wire_grid``: one ``fft`` of the masked samples serves its guard and the
+  propagation to the lens, whose one ``ifft`` leaves the H*S the ``lens``
+  guard reads;
 - ``lens_phase``: one ``fft`` after the thin lens serves its guard and the
-  propagation to sigma2, whose one ``ifft`` holds the spectrum the
-  ``sigma2`` guard reads.
+  propagation to sigma2, whose one ``ifft`` leaves the H*S the ``sigma2``
+  guard reads.
 
 That is 2 ``fft`` and 4 ``ifft`` with the grid in, one ``fft`` fewer with it
 out, of which the two ``source`` and ``sigma1`` ``ifft`` run once per
 (geometry, grid): six scenarios take 9 ``fft`` and 14 ``ifft``.  A held
 spectrum is the FFT of the field's samples to roundoff, so every guard
 checks the quantity a fresh FFT would give it.
+
+From sigma1 on, a scenario works in two complex buffers that the call
+allocates, one of samples and one of spectrum, through the kernels the
+public ``apply_mask``, ``propagate`` and ``thin_lens`` wrap, with their
+operand orders, so every record has the bits of those operations chained
+on fresh fields.  The sigma1 field is never written (phi_U is the cached,
+read-only one), so each buffer is made when a stage first needs it, after
+the arrays that stage no longer needs are released:
+
+- grid in: the masked samples go into a new samples buffer; the sigma1
+  field and the mask are released, and the ``fft`` goes into a new
+  spectrum buffer, which the ``wire_grid`` guard reads;
+- grid out: H*S of the sigma1 spectrum goes into a new spectrum buffer;
+  the sigma1 field is released, and the ``ifft`` goes into a new samples
+  buffer;
+- each later propagation writes H*S into the spectrum buffer in place,
+  and its ``ifft`` into the samples buffer; the thin lens writes its
+  product into the samples buffer in place, and the ``fft`` after it
+  goes into the spectrum buffer.
+
+No stage reads a buffer after it has been overwritten: an in-place
+product reads each element before it writes it, and a transform writes
+the buffer it does not read, whose contents no later stage needs.  The
+``ifft`` after each propagation overwrites samples that were last read by
+the finiteness check ahead of it (and, after the wire grid, by the sigma1
+profile); the ``fft`` after the lens overwrites the H*S the ``lens`` guard
+has read.  The last samples buffer becomes the sigma2 field, read-only,
+from which the profile and the window powers are taken.
 """
 
 from __future__ import annotations
@@ -113,15 +142,18 @@ from .wavefield import (
     Mask,
     _Band,
     _frozen,
+    _intensity,
     _interpolate,
+    _lens_into,
+    _masked_into,
     _owned,
+    _require_finite,
+    _tail_fraction,
+    _transfer_into,
     _wavenumbers,
-    apply_mask,
     check_window,
     intensity,
-    nyquist_tail_fraction,
     propagate,
-    thin_lens,
     total_power,
 )
 
@@ -351,17 +383,15 @@ def _check_sampling(geometry: AfsharGeometry, grid: Grid) -> None:
         )
 
 
-def _guarded(field: ComplexField, stage: str) -> ComplexField:
-    """Check the band-limit guard on ``field``; return it holding its spectrum."""
-    field = field.with_spectrum()
-    frac = nyquist_tail_fraction(field)
+def _guarded(spectrum: np.ndarray, stage: str) -> None:
+    """Check the band-limit guard on the field at ``stage`` whose spectrum is ``spectrum``."""
+    frac = _tail_fraction(spectrum)
     # fails closed: a non-finite spectrum gives nan, which no limit admits
     if not frac <= GUARD_TAIL_LIMIT:
         raise BandLimitError(
             stage,
             f"outer-band spectral energy fraction {frac:.3e} exceeds {GUARD_TAIL_LIMIT:.0e}",
         )
-    return field
 
 
 def _mirror(values: np.ndarray) -> np.ndarray:
@@ -438,7 +468,9 @@ def _phi_u(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, np.ndarr
     sigma1; the bins are in the order of :func:`_source_band`.  Cached: see
     the module notes.
     """
-    phi_u = propagate(_guarded(_upper_slit(geometry, grid), "source"), geometry.z_slits_to_grid)
+    source = _upper_slit(geometry, grid)
+    _guarded(source.spectrum, "source")
+    phi_u = propagate(source, geometry.z_slits_to_grid)
     n, m = grid.n_samples, (_source_band(geometry, grid).size + 1) // 2
     band = np.concatenate((phi_u.spectrum[:m], phi_u.spectrum[n - m + 1 :]))
     band += _mirror(band)
@@ -453,7 +485,9 @@ def _minima(geometry: AfsharGeometry, grid: Grid) -> tuple[float, ...]:
 
 def _sigma1(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> ComplexField:
     """The field ``slits`` carries at sigma1, guarded there, holding its spectrum."""
-    return _guarded(_carried(_phi_u(geometry, grid)[0], slits), "sigma1")
+    field = _carried(_phi_u(geometry, grid)[0], slits)
+    _guarded(field.spectrum, "sigma1")
+    return field
 
 
 def sigma1_fields(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, ComplexField]:
@@ -635,21 +669,38 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     if scenario.slits is Slits.BOTH or scenario.grid is GridState.IN:
         minima = _minima(geometry, grid)
 
+    # from here on the scenario works in two buffers, samples and spectrum,
+    # each made when a stage first writes it; a stage overwrites only what
+    # no later stage reads (see the module notes)
+    k = field.wavenumber
     if scenario.grid is GridState.IN:
         wires = build_wire_grid(geometry, np.asarray(minima), grid)
-        field = apply_mask(field, wires)
-        del wires
-        field = _guarded(field, "wire_grid")
-        intensity_sigma1 = _owned(intensity(field))
-
-    # each field pins its samples and its spectrum: each stage's field is
-    # bound before its guard runs, which releases the field before it
-    field = propagate(field, geometry.z_grid_to_lens)
-    field = _guarded(field, "lens")
-    field = thin_lens(field, geometry.focal_length)
-    field = _guarded(field, "lens_phase")
-    field = propagate(field, geometry.z_lens_to_detectors)
-    field = _guarded(field, "sigma2")
+        samples = np.empty_like(field.amplitudes)
+        _masked_into(field.amplitudes, wires.transmission, out=samples)
+        del field, wires
+        spectrum = np.fft.fft(samples)
+        _guarded(spectrum, "wire_grid")
+        intensity_sigma1 = _owned(_intensity(samples))
+        _require_finite(samples)
+        _transfer_into(grid, k, geometry.z_grid_to_lens, spectrum, out=spectrum)
+    else:
+        _require_finite(field.amplitudes)
+        spectrum = np.empty_like(field.spectrum)
+        _transfer_into(grid, k, geometry.z_grid_to_lens, field.spectrum, out=spectrum)
+        del field
+        samples = np.empty_like(spectrum)
+    np.fft.ifft(spectrum, out=samples)
+    _guarded(spectrum, "lens")
+    _lens_into(grid, geometry.wavelength, geometry.focal_length, samples, out=samples)
+    np.fft.fft(samples, out=spectrum)
+    _guarded(spectrum, "lens_phase")
+    _require_finite(samples)
+    _transfer_into(grid, k, geometry.z_lens_to_detectors, spectrum, out=spectrum)
+    np.fft.ifft(spectrum, out=samples)
+    _guarded(spectrum, "sigma2")
+    del spectrum
+    # the last samples are the sigma2 field's, handed over without a copy
+    field = ComplexField(grid, _owned(samples), geometry.wavelength)
     intensity_sigma2 = _owned(intensity(field))
 
     record_minima = minima if scenario.slits is Slits.BOTH else ()

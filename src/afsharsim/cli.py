@@ -7,10 +7,11 @@ are CSV plus plain text; identical inputs produce byte-identical files.
 Each output file is replaced whole (a temporary file, then ``os.replace``),
 so a failed write leaves the previous file as it was.
 
-powers.csv, derived.csv and remnant_summary.csv depend on the bench config
-and start with its stamp (see ``report``): ``simulate`` and ``remnant``
-refuse an output directory holding one of them from another config, before
-anything is computed or written, so results of two configs never mix.
+powers.csv, derived.csv, remnant.csv and remnant_summary.csv depend on the
+bench config and start with its stamp (see ``report``): ``simulate`` and
+``remnant`` refuse an output directory holding one of them from another
+config, before anything is computed or written, so results of two configs
+never mix.
 
 Exit codes: 0 success, 2 usage, configuration or file-system error, 3
 band-limit guard violation (the message names the failing stage).
@@ -350,10 +351,11 @@ def cmd_remnant(args: argparse.Namespace) -> int:
     columns = (total, *(patterns[name] for name in names))
     # _fmt_rows first in the zip, so its float lists are freed when it runs out
     rows = (f"{x},{values}" for values, x in zip(_fmt_rows(*columns), x_m))
-    _write_lines(out / "remnant.csv", chain(["x_m,total," + ",".join(names)], rows))
+    stamp = _STAMP + fingerprint
+    _write_lines(out / "remnant.csv", chain([stamp, "x_m,total," + ",".join(names)], rows))
     _write_lines(
         out / "remnant_summary.csv",
-        [_STAMP + fingerprint, "key,value"] + [f"{name},{_fmt(probs[name])}" for name in names],
+        [stamp, "key,value"] + [f"{name},{_fmt(probs[name])}" for name in names],
     )
 
     if args.samples:

@@ -4,10 +4,11 @@ Every verdict in the report is recomputed from numbers present in the
 emitted CSV files (plus the geometric fill factor recorded alongside
 them); nothing is trusted from in-memory state.
 
-The CSVs whose numbers depend on the bench config (powers.csv, derived.csv
-and remnant_summary.csv) start with a stamp line, ``# config `` and the
-config's fingerprint, above the header.  A report is built only from files
-whose stamps agree; a file without a stamp counts as a config of its own.
+The CSVs whose numbers depend on the bench config (powers.csv, derived.csv,
+remnant.csv and remnant_summary.csv) start with a stamp line, ``# config ``
+and the config's fingerprint, above the header.  A report is built only
+from files whose stamps agree; a file without a stamp counts as a config of
+its own.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ _POSTSELECTED = tuple(name for _, names in COMPLETENESS_PAIRS for name in names)
 
 # The stamp line that starts each config-dependent CSV, and those CSVs.
 _STAMP = "# config "
-_STAMPED = ("powers.csv", "derived.csv", "remnant_summary.csv")
+_STAMPED = ("powers.csv", "derived.csv", "remnant.csv", "remnant_summary.csv")
 
 # Columns of the emitted CSVs that hold labels; every other column is a float.
 _TEXT_COLUMNS = frozenset({"scenario", "grid", "key", "model", "a_or_V_source"})
@@ -232,6 +233,7 @@ def _load_remnant(report: Report, out_dir: Path) -> None:
     if not path.is_file():
         return
     _, report.remnant_columns = _read_csv(path, ("total",) + _POSTSELECTED)
+    report.stamps[path.name] = _read_stamp(path)
     summary = out_dir / "remnant_summary.csv"
     if summary.is_file():
         report.remnant_probs = dict(_read_pairs(summary, "key", "value"))

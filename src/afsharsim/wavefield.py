@@ -54,6 +54,17 @@ numpy's pairwise summation tree, so a blocked sum has the bits of
 ``np.sum`` over the whole array.  A freed array of a field's size goes
 back to the kernel and its pages fault in again when the next one is made,
 so these temporaries cost page faults as well as copies.
+
+Each element-wise operation is one private kernel that writes into an
+``out`` buffer it is given: ``_transfer_into`` (H*S, which may overwrite
+S), ``_masked_into`` and ``_lens_into`` (which may overwrite the samples).
+:func:`propagate`, :func:`apply_mask` and :func:`thin_lens` allocate that
+buffer and hand it to the field they return; ``apparatus.run_scenario``
+passes its own two work buffers instead, and writes each ``np.fft``
+result into one of them with ``out=`` (numpy >= 2.0), so past sigma1 a
+scenario makes two complex work arrays, where each stage made one or two.
+An in-place product with the operands in the same order, and a transform
+written through ``out=``, give the bits of the allocating call.
 """
 
 from __future__ import annotations
@@ -269,6 +280,30 @@ def _transfer(grid: Grid, k: float, distance: float) -> np.ndarray:
     return _owned(half)
 
 
+def _require_finite(samples: np.ndarray) -> None:
+    """Refuse samples holding NaN or infinity, which no spectrum can carry."""
+    if not np.isfinite(samples).all():
+        raise ValueError("field contains NaN or infinite amplitudes")
+
+
+def _transfer_into(
+    grid: Grid, wavenumber: float, distance: float, source: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Write H*S, the spectrum ``source`` propagated by ``distance``, into ``out``.
+
+    The transfer function is the first operand, bin by bin, on the n/2 + 1
+    built bins and on their mirror image; ``out`` may be ``source`` itself,
+    since each bin reads only its own.
+    """
+    n = grid.n_samples
+    # -0.0 + 0.0 is 0.0: the two zero distances are one cache key, so they
+    # must give one transfer function
+    half = _transfer(grid, wavenumber, distance + 0.0)
+    np.multiply(half, source[: n // 2 + 1], out=out[: n // 2 + 1])
+    np.multiply(half[n // 2 - 1 : 0 : -1], source[n // 2 + 1 :], out=out[n // 2 + 1 :])
+    return out
+
+
 def propagate(field: ComplexField, distance: float) -> ComplexField:
     """Free-space transport by ``distance`` (negative values back-propagate).
 
@@ -278,27 +313,24 @@ def propagate(field: ComplexField, distance: float) -> ComplexField:
     conserved.  Reads the field's held spectrum if it has one, and returns
     the propagated field holding its own.
     """
-    if not np.isfinite(field.amplitudes).all():
-        raise ValueError("field contains NaN or infinite amplitudes")
-    n = field.grid.n_samples
-    # -0.0 + 0.0 is 0.0: the two zero distances are one cache key, so they
-    # must give one transfer function
-    half = _transfer(field.grid, field.wavenumber, distance + 0.0)
-    source = _spectrum(field)
-    # H*S with the transfer function first, bin by bin, on the built half and
-    # on its mirror image
-    spectrum = np.empty(n, dtype=np.complex128)
-    np.multiply(half, source[: n // 2 + 1], out=spectrum[: n // 2 + 1])
-    np.multiply(half[n // 2 - 1 : 0 : -1], source[n // 2 + 1 :], out=spectrum[n // 2 + 1 :])
+    _require_finite(field.amplitudes)
+    spectrum = np.empty(field.grid.n_samples, dtype=np.complex128)
+    _transfer_into(field.grid, field.wavenumber, distance, _spectrum(field), out=spectrum)
     spectrum = _owned(spectrum)
     return ComplexField(field.grid, _owned(np.fft.ifft(spectrum)), field.wavelength, spectrum)
+
+
+def _masked_into(samples: np.ndarray, transmission: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the masked samples ``samples * transmission`` into ``out``."""
+    return np.multiply(samples, transmission, out=out)
 
 
 def apply_mask(field: ComplexField, mask: Mask) -> ComplexField:
     """Multiply the field by a passive transmission mask on the same grid."""
     if mask.grid != field.grid:
         raise ValueError("mask grid does not match field grid")
-    return field.with_amplitudes(_owned(field.amplitudes * mask.transmission))
+    out = np.empty(field.grid.n_samples, dtype=np.complex128)
+    return field.with_amplitudes(_owned(_masked_into(field.amplitudes, mask.transmission, out)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -316,6 +348,13 @@ def _lens_factor(grid: Grid, wavelength: float, focal_length: float) -> np.ndarr
     return _owned(factor)
 
 
+def _lens_into(
+    grid: Grid, wavelength: float, focal_length: float, samples: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Write ``samples`` times the thin-lens factor into ``out``, which may be ``samples``."""
+    return np.multiply(samples, _lens_factor(grid, wavelength, focal_length), out=out)
+
+
 def thin_lens(field: ComplexField, focal_length: float) -> ComplexField:
     """Ideal thin lens: quadratic phase ``exp(-i*pi*x^2/(lambda*f))``.
 
@@ -323,14 +362,20 @@ def thin_lens(field: ComplexField, focal_length: float) -> ComplexField:
     """
     if focal_length == 0:
         raise ValueError("focal length must be nonzero")
-    factor = _lens_factor(field.grid, field.wavelength, focal_length)
-    return field.with_amplitudes(_owned(field.amplitudes * factor))
+    out = np.empty(field.grid.n_samples, dtype=np.complex128)
+    lensed = _lens_into(field.grid, field.wavelength, focal_length, field.amplitudes, out)
+    return field.with_amplitudes(_owned(lensed))
+
+
+def _intensity(samples: np.ndarray) -> np.ndarray:
+    """Per-sample |u|^2 of ``samples``, squared in place in the array it returns."""
+    profile = np.abs(samples)
+    return np.square(profile, out=profile)
 
 
 def intensity(field: ComplexField) -> np.ndarray:
     """Per-sample intensity |u|^2, squared in place in the array it returns."""
-    profile = np.abs(field.amplitudes)
-    return np.square(profile, out=profile)
+    return _intensity(field.amplitudes)
 
 
 def check_window(grid: Grid, window: tuple[float, float], name: str = "window") -> None:
@@ -513,6 +558,18 @@ def _energy(bins: np.ndarray) -> np.floating:
     return _blocked_sum(bins.view(np.float64), _squared)
 
 
+def _tail_fraction(spectrum: np.ndarray) -> float:
+    """:func:`nyquist_tail_fraction` of a field whose spectrum is ``spectrum``."""
+    total = _energy(spectrum)
+    if not math.isfinite(total):
+        return math.nan
+    if total == 0.0:
+        return 0.0
+    n = spectrum.size
+    first = -(-19 * n // 40)
+    return float(_energy(spectrum[first : n - first + 1]) / total)
+
+
 def nyquist_tail_fraction(field: ComplexField) -> float:
     """Fraction of spectral energy in the outer 5% of the Nyquist band.
 
@@ -526,12 +583,4 @@ def nyquist_tail_fraction(field: ComplexField) -> float:
     built.  A spectrum whose energy is not finite gives ``nan``, whichever
     band holds the non-finite bins.
     """
-    spectrum = _spectrum(field)
-    total = _energy(spectrum)
-    if not math.isfinite(total):
-        return math.nan
-    if total == 0.0:
-        return 0.0
-    n = field.grid.n_samples
-    first = -(-19 * n // 40)
-    return float(_energy(spectrum[first : n - first + 1]) / total)
+    return _tail_fraction(_spectrum(field))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -31,9 +32,11 @@ from afsharsim.wavefield import (
     Grid,
     Mask,
     apply_mask,
+    intensity,
     make_plane_wave,
     nyquist_tail_fraction,
     propagate,
+    thin_lens,
     total_power,
 )
 from afsharsim.report import discrimination
@@ -432,18 +435,16 @@ class TestScenarios:
         # an inf sample spreads nan over the spectrum (the FFT warns), and an
         # inf bin in the inner band leaves the outer band finite: neither
         # fraction is <= 1e-6
-        grid = Grid(n_samples=256, spacing=5e-6)
-        amps = np.ones(grid.n_samples, dtype=complex)
+        n = 256
+        amps = np.ones(n, dtype=complex)
         amps[7] = np.inf
-        spectrum = np.zeros(grid.n_samples, dtype=complex)
-        spectrum[0] = np.inf
-        fields = (
-            ComplexField(grid, amps, geometry.wavelength),
-            ComplexField(grid, np.ones(grid.n_samples), geometry.wavelength, spectrum),
-        )
-        for field in fields:
+        with np.errstate(invalid="ignore"):
+            spread = np.fft.fft(amps)
+        inner = np.zeros(n, dtype=complex)
+        inner[0] = np.inf
+        for spectrum in (spread, inner):
             with np.errstate(invalid="ignore"), pytest.raises(BandLimitError, match="nan"):
-                apparatus._guarded(field, "sigma1")
+                apparatus._guarded(spectrum, "sigma1")
 
 
 class TestSuperposition:
@@ -508,13 +509,15 @@ class TestSuperposition:
         wire_masks = 1 if state is GridState.IN else 0
         needs_minima = 1 if slits is Slits.BOTH or state is GridState.IN else 0
         assert counts.calls == {
-            "propagate": 3,
+            "_transfer_into": 3,
             "_upper_slit": 1,
             "_refine_minima": needs_minima,
             "_guarded": 5 + wire_masks,
-            "apply_mask": wire_masks,
+            "_masked_into": wire_masks,
+            "_lens_into": 1,
             "make_plane_wave": 0,
         }
+        assert counts.stages == ["source", *_downstream_stages(state)]
         assert counts.transforms == {"fft": 1 + wire_masks, "ifft": 4}
         assert counts.copies == []
 
@@ -531,13 +534,15 @@ class TestSuperposition:
         run_scenario(geometry, Scenario(slits, state), bench_grid)
         wire_masks = 1 if state is GridState.IN else 0
         assert counts.calls == {
-            "propagate": 2,
+            "_transfer_into": 2,
             "_upper_slit": 0,
             "_refine_minima": 0,
             "_guarded": 4 + wire_masks,
-            "apply_mask": wire_masks,
+            "_masked_into": wire_masks,
+            "_lens_into": 1,
             "make_plane_wave": 0,
         }
+        assert counts.stages == _downstream_stages(state)
         assert counts.transforms == {"fft": 1 + wire_masks, "ifft": 2}
         assert counts.copies == []
 
@@ -549,29 +554,49 @@ class TestSuperposition:
             for state in GridState:
                 run_scenario(geometry, Scenario(slits, state), bench_grid)
         assert counts.calls == {
-            "propagate": 13,
+            "_transfer_into": 13,
             "_upper_slit": 1,
             "_refine_minima": 1,
             "_guarded": 28,
-            "apply_mask": 3,
+            "_masked_into": 3,
+            "_lens_into": 6,
             "make_plane_wave": 0,
         }
+        assert counts.stages.count("source") == 1
         assert counts.transforms == {"fft": 9, "ifft": 14}
         assert counts.copies == []
 
 
+def _downstream_stages(state):
+    """The guard stages of a scenario from sigma1 on, in order."""
+    stages = ["sigma1", "wire_grid", "lens", "lens_phase", "sigma2"]
+    if state is GridState.OUT:
+        stages.remove("wire_grid")
+    return stages
+
+
 class _StageCounts:
-    """Calls of the scenario stages, full-size transforms and buffer copies from now on."""
+    """Calls of the scenario stages and kernels, guard stages, full-size transforms
+    and buffer copies from now on.
+
+    The kernels (``_transfer_into``, ``_masked_into``, ``_lens_into``) are
+    counted wherever they run: in ``run_scenario``'s work buffers and inside
+    the allocating ``propagate``, ``apply_mask`` and ``thin_lens``.
+    """
 
     def __init__(self, monkeypatch, n_samples):
-        stages = ("propagate", "_upper_slit", "_refine_minima", "_guarded", "apply_mask")
-        self.calls = dict.fromkeys((*stages, "make_plane_wave"), 0)
+        stages = ("_transfer_into", "_upper_slit", "_refine_minima", "_guarded")
+        kernels = ("_masked_into", "_lens_into")
+        self.calls = dict.fromkeys((*stages, *kernels, "make_plane_wave"), 0)
+        self.stages = []
         self.transforms = {"fft": 0, "ifft": 0}
         self.copies = []
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
                 self.calls[name] += 1
+                if name == "_guarded":
+                    self.stages.append(args[1])
                 return original(*args, **kwargs)
 
             return wrapper
@@ -716,11 +741,12 @@ class TestMemory:
     @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
     def test_scenario_peak_allocation_on_the_fine_grid(self, geometry, slits, state):
         # a 2^16 field is 1 MiB of samples and 1 MiB of spectrum.  At its
-        # peak, inside a propagation, a scenario holds the field it
-        # propagates, the new spectrum, its ifft and the 0.5 MiB sigma1
-        # profile (4.6 MiB): no both-slit field it does not carry, no wire
-        # mask past its use and no field a later stage has replaced.  The
-        # first run fills the kernel caches, which outlive the call
+        # peak, as the wire grid is applied to a carried phi_L or
+        # phi_U + phi_L, a scenario holds that field, the 0.5 MiB sigma1
+        # profile, the wire mask and the masked samples (4.5 MiB): no
+        # both-slit field it does not carry, no wire mask past its use, and
+        # after it only its two work buffers and the profiles.  The first
+        # run fills the kernel caches, which outlive the call
         scenario = Scenario(slits, state)
         run_scenario(geometry, scenario, FINE_GRID)
         tracemalloc.start()
@@ -751,8 +777,113 @@ class TestMemory:
         assert peak < 7 * 2**20
 
 
+def chained(geometry, scenario, grid):
+    """The scenario rebuilt on fresh fields by the public wavefield operations.
+
+    Each stage is a new field made by ``propagate``, ``apply_mask`` or
+    ``thin_lens``, and the powers come from ``total_power``: the pipeline
+    as it ran before ``run_scenario`` worked in two reused buffers.  The
+    sigma1 stage is built anew, without the cache.  Returns the record and
+    the field at each guard stage.
+    """
+    source = apparatus._upper_slit(geometry, grid)
+    phi_u = propagate(source, geometry.z_slits_to_grid)
+    field = apparatus._carried(phi_u, scenario.slits)
+    stages = {"source": source, "sigma1": field}
+    minima = ()
+    if scenario.slits is Slits.BOTH or scenario.grid is GridState.IN:
+        minima = apparatus._minima.__wrapped__(geometry, grid)
+    power_incident = total_power(field)
+    if scenario.grid is GridState.IN:
+        field = stages["wire_grid"] = apply_mask(
+            field, build_wire_grid(geometry, np.asarray(minima), grid)
+        )
+    sigma1 = field
+    field = stages["lens"] = propagate(field, geometry.z_grid_to_lens)
+    field = stages["lens_phase"] = thin_lens(field, geometry.focal_length)
+    field = stages["sigma2"] = propagate(field, geometry.z_lens_to_detectors)
+    window_u, window_l = image_windows(geometry)
+    record = SimulationRecord(
+        scenario=scenario,
+        power_incident=power_incident,
+        power_after_grid=total_power(sigma1),
+        power_at_detectors=total_power(field),
+        power_window_U=total_power(field, window_u),
+        power_window_L=total_power(field, window_l),
+        intensity_sigma1=intensity(sigma1),
+        intensity_sigma2=intensity(field),
+        minima_positions=minima if scenario.slits is Slits.BOTH else (),
+    )
+    return record, stages
+
+
+SCENARIOS = [Scenario(slits, state) for slits in Slits for state in GridState]
+
+
+class TestChainedOracle:
+    """``run_scenario``'s buffers give the bits of the chained public operations."""
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_records_are_the_chained_fields_bit_for_bit(self, geometry, grid):
+        for scenario in SCENARIOS:
+            got = run_scenario(geometry, scenario, grid)
+            expected, _ = chained(geometry, scenario, grid)
+            for name in (
+                "power_incident",
+                "power_after_grid",
+                "power_at_detectors",
+                "power_window_U",
+                "power_window_L",
+            ):
+                assert np.float64(getattr(got, name)).tobytes() == np.float64(
+                    getattr(expected, name)
+                ).tobytes(), (scenario, name)
+            for name in ("intensity_sigma1", "intensity_sigma2"):
+                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), (
+                    scenario,
+                    name,
+                )
+            assert got.minima_positions == expected.minima_positions
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_a_pass_writes_into_no_cached_array(self, geometry, grid, monkeypatch):
+        # every cached array is read-only, so an out= aimed at one raises;
+        # this also pins that a full pass leaves their bytes as they were
+        for scenario in SCENARIOS:
+            run_scenario(geometry, scenario, grid)
+        phi_u, band = apparatus._phi_u(geometry, grid)
+        k = 2 * np.pi / geometry.wavelength
+        cached = {
+            "phi_u samples": phi_u.amplitudes,
+            "phi_u spectrum": phi_u.spectrum,
+            "band bins": band,
+            "lens factor": wavefield._lens_factor(
+                grid, geometry.wavelength, geometry.focal_length
+            ),
+        }
+        for distance in (
+            geometry.z_slits_to_grid,
+            geometry.z_grid_to_lens,
+            geometry.z_lens_to_detectors,
+        ):
+            cached[f"transfer {distance}"] = wavefield._transfer(grid, k, distance)
+        before = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in cached.items()}
+        misses = (wavefield._transfer.cache_info().misses, apparatus._phi_u.cache_info().misses)
+        for scenario in SCENARIOS:
+            run_scenario(geometry, scenario, grid)
+        # the pass read these very arrays: no kernel or sigma1 stage was rebuilt
+        assert misses == (
+            wavefield._transfer.cache_info().misses,
+            apparatus._phi_u.cache_info().misses,
+        )
+        assert apparatus._phi_u(geometry, grid)[0] is phi_u
+        for name, a in cached.items():
+            assert not a.flags.writeable, name
+            assert hashlib.sha256(a.tobytes()).hexdigest() == before[name], name
+
+
 class TestHeldSpectra:
-    """Guards read the spectrum a stage's field holds instead of taking an FFT."""
+    """Each guard reads the spectrum of its stage's samples, held instead of transformed."""
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
     @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
@@ -760,25 +891,30 @@ class TestHeldSpectra:
     def test_tail_fraction_from_held_spectrum_matches_a_fresh_fft(
         self, geometry, grid, monkeypatch, slits, state
     ):
-        # oracle: the same field without a held spectrum, whose tail fraction
-        # comes from its own FFT of the samples
+        # oracle: a fresh FFT of each stage's samples, rebuilt by the chained
+        # public operations, whose samples are the pipeline's bits
+        # (TestChainedOracle), and the tail fraction of that FFT
         seen = {}
         guarded = apparatus._guarded
 
-        def recorded(field, stage):
-            field = guarded(field, stage)
-            fresh = ComplexField(field.grid, field.amplitudes, field.wavelength)
-            seen[stage] = (nyquist_tail_fraction(field), nyquist_tail_fraction(fresh))
-            return field
+        def recorded(spectrum, stage):
+            seen[stage] = spectrum.copy()
+            return guarded(spectrum, stage)
 
         monkeypatch.setattr(apparatus, "_guarded", recorded)
-        run_scenario(geometry, Scenario(slits, state), grid)
-        stages = ["source", "sigma1", "wire_grid", "lens", "lens_phase", "sigma2"]
-        if state is GridState.OUT:
-            stages.remove("wire_grid")
-        assert list(seen) == stages
-        for stage, (held, fresh) in seen.items():
-            assert abs(held - fresh) <= 1e-12, stage
+        scenario = Scenario(slits, state)
+        run_scenario(geometry, scenario, grid)
+        monkeypatch.undo()
+        _, stages = chained(geometry, scenario, grid)
+        assert list(seen) == list(stages) == ["source", *_downstream_stages(state)]
+        for stage, spectrum in seen.items():
+            samples = stages[stage].amplitudes
+            fresh = np.fft.fft(samples)
+            assert np.max(np.abs(spectrum - fresh)) <= 1e-12 * np.max(np.abs(fresh)), stage
+            # the same samples holding no spectrum: the tail fraction of their own FFT
+            unheld = ComplexField(grid, samples, geometry.wavelength)
+            held = wavefield._tail_fraction(spectrum)
+            assert abs(held - nyquist_tail_fraction(unheld)) <= 1e-12, stage
 
 
 class TestDiscrimination:

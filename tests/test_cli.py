@@ -389,8 +389,8 @@ class TestDuality:
 class TestRemnant:
     def test_headers_and_custom_direction(self, cli_out):
         rows = (cli_out / "remnant.csv").read_text().splitlines()
-        assert rows[0] == "x_m,total,post_vU,post_vL,post_plus,post_minus,post_custom"
-        data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+        assert rows[1] == "x_m,total,post_vU,post_vL,post_plus,post_minus,post_custom"
+        data = np.array([[float(v) for v in r.split(",")] for r in rows[2:]])
         # --direction 1,0 is exactly the v_U selection
         np.testing.assert_array_equal(data[:, 2], data[:, 6])
 
@@ -407,7 +407,7 @@ class TestRemnant:
 
     def test_completeness_from_files(self, cli_out):
         rows = (cli_out / "remnant.csv").read_text().splitlines()
-        data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+        data = np.array([[float(v) for v in r.split(",")] for r in rows[2:]])
         probs = dict(
             line.split(",")
             for line in (cli_out / "remnant_summary.csv").read_text().splitlines()[2:]
@@ -426,7 +426,7 @@ class TestRemnant:
     def test_sampled_x_m_are_remnant_csv_strings(self, tmp_path):
         out = tmp_path / "r"
         assert run("remnant", "--seed", "4", "--samples", "500", "--out", str(out)) == 0
-        remnant_rows = (out / "remnant.csv").read_text().splitlines()[1:]
+        remnant_rows = (out / "remnant.csv").read_text().splitlines()[2:]
         sites = {line.split(",", 1)[0] for line in remnant_rows}
         samples = (out / "remnant_samples.csv").read_text().splitlines()
         assert samples[0] == "index,x_m" and len(samples) == 501
@@ -607,10 +607,10 @@ class TestProvenance:
     """Results of two configs never share an output directory or a report."""
 
     def test_config_dependent_files_are_stamped(self, cli_out):
-        for name in ("powers.csv", "derived.csv", "remnant_summary.csv"):
+        for name in ("powers.csv", "derived.csv", "remnant.csv", "remnant_summary.csv"):
             first = (cli_out / name).read_text().splitlines()[0]
             assert first == f"# config {DEFAULT_FINGERPRINT}", name
-        for name in ("sigma1.csv", "sigma2.csv", "vk.csv", "remnant.csv", "report.txt"):
+        for name in ("sigma1.csv", "sigma2.csv", "vk.csv", "report.txt"):
             assert "# config" not in (cli_out / name).read_text(), name
 
     @pytest.mark.parametrize("name", GEOMETRY_FIELDS + ("n_samples", "spacing", "center"))
@@ -662,6 +662,20 @@ class TestProvenance:
         assert DEFAULT_FINGERPRINT in err and narrow in err
         assert snapshot(out) == before
 
+    @pytest.mark.parametrize("stamp", ["# config 0123abcd\n", ""], ids=["foreign", "unstamped"])
+    def test_remnant_csv_alone_is_refused(self, tmp_path, capsys, stamp):
+        # remnant.csv is read by report, so it alone marks the directory
+        out = tmp_path / "o"
+        out.mkdir()
+        text = stamp + "x_m,total,post_vU,post_vL,post_plus,post_minus\n0.0,1.0,1.0,1.0,1.0,1.0\n"
+        (out / "remnant.csv").write_text(text)
+        assert run("remnant", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "remnant.csv" in err and DEFAULT_FINGERPRINT in err
+        assert ("0123abcd" if stamp else "unstamped") in err
+        assert snapshot(out) == {"remnant.csv": text.encode()}
+
     def test_unstamped_powers_csv_is_refused(self, tmp_path, capsys):
         out = tmp_path / "o"
         out.mkdir()
@@ -672,7 +686,7 @@ class TestProvenance:
         assert "unstamped" in err and DEFAULT_FINGERPRINT in err and err.count("\n") == 1
         assert snapshot(out) == {"powers.csv": unstamped.encode()}
 
-    @pytest.mark.parametrize("name", ["derived.csv", "remnant_summary.csv"])
+    @pytest.mark.parametrize("name", ["derived.csv", "remnant.csv", "remnant_summary.csv"])
     def test_report_refuses_inputs_of_different_configs(self, cli_out, tmp_path, capsys, name):
         out = tmp_path / "o"
         shutil.copytree(cli_out, out)

@@ -12,8 +12,11 @@ from afsharsim.wavefield import (
     _first_index,
     _interpolate,
     _lens_factor,
+    _lens_into,
+    _masked_into,
     _squared,
     _transfer,
+    _transfer_into,
     FieldFlagWarning,
     check_window,
     Grid,
@@ -376,6 +379,46 @@ class TestKernelCache:
         np.testing.assert_array_equal(got.view(float), expected.view(float))
 
 
+class TestInPlaceKernels:
+    """A kernel writing over its own input, and a transform written through
+    ``out=``, give the bits of the allocating operation."""
+
+    @pytest.mark.parametrize("grid", TestKernelCache.GRIDS, ids=TestKernelCache.IDS)
+    def test_in_place_products_are_the_allocating_operations_bit_for_bit(self, grid):
+        field = band_limited_field(grid, seed=26).with_spectrum()
+        spectrum = np.array(field.spectrum)
+        _transfer_into(grid, field.wavenumber, 0.8, spectrum, out=spectrum)
+        assert spectrum.tobytes() == propagate(field, 0.8).spectrum.tobytes()
+        mask = Mask(grid, np.linspace(0.0, 1.0, grid.n_samples))
+        for kernel, expected in (
+            (lambda a: _masked_into(a, mask.transmission, out=a), apply_mask(field, mask)),
+            (lambda a: _lens_into(grid, WAVELENGTH, 0.3, a, out=a), thin_lens(field, 0.3)),
+        ):
+            samples = np.array(field.amplitudes)
+            kernel(samples)
+            assert samples.tobytes() == expected.amplitudes.tobytes()
+
+    def test_mask_is_the_samples_times_the_transmission_bit_for_bit(self):
+        # samples first, as for the lens
+        grid = Grid(2**14, 5e-6)
+        field = band_limited_field(grid, seed=29)
+        rng = np.random.default_rng(29)
+        t = rng.uniform(0.0, 1.0, grid.n_samples) * np.exp(1j * rng.uniform(0, 7, grid.n_samples))
+        expected = field.amplitudes * t
+        got = apply_mask(field, Mask(grid, t)).amplitudes
+        np.testing.assert_array_equal(got.view(float), expected.view(float))
+
+    @pytest.mark.parametrize("grid", TestKernelCache.GRIDS, ids=TestKernelCache.IDS)
+    def test_transforms_through_out_are_the_allocating_transforms_bit_for_bit(self, grid):
+        samples = band_limited_field(grid, seed=27).amplitudes
+        out = np.empty_like(samples)
+        np.fft.fft(samples, out=out)
+        assert out.tobytes() == np.fft.fft(samples).tobytes()
+        back = np.empty_like(samples)
+        np.fft.ifft(out, out=back)
+        assert back.tobytes() == np.fft.ifft(out).tobytes()
+
+
 class TestThinLens:
     def test_zero_focal_length_rejected(self):
         f = make_plane_wave(small_grid(), WAVELENGTH)
@@ -388,6 +431,19 @@ class TestThinLens:
         factor = thin_lens(ComplexField(grid, np.ones(grid.n_samples), WAVELENGTH), 0.5)
         direct = np.exp(1j * (-np.pi * x * x / (WAVELENGTH * 0.5)))
         np.testing.assert_array_equal(factor.amplitudes.view(float), direct.view(float))
+
+    @pytest.mark.parametrize(
+        "grid", [Grid(2**14, 5e-6), Grid(2**16, 1.25e-6)], ids=["2^14", "2^16"]
+    )
+    def test_lens_is_the_samples_times_the_direct_factor_bit_for_bit(self, grid):
+        # samples first, as the pipeline has always formed it: a complex
+        # product can round differently with its operands swapped
+        field = band_limited_field(grid, seed=28)
+        x = grid.coordinates
+        direct = np.exp(1j * (-np.pi * x * x / (WAVELENGTH * 0.5)))
+        expected = field.amplitudes * direct
+        got = thin_lens(field, 0.5).amplitudes
+        np.testing.assert_array_equal(got.view(float), expected.view(float))
 
     def test_power_preserved(self):
         f = band_limited_field(small_grid(), seed=9)
