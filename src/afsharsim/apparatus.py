@@ -52,79 +52,100 @@ n - i, and the mirror map swaps the two runs), the bits phi_U + phi_L holds
 there.  So a scenario builds phi_L only for ``lower`` and phi_U + phi_L
 only for ``both``.
 
-The sigma1 source stage is a kernel of (geometry, grid), cached as
+Past sigma1 every element is linear and even under the mirror: the wire
+grid (its minima are mirrored and each bar's tanh is odd), the transfer
+functions (even in kx, the upper bins a reversed view of the lower) and
+the lens factor (even in x on a grid centered on the axis) each equal
+their mirror image bit for bit.  So phi_L at every later plane is phi_U
+mirrored and phi_U + phi_L is the sum of the two, and only phi_U is taken
+downstream, once per grid state (``_upper_pass``).  ``run_scenario``
+keeps its per-call sigma1 stage (the carried field, its guard, and its
+sigma1 profile through the pass's wire grid) and takes its sigma2 field
+as the pass's samples, their mirror or their sum.  Upper records and
+every sigma1 quantity have the bits of the public operations chained on
+fresh fields; lower and both sigma2 values differ from phi_L and
+phi_U + phi_L propagated directly by FFT roundoff (at most 8.9e-16 of the
+profile's peak, 3.1e-15 of a power, on 2^14 and 2^16 samples).  A grid
+not centered on the axis has no such symmetry (there i -> n - i reflects
+about the grid's center), so the sigma1 stage refuses it.
+
+The sigma1 source stage is a kernel of (geometry, grid), and the upper
+pass of each grid state a kernel of (geometry, grid, state), cached as
 ``wavefield`` caches its transfer functions: phi_U with its spectrum and
-the both-slit band bins (``_phi_u``), and the refined minima (``_minima``),
-each holding the last key only, since one bench is one (geometry, grid).
-The keys are frozen values, the cached arrays are read-only, and building
-them reads nothing but the key, so a hit returns the very bits a miss
-builds; a build that raises (a guard, an unresolvable minimum) caches
-nothing, so the next call raises again.  The minima are refined only by a
-scenario that needs them, so a single slit with the grid out still runs
-where they cannot be resolved.  Records and every field downstream of
-sigma1 are never cached.  The cache keeps one phi_U resident, samples and
-spectrum: 2 MiB on 2^16 samples and 512 KiB on 2^14, plus 102 KiB of band
-bins at the default geometry.
+the both-slit band bins (``_phi_u``) and the refined minima (``_minima``),
+each holding the last key only, since one bench is one (geometry, grid),
+and the upper pass (``_upper_pass``) holding two, one per grid state, so
+a sweep of the six scenarios in any order never evicts.  The keys are
+frozen values, the cached arrays are read-only, and building them reads
+nothing but the key, so a hit returns the very bits a miss builds; a
+build that raises (a source or sigma1 guard, an unresolvable minimum)
+caches nothing, so the next call raises again.  The minima are refined
+only by a scenario that needs them, so a single slit with the grid out
+still runs where they cannot be resolved.  Records are never cached.  The
+caches keep one phi_U resident, samples and spectrum (2 MiB on 2^16
+samples and 512 KiB on 2^14, plus 102 KiB of band bins at the default
+geometry), and per grid state phi_U's sigma2 samples, with the grid in
+also the wire grid: 3 MiB on 2^16 samples for both states.
 
 Every stage of a scenario run is checked against the band-limit guard and
 violations raise :class:`BandLimitError` naming the stage: ``source`` on
 the one synthesized source, ``sigma1`` on the field the scenario carries
 (phi_U, phi_L or phi_U + phi_L), then ``wire_grid`` (grid in only),
-``lens``, ``lens_phase`` and ``sigma2``.  The detector windows are measured
-by ``total_power`` over open intervals; a window beyond the grid is
-rejected by ``check_window`` before any field is built.
+``lens``, ``lens_phase`` and ``sigma2``.  Past sigma1 the upper pass
+guards, at each stage, phi_U's spectrum, its mirror (phi_L's, no FFT) and
+their sum (phi_U + phi_L's), and records each slit configuration's first
+failing stage instead of raising, so a failure raises for the scenarios
+of that configuration only, on every call.  The detector windows are
+measured by ``total_power`` over open intervals; a window beyond the grid
+is rejected by ``check_window`` before any field is built.
 
-A scenario takes each full-size transform once per change of domain, and
+The bench takes each full-size transform once per change of domain, and
 every later reader uses the spectrum its stage already holds (see
 ``wavefield``):
 
 - ``source``: one ``ifft`` synthesizes the slit from its band spectrum,
-  which the source field holds for its guard and the first propagation
-  (on a cache miss only);
-- ``sigma1``: ``propagate`` takes one ``ifft`` and holds H*S (on a cache
-  miss only); phi_L holds the mirrored spectrum and phi_U + phi_L the
-  summed one, which the guard reads, and the minima refinement reads
-  phi_U + phi_L's band bins, summed from phi_U's;
-- ``wire_grid``: one ``fft`` of the masked samples serves its guard and the
-  propagation to the lens, whose one ``ifft`` leaves the H*S the ``lens``
-  guard reads;
-- ``lens_phase``: one ``fft`` after the thin lens serves its guard and the
-  propagation to sigma2, whose one ``ifft`` leaves the H*S the ``sigma2``
-  guard reads.
+  which the source field holds for its guard and the first propagation;
+- ``sigma1``: ``propagate`` takes one ``ifft`` and holds H*S; phi_L holds
+  the mirrored spectrum and phi_U + phi_L the summed one, which the guard
+  reads, and the minima refinement reads phi_U + phi_L's band bins,
+  summed from phi_U's;
+- ``wire_grid``: one ``fft`` of the masked samples serves its guards and
+  the propagation to the lens, whose one ``ifft`` leaves the H*S the
+  ``lens`` guards read;
+- ``lens_phase``: one ``fft`` after the thin lens serves its guards and
+  the propagation to sigma2, whose one ``ifft`` leaves the H*S the
+  ``sigma2`` guards read.
 
-That is 2 ``fft`` and 4 ``ifft`` with the grid in, one ``fft`` fewer with it
-out, of which the two ``source`` and ``sigma1`` ``ifft`` run once per
-(geometry, grid): six scenarios take 9 ``fft`` and 14 ``ifft``.  A held
-spectrum is the FFT of the field's samples to roundoff, so every guard
-checks the quantity a fresh FFT would give it.
+``source`` and ``sigma1`` run once per (geometry, grid), and the upper
+pass takes 2 ``fft`` and 2 ``ifft`` with the grid in, one ``fft`` fewer
+with it out, once per grid state: six scenarios take 3 ``fft`` and 6
+``ifft``, and a repeated scenario none.  A held spectrum is the FFT of
+the field's samples to roundoff, so every guard checks the quantity a
+fresh FFT would give it.
 
-From sigma1 on, a scenario works in two complex buffers that the call
-allocates, one of samples and one of spectrum, through the kernels the
-public ``apply_mask``, ``propagate`` and ``thin_lens`` wrap, with their
-operand orders, so every record has the bits of those operations chained
-on fresh fields.  The sigma1 field is never written (phi_U is the cached,
-read-only one), so each buffer is made when a stage first needs it, after
-the arrays that stage no longer needs are released:
+The upper pass works in two complex buffers, one of samples and one of
+spectrum, through the kernels the public ``apply_mask``, ``propagate``
+and ``thin_lens`` wrap, with their operand orders, so phi_U's sigma2
+samples have the bits of those operations chained on fresh fields.  The
+cached phi_U is never written:
 
-- grid in: the masked samples go into a new samples buffer; the sigma1
-  field and the mask are released, and the ``fft`` goes into a new
-  spectrum buffer, which the ``wire_grid`` guard reads;
-- grid out: H*S of the sigma1 spectrum goes into a new spectrum buffer;
-  the sigma1 field is released, and the ``ifft`` goes into a new samples
-  buffer;
+- grid in: the masked samples go into a new samples buffer, and the
+  ``fft`` into a new spectrum buffer, which the ``wire_grid`` guards read;
+- grid out: H*S of phi_U's spectrum goes into a new spectrum buffer, and
+  the ``ifft`` into a new samples buffer;
 - each later propagation writes H*S into the spectrum buffer in place,
   and its ``ifft`` into the samples buffer; the thin lens writes its
   product into the samples buffer in place, and the ``fft`` after it
   goes into the spectrum buffer.
 
-No stage reads a buffer after it has been overwritten: an in-place
-product reads each element before it writes it, and a transform writes
-the buffer it does not read, whose contents no later stage needs.  The
-``ifft`` after each propagation overwrites samples that were last read by
-the finiteness check ahead of it (and, after the wire grid, by the sigma1
-profile); the ``fft`` after the lens overwrites the H*S the ``lens`` guard
-has read.  The last samples buffer becomes the sigma2 field, read-only,
-from which the profile and the window powers are taken.
+A third buffer takes each stage's mirrored spectrum and then, added in
+place, the summed one.  No stage reads a buffer after it has been
+overwritten: an in-place product reads each element before it writes it,
+and a transform writes the buffer it does not read, whose contents no
+later stage needs.  The last samples buffer becomes the pass's sigma2
+samples, read-only.  A scenario keeps only the samples of the field it
+carries at sigma1 (its spectrum served the sigma1 guard alone) while the
+pass is built, and releases them before its sigma2 field is formed.
 """
 
 from __future__ import annotations
@@ -210,6 +231,7 @@ class BandLimitError(RuntimeError):
     def __init__(self, stage: str, detail: str):
         super().__init__(f"band-limit guard violated at stage '{stage}': {detail}")
         self.stage = stage
+        self.detail = detail
 
 
 class Slits(enum.Enum):
@@ -394,13 +416,29 @@ def _guarded(spectrum: np.ndarray, stage: str) -> None:
         )
 
 
-def _mirror(values: np.ndarray) -> np.ndarray:
+def _mirror(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Reflection x -> -x on the periodic grid: sample i -> (n - i) mod n.
 
     The same map sends spectrum bin k to (n - k) mod n, so it mirrors a
-    field's samples and its spectrum alike.  The result owns its memory.
+    field's samples and its spectrum alike.  Written into ``out`` if given,
+    else into a new array, which owns its memory.
     """
-    return np.concatenate((values[:1], values[:0:-1]))
+    return np.concatenate((values[:1], values[:0:-1]), out=out)
+
+
+def _for_slits(values: np.ndarray, slits: Slits) -> np.ndarray:
+    """phi_U's samples or spectrum as the field ``slits`` carries holds them, read-only.
+
+    ``values`` itself, its mirror image (phi_L's), or the mirror image with
+    ``values`` added in place: the bits of phi_U + phi_L, since addition
+    is commutative.
+    """
+    if slits is Slits.UPPER_ONLY:
+        return values
+    carried = _mirror(values)
+    if slits is Slits.BOTH:
+        carried += values
+    return _owned(carried)
 
 
 def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> ComplexField:
@@ -444,19 +482,15 @@ def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> ComplexField:
 
 
 def _carried(phi_u: ComplexField, slits: Slits) -> ComplexField:
-    """phi_U, its mirror image phi_L, or phi_U + phi_L, each holding its spectrum.
-
-    The sum is the mirror image with phi_U added in place: the bits of
-    phi_U + phi_L, since addition is commutative.
-    """
+    """phi_U, its mirror image phi_L, or phi_U + phi_L, each holding its spectrum."""
     if slits is Slits.UPPER_ONLY:
         return phi_u
-    amplitudes = _mirror(phi_u.amplitudes)
-    spectrum = _mirror(phi_u.spectrum)
-    if slits is Slits.BOTH:
-        amplitudes += phi_u.amplitudes
-        spectrum += phi_u.spectrum
-    return ComplexField(phi_u.grid, _owned(amplitudes), phi_u.wavelength, _owned(spectrum))
+    return ComplexField(
+        phi_u.grid,
+        _for_slits(phi_u.amplitudes, slits),
+        phi_u.wavelength,
+        _for_slits(phi_u.spectrum, slits),
+    )
 
 
 # one bench is one (geometry, grid): its scenarios share the sigma1 source stage
@@ -484,7 +518,17 @@ def _minima(geometry: AfsharGeometry, grid: Grid) -> tuple[float, ...]:
 
 
 def _sigma1(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> ComplexField:
-    """The field ``slits`` carries at sigma1, guarded there, holding its spectrum."""
+    """The field ``slits`` carries at sigma1, guarded there, holding its spectrum.
+
+    A grid not centered on the axis is refused with a ValueError before any
+    field is built: phi_L is phi_U's mirror image i -> n - i, the
+    reflection x -> -x only on such a grid.
+    """
+    if grid.center != 0.0:
+        raise ValueError(
+            f"the bench is mirror-symmetric about the axis x = 0: the grid must be "
+            f"centered on it, not at {grid.center} m"
+        )
     field = _carried(_phi_u(geometry, grid)[0], slits)
     _guarded(field.spectrum, "sigma1")
     return field
@@ -494,6 +538,7 @@ def sigma1_fields(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, C
     """Fields (phi_U, phi_L) at sigma1 behind each slit alone, holding their spectra.
 
     phi_U is guarded at sigma1; phi_L is its mirror image, with the same bins.
+    A grid not centered on the axis raises ValueError.
     """
     phi_u = _sigma1(geometry, grid, Slits.UPPER_ONLY)
     return phi_u, _carried(phi_u, Slits.LOWER_ONLY)
@@ -572,7 +617,8 @@ def fringe_minima(geometry: AfsharGeometry, grid: Grid) -> np.ndarray:
     Newton's method on the derivative of the band-limited interpolation of
     the intensity, so the result is not quantized to the sample spacing.
     The set is symmetric under reflection; the positive-side minima are
-    refined and mirrored.
+    refined and mirrored.  A grid not centered on the axis raises
+    ValueError.
     """
     _sigma1(geometry, grid, Slits.BOTH)
     return np.array(_minima(geometry, grid))
@@ -640,6 +686,81 @@ def image_windows(geometry: AfsharGeometry) -> tuple[tuple[float, float], tuple[
     return ((-md, 0.0), (0.0, md))
 
 
+@dataclass(frozen=True, eq=False)
+class _Pass:
+    """phi_U's downstream pass in one grid state: what the records of its scenarios need.
+
+    ``sigma2`` is phi_U's sigma2 samples, read-only, or None when every
+    slit configuration failed a guard before sigma2; ``wires`` is the wire
+    grid (grid in only); ``failures`` maps each slit configuration that
+    failed a guard to the (stage, detail) of its first failure.
+    """
+
+    sigma2: np.ndarray | None
+    wires: Mask | None
+    failures: dict[Slits, tuple[str, str]]
+
+
+# one bench is one (geometry, grid): an entry per grid state, so a sweep of
+# its six scenarios in any order never evicts
+@functools.lru_cache(maxsize=2)
+def _upper_pass(geometry: AfsharGeometry, grid: Grid, state: GridState) -> _Pass:
+    """phi_U from sigma1 through the wire grid (``state`` in only), the lens and sigma2.
+
+    At each stage the guard runs on phi_U's spectrum, its mirror (phi_L's)
+    and their sum (phi_U + phi_L's); a configuration's first failure is
+    recorded, not raised, and the pass stops once all three have failed.
+    Cached: see the module notes.
+    """
+    phi_u = _phi_u(geometry, grid)[0]
+    failures: dict[Slits, tuple[str, str]] = {}
+    mirrored = np.empty_like(phi_u.spectrum)
+
+    def guarded(spectrum: np.ndarray, stage: str) -> bool:
+        """Guard the three configurations' spectra at ``stage``; False once all have failed."""
+        _mirror(spectrum, out=mirrored)
+        for slits in (Slits.UPPER_ONLY, Slits.LOWER_ONLY, Slits.BOTH):
+            if slits is Slits.BOTH:
+                # phi_L's spectrum becomes phi_U + phi_L's
+                np.add(mirrored, spectrum, out=mirrored)
+            if slits in failures:
+                continue
+            try:
+                _guarded(spectrum if slits is Slits.UPPER_ONLY else mirrored, stage)
+            except BandLimitError as exc:
+                failures[slits] = (exc.stage, exc.detail)
+        return len(failures) < len(Slits)
+
+    k = phi_u.wavenumber
+    wires = None
+    if state is GridState.IN:
+        wires = build_wire_grid(geometry, np.asarray(_minima(geometry, grid)), grid)
+        samples = np.empty_like(phi_u.amplitudes)
+        _masked_into(phi_u.amplitudes, wires.transmission, out=samples)
+        spectrum = np.fft.fft(samples)
+        if not guarded(spectrum, "wire_grid"):
+            return _Pass(None, wires, failures)
+        _require_finite(samples)
+        _transfer_into(grid, k, geometry.z_grid_to_lens, spectrum, out=spectrum)
+    else:
+        _require_finite(phi_u.amplitudes)
+        spectrum = np.empty_like(phi_u.spectrum)
+        _transfer_into(grid, k, geometry.z_grid_to_lens, phi_u.spectrum, out=spectrum)
+        samples = np.empty_like(spectrum)
+    np.fft.ifft(spectrum, out=samples)
+    if not guarded(spectrum, "lens"):
+        return _Pass(None, wires, failures)
+    _lens_into(grid, geometry.wavelength, geometry.focal_length, samples, out=samples)
+    np.fft.fft(samples, out=spectrum)
+    if not guarded(spectrum, "lens_phase"):
+        return _Pass(None, wires, failures)
+    _require_finite(samples)
+    _transfer_into(grid, k, geometry.z_lens_to_detectors, spectrum, out=spectrum)
+    np.fft.ifft(spectrum, out=samples)
+    guarded(spectrum, "sigma2")
+    return _Pass(_owned(samples), wires, failures)
+
+
 def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> SimulationRecord:
     """Propagate one scenario through the bench and record power accounting.
 
@@ -649,61 +770,42 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     before the grid, ``intensity_sigma1`` after it.  The window powers are
     ``total_power`` over the two :func:`image_windows`; a sample exactly on
     the shared boundary x = 0 counts in neither, so mirrored fields give
-    mirrored window powers.  A window beyond the grid raises ValueError,
-    naming the window and the magnification, before any field is built.
+    mirrored window powers.  A window beyond the grid, or a grid not
+    centered on the axis x = 0, about which the bench is mirror-symmetric,
+    raises ValueError before any field is built.
+
+    From sigma1 on, phi_L is the mirror image of phi_U and phi_U + phi_L
+    their sum at every stage, so the sigma2 field is taken from phi_U's
+    pass (see the module notes).
     """
     window_u, window_l = image_windows(geometry)
     for name, window in (("U", window_u), ("L", window_l)):
         label = f"detector window {name} at magnification {geometry.magnification:.4g}"
         check_window(grid, window, label)
-    field = _sigma1(geometry, grid, scenario.slits)
+    slits = scenario.slits
+    # the carried spectrum served the sigma1 guard alone: only the samples go on
+    amplitudes = _sigma1(geometry, grid, slits).amplitudes
+    minima = _minima(geometry, grid) if slits is Slits.BOTH else ()
+    upper = _upper_pass(geometry, grid, scenario.grid)
+    if slits in upper.failures:
+        raise BandLimitError(*upper.failures[slits])
 
     def power(profile: np.ndarray) -> float:
         # the whole-grid total_power of the field this intensity profile is of
         return float(np.sum(profile) * grid.spacing)
 
-    intensity_sigma1 = _owned(intensity(field))
+    intensity_sigma1 = _owned(_intensity(amplitudes))
     power_incident = power(intensity_sigma1)
+    if upper.wires is not None:
+        masked = np.empty_like(amplitudes)
+        _masked_into(amplitudes, upper.wires.transmission, out=masked)
+        intensity_sigma1 = _owned(_intensity(masked))
+        del masked
+    del amplitudes
 
-    minima: tuple[float, ...] = ()
-    if scenario.slits is Slits.BOTH or scenario.grid is GridState.IN:
-        minima = _minima(geometry, grid)
-
-    # from here on the scenario works in two buffers, samples and spectrum,
-    # each made when a stage first writes it; a stage overwrites only what
-    # no later stage reads (see the module notes)
-    k = field.wavenumber
-    if scenario.grid is GridState.IN:
-        wires = build_wire_grid(geometry, np.asarray(minima), grid)
-        samples = np.empty_like(field.amplitudes)
-        _masked_into(field.amplitudes, wires.transmission, out=samples)
-        del field, wires
-        spectrum = np.fft.fft(samples)
-        _guarded(spectrum, "wire_grid")
-        intensity_sigma1 = _owned(_intensity(samples))
-        _require_finite(samples)
-        _transfer_into(grid, k, geometry.z_grid_to_lens, spectrum, out=spectrum)
-    else:
-        _require_finite(field.amplitudes)
-        spectrum = np.empty_like(field.spectrum)
-        _transfer_into(grid, k, geometry.z_grid_to_lens, field.spectrum, out=spectrum)
-        del field
-        samples = np.empty_like(spectrum)
-    np.fft.ifft(spectrum, out=samples)
-    _guarded(spectrum, "lens")
-    _lens_into(grid, geometry.wavelength, geometry.focal_length, samples, out=samples)
-    np.fft.fft(samples, out=spectrum)
-    _guarded(spectrum, "lens_phase")
-    _require_finite(samples)
-    _transfer_into(grid, k, geometry.z_lens_to_detectors, spectrum, out=spectrum)
-    np.fft.ifft(spectrum, out=samples)
-    _guarded(spectrum, "sigma2")
-    del spectrum
-    # the last samples are the sigma2 field's, handed over without a copy
-    field = ComplexField(grid, _owned(samples), geometry.wavelength)
+    field = ComplexField(grid, _for_slits(upper.sigma2, slits), geometry.wavelength)
     intensity_sigma2 = _owned(intensity(field))
 
-    record_minima = minima if scenario.slits is Slits.BOTH else ()
     return SimulationRecord(
         scenario=scenario,
         power_incident=power_incident,
@@ -713,6 +815,5 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
         power_window_L=total_power(field, window_l),
         intensity_sigma1=intensity_sigma1,
         intensity_sigma2=intensity_sigma2,
-        minima_positions=record_minima,
+        minima_positions=minima,
     )
-

@@ -7,8 +7,9 @@ are CSV plus plain text; identical inputs produce byte-identical files.
 Each output file is replaced whole (a temporary file, then ``os.replace``),
 so a failed write leaves the previous file as it was.
 
-powers.csv, derived.csv, remnant.csv and remnant_summary.csv depend on the
-bench config and start with its stamp (see ``report``): ``simulate`` and
+powers.csv, derived.csv, sigma1.csv, sigma2.csv, remnant.csv and
+remnant_summary.csv depend on the bench config and start with its stamp
+(see ``report``): ``simulate`` and
 ``remnant`` refuse an output directory holding one of them from another
 config, before anything is computed or written, so results of two configs
 never mix.
@@ -161,7 +162,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ("sigma2.csv", record.intensity_sigma2),
     ):
         rows = (f"{x},{i}" for i, x in zip(_fmt_rows(profile), x_m))
-        _write_lines(out / name, chain(["x_m,intensity"], rows))
+        _write_lines(out / name, chain([stamp, "x_m,intensity"], rows))
     _write_lines(out / "powers.csv", powers)
     (u_lo, u_hi), (l_lo, l_hi) = apparatus.image_windows(geometry)
     _write_lines(

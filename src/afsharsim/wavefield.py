@@ -39,19 +39,22 @@ can tell them apart.  ``propagate`` forms ``H*S`` with the transfer
 function as the first operand (a complex product can round differently
 with its operands swapped) and applies the n/2 + 1 stored bins to the
 upper bins as a reversed view, so no full-length kernel is built.  The
-one field that is a kernel is the bench's sigma1 source stage, a function
-of (geometry, grid) alone, which ``apparatus`` caches by the same rule;
-records and every field downstream of it are never cached, so a repeated
-scenario costs its full arithmetic from sigma1 on.
+fields that are kernels are the bench's sigma1 source stage, a function
+of (geometry, grid) alone, and the upper pass of each grid state, phi_U
+taken from sigma1 to sigma2, a function of (geometry, grid, state), which
+``apparatus`` caches by the same rule; records are still never cached,
+so a repeated scenario forms its sigma1 field and its records anew but
+takes no transform.
 
 A stage allocates only the buffers its result owns.  A temporary the size
 of a field is not made: an element-wise step writes into the array its
-result will own (:func:`intensity` squares its ``abs`` in place), and a
-sum over a field (:func:`total_power`, the energies of
-:func:`nyquist_tail_fraction`) forms its terms in blocks of at most
-``_BLOCK`` elements in one reused scratch buffer.  The blocks follow
-numpy's pairwise summation tree, so a blocked sum has the bits of
-``np.sum`` over the whole array.  A freed array of a field's size goes
+result will own (:func:`intensity` squares its ``abs`` in place).
+:func:`total_power` forms its terms in blocks of at most ``_BLOCK``
+elements in one reused scratch buffer; the blocks follow numpy's pairwise
+summation tree, so a blocked sum has the bits of ``np.sum`` over the whole
+array.  The energies of :func:`nyquist_tail_fraction` enter no record, so
+each is one ``np.dot`` of a spectrum's float view with itself, which makes
+no temporary at all.  A freed array of a field's size goes
 back to the kernel and its pages fault in again when the next one is made,
 so these temporaries cost page faults as well as copies.
 
@@ -59,10 +62,10 @@ Each element-wise operation is one private kernel that writes into an
 ``out`` buffer it is given: ``_transfer_into`` (H*S, which may overwrite
 S), ``_masked_into`` and ``_lens_into`` (which may overwrite the samples).
 :func:`propagate`, :func:`apply_mask` and :func:`thin_lens` allocate that
-buffer and hand it to the field they return; ``apparatus.run_scenario``
+buffer and hand it to the field they return; ``apparatus._upper_pass``
 passes its own two work buffers instead, and writes each ``np.fft``
 result into one of them with ``out=`` (numpy >= 2.0), so past sigma1 a
-scenario makes two complex work arrays, where each stage made one or two.
+pass makes two complex work arrays, where each stage made one or two.
 An in-place product with the operands in the same order, and a transform
 written through ``out=``, give the bits of the allocating call.
 """
@@ -438,7 +441,7 @@ def total_power(
         if first >= stop:
             warnings.warn("power window contains no samples", FieldFlagWarning)
             return 0.0
-    return float(_blocked_sum(field.amplitudes[first:stop], _abs_squared) * grid.spacing)
+    return float(_blocked_sum(field.amplitudes[first:stop]) * grid.spacing)
 
 
 class _Band:
@@ -513,49 +516,40 @@ def _spectrum(field: ComplexField) -> np.ndarray:
 _BLOCK = 4096
 
 
-def _blocked_sum(values: np.ndarray, terms) -> np.floating:
-    """``np.sum(terms(values))``, with the terms formed ``_BLOCK`` at a time.
+def _blocked_sum(values: np.ndarray) -> np.floating:
+    """``np.sum(intensity)`` of the samples ``values``, the squares formed ``_BLOCK`` at a time.
 
-    ``terms(block, out)`` writes one float64 term per element of ``block``
-    into ``out``, which is reused by every block.  The blocks are the
-    leaves of numpy's pairwise summation of a contiguous array (split in
-    halves rounded down to a multiple of 8 while longer than ``_BLOCK``),
-    and the leaf sums are added back up the same tree, so the result has
-    the bits of the whole-array sum.
+    Each block's |u|^2 is formed as :func:`intensity` forms it, ``abs`` and
+    then its square, in one scratch buffer reused by every block.  The
+    blocks are the leaves of numpy's pairwise summation of a contiguous
+    array (split in halves rounded down to a multiple of 8 while longer
+    than ``_BLOCK``), and the leaf sums are added back up the same tree, so
+    the result has the bits of the whole-array sum.
     """
-    return _pairwise(values, terms, np.empty(min(values.size, _BLOCK)))
+    return _pairwise(values, np.empty(min(values.size, _BLOCK)))
 
 
-def _pairwise(values: np.ndarray, terms, scratch: np.ndarray) -> np.floating:
+def _pairwise(values: np.ndarray, scratch: np.ndarray) -> np.floating:
     # a module-level recursion: a nested function that calls itself is a
     # reference cycle, which would keep ``values`` alive until a collection
     if values.size <= _BLOCK:
+        squares = np.abs(values, out=scratch[: values.size])
         # add.reduce is np.sum's own reduction, without its dispatch
-        return np.add.reduce(terms(values, scratch[: values.size]))
+        return np.add.reduce(np.square(squares, out=squares))
     half = values.size // 2
     half -= half % 8
-    return _pairwise(values[:half], terms, scratch) + _pairwise(values[half:], terms, scratch)
+    return _pairwise(values[:half], scratch) + _pairwise(values[half:], scratch)
 
 
-def _squared(block: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.square(block, out=out)
+def _energy(bins: np.ndarray) -> float:
+    """``sum(|bins|^2)``: the dot product of the float64 view of ``bins`` with itself.
 
-
-def _abs_squared(block: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # |u|**2 as intensity() forms it: abs, then its square
-    np.abs(block, out=out)
-    return np.square(out, out=out)
-
-
-def _energy(bins: np.ndarray) -> np.floating:
-    """``sum(|bins|^2)``, summed over the squares of the real and imaginary parts.
-
-    A blocked sum (see :func:`_blocked_sum`) of the squares, so no
-    temporary grows with the spectrum; ``np.vdot`` would be as exact with
-    no temporary but faults 128 KiB of BLAS code into a process that makes
-    no other BLAS call, such as ``remnant``.
+    It feeds the guard's tail fraction only, which enters no record, so it
+    need not have ``np.sum``'s bits; one ``np.dot`` makes no temporary and
+    takes about a seventh of the time of a blocked sum of the squares.
     """
-    return _blocked_sum(bins.view(np.float64), _squared)
+    floats = bins.view(np.float64)
+    return float(np.dot(floats, floats))
 
 
 def _tail_fraction(spectrum: np.ndarray) -> float:

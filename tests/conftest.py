@@ -42,10 +42,11 @@ def sigma1_fields(geometry, bench_grid):
 
 @pytest.fixture(autouse=True)
 def cold_sigma1_cache():
-    """Each test starts with the sigma1 source stage uncached.
+    """Each test starts with the sigma1 source stage and the upper passes uncached.
 
     A test that counts or replaces a stage (``_upper_slit``, ``_guarded``)
     then sees it run whichever tests ran before it.
     """
     apparatus._phi_u.cache_clear()
     apparatus._minima.cache_clear()
+    apparatus._upper_pass.cache_clear()

@@ -498,12 +498,13 @@ class TestSuperposition:
     def test_one_source_and_three_propagations_per_scenario(
         self, geometry, bench_grid, monkeypatch, slits, state
     ):
-        # on a cold sigma1 cache the slit source is synthesized once and is
-        # the source field itself: no plane wave is built and the one mask
-        # applied to a field is the wire grid; each change of domain takes
-        # one full-size transform, so a scenario takes at most 6; every
-        # field and mask takes over the arrays its producer made, so no
-        # buffer is copied
+        # on cold caches the slit source is synthesized once and is the
+        # source field itself: no plane wave is built; each change of domain
+        # takes one full-size transform, so a scenario takes at most 6; the
+        # wire grid is applied once in phi_U's pass and once to the carried
+        # field for its sigma1 profile; the pass guards phi_U, phi_L and
+        # phi_U + phi_L at each stage; every field and mask takes over the
+        # arrays its producer made, so no buffer is copied
         counts = _StageCounts(monkeypatch, bench_grid.n_samples)
         run_scenario(geometry, Scenario(slits, state), bench_grid)
         wire_masks = 1 if state is GridState.IN else 0
@@ -512,58 +513,63 @@ class TestSuperposition:
             "_transfer_into": 3,
             "_upper_slit": 1,
             "_refine_minima": needs_minima,
-            "_guarded": 5 + wire_masks,
-            "_masked_into": wire_masks,
+            "_guarded": 2 + 3 * (3 + wire_masks),
+            "_masked_into": 2 * wire_masks,
             "_lens_into": 1,
             "make_plane_wave": 0,
         }
-        assert counts.stages == ["source", *_downstream_stages(state)]
+        downstream = _downstream_stages(state)[1:]
+        assert counts.stages == ["source", "sigma1", *(s for s in downstream for _ in range(3))]
         assert counts.transforms == {"fft": 1 + wire_masks, "ifft": 4}
         assert counts.copies == []
 
     @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
     @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
-    def test_warm_cache_takes_no_source_and_two_propagations_per_scenario(
+    def test_repeated_scenario_takes_no_transform(
         self, geometry, bench_grid, monkeypatch, slits, state
     ):
         # a repeated scenario takes phi_U and the minima from the sigma1
-        # cache: no synthesis, no propagation to sigma1 and no refinement,
-        # but the sigma1 guard still runs on the field it carries
+        # cache and its sigma2 samples from phi_U's pass: no synthesis, no
+        # propagation and no refinement; the sigma1 guard still runs on the
+        # field it carries, and the wire grid is applied to that field for
+        # its sigma1 profile
         run_scenario(geometry, Scenario(slits, state), bench_grid)
         counts = _StageCounts(monkeypatch, bench_grid.n_samples)
         run_scenario(geometry, Scenario(slits, state), bench_grid)
         wire_masks = 1 if state is GridState.IN else 0
         assert counts.calls == {
-            "_transfer_into": 2,
+            "_transfer_into": 0,
             "_upper_slit": 0,
             "_refine_minima": 0,
-            "_guarded": 4 + wire_masks,
+            "_guarded": 1,
             "_masked_into": wire_masks,
-            "_lens_into": 1,
+            "_lens_into": 0,
             "make_plane_wave": 0,
         }
-        assert counts.stages == _downstream_stages(state)
-        assert counts.transforms == {"fft": 1 + wire_masks, "ifft": 2}
+        assert counts.stages == ["sigma1"]
+        assert counts.transforms == {"fft": 0, "ifft": 0}
         assert counts.copies == []
 
     def test_six_scenarios_share_one_source_stage(self, geometry, bench_grid, monkeypatch):
-        # the pass synthesizes, propagates to sigma1 and refines the minima
-        # once; each scenario then makes its own two or three transforms
+        # the six scenarios synthesize, propagate to sigma1 and refine the
+        # minima once, and take phi_U through the downstream stages once per
+        # grid state: 3 fft and 6 ifft in all
         counts = _StageCounts(monkeypatch, bench_grid.n_samples)
         for slits in Slits:
             for state in GridState:
                 run_scenario(geometry, Scenario(slits, state), bench_grid)
         assert counts.calls == {
-            "_transfer_into": 13,
+            "_transfer_into": 5,
             "_upper_slit": 1,
             "_refine_minima": 1,
             "_guarded": 28,
-            "_masked_into": 3,
-            "_lens_into": 6,
+            "_masked_into": 4,
+            "_lens_into": 2,
             "make_plane_wave": 0,
         }
         assert counts.stages.count("source") == 1
-        assert counts.transforms == {"fft": 9, "ifft": 14}
+        assert counts.stages.count("sigma1") == 6
+        assert counts.transforms == {"fft": 3, "ifft": 6}
         assert counts.copies == []
 
 
@@ -736,6 +742,153 @@ class TestSigma1Cache:
         assert apparatus.sigma1_fields(geometry, bench_grid)[1] is not phi_l
 
 
+SIGMA2_POWERS = ("power_at_detectors", "power_window_U", "power_window_L")
+
+
+def record_bits(record):
+    """Every field of a record as bytes, for bitwise comparison."""
+    powers = ("power_incident", "power_after_grid", *SIGMA2_POWERS)
+    return (
+        *(np.float64(getattr(record, name)).tobytes() for name in powers),
+        record.intensity_sigma1.tobytes(),
+        record.intensity_sigma2.tobytes(),
+        np.array(record.minima_positions).tobytes(),
+    )
+
+
+def clear_caches():
+    for cached in (apparatus._phi_u, apparatus._minima, apparatus._upper_pass):
+        cached.cache_clear()
+
+
+class TestUpperPass:
+    """phi_U's downstream pass is cached per (geometry, grid, state); records are not."""
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_cached_pass_is_the_uncached_build_bit_for_bit(self, geometry, grid):
+        for state in GridState:
+            upper = apparatus._upper_pass(geometry, grid, state)
+            fresh = apparatus._upper_pass.__wrapped__(geometry, grid, state)
+            assert upper.sigma2.tobytes() == fresh.sigma2.tobytes()
+            assert upper.sigma2.flags.owndata and not upper.sigma2.flags.writeable
+            assert upper.failures == fresh.failures == {}
+            if state is GridState.IN:
+                assert upper.wires.transmission.tobytes() == fresh.wires.transmission.tobytes()
+            else:
+                assert upper.wires is fresh.wires is None
+            # a hit is the very value the miss built
+            assert apparatus._upper_pass(geometry, grid, state) is upper
+
+    def test_six_scenarios_in_any_order_never_evict(self, geometry, bench_grid):
+        for scenario in [*SCENARIOS, *reversed(SCENARIOS)]:
+            run_scenario(geometry, scenario, bench_grid)
+        info = apparatus._upper_pass.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 10, 2)
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_records_do_not_depend_on_call_order_or_cache_state(self, geometry, grid):
+        # each scenario in turn runs first on cold caches, then the six run
+        # again on warm ones: every record keeps the bits of a cold run in
+        # SCENARIOS order
+        expected = {}
+        for scenario in SCENARIOS:
+            expected[scenario] = record_bits(run_scenario(geometry, scenario, grid))
+        for first in SCENARIOS:
+            clear_caches()
+            for scenario in [first, *(s for s in SCENARIOS if s != first), *SCENARIOS]:
+                got = record_bits(run_scenario(geometry, scenario, grid))
+                assert got == expected[scenario], (first, scenario)
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_a_raise_while_a_pass_is_built_caches_nothing(self, geometry, grid, monkeypatch):
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("lens failed")
+
+        monkeypatch.setattr(apparatus, "_lens_into", failing)
+        scenario = Scenario(Slits.LOWER_ONLY, GridState.OUT)
+        for attempt in (1, 2):
+            with pytest.raises(RuntimeError, match="lens failed"):
+                run_scenario(geometry, scenario, grid)
+            assert len(calls) == attempt
+        assert apparatus._upper_pass.cache_info().currsize == 0
+        monkeypatch.undo()
+        run_scenario(geometry, scenario, grid)
+        assert apparatus._upper_pass.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_guard_failure_of_one_configuration_raises_for_its_scenario_only(
+        self, geometry, grid, monkeypatch
+    ):
+        # the tail fraction reads 1 on phi_L's spectrum at the lens with the
+        # grid out, and is the real one on every other spectrum: lower/out
+        # raises there, on every call, and the other five records keep their bits
+        expected = {s: record_bits(run_scenario(geometry, s, grid)) for s in SCENARIOS}
+        seen = []
+        guarded = apparatus._guarded
+
+        def recorded(spectrum, stage):
+            seen.append((stage, spectrum.tobytes()))
+            return guarded(spectrum, stage)
+
+        monkeypatch.setattr(apparatus, "_guarded", recorded)
+        apparatus._upper_pass.__wrapped__(geometry, grid, GridState.OUT)
+        monkeypatch.undo()
+        lens = [spectrum for stage, spectrum in seen if stage == "lens"]
+        assert len(lens) == 3
+        target = lens[1]
+        tail_fraction = apparatus._tail_fraction
+        monkeypatch.setattr(
+            apparatus,
+            "_tail_fraction",
+            lambda spectrum: 1.0 if spectrum.tobytes() == target else tail_fraction(spectrum),
+        )
+        clear_caches()
+        failing = Scenario(Slits.LOWER_ONLY, GridState.OUT)
+        for scenario in [*SCENARIOS, failing]:
+            if scenario == failing:
+                with pytest.raises(BandLimitError, match="1.000e[+]00") as err:
+                    run_scenario(geometry, scenario, grid)
+                assert err.value.stage == "lens"
+            else:
+                assert record_bits(run_scenario(geometry, scenario, grid)) == expected[scenario]
+        assert apparatus._upper_pass.cache_info().misses == 2
+
+    def test_off_axis_grid_rejected_before_any_field(self, geometry, bench_grid, monkeypatch):
+        # the mirror i -> n - i is x -> -x only on a grid centered on the
+        # axis: on another, phi_L would be phi_U reflected about the grid's
+        # center, a slit at 2 * center - d/2
+        def never(*args):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(apparatus, "_upper_slit", never)
+        off_axis = Grid(bench_grid.n_samples, bench_grid.spacing, center=1e-3)
+        calls = [lambda: apparatus.sigma1_fields(geometry, off_axis)]
+        calls.append(lambda: fringe_minima(geometry, off_axis))
+        calls += [lambda s=s: run_scenario(geometry, s, off_axis) for s in SCENARIOS]
+        for call in calls:
+            with pytest.raises(ValueError, match="centered on it, not at 0.001 m"):
+                call()
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_downstream_elements_are_mirror_symmetric_bit_for_bit(self, geometry, grid):
+        # premise of the mirrored pass: the wire grid, the lens factor and
+        # the transfer functions are even under i -> n - i to the bit, so
+        # phi_L's pass differs from phi_U's mirrored by FFT roundoff only
+        mirror = -np.arange(grid.n_samples) % grid.n_samples
+        mask = build_wire_grid(geometry, fringe_minima(geometry, grid), grid).transmission
+        assert mask.tobytes() == mask[mirror].tobytes()
+        lens = wavefield._lens_factor(grid, geometry.wavelength, geometry.focal_length)
+        assert lens.tobytes() == lens[mirror].tobytes()
+        k = 2 * np.pi / geometry.wavelength
+        for distance in (geometry.z_grid_to_lens, geometry.z_lens_to_detectors):
+            ones = np.ones(grid.n_samples, complex)
+            h = wavefield._transfer_into(grid, k, distance, ones, np.empty_like(ones))
+            assert h.tobytes() == h[mirror].tobytes()
+
+
 class TestMemory:
     @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
     @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
@@ -776,6 +929,26 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 7 * 2**20
 
+    @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
+    @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
+    def test_all_caches_cold_peak_allocation_on_the_fine_grid(self, geometry, slits, state):
+        # the same run with phi_U's pass uncached as well also builds that
+        # pass, whose cache keeps phi_U's sigma2 samples (1 MiB) and, with
+        # the grid in, the wire grid (1 MiB): the cold bound plus those bytes
+        scenario = Scenario(slits, state)
+        run_scenario(geometry, scenario, FINE_GRID)
+        upper = apparatus._upper_pass(geometry, FINE_GRID, state)
+        kept = upper.sigma2.nbytes + (upper.wires.transmission.nbytes if upper.wires else 0)
+        del upper
+        clear_caches()
+        tracemalloc.start()
+        try:
+            run_scenario(geometry, scenario, FINE_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20 + kept
+
 
 def chained(geometry, scenario, grid):
     """The scenario rebuilt on fresh fields by the public wavefield operations.
@@ -784,7 +957,9 @@ def chained(geometry, scenario, grid):
     ``thin_lens``, and the powers come from ``total_power``: the pipeline
     as it ran before ``run_scenario`` worked in two reused buffers.  The
     sigma1 stage is built anew, without the cache.  Returns the record and
-    the field at each guard stage.
+    the field at each guard stage.  For ``lower`` and ``both`` this
+    propagates phi_L and phi_U + phi_L directly, where ``run_scenario``
+    mirrors or sums phi_U's pass.
     """
     source = apparatus._upper_slit(geometry, grid)
     phi_u = propagate(source, geometry.z_slits_to_grid)
@@ -821,29 +996,68 @@ SCENARIOS = [Scenario(slits, state) for slits in Slits for state in GridState]
 
 
 class TestChainedOracle:
-    """``run_scenario``'s buffers give the bits of the chained public operations."""
+    """``run_scenario``'s records against the public operations chained on fresh fields."""
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
-    def test_records_are_the_chained_fields_bit_for_bit(self, geometry, grid):
+    def test_upper_records_and_sigma1_quantities_are_the_chained_fields_bit_for_bit(
+        self, geometry, grid
+    ):
+        # every sigma1 quantity comes from the carried field and the held
+        # wire grid; upper's sigma2 is phi_U's pass, the chained operations'
+        # bits in two reused buffers
         for scenario in SCENARIOS:
             got = run_scenario(geometry, scenario, grid)
             expected, _ = chained(geometry, scenario, grid)
-            for name in (
-                "power_incident",
-                "power_after_grid",
-                "power_at_detectors",
-                "power_window_U",
-                "power_window_L",
-            ):
+            names = ["power_incident", "power_after_grid"]
+            if scenario.slits is Slits.UPPER_ONLY:
+                names += SIGMA2_POWERS
+            for name in names:
                 assert np.float64(getattr(got, name)).tobytes() == np.float64(
                     getattr(expected, name)
                 ).tobytes(), (scenario, name)
-            for name in ("intensity_sigma1", "intensity_sigma2"):
+            names = ["intensity_sigma1"]
+            if scenario.slits is Slits.UPPER_ONLY:
+                names.append("intensity_sigma2")
+            for name in names:
                 assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), (
                     scenario,
                     name,
                 )
             assert got.minima_positions == expected.minima_positions
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_lower_and_both_records_match_the_directly_propagated_fields(self, geometry, grid):
+        # oracle: phi_L and phi_U + phi_L propagated directly by the public
+        # operations, sharing no mirror or sum past sigma1 with the pass;
+        # the two differ by FFT roundoff only
+        for scenario in SCENARIOS:
+            if scenario.slits is Slits.UPPER_ONLY:
+                continue
+            got = run_scenario(geometry, scenario, grid)
+            expected, _ = chained(geometry, scenario, grid)
+            profile = expected.intensity_sigma2
+            error = np.max(np.abs(got.intensity_sigma2 - profile))
+            assert error <= 1e-14 * np.max(profile), scenario
+            for name in SIGMA2_POWERS:
+                value = getattr(expected, name)
+                assert abs(getattr(got, name) - value) <= 1e-14 * value, (scenario, name)
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_lower_and_both_sigma2_profiles_are_the_mirror_and_the_sum_bit_for_bit(
+        self, geometry, grid
+    ):
+        # exact identities: lower's sigma2 profile is upper's mirrored, and
+        # both's is |s + mirror(s)|^2 for phi_U's sigma2 samples s
+        mirror = -np.arange(grid.n_samples) % grid.n_samples
+        for state in GridState:
+            records = {s: run_scenario(geometry, Scenario(s, state), grid) for s in Slits}
+            s = apparatus._upper_pass(geometry, grid, state).sigma2
+            upper = records[Slits.UPPER_ONLY].intensity_sigma2
+            own = intensity(ComplexField(grid, s, geometry.wavelength))
+            assert upper.tobytes() == own.tobytes()
+            assert records[Slits.LOWER_ONLY].intensity_sigma2.tobytes() == upper[mirror].tobytes()
+            both = intensity(ComplexField(grid, s + s[mirror], geometry.wavelength))
+            assert records[Slits.BOTH].intensity_sigma2.tobytes() == both.tobytes()
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
     def test_a_pass_writes_into_no_cached_array(self, geometry, grid, monkeypatch):
@@ -867,15 +1081,17 @@ class TestChainedOracle:
             geometry.z_lens_to_detectors,
         ):
             cached[f"transfer {distance}"] = wavefield._transfer(grid, k, distance)
+        for state in GridState:
+            upper = apparatus._upper_pass(geometry, grid, state)
+            cached[f"sigma2 samples, grid {state.value}"] = upper.sigma2
+        cached["wire grid"] = apparatus._upper_pass(geometry, grid, GridState.IN).wires.transmission
         before = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in cached.items()}
-        misses = (wavefield._transfer.cache_info().misses, apparatus._phi_u.cache_info().misses)
+        stages = (wavefield._transfer, apparatus._phi_u, apparatus._upper_pass)
+        misses = [stage.cache_info().misses for stage in stages]
         for scenario in SCENARIOS:
             run_scenario(geometry, scenario, grid)
-        # the pass read these very arrays: no kernel or sigma1 stage was rebuilt
-        assert misses == (
-            wavefield._transfer.cache_info().misses,
-            apparatus._phi_u.cache_info().misses,
-        )
+        # the pass read these very arrays: no kernel, sigma1 stage or pass was rebuilt
+        assert misses == [stage.cache_info().misses for stage in stages]
         assert apparatus._phi_u(geometry, grid)[0] is phi_u
         for name, a in cached.items():
             assert not a.flags.writeable, name
@@ -898,7 +1114,7 @@ class TestHeldSpectra:
         guarded = apparatus._guarded
 
         def recorded(spectrum, stage):
-            seen[stage] = spectrum.copy()
+            seen.setdefault(stage, []).append(spectrum.copy())
             return guarded(spectrum, stage)
 
         monkeypatch.setattr(apparatus, "_guarded", recorded)
@@ -907,7 +1123,12 @@ class TestHeldSpectra:
         monkeypatch.undo()
         _, stages = chained(geometry, scenario, grid)
         assert list(seen) == list(stages) == ["source", *_downstream_stages(state)]
-        for stage, spectrum in seen.items():
+        # past sigma1, phi_U's pass guards phi_U's, phi_L's and phi_U + phi_L's
+        # spectra at each stage, in that order
+        carried = [Slits.UPPER_ONLY, Slits.LOWER_ONLY, Slits.BOTH].index(slits)
+        for stage, spectra in seen.items():
+            assert len(spectra) == (1 if stage in ("source", "sigma1") else 3), stage
+            spectrum = spectra[0] if len(spectra) == 1 else spectra[carried]
             samples = stages[stage].amplitudes
             fresh = np.fft.fft(samples)
             assert np.max(np.abs(spectrum - fresh)) <= 1e-12 * np.max(np.abs(fresh)), stage

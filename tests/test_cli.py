@@ -14,7 +14,7 @@ from afsharsim import AfsharGeometry, duality
 from afsharsim import cli
 from afsharsim.cli import main
 from afsharsim.config import Config, ConfigError, load_config, parse_config
-from afsharsim.report import _fmt, _fmt_rows, _parse
+from afsharsim.report import POWERS_COLUMNS, _fmt, _fmt_rows, _parse
 from afsharsim.wavefield import Grid
 
 
@@ -93,8 +93,9 @@ def cli_out(tmp_path_factory):
 
 class TestSimulate:
     def test_csv_files_and_headers(self, cli_out):
-        assert (cli_out / "sigma1.csv").read_text().splitlines()[0] == "x_m,intensity"
-        assert (cli_out / "sigma2.csv").read_text().splitlines()[0] == "x_m,intensity"
+        for name in ("sigma1.csv", "sigma2.csv"):
+            lines = (cli_out / name).read_text().splitlines()
+            assert lines[:2] == [f"# config {DEFAULT_FINGERPRINT}", "x_m,intensity"], name
         powers = (cli_out / "powers.csv").read_text().splitlines()
         assert powers[0] == f"# config {DEFAULT_FINGERPRINT}"
         assert powers[1] == (
@@ -104,7 +105,7 @@ class TestSimulate:
         assert len(powers) == 6  # stamp, header and four accumulated scenario rows
 
     def test_full_double_precision_round_trip(self, cli_out):
-        row = (cli_out / "sigma1.csv").read_text().splitlines()[1]
+        row = (cli_out / "sigma1.csv").read_text().splitlines()[2]
         x_text, i_text = row.split(",")
         assert repr(float(x_text)) == x_text
         assert repr(float(i_text)) == i_text
@@ -475,6 +476,42 @@ class TestReport:
         assert "grid transparency" in text
         assert "[FAIL]" not in text
 
+    def test_afshar_pair_is_stated_after_the_verdicts_and_not_judged(self, cli_out, tmp_path):
+        # V from grid transparency, K from the smaller grid-out
+        # discrimination, both recomputed here from powers.csv
+        out = tmp_path / "o"
+        shutil.copytree(cli_out, out)
+        for grid in ("in", "out"):
+            assert run("simulate", "--scenario", "lower", "--grid", grid, "--out", str(out)) == 0
+        assert run("report", "--out", str(out)) == 0
+        rows = {}
+        for line in (out / "powers.csv").read_text().splitlines()[2:]:
+            parts = line.split(",")
+            rows[(parts[0], parts[1])] = dict(zip(POWERS_COLUMNS[2:], map(float, parts[2:])))
+        v = rows[("both", "in")]["power_at_detectors"] / rows[("both", "out")]["power_at_detectors"]
+        windows = [
+            (rows[(s, "out")]["power_window_U"], rows[(s, "out")]["power_window_L"])
+            for s in ("upper", "lower")
+        ]
+        k = min(abs(u - l) / (u + l) for u, l in windows)
+        text = (out / "report.txt").read_text()
+        verdicts = text.split("verdicts\n")[1].split("\n\n")[0].splitlines()
+        assert sum(line.startswith("  [PASS] ") for line in verdicts) == 14
+        assert not any(line.startswith("  [FAIL] ") for line in verdicts)
+        info = verdicts[-1]
+        assert info.startswith("  [INFO] ")
+        assert f"V^2 + K^2 = {v * v + k * k!r}," in info
+        assert f"{v!r}" in info and f"{k!r}" in info
+        assert "not tested" in info
+        assert 1.99 < v * v + k * k < 2.0
+
+    def test_afshar_pair_needs_both_grid_states_and_a_single_slit(self, tmp_path):
+        out = tmp_path / "o"
+        for slits, grid in (("both", "in"), ("both", "out"), ("upper", "in")):
+            assert run("simulate", "--scenario", slits, "--grid", grid, "--out", str(out)) == 0
+            assert run("report", "--out", str(out)) == 0
+            assert "[INFO]" not in (out / "report.txt").read_text()
+
     def test_empty_directory_exits_2(self, tmp_path):
         assert run("report", "--out", str(tmp_path)) == 2
 
@@ -607,10 +644,18 @@ class TestProvenance:
     """Results of two configs never share an output directory or a report."""
 
     def test_config_dependent_files_are_stamped(self, cli_out):
-        for name in ("powers.csv", "derived.csv", "remnant.csv", "remnant_summary.csv"):
+        assert cli._STAMPED == (
+            "powers.csv",
+            "derived.csv",
+            "sigma1.csv",
+            "sigma2.csv",
+            "remnant.csv",
+            "remnant_summary.csv",
+        )
+        for name in cli._STAMPED:
             first = (cli_out / name).read_text().splitlines()[0]
             assert first == f"# config {DEFAULT_FINGERPRINT}", name
-        for name in ("sigma1.csv", "sigma2.csv", "vk.csv", "report.txt"):
+        for name in ("vk.csv", "visibility_bins.csv", "report.txt"):
             assert "# config" not in (cli_out / name).read_text(), name
 
     @pytest.mark.parametrize("name", GEOMETRY_FIELDS + ("n_samples", "spacing", "center"))
@@ -675,6 +720,22 @@ class TestProvenance:
         assert "remnant.csv" in err and DEFAULT_FINGERPRINT in err
         assert ("0123abcd" if stamp else "unstamped") in err
         assert snapshot(out) == {"remnant.csv": text.encode()}
+
+    @pytest.mark.parametrize("command", ["simulate", "remnant"])
+    @pytest.mark.parametrize("name", ["sigma1.csv", "sigma2.csv"])
+    @pytest.mark.parametrize("stamp", ["# config 0123abcd\n", ""], ids=["foreign", "unstamped"])
+    def test_profile_csv_alone_is_refused(self, tmp_path, capsys, command, name, stamp):
+        # a profile of another config is not overwritten by this one's
+        out = tmp_path / "o"
+        out.mkdir()
+        text = stamp + "x_m,intensity\n0.0,1.0\n"
+        (out / name).write_text(text)
+        assert run(command, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err and DEFAULT_FINGERPRINT in err
+        assert ("0123abcd" if stamp else "unstamped") in err
+        assert snapshot(out) == {name: text.encode()}
 
     def test_unstamped_powers_csv_is_refused(self, tmp_path, capsys):
         out = tmp_path / "o"
