@@ -33,24 +33,18 @@ Synthesis and minima refinement work only on the source band, the bins
 with |kx| < k_cut: in FFT order two runs, 0..m-1 and n-m+1..n-1, whose kx
 are built directly.  The slit spectrum is evaluated there and written into
 a zero spectrum, and the interpolant that refines the minima sums only
-those bins.  The band holds kx and then -kx of the first run's bins after
-the first, reversed, so the refinement's rotation exp(i*kx*(x - x0)) on
-the second run is the first run's conjugate, reversed, bit for bit (numpy's
-``cos`` is even and its ``sin`` odd): each evaluation takes ``cos`` and
-``sin`` of the first run's m phases only, and the complex kx and kx^2 and
-the scratch buffers are built once per refinement (``wavefield._Band``).
-The restriction to the band is exact to roundoff, because the source
-spectrum is zero beyond k_cut by construction and propagation multiplies
-each bin by a phase, so the sigma1 field's bins beyond k_cut hold only FFT
-roundoff (1e-31 to 2e-31 of its energy).  The wire grid breaks the band
-limit, so ``propagate`` stays general.  One sigma1 stage serves
-``run_scenario``, ``fringe_minima`` and ``sigma1_fields``: it carries
-phi_U, phi_L or phi_U + phi_L, formed from phi_U and guarded at sigma1 on
-every call.  The minima are refined from the both-slit band bins,
+those bins, each evaluation taking the rotation exp(i*kx*(x - x0)) as one
+complex ``exp`` over the band (``wavefield._interpolate``).  The
+restriction to the band is exact to roundoff, because the source spectrum
+is zero beyond k_cut by construction and propagation multiplies each bin
+by a phase, so the sigma1 field's bins beyond k_cut hold only FFT roundoff
+(1e-31 to 2e-31 of its energy).  The wire grid breaks the band limit, so
+``propagate`` stays general.  One sigma1 stage serves ``run_scenario``,
+``fringe_minima`` and ``sigma1_fields``: phi_U, from which each caller
+forms what it needs.  The minima are refined from the both-slit band bins,
 ``b + mirror(b)`` for phi_U's band bins b (phi_L's bin i is phi_U's bin
 n - i, and the mirror map swaps the two runs), the bits phi_U + phi_L holds
-there.  So a scenario builds phi_L only for ``lower`` and phi_U + phi_L
-only for ``both``.
+there, formed by the refinement from phi_U's spectrum.
 
 Past sigma1 every element is linear and even under the mirror: the wire
 grid (its minima are mirrored and each bar's tanh is odd), the transfer
@@ -59,45 +53,49 @@ the lens factor (even in x on a grid centered on the axis) each equal
 their mirror image bit for bit.  So phi_L at every later plane is phi_U
 mirrored and phi_U + phi_L is the sum of the two, and only phi_U is taken
 downstream, once per grid state (``_upper_pass``).  ``run_scenario``
-keeps its per-call sigma1 stage (the carried field, its guard, and its
-sigma1 profile through the pass's wire grid) and takes its sigma2 field
-as the pass's samples, their mirror or their sum.  Upper records and
-every sigma1 quantity have the bits of the public operations chained on
-fresh fields; lower and both sigma2 values differ from phi_L and
-phi_U + phi_L propagated directly by FFT roundoff (at most 8.9e-16 of the
-profile's peak, 3.1e-15 of a power, on 2^14 and 2^16 samples).  A grid
-not centered on the axis has no such symmetry (there i -> n - i reflects
+takes its sigma1 samples as phi_U's, their mirror or their sum, its
+sigma1 profile through the pass's wire grid, and its sigma2 field as the
+pass's samples, their mirror or their sum.  Upper records and every
+sigma1 quantity have the bits of the public operations chained on fresh
+fields; lower and both sigma2 values differ from phi_L and phi_U + phi_L
+propagated directly by FFT roundoff (at most 8.9e-16 of the profile's
+peak, 3.1e-15 of a power, on 2^14 and 2^16 samples).  A grid not
+centered on the axis has no such symmetry (there i -> n - i reflects
 about the grid's center), so the sigma1 stage refuses it.
 
 The sigma1 source stage is a kernel of (geometry, grid), and the upper
 pass of each grid state a kernel of (geometry, grid, state), cached as
 ``wavefield`` caches its transfer functions: phi_U with its spectrum and
-the both-slit band bins (``_phi_u``) and the refined minima (``_minima``),
-each holding the last key only, since one bench is one (geometry, grid),
-and the upper pass (``_upper_pass``) holding two, one per grid state, so
-a sweep of the six scenarios in any order never evicts.  The keys are
-frozen values, the cached arrays are read-only, and building them reads
-nothing but the key, so a hit returns the very bits a miss builds; a
-build that raises (a source or sigma1 guard, an unresolvable minimum)
-caches nothing, so the next call raises again.  The minima are refined
-only by a scenario that needs them, so a single slit with the grid out
-still runs where they cannot be resolved.  Records are never cached.  The
-caches keep one phi_U resident, samples and spectrum (2 MiB on 2^16
-samples and 512 KiB on 2^14, plus 102 KiB of band bins at the default
-geometry), and per grid state phi_U's sigma2 samples, with the grid in
-also the wire grid: 3 MiB on 2^16 samples for both states.
+the sigma1 guard's failures (``_phi_u``) and the refined minima
+(``_minima``), each holding the last key only, since one bench is one
+(geometry, grid), and the upper pass (``_upper_pass``) holding two, one
+per grid state, so a sweep of the six scenarios in any order never
+evicts.  The keys are frozen values, the cached arrays are read-only, and
+building them reads nothing but the key, so a hit returns the very bits a
+miss builds; a build that raises (the source guard, an off-axis grid, an
+unresolvable minimum) caches nothing, so the next call raises again.  The
+minima are refined only by a scenario that needs them, so a single slit
+with the grid out still runs where they cannot be resolved.  Records are
+never cached.  The caches keep one phi_U resident, samples and spectrum
+(2 MiB on 2^16 samples and 512 KiB on 2^14), and per grid state phi_U's
+sigma2 samples, with the grid in also the wire grid: 3 MiB on 2^16
+samples for both states.
 
 Every stage of a scenario run is checked against the band-limit guard and
 violations raise :class:`BandLimitError` naming the stage: ``source`` on
-the one synthesized source, ``sigma1`` on the field the scenario carries
-(phi_U, phi_L or phi_U + phi_L), then ``wire_grid`` (grid in only),
-``lens``, ``lens_phase`` and ``sigma2``.  Past sigma1 the upper pass
-guards, at each stage, phi_U's spectrum, its mirror (phi_L's, no FFT) and
-their sum (phi_U + phi_L's), and records each slit configuration's first
-failing stage instead of raising, so a failure raises for the scenarios
-of that configuration only, on every call.  The detector windows are
-measured by ``total_power`` over open intervals; a window beyond the grid
-is rejected by ``check_window`` before any field is built.
+the one synthesized source, then ``sigma1``, ``wire_grid`` (grid in
+only), ``lens``, ``lens_phase`` and ``sigma2``.  From sigma1 on one rule
+guards every stage (``_guard_slits``): phi_U's spectrum, its mirror
+(phi_L's, no FFT) and their sum (phi_U + phi_L's) are guarded once per
+bench, and each slit configuration's first failing stage is recorded
+instead of raised, at sigma1 in the sigma1 stage's cache and later in the
+upper pass, which starts from the sigma1 failures.  So a failure raises
+for the scenarios of that configuration only, on every call, and a sigma1
+failure raises before anything downstream is built: ``run_scenario``,
+``sigma1_fields`` (phi_U's) and ``fringe_minima`` (phi_U + phi_L's) raise
+it first.  The detector windows are measured by ``total_power`` over open
+intervals; a window beyond the grid is rejected by ``check_window``
+before any field is built.
 
 The bench takes each full-size transform once per change of domain, and
 every later reader uses the spectrum its stage already holds (see
@@ -105,10 +103,9 @@ every later reader uses the spectrum its stage already holds (see
 
 - ``source``: one ``ifft`` synthesizes the slit from its band spectrum,
   which the source field holds for its guard and the first propagation;
-- ``sigma1``: ``propagate`` takes one ``ifft`` and holds H*S; phi_L holds
-  the mirrored spectrum and phi_U + phi_L the summed one, which the guard
-  reads, and the minima refinement reads phi_U + phi_L's band bins,
-  summed from phi_U's;
+- ``sigma1``: ``propagate`` takes one ``ifft`` and holds H*S, which the
+  guards read, mirrored and summed, and from whose band bins the minima
+  refinement sums phi_U + phi_L's;
 - ``wire_grid``: one ``fft`` of the masked samples serves its guards and
   the propagation to the lens, whose one ``ifft`` leaves the H*S the
   ``lens`` guards read;
@@ -119,9 +116,11 @@ every later reader uses the spectrum its stage already holds (see
 ``source`` and ``sigma1`` run once per (geometry, grid), and the upper
 pass takes 2 ``fft`` and 2 ``ifft`` with the grid in, one ``fft`` fewer
 with it out, once per grid state: six scenarios take 3 ``fft`` and 6
-``ifft``, and a repeated scenario none.  A held spectrum is the FFT of
-the field's samples to roundoff, so every guard checks the quantity a
-fresh FFT would give it.
+``ifft``, and a repeated scenario none; the guards run 1 + 3 times per
+bench for ``source`` and ``sigma1`` and 3 times per stage of each upper
+pass, 25 times for six scenarios and none for a repeated one.  A held
+spectrum is the FFT of the field's samples to roundoff, so every guard
+checks the quantity a fresh FFT would give it.
 
 The upper pass works in two complex buffers, one of samples and one of
 spectrum, through the kernels the public ``apply_mask``, ``propagate``
@@ -143,9 +142,9 @@ place, the summed one.  No stage reads a buffer after it has been
 overwritten: an in-place product reads each element before it writes it,
 and a transform writes the buffer it does not read, whose contents no
 later stage needs.  The last samples buffer becomes the pass's sigma2
-samples, read-only.  A scenario keeps only the samples of the field it
-carries at sigma1 (its spectrum served the sigma1 guard alone) while the
-pass is built, and releases them before its sigma2 field is formed.
+samples, read-only.  A scenario forms the samples of the field it
+carries at sigma1 once the pass is built, and releases them before its
+sigma2 field is formed.
 """
 
 from __future__ import annotations
@@ -161,7 +160,6 @@ from .wavefield import (
     ComplexField,
     Grid,
     Mask,
-    _Band,
     _frozen,
     _intensity,
     _interpolate,
@@ -441,6 +439,34 @@ def _for_slits(values: np.ndarray, slits: Slits) -> np.ndarray:
     return _owned(carried)
 
 
+def _guard_slits(
+    spectrum: np.ndarray,
+    stage: str,
+    failures: dict[Slits, tuple[str, str]],
+    mirrored: np.ndarray,
+) -> bool:
+    """Guard phi_U's ``spectrum``, its mirror (phi_L's) and their sum at ``stage``.
+
+    The mirror is written into ``mirrored`` and then the sum, added in
+    place: phi_U + phi_L's bits, since addition is commutative.  A slit
+    configuration's first failure is recorded in ``failures`` as its
+    (stage, detail), not raised, and a configuration already there is not
+    guarded again.  False once all three have failed.
+    """
+    _mirror(spectrum, out=mirrored)
+    for slits in (Slits.UPPER_ONLY, Slits.LOWER_ONLY, Slits.BOTH):
+        if slits is Slits.BOTH:
+            # phi_L's spectrum becomes phi_U + phi_L's
+            np.add(mirrored, spectrum, out=mirrored)
+        if slits in failures:
+            continue
+        try:
+            _guarded(spectrum if slits is Slits.UPPER_ONLY else mirrored, stage)
+        except BandLimitError as exc:
+            failures[slits] = (exc.stage, exc.detail)
+    return len(failures) < len(Slits)
+
+
 def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> ComplexField:
     """The upper-slit source field, holding the band spectrum it is built from.
 
@@ -481,57 +507,55 @@ def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> ComplexField:
     return ComplexField(grid, _owned(samples), geometry.wavelength, _owned(full))
 
 
-def _carried(phi_u: ComplexField, slits: Slits) -> ComplexField:
-    """phi_U, its mirror image phi_L, or phi_U + phi_L, each holding its spectrum."""
-    if slits is Slits.UPPER_ONLY:
-        return phi_u
-    return ComplexField(
-        phi_u.grid,
-        _for_slits(phi_u.amplitudes, slits),
-        phi_u.wavelength,
-        _for_slits(phi_u.spectrum, slits),
-    )
-
-
 # one bench is one (geometry, grid): its scenarios share the sigma1 source stage
 @functools.lru_cache(maxsize=1)
-def _phi_u(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, np.ndarray]:
-    """phi_U at sigma1, holding its spectrum, and phi_U + phi_L's band bins, read-only.
-
-    The one upper-slit source is guarded at ``source`` and propagated to
-    sigma1; the bins are in the order of :func:`_source_band`.  Cached: see
-    the module notes.
-    """
-    source = _upper_slit(geometry, grid)
-    _guarded(source.spectrum, "source")
-    phi_u = propagate(source, geometry.z_slits_to_grid)
-    n, m = grid.n_samples, (_source_band(geometry, grid).size + 1) // 2
-    band = np.concatenate((phi_u.spectrum[:m], phi_u.spectrum[n - m + 1 :]))
-    band += _mirror(band)
-    return phi_u, _owned(band)
-
-
-@functools.lru_cache(maxsize=1)
-def _minima(geometry: AfsharGeometry, grid: Grid) -> tuple[float, ...]:
-    """The refined minima of phi_U + phi_L at sigma1.  Cached: see the module notes."""
-    return tuple(float(p) for p in _refine_minima(geometry, grid, _phi_u(geometry, grid)[1]))
-
-
-def _sigma1(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> ComplexField:
-    """The field ``slits`` carries at sigma1, guarded there, holding its spectrum.
+def _phi_u(
+    geometry: AfsharGeometry, grid: Grid
+) -> tuple[ComplexField, dict[Slits, tuple[str, str]]]:
+    """phi_U at sigma1, holding its spectrum, and the slit configurations that failed there.
 
     A grid not centered on the axis is refused with a ValueError before any
     field is built: phi_L is phi_U's mirror image i -> n - i, the
-    reflection x -> -x only on such a grid.
+    reflection x -> -x only on such a grid.  The one upper-slit source is
+    guarded at ``source`` and propagated to sigma1, where
+    :func:`_guard_slits` guards the three configurations.  Cached: see the
+    module notes.
     """
     if grid.center != 0.0:
         raise ValueError(
             f"the bench is mirror-symmetric about the axis x = 0: the grid must be "
             f"centered on it, not at {grid.center} m"
         )
-    field = _carried(_phi_u(geometry, grid)[0], slits)
-    _guarded(field.spectrum, "sigma1")
-    return field
+    source = _upper_slit(geometry, grid)
+    _guarded(source.spectrum, "source")
+    phi_u = propagate(source, geometry.z_slits_to_grid)
+    # the source is spent: its buffers go before the guards' mirror buffer is made
+    del source
+    failures: dict[Slits, tuple[str, str]] = {}
+    _guard_slits(phi_u.spectrum, "sigma1", failures, np.empty_like(phi_u.spectrum))
+    return phi_u, failures
+
+
+def _sigma1(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> ComplexField:
+    """The cached phi_U, once the field ``slits`` carries has passed the sigma1 guard."""
+    phi_u, failures = _phi_u(geometry, grid)
+    if slits in failures:
+        raise BandLimitError(*failures[slits])
+    return phi_u
+
+
+@functools.lru_cache(maxsize=1)
+def _minima(geometry: AfsharGeometry, grid: Grid) -> tuple[float, ...]:
+    """The refined minima of phi_U + phi_L at sigma1.  Cached: see the module notes.
+
+    They are refined from phi_U + phi_L's band bins, ``b + mirror(b)`` for
+    phi_U's band bins b, in the order of :func:`_source_band`.
+    """
+    spectrum = _phi_u(geometry, grid)[0].spectrum
+    n, m = grid.n_samples, (_source_band(geometry, grid).size + 1) // 2
+    band = np.concatenate((spectrum[:m], spectrum[n - m + 1 :]))
+    band += _mirror(band)
+    return tuple(float(p) for p in _refine_minima(geometry, grid, band))
 
 
 def sigma1_fields(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, ComplexField]:
@@ -541,7 +565,10 @@ def sigma1_fields(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, C
     A grid not centered on the axis raises ValueError.
     """
     phi_u = _sigma1(geometry, grid, Slits.UPPER_ONLY)
-    return phi_u, _carried(phi_u, Slits.LOWER_ONLY)
+    phi_l = ComplexField(
+        grid, _owned(_mirror(phi_u.amplitudes)), phi_u.wavelength, _owned(_mirror(phi_u.spectrum))
+    )
+    return phi_u, phi_l
 
 
 def _refine_minima(geometry: AfsharGeometry, grid: Grid, spectrum: np.ndarray) -> np.ndarray:
@@ -568,7 +595,7 @@ def _refine_minima(geometry: AfsharGeometry, grid: Grid, spectrum: np.ndarray) -
     if (half_pairs - 0.5 + _BRACKET_FRINGES) * fringe > grid.coordinate(grid.n_samples - 1):
         raise ValueError(f"fewer than {geometry.n_wires} resolvable minima within the grid")
 
-    kx = _Band(_source_band(geometry, grid))
+    kx = _source_band(geometry, grid)
     x0 = grid.coordinate(0)
 
     def extremum(seed: float, minimum: bool) -> tuple[float, float]:
@@ -612,10 +639,11 @@ def _refine_minima(geometry: AfsharGeometry, grid: Grid, spectrum: np.ndarray) -
 def fringe_minima(geometry: AfsharGeometry, grid: Grid) -> np.ndarray:
     """Positions of the ``n_wires`` interference minima nearest the axis.
 
-    Guards the both-slit field phi_U + phi_L at sigma1, seeds each minimum
-    at the small-angle estimate ``(m + 1/2) * lambda*L/d`` and refines it by
-    Newton's method on the derivative of the band-limited interpolation of
-    the intensity, so the result is not quantized to the sample spacing.
+    Raises phi_U + phi_L's sigma1 guard failure, if any, then seeds each
+    minimum at the small-angle estimate ``(m + 1/2) * lambda*L/d`` and
+    refines it by Newton's method on the derivative of the band-limited
+    interpolation of the intensity, so the result is not quantized to the
+    sample spacing.
     The set is symmetric under reflection; the positive-side minima are
     refined and mirrored.  A grid not centered on the axis raises
     ValueError.
@@ -712,25 +740,9 @@ def _upper_pass(geometry: AfsharGeometry, grid: Grid, state: GridState) -> _Pass
     recorded, not raised, and the pass stops once all three have failed.
     Cached: see the module notes.
     """
-    phi_u = _phi_u(geometry, grid)[0]
-    failures: dict[Slits, tuple[str, str]] = {}
+    phi_u, sigma1_failures = _phi_u(geometry, grid)
+    failures = dict(sigma1_failures)
     mirrored = np.empty_like(phi_u.spectrum)
-
-    def guarded(spectrum: np.ndarray, stage: str) -> bool:
-        """Guard the three configurations' spectra at ``stage``; False once all have failed."""
-        _mirror(spectrum, out=mirrored)
-        for slits in (Slits.UPPER_ONLY, Slits.LOWER_ONLY, Slits.BOTH):
-            if slits is Slits.BOTH:
-                # phi_L's spectrum becomes phi_U + phi_L's
-                np.add(mirrored, spectrum, out=mirrored)
-            if slits in failures:
-                continue
-            try:
-                _guarded(spectrum if slits is Slits.UPPER_ONLY else mirrored, stage)
-            except BandLimitError as exc:
-                failures[slits] = (exc.stage, exc.detail)
-        return len(failures) < len(Slits)
-
     k = phi_u.wavenumber
     wires = None
     if state is GridState.IN:
@@ -738,7 +750,7 @@ def _upper_pass(geometry: AfsharGeometry, grid: Grid, state: GridState) -> _Pass
         samples = np.empty_like(phi_u.amplitudes)
         _masked_into(phi_u.amplitudes, wires.transmission, out=samples)
         spectrum = np.fft.fft(samples)
-        if not guarded(spectrum, "wire_grid"):
+        if not _guard_slits(spectrum, "wire_grid", failures, mirrored):
             return _Pass(None, wires, failures)
         _require_finite(samples)
         _transfer_into(grid, k, geometry.z_grid_to_lens, spectrum, out=spectrum)
@@ -748,16 +760,16 @@ def _upper_pass(geometry: AfsharGeometry, grid: Grid, state: GridState) -> _Pass
         _transfer_into(grid, k, geometry.z_grid_to_lens, phi_u.spectrum, out=spectrum)
         samples = np.empty_like(spectrum)
     np.fft.ifft(spectrum, out=samples)
-    if not guarded(spectrum, "lens"):
+    if not _guard_slits(spectrum, "lens", failures, mirrored):
         return _Pass(None, wires, failures)
     _lens_into(grid, geometry.wavelength, geometry.focal_length, samples, out=samples)
     np.fft.fft(samples, out=spectrum)
-    if not guarded(spectrum, "lens_phase"):
+    if not _guard_slits(spectrum, "lens_phase", failures, mirrored):
         return _Pass(None, wires, failures)
     _require_finite(samples)
     _transfer_into(grid, k, geometry.z_lens_to_detectors, spectrum, out=spectrum)
     np.fft.ifft(spectrum, out=samples)
-    guarded(spectrum, "sigma2")
+    _guard_slits(spectrum, "sigma2", failures, mirrored)
     return _Pass(_owned(samples), wires, failures)
 
 
@@ -769,26 +781,31 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     guard runs after every stage; ``power_incident`` is measured at sigma1
     before the grid, ``intensity_sigma1`` after it.  The window powers are
     ``total_power`` over the two :func:`image_windows`; a sample exactly on
-    the shared boundary x = 0 counts in neither, so mirrored fields give
-    mirrored window powers.  A window beyond the grid, or a grid not
-    centered on the axis x = 0, about which the bench is mirror-symmetric,
-    raises ValueError before any field is built.
+    the shared boundary x = 0 counts in neither.  Mirrored fields give
+    mirrored window powers to roundoff, not bit for bit: each window is
+    summed in index order, so upper's window U and lower's window L add
+    the same squares in opposite orders (1.9236083985641202e-05 against
+    1.92360839856412e-05 at the defaults with the grid in).  A window
+    beyond the grid, or a grid not centered on the axis x = 0, about which
+    the bench is mirror-symmetric, raises ValueError before any field is
+    built.
 
     From sigma1 on, phi_L is the mirror image of phi_U and phi_U + phi_L
-    their sum at every stage, so the sigma2 field is taken from phi_U's
-    pass (see the module notes).
+    their sum at every stage, so the sigma1 samples are phi_U's, their
+    mirror or their sum, and the sigma2 field is taken from phi_U's pass
+    (see the module notes).
     """
     window_u, window_l = image_windows(geometry)
     for name, window in (("U", window_u), ("L", window_l)):
         label = f"detector window {name} at magnification {geometry.magnification:.4g}"
         check_window(grid, window, label)
     slits = scenario.slits
-    # the carried spectrum served the sigma1 guard alone: only the samples go on
-    amplitudes = _sigma1(geometry, grid, slits).amplitudes
+    phi_u = _sigma1(geometry, grid, slits)
     minima = _minima(geometry, grid) if slits is Slits.BOTH else ()
     upper = _upper_pass(geometry, grid, scenario.grid)
     if slits in upper.failures:
         raise BandLimitError(*upper.failures[slits])
+    amplitudes = _for_slits(phi_u.amplitudes, slits)
 
     def power(profile: np.ndarray) -> float:
         # the whole-grid total_power of the field this intensity profile is of

@@ -42,9 +42,10 @@ upper bins as a reversed view, so no full-length kernel is built.  The
 fields that are kernels are the bench's sigma1 source stage, a function
 of (geometry, grid) alone, and the upper pass of each grid state, phi_U
 taken from sigma1 to sigma2, a function of (geometry, grid, state), which
-``apparatus`` caches by the same rule; records are still never cached,
-so a repeated scenario forms its sigma1 field and its records anew but
-takes no transform.
+``apparatus`` caches by the same rule, together with each slit
+configuration's guard failures; records are still never cached, so a
+repeated scenario forms its sigma1 samples and its records anew but takes
+no transform and no guard.
 
 A stage allocates only the buffers its result owns.  A temporary the size
 of a field is not made: an element-wise step writes into the array its
@@ -444,37 +445,8 @@ def total_power(
     return float(_blocked_sum(field.amplitudes[first:stop]) * grid.spacing)
 
 
-class _Band:
-    """Wavenumbers prepared once for many :func:`_interpolate` calls.
-
-    Holds the complex copies of ``kx`` and ``kx**2`` that the derivative
-    sums take (the bits numpy's cast of the float arrays gives each call)
-    and the scratch buffers every call writes.  When ``kx`` has the layout
-    ``k_0 .. k_(m-1), -k_(m-1) .. -k_1`` bit for bit, as a source band
-    does, the phases of the negative run are the positive run's negated,
-    and numpy's ``cos`` is even and its ``sin`` odd bit for bit, so the
-    rotation there is the positive run's conjugate, reversed, and only the
-    m phases of ``positive`` are taken through ``cos``/``sin``; otherwise
-    ``positive`` is all of ``kx``.
-    """
-
-    def __init__(self, kx: np.ndarray) -> None:
-        kx = np.asarray(kx, dtype=np.float64)
-        half = (kx.size + 1) // 2
-        if kx[half:].tobytes() != (-kx[half - 1 : 0 : -1]).tobytes():
-            half = kx.size
-        self.positive = kx[:half]
-        self.kx_complex = kx.astype(np.complex128)
-        self.kx2_complex = (kx * kx).astype(np.complex128)
-        self.phase = np.empty(half)
-        self.cos = np.empty(half)
-        self.sin = np.empty(half)
-        self.rotation = np.empty(kx.size, dtype=np.complex128)
-        self.terms = np.empty(kx.size, dtype=np.complex128)
-
-
 def _interpolate(
-    spectrum: np.ndarray, kx: np.ndarray | _Band, x0: float, x: float, n: int
+    spectrum: np.ndarray, kx: np.ndarray, x0: float, x: float, n: int
 ) -> tuple[complex, complex, complex]:
     """Trigonometric interpolant of a sampled field and its first two derivatives.
 
@@ -484,25 +456,15 @@ def _interpolate(
     ``u(x) = sum(spectrum * exp(i*kx*(x - x0))) / n`` gets nothing from a
     zero bin.  ``u'`` and ``u''`` weight the same terms by ``i*kx`` and
     ``-kx**2``.  One point at a time keeps the working set at O(len(kx)).
-    The rotation ``exp(i*kx*(x - x0))`` is filled from ``cos``/``sin``, the
-    same bits as the complex ``exp`` of that purely imaginary argument.
-    ``kx`` may be a :class:`_Band`, which a caller evaluating many points
-    builds once, or an array, which is prepared for this call alone.
+    The rotation is named: numpy may evaluate a product with a large
+    temporary operand in place in that temporary, which swaps the operands
+    of the complex multiply and can change its last bit.
     """
-    band = kx if isinstance(kx, _Band) else _Band(kx)
-    m = band.positive.size
-    # cos/sin write contiguous buffers, the loops a call without out= runs,
-    # which are then copied into the rotation's strided real and imaginary parts
-    np.multiply(x - x0, band.positive, out=band.phase)
-    rotation = band.rotation
-    rotation.real[:m] = np.cos(band.phase, out=band.cos)
-    rotation.imag[:m] = np.sin(band.phase, out=band.sin)
-    if m < rotation.size:
-        np.conjugate(rotation[m - 1 : 0 : -1], out=rotation[m:])
-    terms = np.multiply(spectrum, rotation, out=band.terms)
+    rotation = np.exp(1j * (x - x0) * kx)
+    terms = spectrum * rotation
     u = terms.sum() / n
-    du = 1j * (terms @ band.kx_complex) / n
-    d2u = -(terms @ band.kx2_complex) / n
+    du = 1j * (terms @ kx) / n
+    d2u = -(terms @ (kx * kx)) / n
     return complex(u), complex(du), complex(d2u)
 
 
