@@ -52,34 +52,44 @@ functions (even in kx, the upper bins a reversed view of the lower) and
 the lens factor (even in x on a grid centered on the axis) each equal
 their mirror image bit for bit.  So phi_L at every later plane is phi_U
 mirrored and phi_U + phi_L is the sum of the two, and only phi_U is taken
-downstream, once per grid state (``_upper_pass``).  ``run_scenario``
-takes its sigma1 samples as phi_U's, their mirror or their sum, its
-sigma1 profile through the pass's wire grid, and its sigma2 field as the
-pass's samples, their mirror or their sum.  Upper records and every
-sigma1 quantity have the bits of the public operations chained on fresh
-fields; lower and both sigma2 values differ from phi_L and phi_U + phi_L
-propagated directly by FFT roundoff (at most 8.9e-16 of the profile's
-peak, 3.1e-15 of a power, on 2^14 and 2^16 samples).  A grid not
-centered on the axis has no such symmetry (there i -> n - i reflects
+downstream, once per grid state (``_upper_pass``).  Upper records and
+every sigma1 quantity have the bits of the public operations chained on
+fresh fields; lower and both sigma2 values differ from phi_L and
+phi_U + phi_L propagated directly by FFT roundoff (at most 8.9e-16 of the
+profile's peak, 3.1e-15 of a power, on 2^14 and 2^16 samples).  A grid
+not centered on the axis has no such symmetry (there i -> n - i reflects
 about the grid's center), so the sigma1 stage refuses it.
 
-The sigma1 source stage is a kernel of (geometry, grid), and the upper
-pass of each grid state a kernel of (geometry, grid, state), cached as
-``wavefield`` caches its transfer functions: phi_U with its spectrum and
-the sigma1 guard's failures (``_phi_u``) and the refined minima
-(``_minima``), each holding the last key only, since one bench is one
-(geometry, grid), and the upper pass (``_upper_pass``) holding two, one
-per grid state, so a sweep of the six scenarios in any order never
-evicts.  The keys are frozen values, the cached arrays are read-only, and
+Caching follows one rule: an array that two scenarios read is formed once
+per bench, and an array that one scenario reads is formed per call.  The
+shared arrays are kernels, cached as ``wavefield`` caches its transfer
+functions.  Of (geometry, grid), each holding the last key only, since
+one bench is one (geometry, grid): phi_U with its spectrum and the sigma1
+guard's failures (``_phi_u``), the refined minima (``_minima``) and the
+sigma1 profiles |phi_U|^2 and |phi_U + phi_L|^2 (``_incident``).  Of
+(geometry, grid, state), holding one entry per grid state, so a sweep of
+the six scenarios in any order never evicts: the upper pass
+(``_upper_pass``), which keeps phi_U's sigma2 samples and their profile,
+phi_U's sigma1 profile behind the wire grid (with the grid out the
+``_incident`` array itself) and, with the grid in, the wire grid.  Each
+cache is built only by a caller that needs it: the minima by a scenario
+whose wire grid or record needs them, so a single slit with the grid out
+still runs where they cannot be resolved, and the sigma1 profiles by a
+scenario run, so ``sigma1_fields`` and ``fringe_minima`` pay nothing for
+them.  The keys are frozen values, the cached arrays are read-only, and
 building them reads nothing but the key, so a hit returns the very bits a
 miss builds; a build that raises (the source guard, an off-axis grid, an
-unresolvable minimum) caches nothing, so the next call raises again.  The
-minima are refined only by a scenario that needs them, so a single slit
-with the grid out still runs where they cannot be resolved.  Records are
-never cached.  The caches keep one phi_U resident, samples and spectrum
-(2 MiB on 2^16 samples and 512 KiB on 2^14), and per grid state phi_U's
-sigma2 samples, with the grid in also the wire grid: 3 MiB on 2^16
-samples for both states.
+unresolvable minimum) caches nothing, so the next call raises again.
+
+Records are new values on every call that share only cached read-only
+arrays: an upper record takes the cached profiles, a lower one their
+mirror (|mirror(u)|^2 is mirror(|u|^2) bit for bit), and a both-slit
+record squares the only profiles of its own, those of phi_U + phi_L
+formed in one buffer at sigma1 (grid in, masked in place) and at sigma2.
+Window powers are ``np.sum`` over a slice of the sigma2 profile, the bits
+of ``total_power`` on the sigma2 field.  The caches keep 7.5 MiB resident
+on 2^16 samples and 1.9 MiB on 2^14, of which the profiles are 2.5 MiB
+and 640 KiB.
 
 Every stage of a scenario run is checked against the band-limit guard and
 violations raise :class:`BandLimitError` naming the stage: ``source`` on
@@ -93,9 +103,8 @@ upper pass, which starts from the sigma1 failures.  So a failure raises
 for the scenarios of that configuration only, on every call, and a sigma1
 failure raises before anything downstream is built: ``run_scenario``,
 ``sigma1_fields`` (phi_U's) and ``fringe_minima`` (phi_U + phi_L's) raise
-it first.  The detector windows are measured by ``total_power`` over open
-intervals; a window beyond the grid is rejected by ``check_window``
-before any field is built.
+it first.  The detector windows are open intervals; a window beyond the
+grid is rejected by ``check_window`` before any field is built.
 
 The bench takes each full-size transform once per change of domain, and
 every later reader uses the spectrum its stage already holds (see
@@ -113,14 +122,10 @@ every later reader uses the spectrum its stage already holds (see
   the propagation to sigma2, whose one ``ifft`` leaves the H*S the
   ``sigma2`` guards read.
 
-``source`` and ``sigma1`` run once per (geometry, grid), and the upper
-pass takes 2 ``fft`` and 2 ``ifft`` with the grid in, one ``fft`` fewer
-with it out, once per grid state: six scenarios take 3 ``fft`` and 6
-``ifft``, and a repeated scenario none; the guards run 1 + 3 times per
-bench for ``source`` and ``sigma1`` and 3 times per stage of each upper
-pass, 25 times for six scenarios and none for a repeated one.  A held
-spectrum is the FFT of the field's samples to roundoff, so every guard
-checks the quantity a fresh FFT would give it.
+``source`` and ``sigma1`` run once per (geometry, grid) and the upper
+pass once per grid state, so a repeated scenario takes no transform and
+no guard.  A held spectrum is the FFT of the field's samples to roundoff,
+so every guard checks the quantity a fresh FFT would give it.
 
 The upper pass works in two complex buffers, one of samples and one of
 spectrum, through the kernels the public ``apply_mask``, ``propagate``
@@ -128,8 +133,9 @@ and ``thin_lens`` wrap, with their operand orders, so phi_U's sigma2
 samples have the bits of those operations chained on fresh fields.  The
 cached phi_U is never written:
 
-- grid in: the masked samples go into a new samples buffer, and the
-  ``fft`` into a new spectrum buffer, which the ``wire_grid`` guards read;
+- grid in: the masked samples go into a new samples buffer, squared into
+  the profile behind the wire grid, and the ``fft`` into a new spectrum
+  buffer, which the ``wire_grid`` guards read;
 - grid out: H*S of phi_U's spectrum goes into a new spectrum buffer, and
   the ``ifft`` into a new samples buffer;
 - each later propagation writes H*S into the spectrum buffer in place,
@@ -142,9 +148,7 @@ place, the summed one.  No stage reads a buffer after it has been
 overwritten: an in-place product reads each element before it writes it,
 and a transform writes the buffer it does not read, whose contents no
 later stage needs.  The last samples buffer becomes the pass's sigma2
-samples, read-only.  A scenario forms the samples of the field it
-carries at sigma1 once the pass is built, and releases them before its
-sigma2 field is formed.
+samples, read-only.
 """
 
 from __future__ import annotations
@@ -161,6 +165,7 @@ from .wavefield import (
     Grid,
     Mask,
     _frozen,
+    _in_window,
     _intensity,
     _interpolate,
     _lens_into,
@@ -170,10 +175,8 @@ from .wavefield import (
     _tail_fraction,
     _transfer_into,
     _wavenumbers,
-    check_window,
-    intensity,
+    _window_bounds,
     propagate,
-    total_power,
 )
 
 __all__ = [
@@ -424,19 +427,15 @@ def _mirror(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.concatenate((values[:1], values[:0:-1]), out=out)
 
 
-def _for_slits(values: np.ndarray, slits: Slits) -> np.ndarray:
-    """phi_U's samples or spectrum as the field ``slits`` carries holds them, read-only.
+def _superposed(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """phi_U + phi_L from phi_U's samples ``values``, written into ``out`` in one pass.
 
-    ``values`` itself, its mirror image (phi_L's), or the mirror image with
-    ``values`` added in place: the bits of phi_U + phi_L, since addition
-    is commutative.
+    Sample i is ``values[n - i] + values[i]`` (sample 0 its own double),
+    the bits of ``_mirror(values) + values``.
     """
-    if slits is Slits.UPPER_ONLY:
-        return values
-    carried = _mirror(values)
-    if slits is Slits.BOTH:
-        carried += values
-    return _owned(carried)
+    np.add(values[:0:-1], values[1:], out=out[1:])
+    np.add(values[:1], values[:1], out=out[:1])
+    return out
 
 
 def _guard_slits(
@@ -556,6 +555,14 @@ def _minima(geometry: AfsharGeometry, grid: Grid) -> tuple[float, ...]:
     band = np.concatenate((spectrum[:m], spectrum[n - m + 1 :]))
     band += _mirror(band)
     return tuple(float(p) for p in _refine_minima(geometry, grid, band))
+
+
+@functools.lru_cache(maxsize=1)
+def _incident(geometry: AfsharGeometry, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """phi_U's and phi_U + phi_L's sigma1 profiles, read-only.  Cached: see the module notes."""
+    samples = _phi_u(geometry, grid)[0].amplitudes
+    both = _intensity(_superposed(samples, np.empty_like(samples)))
+    return _owned(_intensity(samples)), _owned(both)
 
 
 def sigma1_fields(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, ComplexField]:
@@ -718,15 +725,20 @@ def image_windows(geometry: AfsharGeometry) -> tuple[tuple[float, float], tuple[
 class _Pass:
     """phi_U's downstream pass in one grid state: what the records of its scenarios need.
 
-    ``sigma2`` is phi_U's sigma2 samples, read-only, or None when every
-    slit configuration failed a guard before sigma2; ``wires`` is the wire
-    grid (grid in only); ``failures`` maps each slit configuration that
-    failed a guard to the (stage, detail) of its first failure.
+    ``wires`` is the wire grid (grid in only); ``failures`` maps each slit
+    configuration that failed a guard to the (stage, detail) of its first
+    failure.  The arrays are read-only, and None when every slit
+    configuration failed a guard before sigma2: ``after_grid`` is phi_U's
+    sigma1 profile behind the wire grid (with the grid out, the
+    :func:`_incident` profile itself), ``sigma2`` its sigma2 samples and
+    ``detected`` their profile.
     """
 
-    sigma2: np.ndarray | None
     wires: Mask | None
     failures: dict[Slits, tuple[str, str]]
+    after_grid: np.ndarray | None = None
+    sigma2: np.ndarray | None = None
+    detected: np.ndarray | None = None
 
 
 # one bench is one (geometry, grid): an entry per grid state, so a sweep of
@@ -751,26 +763,30 @@ def _upper_pass(geometry: AfsharGeometry, grid: Grid, state: GridState) -> _Pass
         _masked_into(phi_u.amplitudes, wires.transmission, out=samples)
         spectrum = np.fft.fft(samples)
         if not _guard_slits(spectrum, "wire_grid", failures, mirrored):
-            return _Pass(None, wires, failures)
+            return _Pass(wires, failures)
         _require_finite(samples)
+        after_grid = _owned(_intensity(samples))
         _transfer_into(grid, k, geometry.z_grid_to_lens, spectrum, out=spectrum)
     else:
         _require_finite(phi_u.amplitudes)
+        after_grid = _incident(geometry, grid)[0]
         spectrum = np.empty_like(phi_u.spectrum)
         _transfer_into(grid, k, geometry.z_grid_to_lens, phi_u.spectrum, out=spectrum)
         samples = np.empty_like(spectrum)
     np.fft.ifft(spectrum, out=samples)
     if not _guard_slits(spectrum, "lens", failures, mirrored):
-        return _Pass(None, wires, failures)
+        return _Pass(wires, failures)
     _lens_into(grid, geometry.wavelength, geometry.focal_length, samples, out=samples)
     np.fft.fft(samples, out=spectrum)
     if not _guard_slits(spectrum, "lens_phase", failures, mirrored):
-        return _Pass(None, wires, failures)
+        return _Pass(wires, failures)
     _require_finite(samples)
     _transfer_into(grid, k, geometry.z_lens_to_detectors, spectrum, out=spectrum)
     np.fft.ifft(spectrum, out=samples)
     _guard_slits(spectrum, "sigma2", failures, mirrored)
-    return _Pass(_owned(samples), wires, failures)
+    # the spectra are spent: their buffers go before the sigma2 profile is made
+    del spectrum, mirrored
+    return _Pass(wires, failures, after_grid, _owned(samples), _owned(_intensity(samples)))
 
 
 def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> SimulationRecord:
@@ -780,57 +796,62 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     propagate to lens -> thin lens -> propagate to sigma2.  The band-limit
     guard runs after every stage; ``power_incident`` is measured at sigma1
     before the grid, ``intensity_sigma1`` after it.  The window powers are
-    ``total_power`` over the two :func:`image_windows`; a sample exactly on
-    the shared boundary x = 0 counts in neither.  Mirrored fields give
-    mirrored window powers to roundoff, not bit for bit: each window is
-    summed in index order, so upper's window U and lower's window L add
-    the same squares in opposite orders (1.9236083985641202e-05 against
-    1.92360839856412e-05 at the defaults with the grid in).  A window
-    beyond the grid, or a grid not centered on the axis x = 0, about which
-    the bench is mirror-symmetric, raises ValueError before any field is
-    built.
+    the bits of ``total_power`` over the two :func:`image_windows`; a
+    sample exactly on the shared boundary x = 0 counts in neither.
+    Mirrored fields give mirrored window powers to roundoff, not bit for
+    bit: each window is summed in index order, so upper's window U and
+    lower's window L add the same squares in opposite orders
+    (1.9236083985641202e-05 against 1.92360839856412e-05 at the defaults
+    with the grid in).  A window beyond the grid, or a grid not centered
+    on the axis x = 0, about which the bench is mirror-symmetric, raises
+    ValueError before any field is built.
 
     From sigma1 on, phi_L is the mirror image of phi_U and phi_U + phi_L
-    their sum at every stage, so the sigma1 samples are phi_U's, their
-    mirror or their sum, and the sigma2 field is taken from phi_U's pass
-    (see the module notes).
+    their sum at every stage, so the profiles are phi_U's, their mirror or
+    those of the summed samples, taken from the cached sigma1 profiles and
+    phi_U's pass (see the module notes).
     """
-    window_u, window_l = image_windows(geometry)
-    for name, window in (("U", window_u), ("L", window_l)):
-        label = f"detector window {name} at magnification {geometry.magnification:.4g}"
-        check_window(grid, window, label)
+    label = f"at magnification {geometry.magnification:.4g}"
+    window_u, window_l = (
+        _window_bounds(grid, window, f"detector window {name} {label}")
+        for name, window in zip("UL", image_windows(geometry))
+    )
     slits = scenario.slits
     phi_u = _sigma1(geometry, grid, slits)
     minima = _minima(geometry, grid) if slits is Slits.BOTH else ()
     upper = _upper_pass(geometry, grid, scenario.grid)
     if slits in upper.failures:
         raise BandLimitError(*upper.failures[slits])
-    amplitudes = _for_slits(phi_u.amplitudes, slits)
+    incident_u, incident_both = _incident(geometry, grid)
+
+    if slits is Slits.BOTH:
+        incident = after_grid = incident_both
+        # one buffer takes phi_U + phi_L at sigma1 (grid in), then at sigma2
+        summed = np.empty_like(upper.sigma2)
+        if upper.wires is not None:
+            _superposed(phi_u.amplitudes, summed)
+            _masked_into(summed, upper.wires.transmission, out=summed)
+            after_grid = _owned(_intensity(summed))
+        detected = _owned(_intensity(_superposed(upper.sigma2, summed)))
+    elif slits is Slits.LOWER_ONLY:
+        # |mirror(u)|^2 is mirror(|u|^2) bit for bit
+        incident = _owned(_mirror(incident_u))
+        after_grid = incident if upper.wires is None else _owned(_mirror(upper.after_grid))
+        detected = _owned(_mirror(upper.detected))
+    else:
+        incident, after_grid, detected = incident_u, upper.after_grid, upper.detected
 
     def power(profile: np.ndarray) -> float:
-        # the whole-grid total_power of the field this intensity profile is of
         return float(np.sum(profile) * grid.spacing)
-
-    intensity_sigma1 = _owned(_intensity(amplitudes))
-    power_incident = power(intensity_sigma1)
-    if upper.wires is not None:
-        masked = np.empty_like(amplitudes)
-        _masked_into(amplitudes, upper.wires.transmission, out=masked)
-        intensity_sigma1 = _owned(_intensity(masked))
-        del masked
-    del amplitudes
-
-    field = ComplexField(grid, _for_slits(upper.sigma2, slits), geometry.wavelength)
-    intensity_sigma2 = _owned(intensity(field))
 
     return SimulationRecord(
         scenario=scenario,
-        power_incident=power_incident,
-        power_after_grid=power(intensity_sigma1),
-        power_at_detectors=power(intensity_sigma2),
-        power_window_U=total_power(field, window_u),
-        power_window_L=total_power(field, window_l),
-        intensity_sigma1=intensity_sigma1,
-        intensity_sigma2=intensity_sigma2,
+        power_incident=power(incident),
+        power_after_grid=power(after_grid),
+        power_at_detectors=power(detected),
+        power_window_U=power(_in_window(detected, window_u)),
+        power_window_L=power(_in_window(detected, window_l)),
+        intensity_sigma1=after_grid,
+        intensity_sigma2=detected,
         minima_positions=minima,
     )

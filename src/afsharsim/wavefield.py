@@ -38,14 +38,13 @@ its key, so a hit returns the very bits a miss would build and no caller
 can tell them apart.  ``propagate`` forms ``H*S`` with the transfer
 function as the first operand (a complex product can round differently
 with its operands swapped) and applies the n/2 + 1 stored bins to the
-upper bins as a reversed view, so no full-length kernel is built.  The
-fields that are kernels are the bench's sigma1 source stage, a function
-of (geometry, grid) alone, and the upper pass of each grid state, phi_U
-taken from sigma1 to sigma2, a function of (geometry, grid, state), which
-``apparatus`` caches by the same rule, together with each slit
-configuration's guard failures; records are still never cached, so a
-repeated scenario forms its sigma1 samples and its records anew but takes
-no transform and no guard.
+upper bins as a reversed view, so no full-length kernel is built.
+``apparatus`` caches by the same rule what two of its scenarios read: its
+sigma1 source stage and sigma1 profiles, functions of (geometry, grid)
+alone, and the upper pass of each grid state, phi_U taken from sigma1 to
+sigma2 with its profiles, a function of (geometry, grid, state).  What
+one scenario reads, its record and the profiles of a summed field, is
+formed per call.
 
 A stage allocates only the buffers its result owns.  A temporary the size
 of a field is not made: an element-wise step writes into the array its
@@ -422,27 +421,45 @@ def _first_index(grid: Grid, above: float, strict: bool) -> int:
     return i
 
 
+def _window_bounds(
+    grid: Grid, window: tuple[float, float], name: str = "window"
+) -> tuple[int, int]:
+    """The slice ``first:stop`` of the samples strictly inside the open interval ``window``.
+
+    ``window`` must pass :func:`check_window` (``name`` leads its message),
+    and its indices come from :func:`_first_index`, so a sample exactly on
+    an edge is in neither of two windows that share it.
+    """
+    check_window(grid, window, name)
+    return _first_index(grid, window[0], True), _first_index(grid, window[1], False)
+
+
+def _in_window(values: np.ndarray, bounds: tuple[int, int]) -> np.ndarray:
+    """``values[first:stop]`` for the :func:`_window_bounds` ``bounds``.
+
+    A window holding no sample is legal: the slice is empty, and a
+    :class:`FieldFlagWarning` says so.
+    """
+    first, stop = bounds
+    if first >= stop:
+        warnings.warn("power window contains no samples", FieldFlagWarning)
+    return values[first:stop]
+
+
 def total_power(
     field: ComplexField, window: tuple[float, float] | None = None
 ) -> float:
     """Riemann-sum power, optionally restricted to a coordinate window.
 
-    ``window`` is an open interval (lo, hi) that must pass
-    :func:`check_window`: a sample exactly on an edge counts in neither of
-    two windows that share it.  Only the samples inside the window are
-    squared, in blocks (see the module notes), and their indices come from
-    :func:`_first_index`.  A window containing no sample is legal and
-    yields 0.0 with a :class:`FieldFlagWarning`.
+    ``window`` is an open interval (lo, hi), whose samples are those of
+    :func:`_window_bounds`.  Only the samples inside the window are
+    squared, in blocks (see the module notes).  A window containing no
+    sample is legal and yields 0.0 with a :class:`FieldFlagWarning`.
     """
-    grid = field.grid
-    first, stop = 0, grid.n_samples
+    values = field.amplitudes
     if window is not None:
-        check_window(grid, window)
-        first, stop = _first_index(grid, window[0], True), _first_index(grid, window[1], False)
-        if first >= stop:
-            warnings.warn("power window contains no samples", FieldFlagWarning)
-            return 0.0
-    return float(_blocked_sum(field.amplitudes[first:stop]) * grid.spacing)
+        values = _in_window(values, _window_bounds(field.grid, window))
+    return float(_blocked_sum(values) * field.grid.spacing)
 
 
 def _interpolate(

@@ -42,7 +42,7 @@ def sigma1_fields(geometry, bench_grid):
 
 @pytest.fixture(autouse=True)
 def cold_sigma1_cache():
-    """Each test starts with the sigma1 source stage and the upper passes uncached.
+    """Each test starts with the sigma1 stage, its profiles and the upper passes uncached.
 
     A test that counts or replaces a stage (``_upper_slit``, ``_guarded``)
     then sees it run whichever tests ran before it.
@@ -50,3 +50,4 @@ def cold_sigma1_cache():
     apparatus._phi_u.cache_clear()
     apparatus._minima.cache_clear()
     apparatus._upper_pass.cache_clear()
+    apparatus._incident.cache_clear()

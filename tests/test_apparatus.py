@@ -435,11 +435,10 @@ class TestSuperposition:
         for name in ("amplitudes", "spectrum"):
             values = getattr(phi_u, name)
             assert getattr(phi_l, name).tobytes() == values[mirror].tobytes()
-            assert apparatus._for_slits(values, Slits.UPPER_ONLY) is values
-            lower = apparatus._for_slits(values, Slits.LOWER_ONLY)
-            both = apparatus._for_slits(values, Slits.BOTH)
-            assert lower.tobytes() == values[mirror].tobytes()
-            assert both.tobytes() == (values + values[mirror]).tobytes()
+            assert apparatus._mirror(values).tobytes() == values[mirror].tobytes()
+            out = np.empty_like(values)
+            assert apparatus._superposed(values, out) is out
+            assert out.tobytes() == (values + values[mirror]).tobytes()
 
     def test_both_slit_intensity_is_the_coherent_sum(self, records, sigma1_fields):
         phi_u, phi_l = sigma1_fields
@@ -481,21 +480,27 @@ class TestSuperposition:
         # on cold caches the slit source is synthesized once and is the
         # source field itself: no plane wave is built; each change of domain
         # takes one full-size transform, so a scenario takes at most 6; the
-        # wire grid is applied once in phi_U's pass and once to the carried
-        # field for its sigma1 profile; phi_U, phi_L and phi_U + phi_L are
-        # guarded at sigma1 and at each later stage; every field and mask
-        # takes over the arrays its producer made, so no buffer is copied
+        # wire grid is applied once in phi_U's pass and, for both slits,
+        # once more to phi_U + phi_L; the two sigma1 profiles, phi_U's
+        # sigma2 profile and (grid in) its profile behind the wires are
+        # squared once, and both slits square their own sigma2 profile and
+        # (grid in) their profile behind the wires; phi_U, phi_L and
+        # phi_U + phi_L are guarded at sigma1 and at each later stage; every
+        # field and mask takes over the arrays its producer made, so no
+        # buffer is copied
         counts = _StageCounts(monkeypatch, bench_grid.n_samples)
         run_scenario(geometry, Scenario(slits, state), bench_grid)
         wire_masks = 1 if state is GridState.IN else 0
         needs_minima = 1 if slits is Slits.BOTH or state is GridState.IN else 0
+        both = 1 if slits is Slits.BOTH else 0
         assert counts.calls == {
             "_transfer_into": 3,
             "_upper_slit": 1,
             "_refine_minima": needs_minima,
             "_guarded": 1 + 3 * (4 + wire_masks),
-            "_masked_into": 2 * wire_masks,
+            "_masked_into": wire_masks * (1 + both),
             "_lens_into": 1,
+            "_intensity": 3 + wire_masks + both * (1 + wire_masks),
             "make_plane_wave": 0,
         }
         downstream = _downstream_stages(state)
@@ -508,21 +513,25 @@ class TestSuperposition:
     def test_repeated_scenario_takes_no_transform(
         self, geometry, bench_grid, monkeypatch, slits, state
     ):
-        # a repeated scenario takes phi_U, its guard failures and the minima
-        # from the sigma1 cache and its sigma2 samples from phi_U's pass: no
-        # synthesis, no propagation, no refinement and no guard; the wire
-        # grid is applied to the field it carries for its sigma1 profile
+        # a repeated scenario takes phi_U, its guard failures, the minima
+        # and the sigma1 profiles from the sigma1 caches and phi_U's sigma2
+        # samples and profiles from its pass: no synthesis, no propagation,
+        # no refinement and no guard; a single slit squares no field, and
+        # both slits apply the wire grid to phi_U + phi_L and square it
+        # (grid in), and square their summed sigma2 samples
         run_scenario(geometry, Scenario(slits, state), bench_grid)
         counts = _StageCounts(monkeypatch, bench_grid.n_samples)
         run_scenario(geometry, Scenario(slits, state), bench_grid)
         wire_masks = 1 if state is GridState.IN else 0
+        both = 1 if slits is Slits.BOTH else 0
         assert counts.calls == {
             "_transfer_into": 0,
             "_upper_slit": 0,
             "_refine_minima": 0,
             "_guarded": 0,
-            "_masked_into": wire_masks,
+            "_masked_into": both * wire_masks,
             "_lens_into": 0,
+            "_intensity": both * (1 + wire_masks),
             "make_plane_wave": 0,
         }
         assert counts.stages == []
@@ -530,9 +539,12 @@ class TestSuperposition:
         assert counts.copies == []
 
     def test_six_scenarios_share_one_source_stage(self, geometry, bench_grid, monkeypatch):
-        # the six scenarios synthesize, propagate to sigma1, guard there and
-        # refine the minima once, and take phi_U through the downstream
-        # stages once per grid state: 3 fft, 6 ifft and 25 guards in all
+        # the six scenarios synthesize, propagate to sigma1, guard there,
+        # refine the minima and square the two sigma1 profiles once, and
+        # take phi_U through the downstream stages once per grid state,
+        # squaring its profiles there (3 in all): 3 fft, 6 ifft and 25
+        # guards; both/in and both/out square their 3 own profiles, and
+        # both/in applies the wire grid to phi_U + phi_L
         counts = _StageCounts(monkeypatch, bench_grid.n_samples)
         for slits in Slits:
             for state in GridState:
@@ -542,8 +554,9 @@ class TestSuperposition:
             "_upper_slit": 1,
             "_refine_minima": 1,
             "_guarded": 25,
-            "_masked_into": 4,
+            "_masked_into": 2,
             "_lens_into": 2,
+            "_intensity": 8,
             "make_plane_wave": 0,
         }
         assert counts.stages.count("source") == 1
@@ -564,14 +577,15 @@ class _StageCounts:
     """Calls of the scenario stages and kernels, guard stages, full-size transforms
     and buffer copies from now on.
 
-    The kernels (``_transfer_into``, ``_masked_into``, ``_lens_into``) are
-    counted wherever they run: in ``run_scenario``'s work buffers and inside
-    the allocating ``propagate``, ``apply_mask`` and ``thin_lens``.
+    The kernels (``_transfer_into``, ``_masked_into``, ``_lens_into``,
+    ``_intensity``) are counted wherever they run: in the bench's own
+    buffers and inside the allocating ``propagate``, ``apply_mask``,
+    ``thin_lens`` and ``intensity``.
     """
 
     def __init__(self, monkeypatch, n_samples):
         stages = ("_transfer_into", "_upper_slit", "_refine_minima", "_guarded")
-        kernels = ("_masked_into", "_lens_into")
+        kernels = ("_masked_into", "_lens_into", "_intensity")
         self.calls = dict.fromkeys((*stages, *kernels, "make_plane_wave"), 0)
         self.stages = []
         self.transforms = {"fft": 0, "ifft": 0}
@@ -741,7 +755,7 @@ def record_bits(record):
 
 
 def clear_caches():
-    for cached in (apparatus._phi_u, apparatus._minima, apparatus._upper_pass):
+    for cached in (apparatus._phi_u, apparatus._minima, apparatus._incident, apparatus._upper_pass):
         cached.cache_clear()
 
 
@@ -750,16 +764,26 @@ class TestUpperPass:
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
     def test_cached_pass_is_the_uncached_build_bit_for_bit(self, geometry, grid):
+        incident = apparatus._incident(geometry, grid)
+        fresh_incident = apparatus._incident.__wrapped__(geometry, grid)
+        for got, expected in zip(incident, fresh_incident, strict=True):
+            assert got.tobytes() == expected.tobytes()
+            assert got.flags.owndata and not got.flags.writeable
+        assert apparatus._incident(geometry, grid) is incident
         for state in GridState:
             upper = apparatus._upper_pass(geometry, grid, state)
             fresh = apparatus._upper_pass.__wrapped__(geometry, grid, state)
-            assert upper.sigma2.tobytes() == fresh.sigma2.tobytes()
-            assert upper.sigma2.flags.owndata and not upper.sigma2.flags.writeable
+            for name in ("sigma2", "after_grid", "detected"):
+                got = getattr(upper, name)
+                assert got.tobytes() == getattr(fresh, name).tobytes(), name
+                assert got.flags.owndata and not got.flags.writeable, name
             assert upper.failures == fresh.failures == {}
             if state is GridState.IN:
                 assert upper.wires.transmission.tobytes() == fresh.wires.transmission.tobytes()
             else:
                 assert upper.wires is fresh.wires is None
+                # the profile behind no grid is the cached incident one itself
+                assert upper.after_grid is fresh.after_grid is incident[0]
             # a hit is the very value the miss built
             assert apparatus._upper_pass(geometry, grid, state) is upper
 
@@ -925,14 +949,12 @@ class TestMemory:
     @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
     @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
     def test_scenario_peak_allocation_on_the_fine_grid(self, geometry, slits, state):
-        # a 2^16 field is 1 MiB of samples and 1 MiB of spectrum.  At its
-        # peak, as the wire grid is applied to the samples of a carried
-        # phi_L or phi_U + phi_L, a scenario holds those samples, their
-        # 0.5 MiB sigma1 profile, the masked samples and their profile
-        # (3 MiB): no spectrum of the field it carries, no both-slit field
-        # it does not carry, and after it only its sigma2 samples and the
-        # profiles.  The first run fills the kernel caches, which outlive
-        # the call
+        # a 2^16 field is 1 MiB of samples and 1 MiB of spectrum, and its
+        # profile 0.5 MiB.  On warm caches an upper record takes the cached
+        # profiles and a lower one their mirrors (at most 1.5 MiB); both
+        # slits hold one buffer of summed samples and their own profiles
+        # (at most 2 MiB), and no spectrum.  The first run fills the
+        # caches, which outlive the call
         scenario = Scenario(slits, state)
         run_scenario(geometry, scenario, FINE_GRID)
         tracemalloc.start()
@@ -964,9 +986,11 @@ class TestMemory:
     @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
     @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
     def test_all_caches_cold_peak_allocation_on_the_fine_grid(self, geometry, slits, state):
-        # the same run with phi_U's pass uncached as well also builds that
-        # pass, whose cache keeps phi_U's sigma2 samples (1 MiB) and, with
-        # the grid in, the wire grid (1 MiB): the cold bound plus those bytes
+        # the same run with phi_U's pass and the sigma1 profiles uncached as
+        # well also builds them, and their caches keep phi_U's sigma2
+        # samples (1 MiB) and, with the grid in, the wire grid (1 MiB): the
+        # cold bound plus those bytes.  The profiles the caches also keep
+        # (1.5 or 2.5 MiB) fit within it, since the record shares them
         scenario = Scenario(slits, state)
         run_scenario(geometry, scenario, FINE_GRID)
         upper = apparatus._upper_pass(geometry, FINE_GRID, state)
@@ -991,7 +1015,7 @@ def chained(geometry, scenario, grid):
     sigma1 stage is built anew, without the cache.  Returns the record and
     the field at each guard stage.  phi_L is phi_U mirrored by indexing,
     sample and bin i -> (n - i) mod n, and phi_U + phi_L their sum, so the
-    oracle shares no code with ``_mirror`` or ``_for_slits``.  For ``lower``
+    oracle shares no code with ``_mirror`` or ``_superposed``.  For ``lower``
     and ``both`` this propagates phi_L and phi_U + phi_L directly, where
     ``run_scenario`` mirrors or sums phi_U's pass.
     """
@@ -1041,9 +1065,9 @@ class TestChainedOracle:
     def test_upper_records_and_sigma1_quantities_are_the_chained_fields_bit_for_bit(
         self, geometry, grid
     ):
-        # every sigma1 quantity comes from the carried field and the held
-        # wire grid; upper's sigma2 is phi_U's pass, the chained operations'
-        # bits in two reused buffers
+        # every sigma1 quantity comes from the cached sigma1 profiles, phi_U's
+        # pass, their mirror or the summed field; upper's sigma2 is phi_U's
+        # pass, the chained operations' bits in two reused buffers
         for scenario in SCENARIOS:
             got = run_scenario(geometry, scenario, grid)
             expected, _ = chained(geometry, scenario, grid)
@@ -1099,6 +1123,46 @@ class TestChainedOracle:
             assert records[Slits.BOTH].intensity_sigma2.tobytes() == both.tobytes()
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
+    def test_lower_profiles_are_the_upper_profiles_mirrored_bit_for_bit(self, geometry, grid, state):
+        # exact identity |mirror(u)|^2 = mirror(|u|^2), with the mirror built
+        # by indexing; on cold caches and on warm ones, in either order
+        mirror = -np.arange(grid.n_samples) % grid.n_samples
+        for order in ([Slits.UPPER_ONLY, Slits.LOWER_ONLY], [Slits.LOWER_ONLY, Slits.UPPER_ONLY]):
+            clear_caches()
+            records = {slits: run_scenario(geometry, Scenario(slits, state), grid) for slits in order}
+            upper, lower = records[Slits.UPPER_ONLY], records[Slits.LOWER_ONLY]
+            for name in ("intensity_sigma1", "intensity_sigma2"):
+                got = getattr(lower, name)
+                assert got.tobytes() == getattr(upper, name)[mirror].tobytes(), name
+                assert got.tobytes() == apparatus._mirror(getattr(upper, name)).tobytes(), name
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_sigma2_powers_are_total_power_of_the_sigma2_field_bit_for_bit(self, geometry, grid):
+        # oracle: the record's sigma2 field built by the public constructor
+        # from phi_U's pass samples s, as s, s mirrored by indexing, or
+        # their sum, and measured by the public total_power, which squares
+        # the field's samples itself; the record sums its profile instead
+        mirror = -np.arange(grid.n_samples) % grid.n_samples
+        window_u, window_l = image_windows(geometry)
+        for scenario in SCENARIOS:
+            got = run_scenario(geometry, scenario, grid)
+            s = np.array(apparatus._upper_pass(geometry, grid, scenario.grid).sigma2)
+            samples = {
+                Slits.UPPER_ONLY: s,
+                Slits.LOWER_ONLY: s[mirror],
+                Slits.BOTH: s + s[mirror],
+            }[scenario.slits]
+            field = ComplexField(grid, samples, geometry.wavelength)
+            for name, window in (
+                ("power_at_detectors", None),
+                ("power_window_U", window_u),
+                ("power_window_L", window_l),
+            ):
+                expected = np.float64(total_power(field, window)).tobytes()
+                assert np.float64(getattr(got, name)).tobytes() == expected, (scenario, name)
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
     def test_a_pass_writes_into_no_cached_array(self, geometry, grid, monkeypatch):
         # every cached array is read-only, so an out= aimed at one raises;
         # this also pins that a full pass leaves their bytes as they were
@@ -1119,12 +1183,18 @@ class TestChainedOracle:
             geometry.z_lens_to_detectors,
         ):
             cached[f"transfer {distance}"] = wavefield._transfer(grid, k, distance)
+        incident_u, incident_both = apparatus._incident(geometry, grid)
+        cached["phi_u sigma1 profile"] = incident_u
+        cached["phi_u + phi_l sigma1 profile"] = incident_both
         for state in GridState:
             upper = apparatus._upper_pass(geometry, grid, state)
             cached[f"sigma2 samples, grid {state.value}"] = upper.sigma2
-        cached["wire grid"] = apparatus._upper_pass(geometry, grid, GridState.IN).wires.transmission
+            cached[f"sigma2 profile, grid {state.value}"] = upper.detected
+        upper = apparatus._upper_pass(geometry, grid, GridState.IN)
+        cached["wire grid"] = upper.wires.transmission
+        cached["profile behind the wire grid"] = upper.after_grid
         before = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in cached.items()}
-        stages = (wavefield._transfer, apparatus._phi_u, apparatus._upper_pass)
+        stages = (wavefield._transfer, apparatus._phi_u, apparatus._incident, apparatus._upper_pass)
         misses = [stage.cache_info().misses for stage in stages]
         for scenario in SCENARIOS:
             run_scenario(geometry, scenario, grid)
