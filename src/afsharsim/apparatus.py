@@ -39,12 +39,13 @@ restriction to the band is exact to roundoff, because the source spectrum
 is zero beyond k_cut by construction and propagation multiplies each bin
 by a phase, so the sigma1 field's bins beyond k_cut hold only FFT roundoff
 (1e-31 to 2e-31 of its energy).  The wire grid breaks the band limit, so
-``propagate`` stays general.  One sigma1 stage serves ``run_scenario``,
-``fringe_minima`` and ``sigma1_fields``: phi_U, from which each caller
-forms what it needs.  The minima are refined from the both-slit band bins,
-``b + mirror(b)`` for phi_U's band bins b (phi_L's bin i is phi_U's bin
-n - i, and the mirror map swaps the two runs), the bits phi_U + phi_L holds
-there, formed by the refinement from phi_U's spectrum.
+the propagations past sigma1 take every bin.  One sigma1 stage serves
+``run_scenario``, ``fringe_minima`` and ``sigma1_fields``: phi_U, from
+which each caller forms what it needs.  The minima are refined from the
+both-slit band bins, ``b + mirror(b)`` for phi_U's band bins b (phi_L's
+bin i is phi_U's bin n - i, and the mirror map swaps the two runs), the
+bits phi_U + phi_L holds there, formed by the refinement from phi_U's
+spectrum.
 
 Past sigma1 every element is linear and even under the mirror: the wire
 grid (its minima are mirrored and each bar's tanh is odd), the transfer
@@ -64,7 +65,7 @@ Caching follows one rule: an array that two scenarios read is formed once
 per bench, and an array that one scenario reads is formed per call.  The
 shared arrays are kernels, cached as ``wavefield`` caches its transfer
 functions.  Of (geometry, grid), each holding the last key only, since
-one bench is one (geometry, grid): phi_U with its spectrum and the sigma1
+one bench is one (geometry, grid): phi_U, its spectrum H*S and the sigma1
 guard's failures (``_phi_u``), the refined minima (``_minima``) and the
 sigma1 profiles |phi_U|^2 and |phi_U + phi_L|^2 (``_incident``).  Of
 (geometry, grid, state), holding one entry per grid state, so a sweep of
@@ -106,49 +107,30 @@ failure raises before anything downstream is built: ``run_scenario``,
 it first.  The detector windows are open intervals; a window beyond the
 grid is rejected by ``check_window`` before any field is built.
 
-The bench takes each full-size transform once per change of domain, and
-every later reader uses the spectrum its stage already holds (see
-``wavefield``):
-
-- ``source``: one ``ifft`` synthesizes the slit from its band spectrum,
-  which the source field holds for its guard and the first propagation;
-- ``sigma1``: ``propagate`` takes one ``ifft`` and holds H*S, which the
-  guards read, mirrored and summed, and from whose band bins the minima
-  refinement sums phi_U + phi_L's;
-- ``wire_grid``: one ``fft`` of the masked samples serves its guards and
-  the propagation to the lens, whose one ``ifft`` leaves the H*S the
-  ``lens`` guards read;
-- ``lens_phase``: one ``fft`` after the thin lens serves its guards and
-  the propagation to sigma2, whose one ``ifft`` leaves the H*S the
-  ``sigma2`` guards read.
-
-``source`` and ``sigma1`` run once per (geometry, grid) and the upper
-pass once per grid state, so a repeated scenario takes no transform and
-no guard.  A held spectrum is the FFT of the field's samples to roundoff,
-so every guard checks the quantity a fresh FFT would give it.
+Each stage guards the spectrum it already has, with no extra transform:
+the source's band spectrum, each propagation's H*S and the ``fft`` after
+the wire grid or the lens.  H*S is the FFT of its ``ifft`` to roundoff, so
+every guard checks what a fresh FFT would give it.  The sigma1 stage keeps
+phi_U's H*S beside its samples, formed in place in the source's band
+spectrum: that spectrum is exact, so the sigma1 guards, the minima
+refinement and the pass with the grid out read H*S, where a fresh FFT of
+phi_U's samples would move the upper records' bits.  ``source`` and
+``sigma1`` run once per (geometry, grid) and the upper pass once per grid
+state, so a repeated scenario takes no transform and no guard.
 
 The upper pass works in two complex buffers, one of samples and one of
 spectrum, through the kernels the public ``apply_mask``, ``propagate``
 and ``thin_lens`` wrap, with their operand orders, so phi_U's sigma2
-samples have the bits of those operations chained on fresh fields.  The
-cached phi_U is never written:
-
-- grid in: the masked samples go into a new samples buffer, squared into
-  the profile behind the wire grid, and the ``fft`` into a new spectrum
-  buffer, which the ``wire_grid`` guards read;
-- grid out: H*S of phi_U's spectrum goes into a new spectrum buffer, and
-  the ``ifft`` into a new samples buffer;
-- each later propagation writes H*S into the spectrum buffer in place,
-  and its ``ifft`` into the samples buffer; the thin lens writes its
-  product into the samples buffer in place, and the ``fft`` after it
-  goes into the spectrum buffer.
-
-A third buffer takes each stage's mirrored spectrum and then, added in
-place, the summed one.  No stage reads a buffer after it has been
-overwritten: an in-place product reads each element before it writes it,
-and a transform writes the buffer it does not read, whose contents no
-later stage needs.  The last samples buffer becomes the pass's sigma2
-samples, read-only.
+samples have the bits of those operations chained on fresh fields.  Its
+first stage writes into new buffers (grid in: the masked samples and
+their ``fft``; grid out: H*S of phi_U's spectrum and its ``ifft``), so the
+cached phi_U is never written.  Each later product is formed in place and
+each transform writes the other buffer.  No stage reads a buffer after it
+has been overwritten: an in-place product reads each element before it
+writes it, and a transform writes the buffer it does not read, whose
+contents no later stage needs.  A third buffer takes each stage's
+mirrored spectrum and then, added in place, the summed one.  The last
+samples buffer becomes the pass's sigma2 samples, read-only.
 """
 
 from __future__ import annotations
@@ -176,7 +158,6 @@ from .wavefield import (
     _transfer_into,
     _wavenumbers,
     _window_bounds,
-    propagate,
 )
 
 __all__ = [
@@ -466,11 +447,12 @@ def _guard_slits(
     return len(failures) < len(Slits)
 
 
-def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> ComplexField:
-    """The upper-slit source field, holding the band spectrum it is built from.
+def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, np.ndarray]:
+    """The upper-slit source field and the band spectrum it is built from.
 
     The band spectrum is Hermitian, so it is the FFT of the real profile to
-    roundoff.
+    roundoff.  It is handed over writeable, for the caller to propagate in
+    place.
     """
     _check_sampling(geometry, grid)
     k_flat, k_cut = _source_cutoffs(geometry, grid)
@@ -503,41 +485,45 @@ def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> ComplexField:
     if peak > 1.0:
         np.divide(upper, peak * (1.0 + 1e-12), out=upper)
         full /= peak * (1.0 + 1e-12)
-    return ComplexField(grid, _owned(samples), geometry.wavelength, _owned(full))
+    return ComplexField(grid, _owned(samples), geometry.wavelength), full
 
 
 # one bench is one (geometry, grid): its scenarios share the sigma1 source stage
 @functools.lru_cache(maxsize=1)
 def _phi_u(
     geometry: AfsharGeometry, grid: Grid
-) -> tuple[ComplexField, dict[Slits, tuple[str, str]]]:
-    """phi_U at sigma1, holding its spectrum, and the slit configurations that failed there.
+) -> tuple[ComplexField, np.ndarray, dict[Slits, tuple[str, str]]]:
+    """phi_U at sigma1, its spectrum H*S and the slit configurations that failed there.
 
     A grid not centered on the axis is refused with a ValueError before any
     field is built: phi_L is phi_U's mirror image i -> n - i, the
     reflection x -> -x only on such a grid.  The one upper-slit source is
-    guarded at ``source`` and propagated to sigma1, where
-    :func:`_guard_slits` guards the three configurations.  Cached: see the
-    module notes.
+    guarded at ``source`` and propagated to sigma1 by H*S, formed in place
+    in its band spectrum, and one ``ifft``; there :func:`_guard_slits`
+    guards the three configurations.  The spectrum is read-only.  Cached:
+    see the module notes.
     """
     if grid.center != 0.0:
         raise ValueError(
             f"the bench is mirror-symmetric about the axis x = 0: the grid must be "
             f"centered on it, not at {grid.center} m"
         )
-    source = _upper_slit(geometry, grid)
-    _guarded(source.spectrum, "source")
-    phi_u = propagate(source, geometry.z_slits_to_grid)
-    # the source is spent: its buffers go before the guards' mirror buffer is made
+    source, spectrum = _upper_slit(geometry, grid)
+    _guarded(spectrum, "source")
+    _require_finite(source.amplitudes)
+    k = source.wavenumber
+    # the source's samples are spent: they go before phi_U's are made
     del source
+    _transfer_into(grid, k, geometry.z_slits_to_grid, spectrum, out=spectrum)
+    phi_u = ComplexField(grid, _owned(np.fft.ifft(spectrum)), geometry.wavelength)
     failures: dict[Slits, tuple[str, str]] = {}
-    _guard_slits(phi_u.spectrum, "sigma1", failures, np.empty_like(phi_u.spectrum))
-    return phi_u, failures
+    _guard_slits(spectrum, "sigma1", failures, np.empty_like(spectrum))
+    return phi_u, _owned(spectrum), failures
 
 
 def _sigma1(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> ComplexField:
     """The cached phi_U, once the field ``slits`` carries has passed the sigma1 guard."""
-    phi_u, failures = _phi_u(geometry, grid)
+    phi_u, _, failures = _phi_u(geometry, grid)
     if slits in failures:
         raise BandLimitError(*failures[slits])
     return phi_u
@@ -550,7 +536,7 @@ def _minima(geometry: AfsharGeometry, grid: Grid) -> tuple[float, ...]:
     They are refined from phi_U + phi_L's band bins, ``b + mirror(b)`` for
     phi_U's band bins b, in the order of :func:`_source_band`.
     """
-    spectrum = _phi_u(geometry, grid)[0].spectrum
+    spectrum = _phi_u(geometry, grid)[1]
     n, m = grid.n_samples, (_source_band(geometry, grid).size + 1) // 2
     band = np.concatenate((spectrum[:m], spectrum[n - m + 1 :]))
     band += _mirror(band)
@@ -566,16 +552,13 @@ def _incident(geometry: AfsharGeometry, grid: Grid) -> tuple[np.ndarray, np.ndar
 
 
 def sigma1_fields(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, ComplexField]:
-    """Fields (phi_U, phi_L) at sigma1 behind each slit alone, holding their spectra.
+    """Fields (phi_U, phi_L) at sigma1 behind each slit alone.
 
-    phi_U is guarded at sigma1; phi_L is its mirror image, with the same bins.
-    A grid not centered on the axis raises ValueError.
+    phi_U is guarded at sigma1; phi_L is its mirror image.  A grid not
+    centered on the axis raises ValueError.
     """
     phi_u = _sigma1(geometry, grid, Slits.UPPER_ONLY)
-    phi_l = ComplexField(
-        grid, _owned(_mirror(phi_u.amplitudes)), phi_u.wavelength, _owned(_mirror(phi_u.spectrum))
-    )
-    return phi_u, phi_l
+    return phi_u, ComplexField(grid, _owned(_mirror(phi_u.amplitudes)), phi_u.wavelength)
 
 
 def _refine_minima(geometry: AfsharGeometry, grid: Grid, spectrum: np.ndarray) -> np.ndarray:
@@ -752,9 +735,9 @@ def _upper_pass(geometry: AfsharGeometry, grid: Grid, state: GridState) -> _Pass
     recorded, not raised, and the pass stops once all three have failed.
     Cached: see the module notes.
     """
-    phi_u, sigma1_failures = _phi_u(geometry, grid)
+    phi_u, sigma1_spectrum, sigma1_failures = _phi_u(geometry, grid)
     failures = dict(sigma1_failures)
-    mirrored = np.empty_like(phi_u.spectrum)
+    mirrored = np.empty_like(sigma1_spectrum)
     k = phi_u.wavenumber
     wires = None
     if state is GridState.IN:
@@ -770,8 +753,8 @@ def _upper_pass(geometry: AfsharGeometry, grid: Grid, state: GridState) -> _Pass
     else:
         _require_finite(phi_u.amplitudes)
         after_grid = _incident(geometry, grid)[0]
-        spectrum = np.empty_like(phi_u.spectrum)
-        _transfer_into(grid, k, geometry.z_grid_to_lens, phi_u.spectrum, out=spectrum)
+        spectrum = np.empty_like(sigma1_spectrum)
+        _transfer_into(grid, k, geometry.z_grid_to_lens, sigma1_spectrum, out=spectrum)
         samples = np.empty_like(spectrum)
     np.fft.ifft(spectrum, out=samples)
     if not _guard_slits(spectrum, "lens", failures, mirrored):

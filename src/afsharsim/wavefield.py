@@ -8,17 +8,6 @@ the thin-lens quadratic phase.  Power is accounted as a Riemann sum
 inside an open coordinate window, so all power statements in this package
 are ratios of that quantity.
 
-A field may hold its spectrum, the FFT of its samples, when the operation
-that made it already computed that spectrum: :func:`propagate` forms
-``H*S`` and returns ``ifft(H*S)`` holding ``H*S``, which equals the FFT of
-those samples to roundoff.  :func:`propagate` and
-:func:`nyquist_tail_fraction` read a held spectrum and take one FFT only
-when there is none, so a pipeline transforms once per change of domain.
-The spatial elements (:func:`apply_mask`, :func:`thin_lens`) and
-:meth:`ComplexField.with_amplitudes` return fields without one, and
-:meth:`ComplexField.with_spectrum` takes that one FFT for every later
-reader.
-
 All operations are pure: they return new values and never mutate their
 inputs.  Buffers are read-only and owned by the value that holds them:
 :class:`ComplexField` and :class:`Mask` keep an array that is read-only
@@ -39,40 +28,29 @@ can tell them apart.  ``propagate`` forms ``H*S`` with the transfer
 function as the first operand (a complex product can round differently
 with its operands swapped) and applies the n/2 + 1 stored bins to the
 upper bins as a reversed view, so no full-length kernel is built.
-``apparatus`` caches by the same rule what two of its scenarios read: its
-sigma1 source stage and sigma1 profiles, functions of (geometry, grid)
-alone, and the upper pass of each grid state, phi_U taken from sigma1 to
-sigma2 with its profiles, a function of (geometry, grid, state).  What
-one scenario reads, its record and the profiles of a summed field, is
-formed per call.
+``apparatus`` caches what two of its scenarios read by the same rule.
 
-A stage allocates only the buffers its result owns.  A temporary the size
-of a field is not made: an element-wise step writes into the array its
-result will own (:func:`intensity` squares its ``abs`` in place).
-:func:`total_power` forms its terms in blocks of at most ``_BLOCK``
-elements in one reused scratch buffer; the blocks follow numpy's pairwise
-summation tree, so a blocked sum has the bits of ``np.sum`` over the whole
-array.  The energies of :func:`nyquist_tail_fraction` enter no record, so
-each is one ``np.dot`` of a spectrum's float view with itself, which makes
-no temporary at all.  A freed array of a field's size goes
-back to the kernel and its pages fault in again when the next one is made,
-so these temporaries cost page faults as well as copies.
+An element-wise step writes into the array its result will own
+(:func:`intensity` squares its ``abs`` in place), so it makes no temporary
+the size of a field: a freed array of that size goes back to the kernel
+and its pages fault in again when the next one is made.  The energies of
+:func:`nyquist_tail_fraction` enter no record, so each is one ``np.dot`` of
+a spectrum's float view with itself.
 
 Each element-wise operation is one private kernel that writes into an
 ``out`` buffer it is given: ``_transfer_into`` (H*S, which may overwrite
 S), ``_masked_into`` and ``_lens_into`` (which may overwrite the samples).
-:func:`propagate`, :func:`apply_mask` and :func:`thin_lens` allocate that
-buffer and hand it to the field they return; ``apparatus._upper_pass``
-passes its own two work buffers instead, and writes each ``np.fft``
-result into one of them with ``out=`` (numpy >= 2.0), so past sigma1 a
-pass makes two complex work arrays, where each stage made one or two.
-An in-place product with the operands in the same order, and a transform
-written through ``out=``, give the bits of the allocating call.
+:func:`propagate` writes H*S over the FFT it takes, and :func:`apply_mask`
+and :func:`thin_lens` allocate the buffer they hand to the field they
+return.  ``apparatus`` passes its own buffers instead, and writes each
+``np.fft`` result into one of them with ``out=`` (numpy >= 2.0), so past
+sigma1 a pass makes two complex work arrays.  An in-place product with
+the operands in the same order, and a transform written through ``out=``,
+give the bits of the allocating call.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import warnings
@@ -132,6 +110,8 @@ class Grid:
             raise ValueError(f"n_samples must be a positive power of two, got {n}")
         if not (np.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        if not np.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
 
     @property
     def coordinates(self) -> np.ndarray:
@@ -159,12 +139,7 @@ class Grid:
 class ComplexField:
     """Complex scalar amplitude sampled on a grid at one plane.
 
-    ``spectrum``, if given, must be ``np.fft.fft(amplitudes)`` to roundoff:
-    only a producer that has just computed it passes one (so
-    ``dataclasses.replace`` with new amplitudes must also pass
-    ``spectrum=None``).  ``==`` compares the samples, not the held spectrum.
-
-    Both buffers are read-only.  A complex128 array that is read-only and
+    The samples are read-only.  A complex128 array that is read-only and
     owns its memory is kept as it is, so producers hand over the arrays
     they have just made; anything else (a writeable array, a view, another
     dtype) is copied, so later writes by the caller cannot reach the field.
@@ -173,7 +148,6 @@ class ComplexField:
     grid: Grid
     amplitudes: np.ndarray
     wavelength: float
-    spectrum: np.ndarray | None = dataclasses.field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -181,17 +155,11 @@ class ComplexField:
             raise ValueError(
                 f"amplitudes shape {amps.shape} does not match grid ({self.grid.n_samples},)"
             )
-        if not self.wavelength > 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        if not (np.isfinite(self.wavelength) and self.wavelength > 0):
+            raise ValueError(f"wavelength must be positive and finite, got {self.wavelength}")
         object.__setattr__(self, "amplitudes", _frozen(amps))
-        if self.spectrum is not None:
-            spectrum = np.asarray(self.spectrum, dtype=np.complex128)
-            if spectrum.shape != amps.shape:
-                raise ValueError(
-                    f"spectrum shape {spectrum.shape} does not match grid ({self.grid.n_samples},)"
-                )
-            object.__setattr__(self, "spectrum", _frozen(spectrum))
 
+    # the generated == would compare the arrays element-wise and raise
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ComplexField):
             return NotImplemented
@@ -204,18 +172,6 @@ class ComplexField:
     @property
     def wavenumber(self) -> float:
         return 2.0 * np.pi / self.wavelength
-
-    def with_amplitudes(self, amplitudes: np.ndarray) -> "ComplexField":
-        """The same grid and wavelength with new samples, holding no spectrum."""
-        return ComplexField(self.grid, amplitudes, self.wavelength)
-
-    def with_spectrum(self) -> "ComplexField":
-        """This field holding its spectrum: itself if it holds one, else one FFT."""
-        if self.spectrum is not None:
-            return self
-        return ComplexField(
-            self.grid, self.amplitudes, self.wavelength, _owned(np.fft.fft(self.amplitudes))
-        )
 
 
 @dataclass(frozen=True)
@@ -232,7 +188,8 @@ class Mask:
                 f"transmission shape {t.shape} does not match grid ({self.grid.n_samples},)"
             )
         peak = np.max(np.abs(t)) if t.size else 0.0
-        if peak > 1.0 + 1e-12:
+        # fails closed: a NaN peak passes no bound
+        if not peak <= 1.0 + 1e-12:
             raise ValueError(f"mask is not passive: max |t| = {peak}")
         object.__setattr__(self, "transmission", _frozen(t))
 
@@ -313,14 +270,12 @@ def propagate(field: ComplexField, distance: float) -> ComplexField:
     Exact angular-spectrum solution: each spectral component picks up
     ``exp(i * distance * sqrt(k^2 - kx^2))``; evanescent components
     (``kx^2 > k^2``) are removed.  Power in propagating components is
-    conserved.  Reads the field's held spectrum if it has one, and returns
-    the propagated field holding its own.
+    conserved.  One FFT, H*S written over it, and one inverse FFT.
     """
     _require_finite(field.amplitudes)
-    spectrum = np.empty(field.grid.n_samples, dtype=np.complex128)
-    _transfer_into(field.grid, field.wavenumber, distance, _spectrum(field), out=spectrum)
-    spectrum = _owned(spectrum)
-    return ComplexField(field.grid, _owned(np.fft.ifft(spectrum)), field.wavelength, spectrum)
+    spectrum = np.fft.fft(field.amplitudes)
+    _transfer_into(field.grid, field.wavenumber, distance, spectrum, out=spectrum)
+    return ComplexField(field.grid, _owned(np.fft.ifft(spectrum)), field.wavelength)
 
 
 def _masked_into(samples: np.ndarray, transmission: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -333,7 +288,8 @@ def apply_mask(field: ComplexField, mask: Mask) -> ComplexField:
     if mask.grid != field.grid:
         raise ValueError("mask grid does not match field grid")
     out = np.empty(field.grid.n_samples, dtype=np.complex128)
-    return field.with_amplitudes(_owned(_masked_into(field.amplitudes, mask.transmission, out)))
+    masked = _masked_into(field.amplitudes, mask.transmission, out)
+    return ComplexField(field.grid, _owned(masked), field.wavelength)
 
 
 @functools.lru_cache(maxsize=1)
@@ -367,7 +323,7 @@ def thin_lens(field: ComplexField, focal_length: float) -> ComplexField:
         raise ValueError("focal length must be nonzero")
     out = np.empty(field.grid.n_samples, dtype=np.complex128)
     lensed = _lens_into(field.grid, field.wavelength, focal_length, field.amplitudes, out)
-    return field.with_amplitudes(_owned(lensed))
+    return ComplexField(field.grid, _owned(lensed), field.wavelength)
 
 
 def _intensity(samples: np.ndarray) -> np.ndarray:
@@ -453,13 +409,13 @@ def total_power(
 
     ``window`` is an open interval (lo, hi), whose samples are those of
     :func:`_window_bounds`.  Only the samples inside the window are
-    squared, in blocks (see the module notes).  A window containing no
-    sample is legal and yields 0.0 with a :class:`FieldFlagWarning`.
+    squared.  A window containing no sample is legal and yields 0.0 with a
+    :class:`FieldFlagWarning`.
     """
     values = field.amplitudes
     if window is not None:
         values = _in_window(values, _window_bounds(field.grid, window))
-    return float(_blocked_sum(values) * field.grid.spacing)
+    return float(np.sum(_intensity(values)) * field.grid.spacing)
 
 
 def _interpolate(
@@ -485,47 +441,12 @@ def _interpolate(
     return complex(u), complex(du), complex(d2u)
 
 
-def _spectrum(field: ComplexField) -> np.ndarray:
-    """The field's held spectrum, or its FFT if it holds none."""
-    return field.spectrum if field.spectrum is not None else np.fft.fft(field.amplitudes)
-
-
-# elements per block of a blocked sum: 32 KiB of float64 terms, well below
-# glibc's 128 KiB mmap threshold, so the scratch buffer comes from the heap
-_BLOCK = 4096
-
-
-def _blocked_sum(values: np.ndarray) -> np.floating:
-    """``np.sum(intensity)`` of the samples ``values``, the squares formed ``_BLOCK`` at a time.
-
-    Each block's |u|^2 is formed as :func:`intensity` forms it, ``abs`` and
-    then its square, in one scratch buffer reused by every block.  The
-    blocks are the leaves of numpy's pairwise summation of a contiguous
-    array (split in halves rounded down to a multiple of 8 while longer
-    than ``_BLOCK``), and the leaf sums are added back up the same tree, so
-    the result has the bits of the whole-array sum.
-    """
-    return _pairwise(values, np.empty(min(values.size, _BLOCK)))
-
-
-def _pairwise(values: np.ndarray, scratch: np.ndarray) -> np.floating:
-    # a module-level recursion: a nested function that calls itself is a
-    # reference cycle, which would keep ``values`` alive until a collection
-    if values.size <= _BLOCK:
-        squares = np.abs(values, out=scratch[: values.size])
-        # add.reduce is np.sum's own reduction, without its dispatch
-        return np.add.reduce(np.square(squares, out=squares))
-    half = values.size // 2
-    half -= half % 8
-    return _pairwise(values[:half], scratch) + _pairwise(values[half:], scratch)
-
-
 def _energy(bins: np.ndarray) -> float:
     """``sum(|bins|^2)``: the dot product of the float64 view of ``bins`` with itself.
 
     It feeds the guard's tail fraction only, which enters no record, so it
-    need not have ``np.sum``'s bits; one ``np.dot`` makes no temporary and
-    takes about a seventh of the time of a blocked sum of the squares.
+    need not have ``np.sum``'s bits; one ``np.dot`` makes no temporary of
+    the squares.
     """
     floats = bins.view(np.float64)
     return float(np.dot(floats, floats))
@@ -547,8 +468,8 @@ def nyquist_tail_fraction(field: ComplexField) -> float:
     """Fraction of spectral energy in the outer 5% of the Nyquist band.
 
     This is the aliasing diagnostic: spectral propagation is only trustworthy
-    when essentially no energy sits against the sampling limit.  Reads the
-    field's held spectrum if it has one.
+    when essentially no energy sits against the sampling limit.  One FFT of
+    the samples.
 
     The outer band, ``|kx| >= 0.95 * nyquist``, is the bins i with
     ``min(i, n - i) >= 19n/40``: in FFT order the one contiguous run
@@ -556,4 +477,4 @@ def nyquist_tail_fraction(field: ComplexField) -> float:
     built.  A spectrum whose energy is not finite gives ``nan``, whichever
     band holds the non-finite bins.
     """
-    return _tail_fraction(_spectrum(field))
+    return _tail_fraction(np.fft.fft(field.amplitudes))

@@ -102,7 +102,7 @@ class TestUpperSlit:
     def test_slit_pair_is_passive_and_real(self, geometry, grid):
         # the upper slit is scaled so that it and its mirror image, the lower
         # slit, are passive together wherever the two overlap
-        upper = apparatus._upper_slit(geometry, grid).amplitudes
+        upper = apparatus._upper_slit(geometry, grid)[0].amplitudes
         lower = np.concatenate([upper[:1], upper[:0:-1]])  # x -> -x: sample i -> (n - i) mod n
         assert np.max(np.abs(upper) + np.abs(lower)) <= 1.0
         assert np.max(np.abs(upper.imag)) < 1e-15
@@ -110,14 +110,14 @@ class TestUpperSlit:
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
     def test_samples_are_exactly_real_and_owned(self, geometry, grid):
         # the synthesis ifft's buffer is handed over with its imaginary part zeroed
-        upper = apparatus._upper_slit(geometry, grid).amplitudes
+        upper = apparatus._upper_slit(geometry, grid)[0].amplitudes
         assert not upper.imag.any()
         assert upper.flags.owndata and not upper.flags.writeable
 
     def test_spectrum_clean_at_nyquist(self, geometry, bench_grid):
-        # a fresh FFT of the samples, not the band spectrum the source holds
-        source = apparatus._upper_slit(geometry, bench_grid)
-        assert nyquist_tail_fraction(source.with_amplitudes(source.amplitudes)) < 1e-30
+        # a fresh FFT of the samples, not the band spectrum they are built from
+        source, _ = apparatus._upper_slit(geometry, bench_grid)
+        assert nyquist_tail_fraction(source) < 1e-30
 
     def test_coarse_sampling_rejected(self, geometry):
         coarse = Grid(n_samples=64, spacing=1e-3)
@@ -174,7 +174,9 @@ class TestFringeMinima:
         # unbalanced slits: the fringes exist but their minima sit near
         # (0.1/1.9)**2 ~ 3e-3 of the maxima, far above the 1e-4 depth limit
         upper, lower = sigma1_fields
-        unbalanced = upper.with_amplitudes(upper.amplitudes + 0.9 * lower.amplitudes)
+        unbalanced = ComplexField(
+            upper.grid, upper.amplitudes + 0.9 * lower.amplitudes, upper.wavelength
+        )
         with pytest.raises(ValueError, match="not resolvable: intensity is .* of the neighboring"):
             _refine_minima(geometry, unbalanced.grid, band_bins(geometry, unbalanced))
 
@@ -242,7 +244,7 @@ class TestSourceBand:
         assert sizes and set(sizes) == {np.count_nonzero(band)}
         assert np.count_nonzero(band) < bench_grid.n_samples
         # synthesis fills the same bins: the slit's spectrum beyond them is roundoff
-        spectrum = np.abs(np.fft.fft(apparatus._upper_slit(geometry, bench_grid).amplitudes))
+        spectrum = np.abs(np.fft.fft(apparatus._upper_slit(geometry, bench_grid)[0].amplitudes))
         assert np.max(spectrum[~band]) <= 1e-13 * np.max(spectrum)
 
     @pytest.mark.parametrize("spacing", [1e-7, 1.25e-6, 2.5e-6, 5e-6, 1e-5, 3.3e-5, 1e-3])
@@ -260,11 +262,12 @@ class TestSourceBand:
     def test_band_superposition_is_the_full_superposition_on_the_band(
         self, geometry, grid, entry, monkeypatch
     ):
-        # oracle: the full phi_U + phi_L spectrum, sliced to the band by |kx|,
-        # against the bins the refinement is given, whichever call refines
-        phi_u, phi_l = apparatus.sigma1_fields(geometry, grid)
+        # oracle: the full phi_U + phi_L spectrum, phi_U's H*S plus its mirror
+        # by indexing, sliced to the band by |kx|, against the bins the
+        # refinement is given, whichever call refines
+        spectrum = apparatus._phi_u(geometry, grid)[1]
         in_band = np.abs(grid.wavenumbers()) < _source_cutoffs(geometry, grid)[1]
-        full = (phi_u.spectrum + phi_l.spectrum)[in_band]
+        full = (spectrum + np.roll(spectrum[::-1], 1))[in_band]
         refined = []
         refine = apparatus._refine_minima
 
@@ -432,9 +435,8 @@ class TestSuperposition:
         # oracle: the mirror x -> -x built by indexing, sample i -> (n - i) mod n
         phi_u, phi_l = apparatus.sigma1_fields(geometry, grid)
         mirror = -np.arange(grid.n_samples) % grid.n_samples
-        for name in ("amplitudes", "spectrum"):
-            values = getattr(phi_u, name)
-            assert getattr(phi_l, name).tobytes() == values[mirror].tobytes()
+        assert phi_l.amplitudes.tobytes() == phi_u.amplitudes[mirror].tobytes()
+        for values in (phi_u.amplitudes, apparatus._phi_u(geometry, grid)[1]):
             assert apparatus._mirror(values).tobytes() == values[mirror].tobytes()
             out = np.empty_like(values)
             assert apparatus._superposed(values, out) is out
@@ -630,13 +632,10 @@ class TestSigma1Cache:
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
     def test_cached_stage_is_the_uncached_build_bit_for_bit(self, geometry, grid):
-        phi_u, failures = apparatus._phi_u(geometry, grid)
-        fresh_u, fresh_failures = apparatus._phi_u.__wrapped__(geometry, grid)
+        phi_u, spectrum, failures = apparatus._phi_u(geometry, grid)
+        fresh_u, fresh_spectrum, fresh_failures = apparatus._phi_u.__wrapped__(geometry, grid)
         assert failures == fresh_failures == {}
-        for got, expected in (
-            (phi_u.amplitudes, fresh_u.amplitudes),
-            (phi_u.spectrum, fresh_u.spectrum),
-        ):
+        for got, expected in ((phi_u.amplitudes, fresh_u.amplitudes), (spectrum, fresh_spectrum)):
             assert got.tobytes() == expected.tobytes()
             assert got.flags.owndata and not got.flags.writeable
         minima = apparatus._minima(geometry, grid)
@@ -703,12 +702,12 @@ class TestSigma1Cache:
             (geometry, Grid(bench_grid.n_samples, 6e-6)),
         ]
         for misses, (geo, grid) in enumerate(keys, 1):
-            phi_u, _ = apparatus._phi_u(geo, grid)
+            phi_u, spectrum, _ = apparatus._phi_u(geo, grid)
             assert apparatus._phi_u.cache_info().misses == misses
-            fresh_u, _ = apparatus._phi_u.__wrapped__(geo, grid)
+            fresh_u, fresh_spectrum, _ = apparatus._phi_u.__wrapped__(geo, grid)
             assert phi_u.grid == grid
             assert phi_u.amplitudes.tobytes() == fresh_u.amplitudes.tobytes()
-            assert phi_u.spectrum.tobytes() == fresh_u.spectrum.tobytes()
+            assert spectrum.tobytes() == fresh_spectrum.tobytes()
         # an equal key made anew is a hit
         geo, grid = keys[-1]
         apparatus._phi_u(dataclasses.replace(geo), dataclasses.replace(grid))
@@ -735,8 +734,9 @@ class TestSigma1Cache:
 
     def test_sigma1_fields_share_the_cached_phi_u(self, geometry, bench_grid):
         phi_u, phi_l = apparatus.sigma1_fields(geometry, bench_grid)
-        assert phi_u is apparatus._phi_u(geometry, bench_grid)[0]
-        assert not phi_u.amplitudes.flags.writeable and not phi_u.spectrum.flags.writeable
+        cached_u, spectrum, _ = apparatus._phi_u(geometry, bench_grid)
+        assert phi_u is cached_u
+        assert not phi_u.amplitudes.flags.writeable and not spectrum.flags.writeable
         assert apparatus.sigma1_fields(geometry, bench_grid)[1] is not phi_l
 
 
@@ -876,7 +876,7 @@ class TestUpperPass:
         # bits, and phi_U is built once
         expected = {s: record_bits(run_scenario(geometry, s, grid)) for s in SCENARIOS}
         minima = fringe_minima(geometry, grid)
-        spectrum = apparatus.sigma1_fields(geometry, grid)[0].spectrum
+        spectrum = apparatus._phi_u(geometry, grid)[1]
         mirrored = np.roll(spectrum[::-1], 1)
         target = (mirrored if failing is Slits.LOWER_ONLY else spectrum + mirrored).tobytes()
         tail_fraction = apparatus._tail_fraction
@@ -902,9 +902,7 @@ class TestUpperPass:
             # each pass starts from the sigma1 failure and guards the others on
             failures = apparatus._upper_pass(geometry, grid, state).failures
             assert list(failures) == [failing] and failures[failing][0] == "sigma1"
-        phi_u, phi_l = apparatus.sigma1_fields(geometry, grid)
-        assert phi_u.spectrum.tobytes() == spectrum.tobytes()
-        assert phi_l.spectrum.tobytes() == mirrored.tobytes()
+        assert apparatus._phi_u(geometry, grid)[1].tobytes() == spectrum.tobytes()
         if failing is Slits.BOTH:
             with pytest.raises(BandLimitError, match="sigma1"):
                 fringe_minima(geometry, grid)
@@ -1006,38 +1004,59 @@ class TestMemory:
         assert peak < 7 * 2**20 + kept
 
 
+def direct_transfer(grid, wavelength, distance):
+    """Full-length ``exp(i*distance*kz)`` with evanescent bins zeroed, built directly."""
+    k = 2 * np.pi / wavelength
+    kx = grid.wavenumbers()
+    kz = np.sqrt(np.maximum(k * k - kx * kx, 0.0))
+    return np.where(kx * kx <= k * k, np.exp(1j * distance * kz), 0.0)
+
+
 def chained(geometry, scenario, grid):
     """The scenario rebuilt on fresh fields by the public wavefield operations.
 
     Each stage is a new field made by ``propagate``, ``apply_mask`` or
     ``thin_lens``, and the powers come from ``total_power``: the pipeline
     as it ran before ``run_scenario`` worked in two reused buffers.  The
-    sigma1 stage is built anew, without the cache.  Returns the record and
-    the field at each guard stage.  phi_L is phi_U mirrored by indexing,
-    sample and bin i -> (n - i) mod n, and phi_U + phi_L their sum, so the
-    oracle shares no code with ``_mirror`` or ``_superposed``.  For ``lower``
-    and ``both`` this propagates phi_L and phi_U + phi_L directly, where
+    sigma1 stage is built anew, without the cache.  Two steps start from a
+    spectrum the bench keeps instead of an FFT of samples: source to sigma1
+    from the source's band spectrum, and with the grid out sigma1 to the
+    lens from sigma1's H*S; each is H*S with a full-length transfer
+    function built directly, then one ``ifft``.  Returns the record and the
+    field at each guard stage.  phi_L is phi_U mirrored by indexing, sample
+    and bin i -> (n - i) mod n, and phi_U + phi_L their sum, so the oracle
+    shares no code with ``_mirror`` or ``_superposed``.  For ``lower`` and
+    ``both`` this propagates phi_L and phi_U + phi_L directly, where
     ``run_scenario`` mirrors or sums phi_U's pass.
     """
-    source = apparatus._upper_slit(geometry, grid)
-    field = phi_u = propagate(source, geometry.z_slits_to_grid)
+    wavelength = geometry.wavelength
+
+    def propagated(spectrum, distance):
+        transfer = direct_transfer(grid, wavelength, distance)
+        spectrum = transfer * spectrum
+        return ComplexField(grid, np.fft.ifft(spectrum), wavelength), spectrum
+
+    source, band = apparatus._upper_slit(geometry, grid)
+    field, spectrum = propagated(band, geometry.z_slits_to_grid)
     if scenario.slits is not Slits.UPPER_ONLY:
-        a, s = phi_u.amplitudes, phi_u.spectrum
+        a, s = field.amplitudes, spectrum
         lower_a, lower_s = np.roll(a[::-1], 1), np.roll(s[::-1], 1)
         if scenario.slits is Slits.BOTH:
             lower_a, lower_s = a + lower_a, s + lower_s
-        field = ComplexField(grid, lower_a, geometry.wavelength, lower_s)
+        field, spectrum = ComplexField(grid, lower_a, wavelength), lower_s
     stages = {"source": source, "sigma1": field}
     minima = ()
     if scenario.slits is Slits.BOTH or scenario.grid is GridState.IN:
         minima = apparatus._minima.__wrapped__(geometry, grid)
     power_incident = total_power(field)
+    sigma1 = field
     if scenario.grid is GridState.IN:
-        field = stages["wire_grid"] = apply_mask(
+        sigma1 = stages["wire_grid"] = apply_mask(
             field, build_wire_grid(geometry, np.asarray(minima), grid)
         )
-    sigma1 = field
-    field = stages["lens"] = propagate(field, geometry.z_grid_to_lens)
+        field = stages["lens"] = propagate(sigma1, geometry.z_grid_to_lens)
+    else:
+        field = stages["lens"] = propagated(spectrum, geometry.z_grid_to_lens)[0]
     field = stages["lens_phase"] = thin_lens(field, geometry.focal_length)
     field = stages["sigma2"] = propagate(field, geometry.z_lens_to_detectors)
     window_u, window_l = image_windows(geometry)
@@ -1168,11 +1187,11 @@ class TestChainedOracle:
         # this also pins that a full pass leaves their bytes as they were
         for scenario in SCENARIOS:
             run_scenario(geometry, scenario, grid)
-        phi_u, _ = apparatus._phi_u(geometry, grid)
+        phi_u, spectrum, _ = apparatus._phi_u(geometry, grid)
         k = 2 * np.pi / geometry.wavelength
         cached = {
             "phi_u samples": phi_u.amplitudes,
-            "phi_u spectrum": phi_u.spectrum,
+            "phi_u spectrum": spectrum,
             "lens factor": wavefield._lens_factor(
                 grid, geometry.wavelength, geometry.focal_length
             ),
@@ -1207,7 +1226,7 @@ class TestChainedOracle:
 
 
 class TestHeldSpectra:
-    """Each guard reads the spectrum of its stage's samples, held instead of transformed."""
+    """Each guard reads the spectrum its stage already has, the FFT of its samples to roundoff."""
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
     @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
@@ -1240,10 +1259,10 @@ class TestHeldSpectra:
             samples = stages[stage].amplitudes
             fresh = np.fft.fft(samples)
             assert np.max(np.abs(spectrum - fresh)) <= 1e-12 * np.max(np.abs(fresh)), stage
-            # the same samples holding no spectrum: the tail fraction of their own FFT
-            unheld = ComplexField(grid, samples, geometry.wavelength)
-            held = wavefield._tail_fraction(spectrum)
-            assert abs(held - nyquist_tail_fraction(unheld)) <= 1e-12, stage
+            # and the tail fraction of the same samples' own FFT
+            fresh_field = ComplexField(grid, samples, geometry.wavelength)
+            guarded_fraction = wavefield._tail_fraction(spectrum)
+            assert abs(guarded_fraction - nyquist_tail_fraction(fresh_field)) <= 1e-12, stage
 
 
 class TestDiscrimination:
@@ -1271,9 +1290,9 @@ class TestWindows:
         far = dataclasses.replace(geometry, focal_length=1.4999999999999998)
 
         def no_fields(*args, **kwargs):
-            raise AssertionError("a field was propagated")
+            raise AssertionError("a field was built")
 
-        monkeypatch.setattr(apparatus, "propagate", no_fields)
+        monkeypatch.setattr(apparatus, "_upper_slit", no_fields)
         message = r"detector window U at magnification 6\.\d+e\+15 .* beyond the grid"
         with pytest.raises(ValueError, match=message):
             run_scenario(far, Scenario(Slits.UPPER_ONLY, GridState.OUT), bench_grid)
@@ -1303,7 +1322,7 @@ class TestImaging:
         lit = profile > 1e-6 * peak
         in_band = np.abs(grid.wavenumbers()) < _source_cutoffs(geometry, grid)[1]
         kx = grid.wavenumbers()[in_band]
-        bins = apparatus._upper_slit(geometry, grid).spectrum[in_band]
+        bins = apparatus._upper_slit(geometry, grid)[1][in_band]
         m = geometry.magnification
         # u0(x) = sum(bins * exp(i kx (x - x0))) / n at x = -x_sigma2 / M
         offsets = -grid.coordinates[lit] / m - grid.coordinate(0)

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from afsharsim.wavefield import (
     ComplexField,
-    _blocked_sum,
     _first_index,
     _interpolate,
     _lens_factor,
     _lens_into,
     _masked_into,
+    _tail_fraction,
     _transfer,
     _transfer_into,
     FieldFlagWarning,
@@ -44,6 +44,24 @@ def direct_transfer(grid, distance):
     return np.where(propagating, np.exp(1j * distance * kz), 0.0), propagating
 
 
+class _Transforms:
+    """Full-size ``np.fft.fft`` and ``np.fft.ifft`` calls from now on."""
+
+    def __init__(self, monkeypatch, n_samples):
+        self.counts = {"fft": 0, "ifft": 0}
+
+        def counted(name, original):
+            def wrapper(a, *args, **kwargs):
+                if np.size(a) == n_samples:
+                    self.counts[name] += 1
+                return original(a, *args, **kwargs)
+
+            return wrapper
+
+        for name in self.counts:
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+
+
 def band_limited_field(grid, seed, cut_fraction=0.25):
     """Random field whose spectrum is confined to the inner Nyquist band."""
     rng = np.random.default_rng(seed)
@@ -72,6 +90,28 @@ class TestGrid:
     def test_rejects_non_finite_spacing(self, spacing):
         with pytest.raises(ValueError, match="finite"):
             Grid(n_samples=8, spacing=spacing)
+
+    @pytest.mark.parametrize("center", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_center(self, center):
+        # a NaN center would make every coordinate NaN, which no window
+        # check can fail
+        with pytest.raises(ValueError, match="center must be finite"):
+            Grid(n_samples=16, spacing=1e-6, center=center)
+
+
+class TestComplexField:
+    @pytest.mark.parametrize("wavelength", [np.inf, np.nan, 0.0, -WAVELENGTH])
+    def test_rejects_a_wavelength_not_positive_and_finite(self, wavelength):
+        grid = small_grid()
+        with pytest.raises(ValueError, match="wavelength must be positive and finite"):
+            ComplexField(grid, np.ones(grid.n_samples), wavelength)
+
+    def test_equality_compares_grid_wavelength_and_samples(self):
+        f = band_limited_field(small_grid(), seed=21)
+        assert f == ComplexField(f.grid, f.amplitudes.copy(), WAVELENGTH)
+        assert f != ComplexField(f.grid, 2.0 * f.amplitudes, WAVELENGTH)
+        assert f != ComplexField(f.grid, f.amplitudes, 2.0 * WAVELENGTH)
+        assert f != ComplexField(small_grid(dx=6e-6), f.amplitudes, WAVELENGTH)
 
 
 class TestPlaneWave:
@@ -158,6 +198,14 @@ class TestPropagate:
         with pytest.raises(ValueError, match="NaN"):
             propagate(ComplexField(grid, amps, WAVELENGTH), 1.0)
 
+    @pytest.mark.parametrize("distance", [0.3, -1.7, 4.0])
+    def test_one_fft_and_one_ifft_per_call(self, distance, monkeypatch):
+        grid = small_grid()
+        field = band_limited_field(grid, seed=23)
+        transforms = _Transforms(monkeypatch, grid.n_samples)
+        propagate(field, distance)
+        assert transforms.counts == {"fft": 1, "ifft": 1}
+
     @pytest.mark.parametrize(
         "value", [np.inf, -np.inf, complex(0.0, np.inf)], ids=["inf", "-inf", "inf-j"]
     )
@@ -227,6 +275,15 @@ class TestMask:
         with pytest.raises(ValueError, match="passive"):
             Mask(grid, np.full(grid.n_samples, 1.1))
 
+    @pytest.mark.parametrize("count", [1, 1024], ids=["one-sample", "all-samples"])
+    def test_nan_transmission_rejected(self, count):
+        # NaN compares false with any bound, so the check fails closed
+        grid = small_grid()
+        t = np.ones(grid.n_samples)
+        t[:count] = np.nan
+        with pytest.raises(ValueError, match="passive"):
+            Mask(grid, t)
+
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
     def test_submultiplicative_property(self, seed):
@@ -253,67 +310,23 @@ class TestOwnership:
         base = np.ones(2 * grid.n_samples, dtype=complex)
         view = base[: grid.n_samples]
         view.flags.writeable = False
-        f = ComplexField(grid, view, WAVELENGTH, view)
+        f = ComplexField(grid, view, WAVELENGTH)
         base[0] = 7.0
-        assert f.amplitudes[0] == 1.0 and f.spectrum[0] == 1.0
-        assert f.amplitudes.flags.owndata and f.spectrum.flags.owndata
+        assert f.amplitudes[0] == 1.0 and f.amplitudes.flags.owndata
 
     def test_read_only_owning_array_is_shared(self):
         grid = small_grid()
         amps = np.ones(grid.n_samples, dtype=complex)
         amps.flags.writeable = False
-        spectrum = np.fft.fft(amps)
-        spectrum.flags.writeable = False
-        f = ComplexField(grid, amps, WAVELENGTH, spectrum)
-        assert f.amplitudes is amps and f.spectrum is spectrum
+        assert ComplexField(grid, amps, WAVELENGTH).amplitudes is amps
         assert Mask(grid, amps).transmission is amps
 
 
-class TestHeldSpectrum:
-    def test_held_spectrum_is_read_only_and_shape_checked(self):
-        f = band_limited_field(small_grid(), seed=20)
-        spectrum = np.fft.fft(f.amplitudes)
-        held = ComplexField(f.grid, f.amplitudes, WAVELENGTH, spectrum)
-        spectrum[0] = 99.0  # the field holds its own copy
-        assert held.spectrum[0] != 99.0
-        with pytest.raises(ValueError, match="read-only"):
-            held.spectrum[0] = 1.0
-        with pytest.raises(ValueError, match="spectrum shape"):
-            ComplexField(f.grid, f.amplitudes, WAVELENGTH, spectrum[:-1])
+class TestKernelCache:
+    """Geometry-only kernels are built once per key, and a hit is a miss's bits."""
 
-    def test_equality_ignores_the_held_spectrum(self):
-        f = band_limited_field(small_grid(), seed=21)
-        held = ComplexField(f.grid, f.amplitudes, WAVELENGTH, np.fft.fft(f.amplitudes))
-        assert held == ComplexField(f.grid, f.amplitudes.copy(), WAVELENGTH)
-        assert held != f.with_amplitudes(2.0 * f.amplitudes)
-        assert held != ComplexField(f.grid, f.amplitudes, 2.0 * WAVELENGTH)
-
-    def test_spatial_operations_drop_the_held_spectrum(self):
-        grid = small_grid()
-        f = propagate(band_limited_field(grid, seed=22), 0.4)
-        assert f.spectrum is not None
-        mask = Mask(grid, np.full(grid.n_samples, 0.5))
-        for g in (f.with_amplitudes(f.amplitudes), apply_mask(f, mask), thin_lens(f, 0.3)):
-            assert g.spectrum is None
-
-    @pytest.mark.parametrize("distance", [0.3, -1.7, 4.0])
-    def test_propagate_reads_the_held_spectrum(self, distance, monkeypatch):
-        grid = small_grid()
-        plain = band_limited_field(grid, seed=23)
-        held = plain.with_spectrum()
-        expected = propagate(plain, distance)
-
-        def no_fft(*args, **kwargs):
-            raise AssertionError("a held spectrum was transformed again")
-
-        monkeypatch.setattr(np.fft, "fft", no_fft)
-        got = propagate(held, distance)
-        peak = np.max(np.abs(expected.amplitudes))
-        assert np.max(np.abs(got.amplitudes - expected.amplitudes)) <= 1e-14 * peak
-        # the result holds H*S, which is the FFT of its samples to roundoff
-        monkeypatch.undo()
-        fresh = np.fft.fft(got.amplitudes)
-        assert np.max(np.abs(got.spectrum - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+    GRIDS = [Grid(2**14, 5e-6), Grid(2**16, 1.25e-6), Grid(2**12, 2e-7)]
+    IDS = ["2^14", "2^16", "2^12-evanescent"]
 
     @pytest.mark.parametrize(
         "grid, evanescent",
@@ -334,12 +347,6 @@ class TestHeldSpectrum:
         mirrored = np.array(half[n // 2 - 1 : 0 : -1])
         np.testing.assert_array_equal(mirrored.view(float), direct[n // 2 + 1 :].view(float))
 
-
-class TestKernelCache:
-    """Geometry-only kernels are built once per key, and a hit is a miss's bits."""
-
-    GRIDS = [Grid(2**14, 5e-6), Grid(2**16, 1.25e-6), Grid(2**12, 2e-7)]
-    IDS = ["2^14", "2^16", "2^12-evanescent"]
 
     @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
     def test_cached_kernels_are_the_uncached_builds_and_read_only(self, grid):
@@ -370,9 +377,12 @@ class TestKernelCache:
         # H*S with a full-length H built directly: the same operand order,
         # bin by bin, whether H's upper bins are built or read as the
         # reversed half, so the bits agree on every grid
-        field = band_limited_field(grid, seed=25).with_spectrum()
+        # the spectrum is named: numpy may evaluate a product in place in a
+        # large temporary operand, which would swap the operands
+        field = band_limited_field(grid, seed=25)
         direct, _ = direct_transfer(grid, distance)
-        expected = np.fft.ifft(direct * field.spectrum)
+        spectrum = np.fft.fft(field.amplitudes)
+        expected = np.fft.ifft(direct * spectrum)
         got = propagate(field, distance).amplitudes
         np.testing.assert_array_equal(got.view(float), expected.view(float))
 
@@ -383,10 +393,12 @@ class TestInPlaceKernels:
 
     @pytest.mark.parametrize("grid", TestKernelCache.GRIDS, ids=TestKernelCache.IDS)
     def test_in_place_products_are_the_allocating_operations_bit_for_bit(self, grid):
-        field = band_limited_field(grid, seed=26).with_spectrum()
-        spectrum = np.array(field.spectrum)
+        field = band_limited_field(grid, seed=26)
+        spectrum = np.fft.fft(field.amplitudes)
+        direct, _ = direct_transfer(grid, 0.8)
+        expected = direct * spectrum
         _transfer_into(grid, field.wavenumber, 0.8, spectrum, out=spectrum)
-        assert spectrum.tobytes() == propagate(field, 0.8).spectrum.tobytes()
+        assert spectrum.tobytes() == expected.tobytes()
         mask = Mask(grid, np.linspace(0.0, 1.0, grid.n_samples))
         for kernel, expected in (
             (lambda a: _masked_into(a, mask.transmission, out=a), apply_mask(field, mask)),
@@ -537,6 +549,11 @@ class TestIntensityAndPower:
         with pytest.raises(ValueError, match="reversed"):
             check_window(grid, (1e-6, -1e-6))
 
+    @pytest.mark.parametrize("n", [2**p for p in range(3, 21, 3)])
+    def test_whole_grid_power_is_the_intensity_sum(self, n):
+        f = band_limited_field(small_grid(n=n), seed=n)
+        assert total_power(f) == float(np.sum(intensity(f)) * f.grid.spacing)
+
     @pytest.mark.parametrize("n", [1024, 2**16])
     def test_window_power_equals_the_masked_full_intensity_sum(self, n):
         # squaring only the window's samples gives the bits of squaring the
@@ -606,6 +623,12 @@ class TestNyquistTail:
         f = ComplexField(grid, t, WAVELENGTH)
         assert nyquist_tail_fraction(f) > 1e-6
 
+    def test_one_fft_per_call(self, monkeypatch):
+        f = band_limited_field(small_grid(), seed=13)
+        transforms = _Transforms(monkeypatch, f.grid.n_samples)
+        nyquist_tail_fraction(f)
+        assert transforms.counts == {"fft": 1, "ifft": 0}
+
     @pytest.mark.parametrize("n", [2**p for p in range(3, 21)])
     def test_outer_band_is_the_bin_set_above_95_percent_of_nyquist(self, n):
         # all energy on the |kx| >= 0.95*nyquist bins reads 1, all energy on
@@ -613,9 +636,7 @@ class TestNyquistTail:
         grid = Grid(n, 1.25e-6)
         outer = np.abs(grid.wavenumbers()) >= 0.95 * grid.nyquist
         for bins, expected in ((outer, 1.0), (~outer, 0.0)):
-            spectrum = bins.astype(complex)
-            f = ComplexField(grid, np.fft.ifft(spectrum), WAVELENGTH, spectrum)
-            assert nyquist_tail_fraction(f) == expected
+            assert _tail_fraction(bins.astype(complex)) == expected
 
     @pytest.mark.parametrize("dc", [np.inf, np.nan, 1e200], ids=["inf", "nan", "overflow"])
     def test_non_finite_energy_gives_nan(self, dc):
@@ -623,9 +644,8 @@ class TestNyquistTail:
         grid = small_grid()
         spectrum = np.zeros(grid.n_samples, dtype=complex)
         spectrum[0] = dc
-        held = ComplexField(grid, np.fft.ifft(spectrum), WAVELENGTH, spectrum)
         with np.errstate(over="ignore"):  # 1e200 squared
-            assert np.isnan(nyquist_tail_fraction(held))
+            assert np.isnan(_tail_fraction(spectrum))
 
 
 class TestWindowIndices:
@@ -677,32 +697,10 @@ class TestWindowIndices:
                 assert total_power(f, (float(lo), float(hi))) == 0.0
 
 
-class TestBlockedSums:
-    """Sums formed in bounded blocks have the bits of np.sum over the whole array."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(size=st.integers(0, 3 * 2**16), offset=st.integers(0, 9), seed=st.integers(0, 2**16))
-    def test_blocked_sums_are_the_whole_array_sums_bit_for_bit(self, size, offset, seed):
-        # the terms of the power (|u|**2 as intensity forms it), over a
-        # slice that need not start at the array's start
-        rng = np.random.default_rng(seed)
-        scale = 10.0 ** rng.integers(-8, 8, size + offset)
-        u = (rng.normal(size=size + offset) + 1j * rng.normal(size=size + offset)) * scale
-        u = u[offset:]
-        expected = np.sum(np.abs(u) ** 2)
-        assert _blocked_sum(u).tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("n", [2**p for p in range(3, 21, 3)])
-    def test_whole_grid_power_is_the_intensity_sum(self, n):
-        f = band_limited_field(small_grid(n=n), seed=n)
-        assert total_power(f) == float(np.sum(intensity(f)) * f.grid.spacing)
-
-
 class TestAllocation:
     """A stage allocates only what its result owns: bounded by tracemalloc on 2^16.
 
-    A 2^16 field is 1 MiB of samples and its intensity 512 KiB; a blocked
-    sum's scratch buffer is 32 KiB.
+    A 2^16 field is 1 MiB of samples and its intensity 512 KiB.
     """
 
     GRID = Grid(2**16, 1.25e-6)
@@ -717,18 +715,6 @@ class TestAllocation:
         finally:
             tracemalloc.stop()
 
-    def test_tail_fraction_of_a_held_spectrum(self):
-        f = band_limited_field(self.GRID, seed=3).with_spectrum()
-        assert self.peak(nyquist_tail_fraction, f) < 256 * 2**10
-
     def test_intensity_is_its_output_alone(self):
         f = band_limited_field(self.GRID, seed=4)
         assert self.peak(intensity, f) <= 512 * 2**10 + 64 * 2**10
-
-    @pytest.mark.parametrize("half_width", [75, 2**15])
-    def test_window_power(self, half_width):
-        # the detector windows of the bench hold about 75 samples each; the
-        # second window is half the grid
-        f = band_limited_field(self.GRID, seed=5)
-        dx = self.GRID.spacing
-        assert self.peak(total_power, f, (-half_width * dx, 0.5 * dx)) < 64 * 2**10
