@@ -39,13 +39,10 @@ restriction to the band is exact to roundoff, because the source spectrum
 is zero beyond k_cut by construction and propagation multiplies each bin
 by a phase, so the sigma1 field's bins beyond k_cut hold only FFT roundoff
 (1e-31 to 2e-31 of its energy).  The wire grid breaks the band limit, so
-the propagations past sigma1 take every bin.  One sigma1 stage serves
-``run_scenario``, ``fringe_minima`` and ``sigma1_fields``: phi_U, from
-which each caller forms what it needs.  The minima are refined from the
-both-slit band bins, ``b + mirror(b)`` for phi_U's band bins b (phi_L's
-bin i is phi_U's bin n - i, and the mirror map swaps the two runs), the
-bits phi_U + phi_L holds there, formed by the refinement from phi_U's
-spectrum.
+the propagations past sigma1 take every bin.  The minima are refined from
+the both-slit band bins, ``b + mirror(b)`` for phi_U's band bins b
+(phi_L's bin i is phi_U's bin n - i, and the mirror map swaps the two
+runs), the bits phi_U + phi_L holds there.
 
 Past sigma1 every element is linear and even under the mirror: the wire
 grid (its minima are mirrored and each bar's tanh is odd), the transfer
@@ -53,44 +50,41 @@ functions (even in kx, the upper bins a reversed view of the lower) and
 the lens factor (even in x on a grid centered on the axis) each equal
 their mirror image bit for bit.  So phi_L at every later plane is phi_U
 mirrored and phi_U + phi_L is the sum of the two, and only phi_U is taken
-downstream, once per grid state (``_upper_pass``).  Upper records and
-every sigma1 quantity have the bits of the public operations chained on
-fresh fields; lower and both sigma2 values differ from phi_L and
-phi_U + phi_L propagated directly by FFT roundoff (at most 8.9e-16 of the
-profile's peak, 3.1e-15 of a power, on 2^14 and 2^16 samples).  A grid
-not centered on the axis has no such symmetry (there i -> n - i reflects
-about the grid's center), so the sigma1 stage refuses it.
+downstream, once per grid state.  Upper records and every sigma1 quantity
+have the bits of the public operations chained on fresh fields; lower and
+both sigma2 values differ from phi_L and phi_U + phi_L propagated directly
+by FFT roundoff (at most 8.9e-16 of the profile's peak, 3.1e-15 of a
+power, on 2^14 and 2^16 samples).  A grid not centered on the axis has no
+such symmetry (there i -> n - i reflects about the grid's center), so the
+bench refuses it.
 
 Caching follows one rule: an array that two scenarios read is formed once
-per bench, and an array that one scenario reads is formed per call.  The
-shared arrays are kernels, cached as ``wavefield`` caches its transfer
-functions.  Of (geometry, grid), each holding the last key only, since
-one bench is one (geometry, grid): phi_U, its spectrum H*S and the sigma1
-guard's failures (``_phi_u``), the refined minima (``_minima``) and the
-sigma1 profiles |phi_U|^2 and |phi_U + phi_L|^2 (``_incident``).  Of
-(geometry, grid, state), holding one entry per grid state, so a sweep of
-the six scenarios in any order never evicts: the upper pass
-(``_upper_pass``), which keeps phi_U's sigma2 samples and their profile,
-phi_U's sigma1 profile behind the wire grid (with the grid out the
-``_incident`` array itself) and, with the grid in, the wire grid.  Each
-cache is built only by a caller that needs it: the minima by a scenario
-whose wire grid or record needs them, so a single slit with the grid out
-still runs where they cannot be resolved, and the sigma1 profiles by a
-scenario run, so ``sigma1_fields`` and ``fringe_minima`` pay nothing for
-them.  The keys are frozen values, the cached arrays are read-only, and
-building them reads nothing but the key, so a hit returns the very bits a
-miss builds; a build that raises (the source guard, an off-axis grid, an
-unresolvable minimum) caches nothing, so the next call raises again.
+per bench, and an array that one scenario reads is formed per call.  One
+bench is one (geometry, grid), a ``_Bench``, and the last one is kept.  It
+is built with phi_U, its spectrum H*S and the sigma1 guard's failures
+(``sigma1``), which every caller starts from, and its other stages on
+first use, each by a caller that needs it: the refined minima, by a
+scenario whose wire grid or record needs them, so a single slit with the
+grid out still runs where they cannot be resolved; the sigma1 profiles
+|phi_U|^2 and |phi_U + phi_L|^2 (``incident``), by a scenario run, so
+``sigma1_fields`` and ``fringe_minima`` pay nothing for them; and phi_U's
+pass for each grid state (``upper_pass``), which keeps its sigma2 samples
+and their profile, its sigma1 profile behind the wire grid (with the grid
+out the ``incident`` array itself) and, with the grid in, the wire grid.
+The key is frozen, the arrays are read-only, and a stage reads nothing but
+the key and earlier stages, so a hit returns the very bits a miss builds;
+a build that raises (the source guard, an unresolvable minimum) stores
+nothing, so the next call raises again.  Another key releases the whole of
+the last bench.  A bench keeps 7.5 MiB resident on 2^16 samples and
+1.9 MiB on 2^14, of which the profiles are 2.5 MiB and 640 KiB.
 
-Records are new values on every call that share only cached read-only
-arrays: an upper record takes the cached profiles, a lower one their
-mirror (|mirror(u)|^2 is mirror(|u|^2) bit for bit), and a both-slit
-record squares the only profiles of its own, those of phi_U + phi_L
-formed in one buffer at sigma1 (grid in, masked in place) and at sigma2.
-Window powers are ``np.sum`` over a slice of the sigma2 profile, the bits
-of ``total_power`` on the sigma2 field.  The caches keep 7.5 MiB resident
-on 2^16 samples and 1.9 MiB on 2^14, of which the profiles are 2.5 MiB
-and 640 KiB.
+Records are new values on every call that share only the bench's arrays:
+an upper record takes its profiles, a lower one their mirror
+(|mirror(u)|^2 is mirror(|u|^2) bit for bit), and a both-slit record
+squares the only profiles of its own, those of phi_U + phi_L formed in one
+buffer at sigma1 (grid in, masked in place) and at sigma2.  Window powers
+are ``np.sum`` over a slice of the sigma2 profile, the bits of
+``total_power`` on the sigma2 field.
 
 Every stage of a scenario run is checked against the band-limit guard and
 violations raise :class:`BandLimitError` naming the stage: ``source`` on
@@ -99,13 +93,12 @@ only), ``lens``, ``lens_phase`` and ``sigma2``.  From sigma1 on one rule
 guards every stage (``_guard_slits``): phi_U's spectrum, its mirror
 (phi_L's, no FFT) and their sum (phi_U + phi_L's) are guarded once per
 bench, and each slit configuration's first failing stage is recorded
-instead of raised, at sigma1 in the sigma1 stage's cache and later in the
-upper pass, which starts from the sigma1 failures.  So a failure raises
+instead of raised, at sigma1 in the bench's ``sigma1`` stage and later in
+the upper pass, which starts from the sigma1 failures.  So a failure raises
 for the scenarios of that configuration only, on every call, and a sigma1
 failure raises before anything downstream is built: ``run_scenario``,
 ``sigma1_fields`` (phi_U's) and ``fringe_minima`` (phi_U + phi_L's) raise
-it first.  The detector windows are open intervals; a window beyond the
-grid is rejected by ``check_window`` before any field is built.
+it first.
 
 Each stage guards the spectrum it already has, with no extra transform:
 the source's band spectrum, each propagation's H*S and the ``fft`` after
@@ -114,9 +107,7 @@ every guard checks what a fresh FFT would give it.  The sigma1 stage keeps
 phi_U's H*S beside its samples, formed in place in the source's band
 spectrum: that spectrum is exact, so the sigma1 guards, the minima
 refinement and the pass with the grid out read H*S, where a fresh FFT of
-phi_U's samples would move the upper records' bits.  ``source`` and
-``sigma1`` run once per (geometry, grid) and the upper pass once per grid
-state, so a repeated scenario takes no transform and no guard.
+phi_U's samples would move the upper records' bits.
 
 The upper pass works in two complex buffers, one of samples and one of
 spectrum, through the kernels the public ``apply_mask``, ``propagate``
@@ -488,76 +479,13 @@ def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, np.
     return ComplexField(grid, _owned(samples), geometry.wavelength), full
 
 
-# one bench is one (geometry, grid): its scenarios share the sigma1 source stage
-@functools.lru_cache(maxsize=1)
-def _phi_u(
-    geometry: AfsharGeometry, grid: Grid
-) -> tuple[ComplexField, np.ndarray, dict[Slits, tuple[str, str]]]:
-    """phi_U at sigma1, its spectrum H*S and the slit configurations that failed there.
-
-    A grid not centered on the axis is refused with a ValueError before any
-    field is built: phi_L is phi_U's mirror image i -> n - i, the
-    reflection x -> -x only on such a grid.  The one upper-slit source is
-    guarded at ``source`` and propagated to sigma1 by H*S, formed in place
-    in its band spectrum, and one ``ifft``; there :func:`_guard_slits`
-    guards the three configurations.  The spectrum is read-only.  Cached:
-    see the module notes.
-    """
-    if grid.center != 0.0:
-        raise ValueError(
-            f"the bench is mirror-symmetric about the axis x = 0: the grid must be "
-            f"centered on it, not at {grid.center} m"
-        )
-    source, spectrum = _upper_slit(geometry, grid)
-    _guarded(spectrum, "source")
-    _require_finite(source.amplitudes)
-    k = source.wavenumber
-    # the source's samples are spent: they go before phi_U's are made
-    del source
-    _transfer_into(grid, k, geometry.z_slits_to_grid, spectrum, out=spectrum)
-    phi_u = ComplexField(grid, _owned(np.fft.ifft(spectrum)), geometry.wavelength)
-    failures: dict[Slits, tuple[str, str]] = {}
-    _guard_slits(spectrum, "sigma1", failures, np.empty_like(spectrum))
-    return phi_u, _owned(spectrum), failures
-
-
-def _sigma1(geometry: AfsharGeometry, grid: Grid, slits: Slits) -> ComplexField:
-    """The cached phi_U, once the field ``slits`` carries has passed the sigma1 guard."""
-    phi_u, _, failures = _phi_u(geometry, grid)
-    if slits in failures:
-        raise BandLimitError(*failures[slits])
-    return phi_u
-
-
-@functools.lru_cache(maxsize=1)
-def _minima(geometry: AfsharGeometry, grid: Grid) -> tuple[float, ...]:
-    """The refined minima of phi_U + phi_L at sigma1.  Cached: see the module notes.
-
-    They are refined from phi_U + phi_L's band bins, ``b + mirror(b)`` for
-    phi_U's band bins b, in the order of :func:`_source_band`.
-    """
-    spectrum = _phi_u(geometry, grid)[1]
-    n, m = grid.n_samples, (_source_band(geometry, grid).size + 1) // 2
-    band = np.concatenate((spectrum[:m], spectrum[n - m + 1 :]))
-    band += _mirror(band)
-    return tuple(float(p) for p in _refine_minima(geometry, grid, band))
-
-
-@functools.lru_cache(maxsize=1)
-def _incident(geometry: AfsharGeometry, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """phi_U's and phi_U + phi_L's sigma1 profiles, read-only.  Cached: see the module notes."""
-    samples = _phi_u(geometry, grid)[0].amplitudes
-    both = _intensity(_superposed(samples, np.empty_like(samples)))
-    return _owned(_intensity(samples)), _owned(both)
-
-
 def sigma1_fields(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, ComplexField]:
     """Fields (phi_U, phi_L) at sigma1 behind each slit alone.
 
     phi_U is guarded at sigma1; phi_L is its mirror image.  A grid not
     centered on the axis raises ValueError.
     """
-    phi_u = _sigma1(geometry, grid, Slits.UPPER_ONLY)
+    phi_u = _bench(geometry, grid).phi_u(Slits.UPPER_ONLY)
     return phi_u, ComplexField(grid, _owned(_mirror(phi_u.amplitudes)), phi_u.wavelength)
 
 
@@ -638,8 +566,9 @@ def fringe_minima(geometry: AfsharGeometry, grid: Grid) -> np.ndarray:
     refined and mirrored.  A grid not centered on the axis raises
     ValueError.
     """
-    _sigma1(geometry, grid, Slits.BOTH)
-    return np.array(_minima(geometry, grid))
+    bench = _bench(geometry, grid)
+    bench.phi_u(Slits.BOTH)
+    return np.array(bench.minima)
 
 
 def build_wire_grid(geometry: AfsharGeometry, minima: np.ndarray, grid: Grid) -> Mask:
@@ -712,8 +641,8 @@ class _Pass:
     configuration that failed a guard to the (stage, detail) of its first
     failure.  The arrays are read-only, and None when every slit
     configuration failed a guard before sigma2: ``after_grid`` is phi_U's
-    sigma1 profile behind the wire grid (with the grid out, the
-    :func:`_incident` profile itself), ``sigma2`` its sigma2 samples and
+    sigma1 profile behind the wire grid (with the grid out, the bench's
+    ``incident`` profile itself), ``sigma2`` its sigma2 samples and
     ``detected`` their profile.
     """
 
@@ -724,52 +653,124 @@ class _Pass:
     detected: np.ndarray | None = None
 
 
-# one bench is one (geometry, grid): an entry per grid state, so a sweep of
-# its six scenarios in any order never evicts
-@functools.lru_cache(maxsize=2)
-def _upper_pass(geometry: AfsharGeometry, grid: Grid, state: GridState) -> _Pass:
-    """phi_U from sigma1 through the wire grid (``state`` in only), the lens and sigma2.
+class _Bench:
+    """One bench, one (geometry, grid): the stages its scenarios share (see the module notes).
 
-    At each stage the guard runs on phi_U's spectrum, its mirror (phi_L's)
-    and their sum (phi_U + phi_L's); a configuration's first failure is
-    recorded, not raised, and the pass stops once all three have failed.
-    Cached: see the module notes.
+    A grid not centered on the axis is refused before anything is built.
     """
-    phi_u, sigma1_spectrum, sigma1_failures = _phi_u(geometry, grid)
-    failures = dict(sigma1_failures)
-    mirrored = np.empty_like(sigma1_spectrum)
-    k = phi_u.wavenumber
-    wires = None
-    if state is GridState.IN:
-        wires = build_wire_grid(geometry, np.asarray(_minima(geometry, grid)), grid)
-        samples = np.empty_like(phi_u.amplitudes)
-        _masked_into(phi_u.amplitudes, wires.transmission, out=samples)
-        spectrum = np.fft.fft(samples)
-        if not _guard_slits(spectrum, "wire_grid", failures, mirrored):
+
+    def __init__(self, geometry: AfsharGeometry, grid: Grid):
+        if grid.center != 0.0:
+            raise ValueError(
+                f"the bench is mirror-symmetric about the axis x = 0: the grid must be "
+                f"centered on it, not at {grid.center} m"
+            )
+        self.geometry, self.grid = geometry, grid
+        self._passes: dict[GridState, _Pass] = {}
+        # every caller starts from sigma1, so it is built here, before the cache
+        # releases the last bench: released first, the last bench's arrays left
+        # heap holes that added 1 MB to the peak RSS of a sweep on 2^16 samples
+        self.sigma1
+
+    @functools.cached_property
+    def sigma1(self) -> tuple[ComplexField, np.ndarray, dict[Slits, tuple[str, str]]]:
+        """phi_U at sigma1, its spectrum H*S and the slit configurations that failed there.
+
+        The source is guarded at ``source``, and at sigma1 :func:`_guard_slits`
+        guards the three configurations.  The spectrum is read-only.
+        """
+        source, spectrum = _upper_slit(self.geometry, self.grid)
+        _guarded(spectrum, "source")
+        _require_finite(source.amplitudes)
+        k = source.wavenumber
+        # the source's samples are spent: they go before phi_U's are made
+        del source
+        _transfer_into(self.grid, k, self.geometry.z_slits_to_grid, spectrum, out=spectrum)
+        phi_u = ComplexField(self.grid, _owned(np.fft.ifft(spectrum)), self.geometry.wavelength)
+        failures: dict[Slits, tuple[str, str]] = {}
+        _guard_slits(spectrum, "sigma1", failures, np.empty_like(spectrum))
+        return phi_u, _owned(spectrum), failures
+
+    def phi_u(self, slits: Slits) -> ComplexField:
+        """phi_U, once the field ``slits`` carries has passed the sigma1 guard."""
+        phi_u, _, failures = self.sigma1
+        if slits in failures:
+            raise BandLimitError(*failures[slits])
+        return phi_u
+
+    @functools.cached_property
+    def minima(self) -> tuple[float, ...]:
+        """The refined minima of phi_U + phi_L at sigma1.
+
+        They are refined from phi_U + phi_L's band bins, ``b + mirror(b)`` for
+        phi_U's band bins b, in the order of :func:`_source_band`.
+        """
+        spectrum = self.sigma1[1]
+        n, m = self.grid.n_samples, (_source_band(self.geometry, self.grid).size + 1) // 2
+        band = np.concatenate((spectrum[:m], spectrum[n - m + 1 :]))
+        band += _mirror(band)
+        return tuple(float(p) for p in _refine_minima(self.geometry, self.grid, band))
+
+    @functools.cached_property
+    def incident(self) -> tuple[np.ndarray, np.ndarray]:
+        """phi_U's and phi_U + phi_L's sigma1 profiles, read-only."""
+        samples = self.sigma1[0].amplitudes
+        both = _intensity(_superposed(samples, np.empty_like(samples)))
+        return _owned(_intensity(samples)), _owned(both)
+
+    def upper_pass(self, state: GridState) -> _Pass:
+        """phi_U's pass in grid ``state``, built on first use."""
+        if state not in self._passes:
+            self._passes[state] = self._build_pass(state)
+        return self._passes[state]
+
+    def _build_pass(self, state: GridState) -> _Pass:
+        """phi_U from sigma1 through the wire grid (``state`` in only), the lens and sigma2.
+
+        Each stage is guarded by :func:`_guard_slits`; the pass stops once
+        every slit configuration has failed a guard.
+        """
+        geometry, grid = self.geometry, self.grid
+        phi_u, sigma1_spectrum, sigma1_failures = self.sigma1
+        failures = dict(sigma1_failures)
+        mirrored = np.empty_like(sigma1_spectrum)
+        k = phi_u.wavenumber
+        wires = None
+        if state is GridState.IN:
+            wires = build_wire_grid(geometry, np.asarray(self.minima), grid)
+            samples = np.empty_like(phi_u.amplitudes)
+            _masked_into(phi_u.amplitudes, wires.transmission, out=samples)
+            spectrum = np.fft.fft(samples)
+            if not _guard_slits(spectrum, "wire_grid", failures, mirrored):
+                return _Pass(wires, failures)
+            _require_finite(samples)
+            after_grid = _owned(_intensity(samples))
+            _transfer_into(grid, k, geometry.z_grid_to_lens, spectrum, out=spectrum)
+        else:
+            _require_finite(phi_u.amplitudes)
+            after_grid = self.incident[0]
+            spectrum = np.empty_like(sigma1_spectrum)
+            _transfer_into(grid, k, geometry.z_grid_to_lens, sigma1_spectrum, out=spectrum)
+            samples = np.empty_like(spectrum)
+        np.fft.ifft(spectrum, out=samples)
+        if not _guard_slits(spectrum, "lens", failures, mirrored):
+            return _Pass(wires, failures)
+        _lens_into(grid, geometry.wavelength, geometry.focal_length, samples, out=samples)
+        np.fft.fft(samples, out=spectrum)
+        if not _guard_slits(spectrum, "lens_phase", failures, mirrored):
             return _Pass(wires, failures)
         _require_finite(samples)
-        after_grid = _owned(_intensity(samples))
-        _transfer_into(grid, k, geometry.z_grid_to_lens, spectrum, out=spectrum)
-    else:
-        _require_finite(phi_u.amplitudes)
-        after_grid = _incident(geometry, grid)[0]
-        spectrum = np.empty_like(sigma1_spectrum)
-        _transfer_into(grid, k, geometry.z_grid_to_lens, sigma1_spectrum, out=spectrum)
-        samples = np.empty_like(spectrum)
-    np.fft.ifft(spectrum, out=samples)
-    if not _guard_slits(spectrum, "lens", failures, mirrored):
-        return _Pass(wires, failures)
-    _lens_into(grid, geometry.wavelength, geometry.focal_length, samples, out=samples)
-    np.fft.fft(samples, out=spectrum)
-    if not _guard_slits(spectrum, "lens_phase", failures, mirrored):
-        return _Pass(wires, failures)
-    _require_finite(samples)
-    _transfer_into(grid, k, geometry.z_lens_to_detectors, spectrum, out=spectrum)
-    np.fft.ifft(spectrum, out=samples)
-    _guard_slits(spectrum, "sigma2", failures, mirrored)
-    # the spectra are spent: their buffers go before the sigma2 profile is made
-    del spectrum, mirrored
-    return _Pass(wires, failures, after_grid, _owned(samples), _owned(_intensity(samples)))
+        _transfer_into(grid, k, geometry.z_lens_to_detectors, spectrum, out=spectrum)
+        np.fft.ifft(spectrum, out=samples)
+        _guard_slits(spectrum, "sigma2", failures, mirrored)
+        # the spectra are spent: their buffers go before the sigma2 profile is made
+        del spectrum, mirrored
+        return _Pass(wires, failures, after_grid, _owned(samples), _owned(_intensity(samples)))
+
+
+# the last bench is kept: a sweep of its six scenarios in any order builds
+# each stage once, and another key releases the whole of the last one
+_bench = functools.lru_cache(maxsize=1)(_Bench)
 
 
 def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> SimulationRecord:
@@ -783,16 +784,11 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     sample exactly on the shared boundary x = 0 counts in neither.
     Mirrored fields give mirrored window powers to roundoff, not bit for
     bit: each window is summed in index order, so upper's window U and
-    lower's window L add the same squares in opposite orders
-    (1.9236083985641202e-05 against 1.92360839856412e-05 at the defaults
-    with the grid in).  A window beyond the grid, or a grid not centered
-    on the axis x = 0, about which the bench is mirror-symmetric, raises
-    ValueError before any field is built.
-
-    From sigma1 on, phi_L is the mirror image of phi_U and phi_U + phi_L
-    their sum at every stage, so the profiles are phi_U's, their mirror or
-    those of the summed samples, taken from the cached sigma1 profiles and
-    phi_U's pass (see the module notes).
+    lower's window L add the same squares in opposite orders.  A window
+    beyond the grid, or a grid not centered on the axis x = 0, about which
+    the bench is mirror-symmetric, raises ValueError before any field is
+    built.  The profiles are phi_U's, their mirror or those of the summed
+    samples, taken from the bench (see the module notes).
     """
     label = f"at magnification {geometry.magnification:.4g}"
     window_u, window_l = (
@@ -800,12 +796,13 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
         for name, window in zip("UL", image_windows(geometry))
     )
     slits = scenario.slits
-    phi_u = _sigma1(geometry, grid, slits)
-    minima = _minima(geometry, grid) if slits is Slits.BOTH else ()
-    upper = _upper_pass(geometry, grid, scenario.grid)
+    bench = _bench(geometry, grid)
+    phi_u = bench.phi_u(slits)
+    minima = bench.minima if slits is Slits.BOTH else ()
+    upper = bench.upper_pass(scenario.grid)
     if slits in upper.failures:
         raise BandLimitError(*upper.failures[slits])
-    incident_u, incident_both = _incident(geometry, grid)
+    incident_u, incident_both = bench.incident
 
     if slits is Slits.BOTH:
         incident = after_grid = incident_both

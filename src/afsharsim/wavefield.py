@@ -28,7 +28,6 @@ can tell them apart.  ``propagate`` forms ``H*S`` with the transfer
 function as the first operand (a complex product can round differently
 with its operands swapped) and applies the n/2 + 1 stored bins to the
 upper bins as a reversed view, so no full-length kernel is built.
-``apparatus`` caches what two of its scenarios read by the same rule.
 
 An element-wise step writes into the array its result will own
 (:func:`intensity` squares its ``abs`` in place), so it makes no temporary
@@ -42,11 +41,9 @@ Each element-wise operation is one private kernel that writes into an
 S), ``_masked_into`` and ``_lens_into`` (which may overwrite the samples).
 :func:`propagate` writes H*S over the FFT it takes, and :func:`apply_mask`
 and :func:`thin_lens` allocate the buffer they hand to the field they
-return.  ``apparatus`` passes its own buffers instead, and writes each
-``np.fft`` result into one of them with ``out=`` (numpy >= 2.0), so past
-sigma1 a pass makes two complex work arrays.  An in-place product with
-the operands in the same order, and a transform written through ``out=``,
-give the bits of the allocating call.
+return.  An in-place product with the operands in the same order, and a
+transform written through ``out=`` (numpy >= 2.0), give the bits of the
+allocating call.
 """
 
 from __future__ import annotations
@@ -202,7 +199,8 @@ def make_plane_wave(grid: Grid, wavelength: float, tilt_angle: float = 0.0) -> C
     """
     k = 2.0 * np.pi / wavelength
     kt = k * np.sin(tilt_angle)
-    if abs(kt) >= grid.nyquist:
+    # fails closed: a NaN tilt passes no bound
+    if not abs(kt) < grid.nyquist:
         raise ValueError(
             f"tilt angle {tilt_angle} puts the transverse wavenumber {abs(kt):.4g} "
             f"at or beyond the Nyquist limit {grid.nyquist:.4g}"
@@ -272,6 +270,8 @@ def propagate(field: ComplexField, distance: float) -> ComplexField:
     (``kx^2 > k^2``) are removed.  Power in propagating components is
     conserved.  One FFT, H*S written over it, and one inverse FFT.
     """
+    if not math.isfinite(distance):
+        raise ValueError(f"distance must be finite, got {distance}")
     _require_finite(field.amplitudes)
     spectrum = np.fft.fft(field.amplitudes)
     _transfer_into(field.grid, field.wavenumber, distance, spectrum, out=spectrum)
@@ -319,8 +319,8 @@ def thin_lens(field: ComplexField, focal_length: float) -> ComplexField:
 
     Pure phase element, so power is unchanged.
     """
-    if focal_length == 0:
-        raise ValueError("focal length must be nonzero")
+    if not (math.isfinite(focal_length) and focal_length != 0):
+        raise ValueError(f"focal length must be finite and nonzero, got {focal_length}")
     out = np.empty(field.grid.n_samples, dtype=np.complex128)
     lensed = _lens_into(field.grid, field.wavelength, focal_length, field.amplitudes, out)
     return ComplexField(field.grid, _owned(lensed), field.wavelength)
@@ -338,12 +338,14 @@ def intensity(field: ComplexField) -> np.ndarray:
 
 
 def check_window(grid: Grid, window: tuple[float, float], name: str = "window") -> None:
-    """Reject a reversed window or one that extends beyond the grid.
+    """Reject a window with a non-finite edge, a reversed one, or one beyond the grid.
 
     The grid extends half a spacing past its first and last samples;
     ``name`` leads the ``ValueError`` message.
     """
     lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} ({lo}, {hi}) has a non-finite edge")
     if lo > hi:
         raise ValueError(f"{name} ({lo}, {hi}) is reversed")
     dx = grid.spacing
@@ -360,7 +362,6 @@ def _first_index(grid: Grid, above: float, strict: bool) -> int:
     is estimated by arithmetic, then stepped to the first sample whose
     coordinate, the bits :meth:`Grid.coordinate` gives, passes the edge;
     the coordinates never decrease with i, so that is searchsorted's index.
-    A NaN edge gives n, as it sorts after every sample.
     """
     n = grid.n_samples
 
@@ -369,7 +370,7 @@ def _first_index(grid: Grid, above: float, strict: bool) -> int:
         return x > above if strict else x >= above
 
     estimate = (above - grid.center) / grid.spacing + n // 2
-    i = n if math.isnan(estimate) else math.ceil(min(max(estimate, 0.0), n))
+    i = math.ceil(min(max(estimate, 0.0), n))
     while i > 0 and inside(i - 1):
         i -= 1
     while i < n and not inside(i):

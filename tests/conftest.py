@@ -41,13 +41,10 @@ def sigma1_fields(geometry, bench_grid):
 
 
 @pytest.fixture(autouse=True)
-def cold_sigma1_cache():
-    """Each test starts with the sigma1 stage, its profiles and the upper passes uncached.
+def cold_bench():
+    """Each test starts with no bench cached, so every stage of one is built anew.
 
     A test that counts or replaces a stage (``_upper_slit``, ``_guarded``)
     then sees it run whichever tests ran before it.
     """
-    apparatus._phi_u.cache_clear()
-    apparatus._minima.cache_clear()
-    apparatus._upper_pass.cache_clear()
-    apparatus._incident.cache_clear()
+    apparatus._bench.cache_clear()

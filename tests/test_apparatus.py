@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -265,7 +267,7 @@ class TestSourceBand:
         # oracle: the full phi_U + phi_L spectrum, phi_U's H*S plus its mirror
         # by indexing, sliced to the band by |kx|, against the bins the
         # refinement is given, whichever call refines
-        spectrum = apparatus._phi_u(geometry, grid)[1]
+        spectrum = apparatus._bench(geometry, grid).sigma1[1]
         in_band = np.abs(grid.wavenumbers()) < _source_cutoffs(geometry, grid)[1]
         full = (spectrum + np.roll(spectrum[::-1], 1))[in_band]
         refined = []
@@ -436,7 +438,7 @@ class TestSuperposition:
         phi_u, phi_l = apparatus.sigma1_fields(geometry, grid)
         mirror = -np.arange(grid.n_samples) % grid.n_samples
         assert phi_l.amplitudes.tobytes() == phi_u.amplitudes[mirror].tobytes()
-        for values in (phi_u.amplitudes, apparatus._phi_u(geometry, grid)[1]):
+        for values in (phi_u.amplitudes, apparatus._bench(geometry, grid).sigma1[1]):
             assert apparatus._mirror(values).tobytes() == values[mirror].tobytes()
             out = np.empty_like(values)
             assert apparatus._superposed(values, out) is out
@@ -627,24 +629,37 @@ class _StageCounts:
         monkeypatch.setattr(wavefield, "_frozen", counted_frozen)
 
 
+def built_passes(monkeypatch):
+    """The grid states of the upper passes built from now on, in order."""
+    built = []
+    build = apparatus._Bench._build_pass
+
+    def counted(bench, state):
+        built.append(state)
+        return build(bench, state)
+
+    monkeypatch.setattr(apparatus._Bench, "_build_pass", counted)
+    return built
+
+
 class TestSigma1Cache:
-    """The sigma1 source stage is cached per (geometry, grid); nothing else is."""
+    """The last bench is cached, one per (geometry, grid), with its sigma1 stage."""
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
     def test_cached_stage_is_the_uncached_build_bit_for_bit(self, geometry, grid):
-        phi_u, spectrum, failures = apparatus._phi_u(geometry, grid)
-        fresh_u, fresh_spectrum, fresh_failures = apparatus._phi_u.__wrapped__(geometry, grid)
+        bench, fresh = apparatus._bench(geometry, grid), apparatus._Bench(geometry, grid)
+        phi_u, spectrum, failures = bench.sigma1
+        fresh_u, fresh_spectrum, fresh_failures = fresh.sigma1
         assert failures == fresh_failures == {}
         for got, expected in ((phi_u.amplitudes, fresh_u.amplitudes), (spectrum, fresh_spectrum)):
             assert got.tobytes() == expected.tobytes()
             assert got.flags.owndata and not got.flags.writeable
-        minima = apparatus._minima(geometry, grid)
+        minima = bench.minima
         assert isinstance(minima, tuple)
-        expected = apparatus._minima.__wrapped__(geometry, grid)
-        assert np.array(minima).tobytes() == np.array(expected).tobytes()
+        assert np.array(minima).tobytes() == np.array(fresh.minima).tobytes()
         # a hit is the very value the miss built
-        assert apparatus._phi_u(geometry, grid)[0] is phi_u
-        assert apparatus._minima(geometry, grid) is minima
+        assert apparatus._bench(geometry, grid).sigma1[0] is phi_u
+        assert apparatus._bench(geometry, grid).minima is minima
 
     def test_guard_failure_is_not_cached(self, geometry, monkeypatch):
         coarse = Grid(n_samples=256, spacing=1e-3)
@@ -660,7 +675,7 @@ class TestSigma1Cache:
             with pytest.raises(BandLimitError, match="source"):
                 run_scenario(geometry, Scenario(Slits.UPPER_ONLY, GridState.OUT), coarse)
             assert len(calls) == attempt
-        assert apparatus._phi_u.cache_info().currsize == 0
+        assert apparatus._bench.cache_info().currsize == 0
 
     def test_unresolvable_minima_are_not_cached(self, geometry, bench_grid, monkeypatch):
         # a single slit with the grid out needs no minima, so it still runs
@@ -687,7 +702,7 @@ class TestSigma1Cache:
         with pytest.raises(ValueError, match="not resolvable"):
             fringe_minima(wide, bench_grid)
         assert len(refinements) == 3
-        assert apparatus._minima.cache_info().currsize == 0
+        assert "minima" not in vars(apparatus._bench(wide, bench_grid))
 
     def test_another_geometry_or_grid_never_hits(self, geometry, bench_grid):
         # focal_length does not enter phi_U, so a hit on it would return the
@@ -702,27 +717,28 @@ class TestSigma1Cache:
             (geometry, Grid(bench_grid.n_samples, 6e-6)),
         ]
         for misses, (geo, grid) in enumerate(keys, 1):
-            phi_u, spectrum, _ = apparatus._phi_u(geo, grid)
-            assert apparatus._phi_u.cache_info().misses == misses
-            fresh_u, fresh_spectrum, _ = apparatus._phi_u.__wrapped__(geo, grid)
+            bench = apparatus._bench(geo, grid)
+            phi_u, spectrum, _ = bench.sigma1
+            assert apparatus._bench.cache_info().misses == misses
+            fresh_u, fresh_spectrum, _ = apparatus._Bench(geo, grid).sigma1
             assert phi_u.grid == grid
             assert phi_u.amplitudes.tobytes() == fresh_u.amplitudes.tobytes()
             assert spectrum.tobytes() == fresh_spectrum.tobytes()
         # an equal key made anew is a hit
         geo, grid = keys[-1]
-        apparatus._phi_u(dataclasses.replace(geo), dataclasses.replace(grid))
-        assert apparatus._phi_u.cache_info()[:2] == (1, len(keys))
+        assert apparatus._bench(dataclasses.replace(geo), dataclasses.replace(grid)) is bench
+        assert apparatus._bench.cache_info()[:2] == (1, len(keys))
         # a grid that differs in its center alone is a miss, which refuses it
         off_axis = dataclasses.replace(grid, center=1e-3)
         with pytest.raises(ValueError, match="centered on it"):
-            apparatus._phi_u(geo, off_axis)
-        assert apparatus._phi_u.cache_info()[:2] == (1, len(keys) + 1)
+            apparatus._bench(geo, off_axis)
+        assert apparatus._bench.cache_info()[:2] == (1, len(keys) + 1)
 
     def test_another_geometry_gets_its_own_minima(self, geometry, bench_grid):
         apart = dataclasses.replace(geometry, slit_separation=200e-6)
         got = fringe_minima(apart, bench_grid)
         assert got.tobytes() != fringe_minima(geometry, bench_grid).tobytes()
-        assert got.tobytes() == np.array(apparatus._minima.__wrapped__(apart, bench_grid)).tobytes()
+        assert got.tobytes() == np.array(apparatus._Bench(apart, bench_grid).minima).tobytes()
 
     def test_fringe_minima_hands_out_a_fresh_array(self, geometry, bench_grid):
         first = fringe_minima(geometry, bench_grid)
@@ -734,7 +750,7 @@ class TestSigma1Cache:
 
     def test_sigma1_fields_share_the_cached_phi_u(self, geometry, bench_grid):
         phi_u, phi_l = apparatus.sigma1_fields(geometry, bench_grid)
-        cached_u, spectrum, _ = apparatus._phi_u(geometry, bench_grid)
+        cached_u, spectrum, _ = apparatus._bench(geometry, bench_grid).sigma1
         assert phi_u is cached_u
         assert not phi_u.amplitudes.flags.writeable and not spectrum.flags.writeable
         assert apparatus.sigma1_fields(geometry, bench_grid)[1] is not phi_l
@@ -754,25 +770,20 @@ def record_bits(record):
     )
 
 
-def clear_caches():
-    for cached in (apparatus._phi_u, apparatus._minima, apparatus._incident, apparatus._upper_pass):
-        cached.cache_clear()
-
-
 class TestUpperPass:
-    """phi_U's downstream pass is cached per (geometry, grid, state); records are not."""
+    """phi_U's downstream pass is cached once per grid state in the bench; records are not."""
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
     def test_cached_pass_is_the_uncached_build_bit_for_bit(self, geometry, grid):
-        incident = apparatus._incident(geometry, grid)
-        fresh_incident = apparatus._incident.__wrapped__(geometry, grid)
-        for got, expected in zip(incident, fresh_incident, strict=True):
+        bench, fresh_bench = apparatus._bench(geometry, grid), apparatus._Bench(geometry, grid)
+        incident = bench.incident
+        for got, expected in zip(incident, fresh_bench.incident, strict=True):
             assert got.tobytes() == expected.tobytes()
             assert got.flags.owndata and not got.flags.writeable
-        assert apparatus._incident(geometry, grid) is incident
+        assert apparatus._bench(geometry, grid).incident is incident
         for state in GridState:
-            upper = apparatus._upper_pass(geometry, grid, state)
-            fresh = apparatus._upper_pass.__wrapped__(geometry, grid, state)
+            upper = bench.upper_pass(state)
+            fresh = fresh_bench.upper_pass(state)
             for name in ("sigma2", "after_grid", "detected"):
                 got = getattr(upper, name)
                 assert got.tobytes() == getattr(fresh, name).tobytes(), name
@@ -782,16 +793,37 @@ class TestUpperPass:
                 assert upper.wires.transmission.tobytes() == fresh.wires.transmission.tobytes()
             else:
                 assert upper.wires is fresh.wires is None
-                # the profile behind no grid is the cached incident one itself
-                assert upper.after_grid is fresh.after_grid is incident[0]
+                # the profile behind no grid is the bench's incident one itself
+                assert upper.after_grid is incident[0]
+                assert fresh.after_grid is fresh_bench.incident[0]
             # a hit is the very value the miss built
-            assert apparatus._upper_pass(geometry, grid, state) is upper
+            assert apparatus._bench(geometry, grid).upper_pass(state) is upper
 
-    def test_six_scenarios_in_any_order_never_evict(self, geometry, bench_grid):
+    def test_six_scenarios_in_any_order_never_evict(self, geometry, bench_grid, monkeypatch):
+        built = built_passes(monkeypatch)
         for scenario in [*SCENARIOS, *reversed(SCENARIOS)]:
             run_scenario(geometry, scenario, bench_grid)
-        info = apparatus._upper_pass.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 10, 2)
+        assert built == [GridState.IN, GridState.OUT]
+        info = apparatus._bench.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 11, 1)
+
+    def test_another_key_releases_the_whole_last_bench(self, geometry, bench_grid):
+        # six scenarios on one geometry, then one on another: no pass and no
+        # sigma1 array of the first geometry is reachable any more
+        for scenario in SCENARIOS:
+            run_scenario(geometry, scenario, bench_grid)
+        bench = apparatus._bench(geometry, bench_grid)
+        phi_u, spectrum, _ = bench.sigma1
+        passes = list(bench._passes.values())
+        assert len(passes) == 2
+        held = [bench, phi_u, phi_u.amplitudes, spectrum, *bench.incident, *passes]
+        held += [getattr(p, name) for p in passes for name in ("sigma2", "detected", "after_grid")]
+        refs = [weakref.ref(a) for a in held]
+        del bench, phi_u, spectrum, passes, held
+        other = dataclasses.replace(geometry, slit_width=25e-6)
+        run_scenario(other, Scenario(Slits.UPPER_ONLY, GridState.OUT), bench_grid)
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
     def test_records_do_not_depend_on_call_order_or_cache_state(self, geometry, grid):
@@ -802,7 +834,7 @@ class TestUpperPass:
         for scenario in SCENARIOS:
             expected[scenario] = record_bits(run_scenario(geometry, scenario, grid))
         for first in SCENARIOS:
-            clear_caches()
+            apparatus._bench.cache_clear()
             for scenario in [first, *(s for s in SCENARIOS if s != first), *SCENARIOS]:
                 got = record_bits(run_scenario(geometry, scenario, grid))
                 assert got == expected[scenario], (first, scenario)
@@ -821,10 +853,10 @@ class TestUpperPass:
             with pytest.raises(RuntimeError, match="lens failed"):
                 run_scenario(geometry, scenario, grid)
             assert len(calls) == attempt
-        assert apparatus._upper_pass.cache_info().currsize == 0
+        assert apparatus._bench(geometry, grid)._passes == {}
         monkeypatch.undo()
         run_scenario(geometry, scenario, grid)
-        assert apparatus._upper_pass.cache_info().currsize == 1
+        assert list(apparatus._bench(geometry, grid)._passes) == [GridState.OUT]
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
     def test_guard_failure_of_one_configuration_raises_for_its_scenario_only(
@@ -842,7 +874,7 @@ class TestUpperPass:
             return guarded(spectrum, stage)
 
         monkeypatch.setattr(apparatus, "_guarded", recorded)
-        apparatus._upper_pass.__wrapped__(geometry, grid, GridState.OUT)
+        apparatus._Bench(geometry, grid).upper_pass(GridState.OUT)
         monkeypatch.undo()
         lens = [spectrum for stage, spectrum in seen if stage == "lens"]
         assert len(lens) == 3
@@ -853,7 +885,8 @@ class TestUpperPass:
             "_tail_fraction",
             lambda spectrum: 1.0 if spectrum.tobytes() == target else tail_fraction(spectrum),
         )
-        clear_caches()
+        apparatus._bench.cache_clear()
+        built = built_passes(monkeypatch)
         failing = Scenario(Slits.LOWER_ONLY, GridState.OUT)
         for scenario in [*SCENARIOS, failing]:
             if scenario == failing:
@@ -862,7 +895,7 @@ class TestUpperPass:
                 assert err.value.stage == "lens"
             else:
                 assert record_bits(run_scenario(geometry, scenario, grid)) == expected[scenario]
-        assert apparatus._upper_pass.cache_info().misses == 2
+        assert len(built) == 2
 
     @pytest.mark.parametrize("failing", [Slits.LOWER_ONLY, Slits.BOTH], ids=lambda s: s.value)
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
@@ -876,7 +909,7 @@ class TestUpperPass:
         # bits, and phi_U is built once
         expected = {s: record_bits(run_scenario(geometry, s, grid)) for s in SCENARIOS}
         minima = fringe_minima(geometry, grid)
-        spectrum = apparatus._phi_u(geometry, grid)[1]
+        spectrum = apparatus._bench(geometry, grid).sigma1[1]
         mirrored = np.roll(spectrum[::-1], 1)
         target = (mirrored if failing is Slits.LOWER_ONLY else spectrum + mirrored).tobytes()
         tail_fraction = apparatus._tail_fraction
@@ -885,7 +918,15 @@ class TestUpperPass:
             "_tail_fraction",
             lambda spectrum: 1.0 if spectrum.tobytes() == target else tail_fraction(spectrum),
         )
-        clear_caches()
+        apparatus._bench.cache_clear()
+        sources = []
+        upper_slit = apparatus._upper_slit
+
+        def counted(*args):
+            sources.append(args)
+            return upper_slit(*args)
+
+        monkeypatch.setattr(apparatus, "_upper_slit", counted)
         failing_first = [s for s in SCENARIOS if s.slits is failing]
         for i, scenario in enumerate([*failing_first, *SCENARIOS, *SCENARIOS]):
             if scenario.slits is failing:
@@ -894,21 +935,21 @@ class TestUpperPass:
                 assert err.value.stage == "sigma1"
                 if i < len(failing_first):
                     # raised before anything downstream was built
-                    assert apparatus._upper_pass.cache_info().currsize == 0
-                    assert apparatus._minima.cache_info().currsize == 0
+                    bench = apparatus._bench(geometry, grid)
+                    assert bench._passes == {} and "minima" not in vars(bench)
             else:
                 assert record_bits(run_scenario(geometry, scenario, grid)) == expected[scenario]
         for state in GridState:
             # each pass starts from the sigma1 failure and guards the others on
-            failures = apparatus._upper_pass(geometry, grid, state).failures
+            failures = apparatus._bench(geometry, grid).upper_pass(state).failures
             assert list(failures) == [failing] and failures[failing][0] == "sigma1"
-        assert apparatus._phi_u(geometry, grid)[1].tobytes() == spectrum.tobytes()
+        assert apparatus._bench(geometry, grid).sigma1[1].tobytes() == spectrum.tobytes()
         if failing is Slits.BOTH:
             with pytest.raises(BandLimitError, match="sigma1"):
                 fringe_minima(geometry, grid)
         else:
             assert fringe_minima(geometry, grid).tobytes() == minima.tobytes()
-        assert apparatus._phi_u.cache_info().misses == 1
+        assert len(sources) == 1
 
     def test_off_axis_grid_rejected_before_any_field(self, geometry, bench_grid, monkeypatch):
         # the mirror i -> n - i is x -> -x only on a grid centered on the
@@ -966,13 +1007,15 @@ class TestMemory:
     @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
     @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
     def test_cold_cache_peak_allocation_on_the_fine_grid(self, geometry, slits, state):
-        # the same run on an empty sigma1 cache also builds phi_U, which the
-        # cache keeps: 1 MiB of samples and 1 MiB of spectrum over the warm
-        # bound.  The kernel caches are filled first, as in the warm case
+        # the same run with the bench's sigma1 stage and minima dropped also
+        # builds phi_U, which the bench keeps: 1 MiB of samples and 1 MiB of
+        # spectrum over the warm bound.  The kernel caches are filled first,
+        # as in the warm case
         scenario = Scenario(slits, state)
         run_scenario(geometry, scenario, FINE_GRID)
-        apparatus._phi_u.cache_clear()
-        apparatus._minima.cache_clear()
+        stages = vars(apparatus._bench(geometry, FINE_GRID))
+        del stages["sigma1"]
+        stages.pop("minima", None)
         tracemalloc.start()
         try:
             run_scenario(geometry, scenario, FINE_GRID)
@@ -984,17 +1027,17 @@ class TestMemory:
     @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
     @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
     def test_all_caches_cold_peak_allocation_on_the_fine_grid(self, geometry, slits, state):
-        # the same run with phi_U's pass and the sigma1 profiles uncached as
-        # well also builds them, and their caches keep phi_U's sigma2
-        # samples (1 MiB) and, with the grid in, the wire grid (1 MiB): the
-        # cold bound plus those bytes.  The profiles the caches also keep
-        # (1.5 or 2.5 MiB) fit within it, since the record shares them
+        # the same run with no bench cached also builds phi_U's pass and the
+        # sigma1 profiles, and the bench keeps phi_U's sigma2 samples
+        # (1 MiB) and, with the grid in, the wire grid (1 MiB): the cold
+        # bound plus those bytes.  The profiles the bench also keeps (1.5 or
+        # 2.5 MiB) fit within it, since the record shares them
         scenario = Scenario(slits, state)
         run_scenario(geometry, scenario, FINE_GRID)
-        upper = apparatus._upper_pass(geometry, FINE_GRID, state)
+        upper = apparatus._bench(geometry, FINE_GRID).upper_pass(state)
         kept = upper.sigma2.nbytes + (upper.wires.transmission.nbytes if upper.wires else 0)
         del upper
-        clear_caches()
+        apparatus._bench.cache_clear()
         tracemalloc.start()
         try:
             run_scenario(geometry, scenario, FINE_GRID)
@@ -1047,7 +1090,7 @@ def chained(geometry, scenario, grid):
     stages = {"source": source, "sigma1": field}
     minima = ()
     if scenario.slits is Slits.BOTH or scenario.grid is GridState.IN:
-        minima = apparatus._minima.__wrapped__(geometry, grid)
+        minima = apparatus._Bench(geometry, grid).minima
     power_incident = total_power(field)
     sigma1 = field
     if scenario.grid is GridState.IN:
@@ -1133,7 +1176,7 @@ class TestChainedOracle:
         mirror = -np.arange(grid.n_samples) % grid.n_samples
         for state in GridState:
             records = {s: run_scenario(geometry, Scenario(s, state), grid) for s in Slits}
-            s = apparatus._upper_pass(geometry, grid, state).sigma2
+            s = apparatus._bench(geometry, grid).upper_pass(state).sigma2
             upper = records[Slits.UPPER_ONLY].intensity_sigma2
             own = intensity(ComplexField(grid, s, geometry.wavelength))
             assert upper.tobytes() == own.tobytes()
@@ -1148,7 +1191,7 @@ class TestChainedOracle:
         # by indexing; on cold caches and on warm ones, in either order
         mirror = -np.arange(grid.n_samples) % grid.n_samples
         for order in ([Slits.UPPER_ONLY, Slits.LOWER_ONLY], [Slits.LOWER_ONLY, Slits.UPPER_ONLY]):
-            clear_caches()
+            apparatus._bench.cache_clear()
             records = {slits: run_scenario(geometry, Scenario(slits, state), grid) for slits in order}
             upper, lower = records[Slits.UPPER_ONLY], records[Slits.LOWER_ONLY]
             for name in ("intensity_sigma1", "intensity_sigma2"):
@@ -1166,7 +1209,7 @@ class TestChainedOracle:
         window_u, window_l = image_windows(geometry)
         for scenario in SCENARIOS:
             got = run_scenario(geometry, scenario, grid)
-            s = np.array(apparatus._upper_pass(geometry, grid, scenario.grid).sigma2)
+            s = np.array(apparatus._bench(geometry, grid).upper_pass(scenario.grid).sigma2)
             samples = {
                 Slits.UPPER_ONLY: s,
                 Slits.LOWER_ONLY: s[mirror],
@@ -1187,7 +1230,8 @@ class TestChainedOracle:
         # this also pins that a full pass leaves their bytes as they were
         for scenario in SCENARIOS:
             run_scenario(geometry, scenario, grid)
-        phi_u, spectrum, _ = apparatus._phi_u(geometry, grid)
+        bench = apparatus._bench(geometry, grid)
+        phi_u, spectrum, _ = bench.sigma1
         k = 2 * np.pi / geometry.wavelength
         cached = {
             "phi_u samples": phi_u.amplitudes,
@@ -1202,24 +1246,25 @@ class TestChainedOracle:
             geometry.z_lens_to_detectors,
         ):
             cached[f"transfer {distance}"] = wavefield._transfer(grid, k, distance)
-        incident_u, incident_both = apparatus._incident(geometry, grid)
-        cached["phi_u sigma1 profile"] = incident_u
-        cached["phi_u + phi_l sigma1 profile"] = incident_both
-        for state in GridState:
-            upper = apparatus._upper_pass(geometry, grid, state)
+        incident = bench.incident
+        cached["phi_u sigma1 profile"], cached["phi_u + phi_l sigma1 profile"] = incident
+        passes = [bench.upper_pass(state) for state in GridState]
+        for state, upper in zip(GridState, passes):
             cached[f"sigma2 samples, grid {state.value}"] = upper.sigma2
             cached[f"sigma2 profile, grid {state.value}"] = upper.detected
-        upper = apparatus._upper_pass(geometry, grid, GridState.IN)
+        upper = bench.upper_pass(GridState.IN)
         cached["wire grid"] = upper.wires.transmission
         cached["profile behind the wire grid"] = upper.after_grid
         before = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in cached.items()}
-        stages = (wavefield._transfer, apparatus._phi_u, apparatus._incident, apparatus._upper_pass)
+        stages = (wavefield._transfer, apparatus._bench)
         misses = [stage.cache_info().misses for stage in stages]
         for scenario in SCENARIOS:
             run_scenario(geometry, scenario, grid)
         # the pass read these very arrays: no kernel, sigma1 stage or pass was rebuilt
         assert misses == [stage.cache_info().misses for stage in stages]
-        assert apparatus._phi_u(geometry, grid)[0] is phi_u
+        assert apparatus._bench(geometry, grid) is bench
+        assert bench.sigma1[0] is phi_u and bench.incident is incident
+        assert all(bench.upper_pass(s) is p for s, p in zip(GridState, passes, strict=True))
         for name, a in cached.items():
             assert not a.flags.writeable, name
             assert hashlib.sha256(a.tobytes()).hexdigest() == before[name], name
@@ -1343,8 +1388,8 @@ class TestImaging:
             return np.exp(1j * distance * (k - kx * kx / (2 * k)))
 
         monkeypatch.setattr(wavefield, "_transfer", fresnel)
-        clear_caches()
+        apparatus._bench.cache_clear()
         assert self.image_residual(geometry, grid) <= 1e-7
         monkeypatch.undo()
-        clear_caches()
+        apparatus._bench.cache_clear()
         assert self.image_residual(geometry, grid) > 1e-2

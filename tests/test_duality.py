@@ -261,6 +261,14 @@ class TestBinnedVisibility:
         with pytest.raises(ValueError, match=r"region \(.*\) extends beyond the grid"):
             visibility_from_pattern(pattern, grid, grid.spacing, beyond[side])
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_region_with_a_nan_edge_rejected(self, cosine, side):
+        # no comparison with NaN is true, so the edge must be refused as such
+        grid, _, pattern, (lo, hi) = cosine
+        region = {"left": (np.nan, hi), "right": (lo, np.nan)}[side]
+        with pytest.raises(ValueError, match=r"region \(.*\) has a non-finite edge"):
+            visibility_from_pattern(pattern, grid, grid.spacing, region)
+
     def test_subsample_bins_rejected(self, cosine):
         grid, _, pattern, region = cosine
         with pytest.raises(ValueError, match="spacing"):

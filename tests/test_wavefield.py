@@ -144,12 +144,22 @@ class TestPlaneWave:
         with pytest.raises(ValueError, match="Nyquist"):
             make_plane_wave(grid, WAVELENGTH, bad)
 
+    def test_nan_tilt_rejected(self):
+        with pytest.raises(ValueError, match="Nyquist"):
+            make_plane_wave(small_grid(), WAVELENGTH, np.nan)
+
 
 class TestPropagate:
     def test_zero_distance_is_identity(self):
         f = band_limited_field(small_grid(), seed=1)
         g = propagate(f, 0.0)
         np.testing.assert_allclose(g.amplitudes, f.amplitudes, atol=1e-12)
+
+    @pytest.mark.parametrize("distance", [np.nan, np.inf, -np.inf])
+    def test_non_finite_distance_rejected(self, distance):
+        f = make_plane_wave(small_grid(), WAVELENGTH)
+        with pytest.raises(ValueError, match="distance must be finite"):
+            propagate(f, distance)
 
     def test_plane_wave_power_conserved(self):
         f = make_plane_wave(small_grid(), WAVELENGTH, tilt_angle=0.005)
@@ -435,6 +445,13 @@ class TestThinLens:
         with pytest.raises(ValueError):
             thin_lens(f, 0.0)
 
+    @pytest.mark.parametrize("focal_length", [np.nan, np.inf, -np.inf])
+    def test_non_finite_focal_length_rejected(self, focal_length):
+        # an infinite focal length is no lens at all, not a lens
+        f = make_plane_wave(small_grid(), WAVELENGTH)
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            thin_lens(f, focal_length)
+
     @pytest.mark.parametrize("grid", [Grid(2**14, 5e-6), Grid(2**16, 1.25e-6)], ids=["2^14", "2^16"])
     def test_factor_is_the_complex_exponential_bit_for_bit(self, grid):
         x = grid.coordinates
@@ -538,6 +555,18 @@ class TestIntensityAndPower:
         f = make_plane_wave(small_grid(), WAVELENGTH)
         with pytest.raises(ValueError, match="beyond"):
             total_power(f, window=(0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "window", [(np.nan, 0.0), (0.0, np.nan), (np.nan, np.nan), (-np.inf, 0.0), (0.0, np.inf)]
+    )
+    def test_window_with_a_non_finite_edge_rejected(self, window):
+        # no comparison with NaN is true: such an edge is refused as such,
+        # not read as an empty window
+        f = make_plane_wave(small_grid(), WAVELENGTH)
+        with pytest.raises(ValueError, match=r"window \(.*\) has a non-finite edge"):
+            total_power(f, window)
+        with pytest.raises(ValueError, match="non-finite"):
+            check_window(f.grid, window)
 
     def test_window_check_names_the_window(self):
         grid = small_grid()
@@ -681,7 +710,7 @@ class TestWindowIndices:
             assert _first_index(grid, edge, True) == np.searchsorted(x, edge, "right"), edge
             assert _first_index(grid, edge, False) == np.searchsorted(x, edge, "left"), edge
 
-    @pytest.mark.parametrize("edge", [np.nan, -1e300, 1e300])
+    @pytest.mark.parametrize("edge", [-np.inf, np.inf, -1e300, 1e300])
     def test_non_finite_and_far_edges_are_searchsorted(self, edge):
         grid = Grid(2**10, 5e-6, 1e-3)
         x = grid.coordinates
