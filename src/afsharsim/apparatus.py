@@ -58,33 +58,35 @@ power, on 2^14 and 2^16 samples).  A grid not centered on the axis has no
 such symmetry (there i -> n - i reflects about the grid's center), so the
 bench refuses it.
 
-Caching follows one rule: an array that two scenarios read is formed once
-per bench, and an array that one scenario reads is formed per call.  One
-bench is one (geometry, grid), a ``_Bench``, and the last one is kept.  It
-is built with phi_U, its spectrum H*S and the sigma1 guard's failures
-(``sigma1``), which every caller starts from, and its other stages on
-first use, each by a caller that needs it: the refined minima, by a
-scenario whose wire grid or record needs them, so a single slit with the
-grid out still runs where they cannot be resolved; the sigma1 profiles
-|phi_U|^2 and |phi_U + phi_L|^2 (``incident``), by a scenario run, so
-``sigma1_fields`` and ``fringe_minima`` pay nothing for them; and phi_U's
-pass for each grid state (``upper_pass``), which keeps its sigma2 samples
-and their profile, its sigma1 profile behind the wire grid (with the grid
-out the ``incident`` array itself) and, with the grid in, the wire grid.
-The key is frozen, the arrays are read-only, and a stage reads nothing but
-the key and earlier stages, so a hit returns the very bits a miss builds;
-a build that raises (the source guard, an unresolvable minimum) stores
-nothing, so the next call raises again.  Another key releases the whole of
-the last bench.  A bench keeps 7.5 MiB resident on 2^16 samples and
-1.9 MiB on 2^14, of which the profiles are 2.5 MiB and 640 KiB.
+Caching follows one rule: everything a scenario returns is formed once
+per bench.  One bench is one (geometry, grid), a ``_Bench``, and the last
+one is kept.  It is built with phi_U, its spectrum H*S and the sigma1
+guard's failures (``sigma1``), which every caller starts from, and its
+other stages on first use, each by a caller that needs it: the refined
+minima, by a scenario whose wire grid or record needs them, so a single
+slit with the grid out still runs where they cannot be resolved; the
+sigma1 profiles |phi_U|^2 and |phi_U + phi_L|^2 (``incident``), by a
+scenario run, so ``sigma1_fields`` and ``fringe_minima`` pay nothing for
+them; phi_U's pass for each grid state (``upper_pass``), which keeps its
+sigma2 samples and their profile, its sigma1 profile behind the wire grid
+(with the grid out the ``incident`` array itself) and, with the grid in,
+the wire grid; and each scenario's record (``record``).  The key is
+frozen, the arrays are read-only, and a stage reads nothing but the key
+and earlier stages, so a hit returns the very bits a miss builds; a build
+that raises (a guard failure, an unresolvable minimum) stores nothing, so
+the next call raises again.  Another key releases the whole of the last
+bench.  With its six records a bench keeps 11.0 MiB resident on 2^16
+samples and 2.8 MiB on 2^14, of which the profiles are 6 MiB and 1.5 MiB:
+the seven profiles the records own add 3.5 MiB and 0.9 MiB to the other
+stages' 7.5 MiB and 1.9 MiB.
 
-Records are new values on every call that share only the bench's arrays:
-an upper record takes its profiles, a lower one their mirror
-(|mirror(u)|^2 is mirror(|u|^2) bit for bit), and a both-slit record
-squares the only profiles of its own, those of phi_U + phi_L formed in one
-buffer at sigma1 (grid in, masked in place) and at sigma2.  Window powers
-are ``np.sum`` over a slice of the sigma2 profile, the bits of
-``total_power`` on the sigma2 field.
+A record shares the bench's arrays where it can: an upper record takes
+phi_U's profiles, a lower one their mirror (|mirror(u)|^2 is
+mirror(|u|^2) bit for bit), and a both-slit record squares the only
+profiles of its own, those of phi_U + phi_L formed in one buffer at
+sigma1 (grid in, masked in place) and at sigma2.  Window powers are
+``np.sum`` over a slice of the sigma2 profile, the bits of ``total_power``
+on the sigma2 field.
 
 Every stage of a scenario run is checked against the band-limit guard and
 violations raise :class:`BandLimitError` naming the stage: ``source`` on
@@ -654,7 +656,7 @@ class _Pass:
 
 
 class _Bench:
-    """One bench, one (geometry, grid): the stages its scenarios share (see the module notes).
+    """One bench, one (geometry, grid): its shared stages and records (see the module notes).
 
     A grid not centered on the axis is refused before anything is built.
     """
@@ -667,6 +669,7 @@ class _Bench:
             )
         self.geometry, self.grid = geometry, grid
         self._passes: dict[GridState, _Pass] = {}
+        self._records: dict[Scenario, SimulationRecord] = {}
         # every caller starts from sigma1, so it is built here, before the cache
         # releases the last bench: released first, the last bench's arrays left
         # heap holes that added 1 MB to the peak RSS of a sweep on 2^16 samples
@@ -767,10 +770,73 @@ class _Bench:
         del spectrum, mirrored
         return _Pass(wires, failures, after_grid, _owned(samples), _owned(_intensity(samples)))
 
+    def record(self, scenario: Scenario) -> SimulationRecord:
+        """The record of ``scenario``, built on first use."""
+        if scenario not in self._records:
+            self._records[scenario] = self._build_record(scenario)
+        return self._records[scenario]
+
+    def _build_record(self, scenario: Scenario) -> SimulationRecord:
+        """``scenario``'s powers and profiles from phi_U, its pass and the sigma1 profiles.
+
+        Raises the first guard failure of the scenario's slit configuration.
+        An upper record takes the bench's profiles, a lower one their mirror
+        and a both-slit one squares phi_U + phi_L (see the module notes).
+        """
+        grid, slits = self.grid, scenario.slits
+        window_u, window_l = _detector_windows(self.geometry, grid)
+        phi_u = self.phi_u(slits)
+        minima = self.minima if slits is Slits.BOTH else ()
+        upper = self.upper_pass(scenario.grid)
+        if slits in upper.failures:
+            raise BandLimitError(*upper.failures[slits])
+        incident_u, incident_both = self.incident
+
+        if slits is Slits.BOTH:
+            incident = after_grid = incident_both
+            # one buffer takes phi_U + phi_L at sigma1 (grid in), then at sigma2
+            summed = np.empty_like(upper.sigma2)
+            if upper.wires is not None:
+                _superposed(phi_u.amplitudes, summed)
+                _masked_into(summed, upper.wires.transmission, out=summed)
+                after_grid = _owned(_intensity(summed))
+            detected = _owned(_intensity(_superposed(upper.sigma2, summed)))
+        elif slits is Slits.LOWER_ONLY:
+            # |mirror(u)|^2 is mirror(|u|^2) bit for bit
+            incident = _owned(_mirror(incident_u))
+            after_grid = incident if upper.wires is None else _owned(_mirror(upper.after_grid))
+            detected = _owned(_mirror(upper.detected))
+        else:
+            incident, after_grid, detected = incident_u, upper.after_grid, upper.detected
+
+        def power(profile: np.ndarray) -> float:
+            return float(np.sum(profile) * grid.spacing)
+
+        return SimulationRecord(
+            scenario=scenario,
+            power_incident=power(incident),
+            power_after_grid=power(after_grid),
+            power_at_detectors=power(detected),
+            power_window_U=power(_in_window(detected, window_u)),
+            power_window_L=power(_in_window(detected, window_l)),
+            intensity_sigma1=after_grid,
+            intensity_sigma2=detected,
+            minima_positions=minima,
+        )
+
 
 # the last bench is kept: a sweep of its six scenarios in any order builds
-# each stage once, and another key releases the whole of the last one
+# each stage and record once, and another key releases the whole of the last one
 _bench = functools.lru_cache(maxsize=1)(_Bench)
+
+
+def _detector_windows(geometry: AfsharGeometry, grid: Grid) -> tuple[tuple[int, int], ...]:
+    """The sample slices of the two :func:`image_windows`, each checked on ``grid``."""
+    label = f"at magnification {geometry.magnification:.4g}"
+    return tuple(
+        _window_bounds(grid, window, f"detector window {name} {label}")
+        for name, window in zip("UL", image_windows(geometry))
+    )
 
 
 def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> SimulationRecord:
@@ -787,51 +853,10 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     lower's window L add the same squares in opposite orders.  A window
     beyond the grid, or a grid not centered on the axis x = 0, about which
     the bench is mirror-symmetric, raises ValueError before any field is
-    built.  The profiles are phi_U's, their mirror or those of the summed
-    samples, taken from the bench (see the module notes).
+    built, on every call.  The record is the bench's: built on the
+    scenario's first call and returned itself on every later one, so a
+    guard failure or an unresolvable minimum, which stores no record,
+    raises on every call (see the module notes).
     """
-    label = f"at magnification {geometry.magnification:.4g}"
-    window_u, window_l = (
-        _window_bounds(grid, window, f"detector window {name} {label}")
-        for name, window in zip("UL", image_windows(geometry))
-    )
-    slits = scenario.slits
-    bench = _bench(geometry, grid)
-    phi_u = bench.phi_u(slits)
-    minima = bench.minima if slits is Slits.BOTH else ()
-    upper = bench.upper_pass(scenario.grid)
-    if slits in upper.failures:
-        raise BandLimitError(*upper.failures[slits])
-    incident_u, incident_both = bench.incident
-
-    if slits is Slits.BOTH:
-        incident = after_grid = incident_both
-        # one buffer takes phi_U + phi_L at sigma1 (grid in), then at sigma2
-        summed = np.empty_like(upper.sigma2)
-        if upper.wires is not None:
-            _superposed(phi_u.amplitudes, summed)
-            _masked_into(summed, upper.wires.transmission, out=summed)
-            after_grid = _owned(_intensity(summed))
-        detected = _owned(_intensity(_superposed(upper.sigma2, summed)))
-    elif slits is Slits.LOWER_ONLY:
-        # |mirror(u)|^2 is mirror(|u|^2) bit for bit
-        incident = _owned(_mirror(incident_u))
-        after_grid = incident if upper.wires is None else _owned(_mirror(upper.after_grid))
-        detected = _owned(_mirror(upper.detected))
-    else:
-        incident, after_grid, detected = incident_u, upper.after_grid, upper.detected
-
-    def power(profile: np.ndarray) -> float:
-        return float(np.sum(profile) * grid.spacing)
-
-    return SimulationRecord(
-        scenario=scenario,
-        power_incident=power(incident),
-        power_after_grid=power(after_grid),
-        power_at_detectors=power(detected),
-        power_window_U=power(_in_window(detected, window_u)),
-        power_window_L=power(_in_window(detected, window_l)),
-        intensity_sigma1=after_grid,
-        intensity_sigma2=detected,
-        minima_positions=minima,
-    )
+    _detector_windows(geometry, grid)
+    return _bench(geometry, grid).record(scenario)

@@ -195,8 +195,17 @@ def make_plane_wave(grid: Grid, wavelength: float, tilt_angle: float = 0.0) -> C
     """Unit-amplitude plane wave, optionally tilted in the grid plane.
 
     The transverse wavenumber ``k*sin(tilt_angle)`` must stay below the
-    grid Nyquist limit or the sampled phase would alias.
+    grid Nyquist limit or the sampled phase would alias.  A wavelength that
+    is not positive and finite, or a tilt that is not finite, is refused
+    before any arithmetic on it.
     """
+    if not (math.isfinite(wavelength) and wavelength > 0):
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
+    if not math.isfinite(tilt_angle):
+        raise ValueError(
+            f"tilt angle {tilt_angle} is not finite: its transverse wavenumber has no "
+            f"value below the Nyquist limit {grid.nyquist:.4g}"
+        )
     k = 2.0 * np.pi / wavelength
     kt = k * np.sin(tilt_angle)
     # fails closed: a NaN tilt passes no bound

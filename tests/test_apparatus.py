@@ -517,25 +517,20 @@ class TestSuperposition:
     def test_repeated_scenario_takes_no_transform(
         self, geometry, bench_grid, monkeypatch, slits, state
     ):
-        # a repeated scenario takes phi_U, its guard failures, the minima
-        # and the sigma1 profiles from the sigma1 caches and phi_U's sigma2
-        # samples and profiles from its pass: no synthesis, no propagation,
-        # no refinement and no guard; a single slit squares no field, and
-        # both slits apply the wire grid to phi_U + phi_L and square it
-        # (grid in), and square their summed sigma2 samples
+        # a repeated scenario is its record held in the bench: no synthesis,
+        # no propagation, no refinement, no guard, and no field masked or
+        # squared, for both slits as for a single one
         run_scenario(geometry, Scenario(slits, state), bench_grid)
         counts = _StageCounts(monkeypatch, bench_grid.n_samples)
         run_scenario(geometry, Scenario(slits, state), bench_grid)
-        wire_masks = 1 if state is GridState.IN else 0
-        both = 1 if slits is Slits.BOTH else 0
         assert counts.calls == {
             "_transfer_into": 0,
             "_upper_slit": 0,
             "_refine_minima": 0,
             "_guarded": 0,
-            "_masked_into": both * wire_masks,
+            "_masked_into": 0,
             "_lens_into": 0,
-            "_intensity": both * (1 + wire_masks),
+            "_intensity": 0,
             "make_plane_wave": 0,
         }
         assert counts.stages == []
@@ -702,7 +697,9 @@ class TestSigma1Cache:
         with pytest.raises(ValueError, match="not resolvable"):
             fringe_minima(wide, bench_grid)
         assert len(refinements) == 3
-        assert "minima" not in vars(apparatus._bench(wide, bench_grid))
+        bench = apparatus._bench(wide, bench_grid)
+        assert "minima" not in vars(bench)
+        assert [s.slits for s in bench._records] == [Slits.UPPER_ONLY, Slits.LOWER_ONLY]
 
     def test_another_geometry_or_grid_never_hits(self, geometry, bench_grid):
         # focal_length does not enter phi_U, so a hit on it would return the
@@ -757,6 +754,9 @@ class TestSigma1Cache:
 
 
 SIGMA2_POWERS = ("power_at_detectors", "power_window_U", "power_window_L")
+PROFILES = ("intensity_sigma1", "intensity_sigma2")
+SCENARIOS = [Scenario(slits, state) for slits in Slits for state in GridState]
+SCENARIO_IDS = [f"{s.slits.value}-{s.grid.value}" for s in SCENARIOS]
 
 
 def record_bits(record):
@@ -771,7 +771,7 @@ def record_bits(record):
 
 
 class TestUpperPass:
-    """phi_U's downstream pass is cached once per grid state in the bench; records are not."""
+    """phi_U's downstream pass is cached once per grid state in the bench."""
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
     def test_cached_pass_is_the_uncached_build_bit_for_bit(self, geometry, grid):
@@ -808,18 +808,20 @@ class TestUpperPass:
         assert (info.misses, info.hits, info.currsize) == (1, 11, 1)
 
     def test_another_key_releases_the_whole_last_bench(self, geometry, bench_grid):
-        # six scenarios on one geometry, then one on another: no pass and no
-        # sigma1 array of the first geometry is reachable any more
+        # six scenarios on one geometry, then one on another: no pass, no
+        # sigma1 array and no record of the first geometry is reachable any more
         for scenario in SCENARIOS:
             run_scenario(geometry, scenario, bench_grid)
         bench = apparatus._bench(geometry, bench_grid)
         phi_u, spectrum, _ = bench.sigma1
         passes = list(bench._passes.values())
-        assert len(passes) == 2
-        held = [bench, phi_u, phi_u.amplitudes, spectrum, *bench.incident, *passes]
+        records = list(bench._records.values())
+        assert len(passes) == 2 and len(records) == len(SCENARIOS)
+        held = [bench, phi_u, phi_u.amplitudes, spectrum, *bench.incident, *passes, *records]
         held += [getattr(p, name) for p in passes for name in ("sigma2", "detected", "after_grid")]
+        held += [getattr(r, name) for r in records for name in PROFILES]
         refs = [weakref.ref(a) for a in held]
-        del bench, phi_u, spectrum, passes, held
+        del bench, phi_u, spectrum, passes, records, held
         other = dataclasses.replace(geometry, slit_width=25e-6)
         run_scenario(other, Scenario(Slits.UPPER_ONLY, GridState.OUT), bench_grid)
         gc.collect()
@@ -984,6 +986,64 @@ class TestUpperPass:
             assert h.tobytes() == h[mirror].tobytes()
 
 
+class TestHeldRecords:
+    """Each scenario's record is built once per bench and held there."""
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=SCENARIO_IDS)
+    def test_repeated_scenario_is_the_very_record(self, geometry, bench_grid, scenario):
+        record = run_scenario(geometry, scenario, bench_grid)
+        assert run_scenario(geometry, dataclasses.replace(scenario), bench_grid) is record
+        for name in PROFILES:
+            profile = getattr(record, name)
+            assert profile.flags.owndata and not profile.flags.writeable, name
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
+    def test_held_records_are_the_uncached_build_bit_for_bit(self, geometry, grid):
+        # cold and warm, forward and reverse: every record has the sha256 of
+        # its record built on an uncached bench in SCENARIOS order
+        fresh = apparatus._Bench(geometry, grid)
+        expected = {s: record_sha256(fresh.record(s)) for s in SCENARIOS}
+        del fresh
+        for order in (SCENARIOS, SCENARIOS[::-1]):
+            apparatus._bench.cache_clear()
+            for scenario in [*order, *order]:
+                got = record_sha256(run_scenario(geometry, scenario, grid))
+                assert got == expected[scenario], scenario
+            assert set(apparatus._bench(geometry, grid)._records) == set(SCENARIOS)
+
+    def test_guard_failure_raises_on_every_call_and_stores_no_record(
+        self, geometry, bench_grid, monkeypatch
+    ):
+        # the tail fraction reads 1 on phi_L's sigma1 spectrum, built by
+        # indexing: both lower scenarios raise on each of two rounds, and
+        # only the other four records are held, each built once
+        spectrum = apparatus._bench(geometry, bench_grid).sigma1[1]
+        target = np.roll(spectrum[::-1], 1).tobytes()
+        tail_fraction = apparatus._tail_fraction
+        monkeypatch.setattr(
+            apparatus,
+            "_tail_fraction",
+            lambda spectrum: 1.0 if spectrum.tobytes() == target else tail_fraction(spectrum),
+        )
+        apparatus._bench.cache_clear()
+        held = {}
+        for scenario in [*SCENARIOS, *SCENARIOS]:
+            if scenario.slits is Slits.LOWER_ONLY:
+                with pytest.raises(BandLimitError, match="1.000e[+]00") as err:
+                    run_scenario(geometry, scenario, bench_grid)
+                assert err.value.stage == "sigma1"
+            else:
+                record = run_scenario(geometry, scenario, bench_grid)
+                assert held.setdefault(scenario, record) is record
+        records = apparatus._bench(geometry, bench_grid)._records
+        assert records == held and len(held) == 4
+
+
+def record_sha256(record):
+    """The sha256 of every field of a record."""
+    return hashlib.sha256(b"".join(record_bits(record))).hexdigest()
+
+
 class TestMemory:
     @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
     @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
@@ -993,9 +1053,11 @@ class TestMemory:
         # profiles and a lower one their mirrors (at most 1.5 MiB); both
         # slits hold one buffer of summed samples and their own profiles
         # (at most 2 MiB), and no spectrum.  The first run fills the
-        # caches, which outlive the call
+        # caches, which outlive the call; its record is dropped from the
+        # bench, so the second run builds it again from the warm stages
         scenario = Scenario(slits, state)
         run_scenario(geometry, scenario, FINE_GRID)
+        apparatus._bench(geometry, FINE_GRID)._records.clear()
         tracemalloc.start()
         try:
             run_scenario(geometry, scenario, FINE_GRID)
@@ -1007,15 +1069,16 @@ class TestMemory:
     @pytest.mark.parametrize("slits", list(Slits), ids=lambda s: s.value)
     @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
     def test_cold_cache_peak_allocation_on_the_fine_grid(self, geometry, slits, state):
-        # the same run with the bench's sigma1 stage and minima dropped also
-        # builds phi_U, which the bench keeps: 1 MiB of samples and 1 MiB of
-        # spectrum over the warm bound.  The kernel caches are filled first,
-        # as in the warm case
+        # the same run with the bench's sigma1 stage, minima and record
+        # dropped also builds phi_U, which the bench keeps: 1 MiB of samples
+        # and 1 MiB of spectrum over the warm bound.  The kernel caches are
+        # filled first, as in the warm case
         scenario = Scenario(slits, state)
         run_scenario(geometry, scenario, FINE_GRID)
         stages = vars(apparatus._bench(geometry, FINE_GRID))
         del stages["sigma1"]
         stages.pop("minima", None)
+        stages["_records"].clear()
         tracemalloc.start()
         try:
             run_scenario(geometry, scenario, FINE_GRID)
@@ -1045,6 +1108,40 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 7 * 2**20 + kept
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=SCENARIO_IDS)
+    def test_repeated_scenario_allocates_no_profile(self, geometry, scenario):
+        # a repeated scenario checks its windows and looks its record up: it
+        # forms no array, where a 2^16 profile alone is 512 KiB
+        run_scenario(geometry, scenario, FINE_GRID)
+        tracemalloc.start()
+        try:
+            run_scenario(geometry, scenario, FINE_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
+    def test_bench_keeps_its_six_records_on_the_fine_grid(self, geometry):
+        # after the six scenarios, with the caller's records dropped, the
+        # bench keeps phi_U and its spectrum (2 MiB), the wire grid (1 MiB),
+        # each pass's sigma2 samples (2 MiB), the five profiles of phi_U and
+        # phi_U + phi_L at sigma1, behind the wires and at sigma2 (2.5 MiB)
+        # and the seven profiles the lower and both-slit records own
+        # (3.5 MiB): 11.0 MiB measured.  The kernel caches are filled first
+        run_scenario(geometry, SCENARIOS[0], FINE_GRID)
+        apparatus._bench.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for scenario in SCENARIOS:
+                run_scenario(geometry, scenario, FINE_GRID)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(apparatus._bench(geometry, FINE_GRID)._records) == len(SCENARIOS)
+        assert kept < 11.5 * 2**20
 
 
 def direct_transfer(grid, wavelength, distance):
@@ -1115,9 +1212,6 @@ def chained(geometry, scenario, grid):
         minima_positions=minima if scenario.slits is Slits.BOTH else (),
     )
     return record, stages
-
-
-SCENARIOS = [Scenario(slits, state) for slits in Slits for state in GridState]
 
 
 class TestChainedOracle:

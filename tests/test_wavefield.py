@@ -148,6 +148,17 @@ class TestPlaneWave:
         with pytest.raises(ValueError, match="Nyquist"):
             make_plane_wave(small_grid(), WAVELENGTH, np.nan)
 
+    @pytest.mark.parametrize("tilt", [np.inf, -np.inf])
+    def test_infinite_tilt_rejected_before_its_sine(self, tilt):
+        # np.sin(inf) warns of an invalid value: the refusal comes first
+        with pytest.raises(ValueError, match="not finite"):
+            make_plane_wave(small_grid(), WAVELENGTH, tilt)
+
+    @pytest.mark.parametrize("wavelength", [0.0, -WAVELENGTH, np.inf, np.nan])
+    def test_bad_wavelength_rejected_before_division(self, wavelength):
+        with pytest.raises(ValueError, match="wavelength must be positive and finite"):
+            make_plane_wave(small_grid(), wavelength)
+
 
 class TestPropagate:
     def test_zero_distance_is_identity(self):
