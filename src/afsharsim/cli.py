@@ -4,8 +4,11 @@ Commands: ``simulate`` (bench scenarios), ``duality`` (V/K models and the
 binned-visibility ladder), ``remnant`` (screen model with vibrational
 post-selection), ``report`` (aggregate prior CSV outputs).  All outputs
 are CSV plus plain text; identical inputs produce byte-identical files.
-Each output file is replaced whole (a temporary file, then ``os.replace``),
-so a failed write leaves the previous file as it was.
+Each output file is replaced whole by one writer, ``_write_lines``: it
+streams the file's lines ``_BLOCK`` at a time into a temporary file, then
+calls ``os.replace``, so a failed write leaves the previous file as it was.
+The commands hand it generators of lines, so no command holds a whole CSV:
+neither its rows' floats nor its text.
 
 powers.csv, derived.csv, sigma1.csv, sigma2.csv, remnant.csv and
 remnant_summary.csv depend on the bench config and start with its stamp
@@ -26,7 +29,7 @@ import dataclasses
 import os
 import sys
 import zlib
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable
 
@@ -49,7 +52,7 @@ from .report import (
     build_report,
     render_report,
 )
-from .wavefield import Grid
+from .wavefield import _BLOCK, Grid, _row_blocks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,27 +62,29 @@ EXIT_GUARD = 3
 _SCENARIO_ORDER = [(s.value, g.value) for s in apparatus.Slits for g in apparatus.GridState]
 
 
-def _replace_text(path: Path, text: str) -> None:
-    """Write ``path`` whole or not at all: a temporary file in its directory, then ``os.replace``.
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write ``lines``, each ended by a newline, to ``path`` whole or not at all.
 
-    A failure removes the temporary file and leaves an existing ``path`` as
-    it was, so a crash or a full disk never leaves a truncated output.
+    The lines are taken ``_BLOCK`` at a time, and each block is written to a
+    temporary file in ``path``'s directory as one string; ``os.replace`` then
+    puts the file in place.  A failure, of the writes or of the iterator
+    that makes the lines, removes the temporary file and leaves an existing
+    ``path`` as it was, so a crash or a full disk never leaves a truncated
+    output.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    lines = iter(lines)
     try:
-        tmp.write_text(text)
+        with tmp.open("w") as f:
+            while block := list(islice(lines, _BLOCK)):
+                block.append("")  # ends the block with a newline without copying it
+                f.write("\n".join(block))
         os.replace(tmp, path)
     except BaseException:
         # a temporary file that was never made must not hide the first error
         with contextlib.suppress(OSError):
             tmp.unlink()
         raise
-
-
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    # a trailing "" ends the text with a newline without copying the text; an
-    # iterator of lines is joined without a list that outlives the join
-    _replace_text(path, "\n".join(chain(lines, [""])))
 
 
 def _parse_complex_pair(text: str, flag: str) -> tuple[complex, complex]:
@@ -156,12 +161,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     stamp = _STAMP + fingerprint
     powers = [stamp, ",".join(POWERS_COLUMNS)]
     powers += [_powers_line(rows[key]) for key in _SCENARIO_ORDER if key in rows]
-    x_m = list(_fmt_rows(grid.coordinates))
     for name, profile in (
         ("sigma1.csv", record.intensity_sigma1),
         ("sigma2.csv", record.intensity_sigma2),
     ):
-        rows = (f"{x},{i}" for i, x in zip(_fmt_rows(profile), x_m))
+        rows = _fmt_rows(grid.coordinates, profile)
         _write_lines(out / name, chain([stamp, "x_m,intensity"], rows))
     _write_lines(out / "powers.csv", powers)
     (u_lo, u_hi), (l_lo, l_hi) = apparatus.image_windows(geometry)
@@ -228,16 +232,11 @@ def cmd_duality(args: argparse.Namespace) -> int:
     name = Path(args.pattern).name if args.pattern else ""
     if any(c in name for c in ",\r\n"):
         raise ConfigError(f"--pattern file name {name!r}: a comma or line break splits vk.csv")
-    rows: list[str] = [",".join(VK_COLUMNS)]
-    deviations: list[float] = [0.0]  # max |V^2+K^2-1| of each add_rows call
+    # (model, sources, V, K, V^2+K^2) of each add_rows call, formatted as vk.csv is written
+    groups: list[tuple] = []
 
-    def add_rows(model: str, sources: list[str], pair: duality.VKPair) -> None:
-        check = duality.duality_check(pair)
-        deviations.append(np.max(np.abs(check - 1.0)))
-        rows.extend(
-            f"{model},{source},{values}"
-            for source, values in zip(sources, _fmt_rows(pair.V, pair.K, check))
-        )
+    def add_rows(model: str, sources: Iterable[str], pair: duality.VKPair) -> None:
+        groups.append((model, sources, pair.V, pair.K, duality.duality_check(pair)))
 
     if args.probe:
         a, b = _parse_complex_pair(args.probe, "--probe")
@@ -255,7 +254,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
     if args.random_detectors:
         rng = np.random.default_rng(args.seed)
         model = duality.random_detector_model(rng, args.random_detectors)
-        sources = [f"random[{i}]" for i in range(args.random_detectors)]
+        sources = (f"random[{i}]" for i in range(args.random_detectors))
         add_rows("detector", sources, duality.vk_from_detector(model))
 
     # visibility ladder: external pattern if given, else the canonical cosine
@@ -295,10 +294,17 @@ def cmd_duality(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_lines(out / "vk.csv", rows)
+    rows = (
+        f"{model},{source},{values}"
+        for model, sources, *columns in groups
+        for source, values in zip(sources, _fmt_rows(*columns))
+    )
+    _write_lines(out / "vk.csv", chain([",".join(VK_COLUMNS)], rows))
     _write_lines(out / "visibility_bins.csv", ladder_lines)
+    n_rows = sum(np.size(check) for *_, check in groups)
+    deviation = max(np.max(np.abs(check - 1.0)) for *_, check in groups)
     print(
-        f"duality: {len(rows) - 1} model rows, max |V^2+K^2-1| = {_fmt(max(deviations))}; "
+        f"duality: {n_rows} model rows, max |V^2+K^2-1| = {_fmt(deviation)}; "
         f"ladder of {len(ladder_lines) - 1} widths on '{source}' pattern"
     )
     return EXIT_OK
@@ -361,8 +367,9 @@ def cmd_remnant(args: argparse.Namespace) -> int:
 
     if args.samples:
         rng = np.random.default_rng(seed)
-        draws = np.array(x_m, dtype=object)[remnant.sample_sites(state, args.samples, rng)]
-        rows = (f"{i},{x}" for i, x in enumerate(draws))
+        sites = remnant.sample_sites(state, args.samples, rng)
+        draws = chain.from_iterable(sites[block].tolist() for block in _row_blocks(len(sites)))
+        rows = (f"{i},{x_m[site]}" for i, site in enumerate(draws))
         _write_lines(out / "remnant_samples.csv", chain(["index,x_m"], rows))
 
     residues = [
@@ -379,7 +386,8 @@ def cmd_remnant(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     text = render_report(build_report(args.out))
-    _replace_text(Path(args.out) / "report.txt", text)
+    # the writer ends the last line with the newline that ends the text
+    _write_lines(Path(args.out) / "report.txt", text.removesuffix("\n").split("\n"))
     print(text, end="")
     return EXIT_OK
 

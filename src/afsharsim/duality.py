@@ -20,10 +20,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .wavefield import ComplexField, FieldFlagWarning, Grid, _frozen, _owned, check_window
+from .wavefield import (
+    ComplexField,
+    FieldFlagWarning,
+    Grid,
+    _frozen,
+    _owned,
+    _row_blocks,
+    check_window,
+)
 
 __all__ = [
     "ProbeAmplitudes",
@@ -61,6 +70,8 @@ class DetectorModel:
 
     ``d`` has shape ``(..., 2)`` and ``U_plus``/``U_minus`` shape
     ``(..., 2, 2)``; a single detector is the stack with no leading axis.
+    Norms and unitarity are checked ``_BLOCK`` detectors at a time, so the
+    check's temporaries do not grow with the stack.
     """
 
     d: np.ndarray
@@ -71,33 +82,53 @@ class DetectorModel:
         d = np.asarray(self.d, dtype=np.complex128)
         if d.shape[-1:] != (2,):
             raise ValueError(f"detector states have shape {d.shape}, expected (..., 2)")
-        norm = np.linalg.norm(d, axis=-1)
-        _reject(np.abs(norm - 1.0), "detector state norm is not 1: |norm - 1| = {}")
+        stack = d.shape[:-1]
+        _reject(
+            d,
+            stack,
+            lambda states: np.abs(np.linalg.norm(states, axis=-1) - 1.0),
+            "detector state norm is not 1: |norm - 1| = {}",
+        )
         ident = np.eye(2)
         mats = []
         for name in ("U_plus", "U_minus"):
             u = np.asarray(getattr(self, name), dtype=np.complex128)
-            if u.shape != d.shape[:-1] + (2, 2):
-                raise ValueError(f"{name} has shape {u.shape}, expected {d.shape[:-1] + (2, 2)}")
-            dev = np.max(np.abs(_adjoint(u) @ u - ident), axis=(-2, -1))
-            _reject(dev, f"{name} is not unitary to {_NORM_TOL}: max|U^dag U - I| = {{}}")
+            if u.shape != stack + (2, 2):
+                raise ValueError(f"{name} has shape {u.shape}, expected {stack + (2, 2)}")
+            _reject(
+                u,
+                stack,
+                lambda us: np.max(np.abs(_adjoint(us) @ us - ident), axis=(-2, -1)),
+                f"{name} is not unitary to {_NORM_TOL}: max|U^dag U - I| = {{}}",
+            )
             mats.append(_frozen(u))
         object.__setattr__(self, "d", _frozen(d))
         object.__setattr__(self, "U_plus", mats[0])
         object.__setattr__(self, "U_minus", mats[1])
 
 
-def _reject(deviation: np.ndarray, message: str) -> None:
+def _reject(
+    values: np.ndarray,
+    stack: tuple[int, ...],
+    deviation: Callable[[np.ndarray], np.ndarray],
+    message: str,
+) -> None:
     """Raise ValueError for the first detector whose deviation is not within _NORM_TOL.
 
-    ``message`` is formatted with that deviation; for a stack the error also
-    names the detector's index.
+    ``values`` holds one state or unitary per detector of a stack of leading
+    shape ``stack``; ``deviation`` maps a block of ``_BLOCK`` of them,
+    flattened, to one deviation each.  ``message`` is formatted with the
+    first bad deviation; for a stack the error also names the detector's
+    index.
     """
-    bad = np.argwhere(~(deviation <= _NORM_TOL))
-    if len(bad):
-        index = tuple(int(i) for i in bad[0])
-        where = f"detector {index[0] if len(index) == 1 else index}: " if index else ""
-        raise ValueError(where + message.format(deviation[index]))
+    rows = values.reshape((-1,) + values.shape[len(stack) :])
+    for block in _row_blocks(len(rows)):
+        dev = deviation(rows[block])
+        bad = np.flatnonzero(~(dev <= _NORM_TOL))
+        if len(bad):
+            index = tuple(int(i) for i in np.unravel_index(block.start + bad[0], stack))
+            where = f"detector {index[0] if len(index) == 1 else index}: " if index else ""
+            raise ValueError(where + message.format(dev[bad[0]]))
 
 
 def _adjoint(u: np.ndarray) -> np.ndarray:
@@ -159,12 +190,20 @@ def vk_from_detector(model: DetectorModel) -> VKPair:
     """V = |<d| U_minus U_plus^dag |d>| and K = sqrt(1 - V^2) for every detector.
 
     V and K have the stack's leading shape (scalars for a single detector).
+    The overlaps are taken ``_BLOCK`` detectors at a time, so their
+    temporaries do not grow with the stack.
     """
-    op = model.U_minus @ _adjoint(model.U_plus)
-    v = np.minimum(np.abs(_dot(model.d.conj(), (op @ model.d[..., None])[..., 0])), 1.0)
-    # the clamp absorbs ~1e-16 negatives from the subtraction
-    k = np.sqrt(np.maximum(0.0, 1.0 - v * v))
-    return VKPair(V=v[()], K=k[()])
+    stack = model.d.shape[:-1]
+    d = model.d.reshape(-1, 2)
+    u_plus, u_minus = (u.reshape(-1, 2, 2) for u in (model.U_plus, model.U_minus))
+    v, k = np.empty(len(d)), np.empty(len(d))
+    for rows in _row_blocks(len(d)):
+        op = u_minus[rows] @ _adjoint(u_plus[rows])
+        overlap = np.abs(_dot(d[rows].conj(), (op @ d[rows][..., None])[..., 0]))
+        v[rows] = np.minimum(overlap, 1.0)
+        # the clamp absorbs ~1e-16 negatives from the subtraction
+        k[rows] = np.sqrt(np.maximum(0.0, 1.0 - v[rows] * v[rows]))
+    return VKPair(V=v.reshape(stack)[()], K=k.reshape(stack)[()])
 
 
 def duality_check(pair: VKPair) -> float | np.ndarray:
@@ -198,22 +237,29 @@ def probe_detector_model(probe: ProbeAmplitudes) -> DetectorModel:
 def random_detector_model(rng: np.random.Generator, n: int) -> DetectorModel:
     """Stack of n Haar-random pure detector models (random d, random unitaries).
 
-    One ``(n, 20)`` block of normals is drawn; each row holds d (real, then
-    imaginary parts), then U_plus and U_minus (real 2x2, then imaginary
-    2x2), so detector i does not depend on n.
+    Each detector takes a row of 20 normals: d (real, then imaginary parts),
+    then U_plus and U_minus (real 2x2, then imaginary 2x2).  The rows are
+    drawn ``_BLOCK`` at a time into the preallocated stack; the draws go on
+    from one stream, so the stack equals one ``(n, 20)`` draw and detector
+    i does not depend on n.
     """
-    z = rng.normal(size=(n, 20))
-    re, im = z[:, 0:2], z[:, 2:4]
-    d = _owned((re + 1j * im) / np.sqrt(_dot(re, re) + _dot(im, im))[:, None])
+    d = np.empty((n, 2), dtype=np.complex128)
+    u_plus = np.empty((n, 2, 2), dtype=np.complex128)
+    u_minus = np.empty((n, 2, 2), dtype=np.complex128)
+    for rows in _row_blocks(n):
+        z = rng.normal(size=(rows.stop - rows.start, 20))
+        re, im = z[:, 0:2], z[:, 2:4]
+        d[rows] = (re + 1j * im) / np.sqrt(_dot(re, re) + _dot(im, im))[:, None]
+        u_plus[rows] = _haar_unitaries(z[:, 4:12])
+        u_minus[rows] = _haar_unitaries(z[:, 12:20])
+    return DetectorModel(d=_owned(d), U_plus=_owned(u_plus), U_minus=_owned(u_minus))
 
-    def haar_unitaries(block: np.ndarray) -> np.ndarray:
-        q, r = np.linalg.qr((block[:, :4] + 1j * block[:, 4:]).reshape(n, 2, 2))
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        return _owned(q * (diag / np.abs(diag))[..., None, :])
 
-    return DetectorModel(
-        d=d, U_plus=haar_unitaries(z[:, 4:12]), U_minus=haar_unitaries(z[:, 12:20])
-    )
+def _haar_unitaries(block: np.ndarray) -> np.ndarray:
+    """Haar-random 2x2 unitaries from rows of 8 normals (real 2x2, then imaginary 2x2)."""
+    q, r = np.linalg.qr((block[:, :4] + 1j * block[:, 4:]).reshape(-1, 2, 2))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def visibility_from_pattern(

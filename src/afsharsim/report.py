@@ -20,6 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .remnant import COMPLETENESS_PAIRS, ORTHONORMAL_NOTE, completeness_residue
+from .wavefield import _row_blocks
 
 __all__ = [
     "Report",
@@ -88,12 +89,15 @@ def _fmt(x: float) -> str:
 def _fmt_rows(*columns) -> Iterator[str]:
     """One comma-joined line of ``_fmt`` strings per row of the float columns.
 
-    Each column becomes Python floats with one ``tolist`` and each value is
-    formatted once, as its line is made; no column of strings is kept, and
-    the float lists are freed once the last line has been taken.
+    The rows are taken ``_BLOCK`` at a time: each column's block becomes
+    Python floats with one ``tolist``, and each value is formatted once, as
+    its line is made.  No column of strings or floats is kept, so what the
+    lines hold does not grow with the number of rows.
     """
-    floats = [np.asarray(column, dtype=float).ravel().tolist() for column in columns]
-    yield from map(",".join, zip(*(map(repr, values) for values in floats)))
+    arrays = [np.asarray(column, dtype=float).ravel() for column in columns]
+    for rows in _row_blocks(min(map(len, arrays), default=0)):
+        floats = [a[rows].tolist() for a in arrays]
+        yield from map(",".join, zip(*(map(repr, values) for values in floats)))
 
 
 def _powers_line(row: dict) -> str:

@@ -52,6 +52,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -86,6 +87,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     if not a.flags.writeable and a.flags.owndata:
         return a
     return _owned(np.array(a, copy=True))
+
+
+# Rows that row-wise work (a detector stack, the lines of a CSV) takes at a
+# time, so its temporaries do not grow with the number of rows.  Of 256 to
+# 65536 rows, 1024 gave about the least peak RSS to `duality` and `remnant`
+# with 2*10^5 detectors and 10^6 samples, and no slower runs.
+_BLOCK = 1024
+
+
+def _row_blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_BLOCK`` rows that cover rows 0 to n."""
+    return (slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
 
 
 @dataclass(frozen=True)

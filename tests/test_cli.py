@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import math
 import os
 import shutil
 import tempfile
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -15,7 +17,7 @@ from afsharsim import cli
 from afsharsim.cli import main
 from afsharsim.config import Config, ConfigError, load_config, parse_config
 from afsharsim.report import POWERS_COLUMNS, _fmt, _fmt_rows, _parse
-from afsharsim.wavefield import Grid
+from afsharsim.wavefield import _BLOCK, Grid
 
 
 # a focal length one ulp below the 0.716875 m object distance: 1/f - 1/s
@@ -782,6 +784,8 @@ class TestProvenance:
 _EDGE_FLOATS = [
     -0.0, 0.0, 5e-324, 1e16, 1e-7, 1e-5, 9999999999999998.0, math.inf, -math.inf, math.nan
 ]
+# row counts at the edges of the writer's and the formatter's row blocks
+_BLOCK_EDGES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
 _CSV_FLOATS = st.lists(
     st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()), min_size=1, max_size=30
 )
@@ -812,6 +816,11 @@ class TestCsvFormat:
 
     def test_scalar_is_one_row(self):
         assert list(_fmt_rows(0.96, np.float64(0.28))) == ["0.96,0.28"]
+
+    @pytest.mark.parametrize("n", _BLOCK_EDGES)
+    def test_rows_across_blocks_are_fmt_of_each_value(self, n):
+        values = np.random.default_rng(n).normal(size=(2, n)) * 1e-5
+        assert list(_fmt_rows(*values)) == [f"{_fmt(a)},{_fmt(b)}" for a, b in values.T]
 
 
 class TestConfig:
@@ -903,6 +912,49 @@ class TestCrashSafeWrites:
             cli._write_lines(path, lines())
         assert path.read_bytes() == self.OLD
         assert [p.name for p in tmp_path.iterdir()] == ["sigma1.csv"]
+
+    def test_line_generator_failing_after_a_written_block_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "remnant_samples.csv"
+        path.write_bytes(self.OLD)
+        written = []
+
+        def lines():
+            yield from ("9" * 80 for _ in range(_BLOCK))
+            # asked for the first line of the second block: the first is in
+            # the temporary file by now
+            (tmp,) = (p for p in tmp_path.iterdir() if p.name.endswith(".tmp"))
+            written.append(tmp.stat().st_size)
+            raise RuntimeError("formatting failed after a block")
+
+        with pytest.raises(RuntimeError, match="after a block"):
+            cli._write_lines(path, lines())
+        assert written[0] > 0
+        assert path.read_bytes() == self.OLD
+        assert [p.name for p in tmp_path.iterdir()] == ["remnant_samples.csv"]
+
+    @pytest.mark.parametrize("n", _BLOCK_EDGES)
+    def test_streamed_bytes_are_the_joined_lines(self, tmp_path, n):
+        lines = [f"{i},{i / 7!r}" for i in range(n)]
+        path = tmp_path / "vk.csv"
+        cli._write_lines(path, iter(lines))
+        # every line, the last one too, ends with a newline: no lines, no bytes
+        assert path.read_bytes() == ("\n".join(lines) + "\n" if lines else "").encode()
+
+    def test_writer_memory_does_not_grow_with_the_lines(self, tmp_path):
+        # the writer holds a block of lines and its text, whatever the file's
+        # length; joining the whole file first would hold a reference per
+        # line and the text, 32 MB for 10^6 lines.  One line object, repeated,
+        # keeps tracemalloc's per-allocation cost out of the test's time
+        def peak(n):
+            lines = itertools.repeat("0.5,1.0000000000000002", n)
+            tracemalloc.start()
+            try:
+                cli._write_lines(tmp_path / "vk.csv", lines)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(10**6) - peak(10**5)) < 256 * 2**10
 
     def test_write_failing_after_the_temporary_exists_removes_it(self, tmp_path):
         # a lone surrogate has no UTF-8 encoding, so the write fails after

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,36 @@ from afsharsim.duality import (
     vk_from_detector,
     vk_from_probe,
 )
-from afsharsim.wavefield import ComplexField, FieldFlagWarning, Grid, make_plane_wave
+from afsharsim.wavefield import _BLOCK, ComplexField, FieldFlagWarning, Grid, make_plane_wave
 
 WAVELENGTH = 650e-9
 ROOT_HALF = 1.0 / np.sqrt(2.0)
+
+# stack sizes at the edges of the detector blocks
+BLOCK_EDGES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+
+
+def stacked_dot(a, b):
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def one_shot_detector_model(rng, n):
+    """d, U_plus and U_minus from one (n, 20) draw of normals, each step over all n rows at once."""
+    z = rng.normal(size=(n, 20))
+    re, im = z[:, 0:2], z[:, 2:4]
+    d = (re + 1j * im) / np.sqrt(stacked_dot(re, re) + stacked_dot(im, im))[:, None]
+
+    def haar_unitaries(block):
+        q, r = np.linalg.qr((block[:, :4] + 1j * block[:, 4:]).reshape(n, 2, 2))
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        return q * (diag / np.abs(diag))[..., None, :]
+
+    return d, haar_unitaries(z[:, 4:12]), haar_unitaries(z[:, 12:20])
+
+
+def one_shot_v(d, u_plus, u_minus):
+    op = u_minus @ u_plus.conj().swapaxes(-1, -2)
+    return np.minimum(np.abs(stacked_dot(d.conj(), (op @ d[..., None])[..., 0])), 1.0)
 
 
 class TestProbe:
@@ -110,25 +138,71 @@ class TestDetectorStack:
         for name in ("d", "U_plus", "U_minus"):
             np.testing.assert_array_equal(getattr(small, name), getattr(large, name)[:1000])
 
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_blocks_are_bit_identical_to_one_draw(self, n):
+        blocked_rng, one_shot_rng = np.random.default_rng(7), np.random.default_rng(7)
+        model = random_detector_model(blocked_rng, n)
+        d, u_plus, u_minus = one_shot_detector_model(one_shot_rng, n)
+        for name, expected in (("d", d), ("U_plus", u_plus), ("U_minus", u_minus)):
+            assert getattr(model, name).tobytes() == expected.tobytes()
+        # the blocks drew exactly the stream's first 20n normals
+        assert blocked_rng.normal() == one_shot_rng.normal()
+        pair = vk_from_detector(model)
+        v = one_shot_v(d, u_plus, u_minus)
+        assert pair.V.tobytes() == v.tobytes()
+        assert pair.K.tobytes() == np.sqrt(np.maximum(0.0, 1.0 - v * v)).tobytes()
+
+    def test_stack_temporaries_do_not_grow_with_the_stack(self):
+        # what building and checking a stack allocates beyond the stack
+        # itself is a few blocks' worth, whatever the number of detectors
+        def extra(n):
+            rng = np.random.default_rng(8)
+            tracemalloc.start()
+            try:
+                model = random_detector_model(rng, n)
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                pair = vk_from_detector(model)
+                vk_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = sum(a.nbytes for a in (model.d, model.U_plus, model.U_minus))
+            return peak - held, vk_peak - held - pair.V.nbytes - pair.K.nbytes
+
+        small, large = extra(2 * _BLOCK), extra(16 * _BLOCK)
+        assert large[0] <= small[0] + 16 * 2**10
+        assert large[1] <= small[1] + 16 * 2**10
+
     def test_single_detector_gives_scalars(self):
         pair = vk_from_detector(probe_detector_model(ProbeAmplitudes(0.6, 0.8)))
         assert np.shape(pair.V) == np.shape(pair.K) == ()
 
-    @pytest.mark.parametrize("k", [0, 3, 9])
+    # k past the first block sits on a stack of two blocks
+    @pytest.mark.parametrize("k", [0, 3, 9, _BLOCK + 3])
     def test_non_unitary_slice_named(self, k):
-        model = random_detector_model(np.random.default_rng(4), 10)
+        model = random_detector_model(np.random.default_rng(4), 10 if k < 10 else 2 * _BLOCK)
         u_minus = model.U_minus.copy()
         u_minus[k] = np.diag([1.0, 0.5])
         with pytest.raises(ValueError, match=rf"^detector {k}: U_minus is not unitary"):
             DetectorModel(d=model.d, U_plus=model.U_plus, U_minus=u_minus)
 
-    @pytest.mark.parametrize("k", [0, 3, 9])
+    @pytest.mark.parametrize("k", [0, 3, 9, _BLOCK + 3])
     def test_unnormalized_state_named(self, k):
-        model = random_detector_model(np.random.default_rng(5), 10)
+        model = random_detector_model(np.random.default_rng(5), 10 if k < 10 else 2 * _BLOCK)
         d = model.d.copy()
         d[k] *= 1.0 + 1e-9
         with pytest.raises(ValueError, match=rf"^detector {k}: detector state norm"):
             DetectorModel(d=d, U_plus=model.U_plus, U_minus=model.U_minus)
+
+    def test_bad_detector_of_a_2d_stack_named_by_its_index_pair(self):
+        model = random_detector_model(np.random.default_rng(6), 2 * _BLOCK)
+        d, u_plus, u_minus = (
+            a.reshape((2, _BLOCK) + a.shape[1:]).copy()
+            for a in (model.d, model.U_plus, model.U_minus)
+        )
+        u_plus[1, 3] = np.diag([1.0, 0.5])
+        with pytest.raises(ValueError, match=r"^detector \(1, 3\): U_plus is not unitary"):
+            DetectorModel(d=d, U_plus=u_plus, U_minus=u_minus)
 
     def test_nan_state_rejected(self):
         with pytest.raises(ValueError, match="norm"):
