@@ -75,10 +75,7 @@ frozen, the arrays are read-only, and a stage reads nothing but the key
 and earlier stages, so a hit returns the very bits a miss builds; a build
 that raises (a guard failure, an unresolvable minimum) stores nothing, so
 the next call raises again.  Another key releases the whole of the last
-bench.  With its six records a bench keeps 11.0 MiB resident on 2^16
-samples and 2.8 MiB on 2^14, of which the profiles are 6 MiB and 1.5 MiB:
-the seven profiles the records own add 3.5 MiB and 0.9 MiB to the other
-stages' 7.5 MiB and 1.9 MiB.
+bench.
 
 A record shares the bench's arrays where it can: an upper record takes
 phi_U's profiles, a lower one their mirror (|mirror(u)|^2 is
@@ -90,40 +87,45 @@ on the sigma2 field.
 
 Every stage of a scenario run is checked against the band-limit guard and
 violations raise :class:`BandLimitError` naming the stage: ``source`` on
-the one synthesized source, then ``sigma1``, ``wire_grid`` (grid in
-only), ``lens``, ``lens_phase`` and ``sigma2``.  From sigma1 on one rule
-guards every stage (``_guard_slits``): phi_U's spectrum, its mirror
-(phi_L's, no FFT) and their sum (phi_U + phi_L's) are guarded once per
-bench, and each slit configuration's first failing stage is recorded
-instead of raised, at sigma1 in the bench's ``sigma1`` stage and later in
-the upper pass, which starts from the sigma1 failures.  So a failure raises
-for the scenarios of that configuration only, on every call, and a sigma1
-failure raises before anything downstream is built: ``run_scenario``,
-``sigma1_fields`` (phi_U's) and ``fringe_minima`` (phi_U + phi_L's) raise
-it first.
+the one synthesized source, ``sigma1``, then the rows of the upper pass.
+From sigma1 on one rule guards every stage (``_guard_slits``): phi_U's
+spectrum, its mirror (phi_L's, no FFT) and their sum (phi_U + phi_L's) are
+guarded once per bench, and each slit configuration's first failing stage
+is recorded instead of raised, at sigma1 in the bench's ``sigma1`` stage
+and later in the upper pass, which starts from the sigma1 failures.  So a
+failure raises for the scenarios of that configuration only, on every
+call, and a sigma1 failure raises before anything downstream is built:
+``run_scenario``, ``sigma1_fields`` (phi_U's) and ``fringe_minima``
+(phi_U + phi_L's) raise it first.  The guard fails closed: a non-finite
+spectrum gives a nan tail fraction, and an FFT spreads one non-finite
+sample over every bin, so a stage that makes a non-finite field fails its
+own guard, and no stage past the source checks its samples for finiteness.
 
-Each stage guards the spectrum it already has, with no extra transform:
-the source's band spectrum, each propagation's H*S and the ``fft`` after
-the wire grid or the lens.  H*S is the FFT of its ``ifft`` to roundoff, so
-every guard checks what a fresh FFT would give it.  The sigma1 stage keeps
-phi_U's H*S beside its samples, formed in place in the source's band
-spectrum: that spectrum is exact, so the sigma1 guards, the minima
-refinement and the pass with the grid out read H*S, where a fresh FFT of
-phi_U's samples would move the upper records' bits.
+Each stage guards the spectrum it already has, with no extra transform.
+H*S is the FFT of its ``ifft`` to roundoff, so every guard checks what a
+fresh FFT would give it.  The sigma1 stage keeps phi_U's H*S beside its
+samples, formed in place in the source's band spectrum: that spectrum is
+exact, so the sigma1 guards, the minima refinement and the pass with the
+grid out read H*S, where a fresh FFT of phi_U's samples would move the
+upper records' bits.
 
-The upper pass works in two complex buffers, one of samples and one of
-spectrum, through the kernels the public ``apply_mask``, ``propagate``
-and ``thin_lens`` wrap, with their operand orders, so phi_U's sigma2
-samples have the bits of those operations chained on fresh fields.  Its
-first stage writes into new buffers (grid in: the masked samples and
-their ``fft``; grid out: H*S of phi_U's spectrum and its ``ifft``), so the
-cached phi_U is never written.  Each later product is formed in place and
-each transform writes the other buffer.  No stage reads a buffer after it
-has been overwritten: an in-place product reads each element before it
-writes it, and a transform writes the buffer it does not read, whose
-contents no later stage needs.  A third buffer takes each stage's
-mirrored spectrum and then, added in place, the summed one.  The last
-samples buffer becomes the pass's sigma2 samples, read-only.
+Past sigma1 the upper pass is a table of rows ``(name, spatial, kernel)``,
+``wire_grid`` (grid in only), ``lens``, ``lens_phase`` and ``sigma2``,
+that one loop runs in two complex buffers, one of samples and one of
+spectrum.  A spatial row (wire grid, lens phase) multiplies the samples
+and takes their ``fft``; a spectral row (a propagation) forms H*S and
+takes its ``ifft``.  The first row reads the held phi_U (grid in) or its
+H*S (grid out), so the held arrays are never written; every later row
+works in place.  Each row's spectrum is guarded, and the loop stops once
+all three slit configurations have failed.  The kernels are those the
+public ``apply_mask``, ``propagate`` and ``thin_lens`` wrap, with their
+operand orders, so phi_U's sigma2 samples have the bits of those
+operations chained on fresh fields.  No row reads a buffer after it has
+been overwritten: an in-place product reads each element before it
+writes it, and a transform writes the buffer it does not read.  A third
+buffer takes each row's mirrored spectrum and then, added in place, the
+summed one.  The last samples buffer becomes the pass's sigma2 samples,
+read-only.
 """
 
 from __future__ import annotations
@@ -642,7 +644,7 @@ class _Pass:
     ``wires`` is the wire grid (grid in only); ``failures`` maps each slit
     configuration that failed a guard to the (stage, detail) of its first
     failure.  The arrays are read-only, and None when every slit
-    configuration failed a guard before sigma2: ``after_grid`` is phi_U's
+    configuration failed a guard: ``after_grid`` is phi_U's
     sigma1 profile behind the wire grid (with the grid out, the bench's
     ``incident`` profile itself), ``sigma2`` its sigma2 samples and
     ``detected`` their profile.
@@ -730,42 +732,39 @@ class _Bench:
     def _build_pass(self, state: GridState) -> _Pass:
         """phi_U from sigma1 through the wire grid (``state`` in only), the lens and sigma2.
 
-        Each stage is guarded by :func:`_guard_slits`; the pass stops once
-        every slit configuration has failed a guard.
+        The stages are rows ``(name, spatial, kernel)``, run by one loop (see
+        the module notes); the pass stops once every slit configuration has
+        failed a guard.
         """
         geometry, grid = self.geometry, self.grid
         phi_u, sigma1_spectrum, sigma1_failures = self.sigma1
         failures = dict(sigma1_failures)
         mirrored = np.empty_like(sigma1_spectrum)
-        k = phi_u.wavenumber
-        wires = None
+        # the kernels are looked up here, when the pass is built, not at import
+        lens = functools.partial(_lens_into, grid, geometry.wavelength, geometry.focal_length)
+        to_lens, to_sigma2 = (
+            functools.partial(_transfer_into, grid, phi_u.wavenumber, distance)
+            for distance in (geometry.z_grid_to_lens, geometry.z_lens_to_detectors)
+        )
+        rows = [("lens", False, to_lens), ("lens_phase", True, lens), ("sigma2", False, to_sigma2)]
+        wires = after_grid = None
         if state is GridState.IN:
             wires = build_wire_grid(geometry, np.asarray(self.minima), grid)
-            samples = np.empty_like(phi_u.amplitudes)
-            _masked_into(phi_u.amplitudes, wires.transmission, out=samples)
-            spectrum = np.fft.fft(samples)
-            if not _guard_slits(spectrum, "wire_grid", failures, mirrored):
-                return _Pass(wires, failures)
-            _require_finite(samples)
-            after_grid = _owned(_intensity(samples))
-            _transfer_into(grid, k, geometry.z_grid_to_lens, spectrum, out=spectrum)
+            masked = functools.partial(_masked_into, transmission=wires.transmission)
+            rows.insert(0, ("wire_grid", True, masked))
         else:
-            _require_finite(phi_u.amplitudes)
             after_grid = self.incident[0]
-            spectrum = np.empty_like(sigma1_spectrum)
-            _transfer_into(grid, k, geometry.z_grid_to_lens, sigma1_spectrum, out=spectrum)
-            samples = np.empty_like(spectrum)
-        np.fft.ifft(spectrum, out=samples)
-        if not _guard_slits(spectrum, "lens", failures, mirrored):
-            return _Pass(wires, failures)
-        _lens_into(grid, geometry.wavelength, geometry.focal_length, samples, out=samples)
-        np.fft.fft(samples, out=spectrum)
-        if not _guard_slits(spectrum, "lens_phase", failures, mirrored):
-            return _Pass(wires, failures)
-        _require_finite(samples)
-        _transfer_into(grid, k, geometry.z_lens_to_detectors, spectrum, out=spectrum)
-        np.fft.ifft(spectrum, out=samples)
-        _guard_slits(spectrum, "sigma2", failures, mirrored)
+        samples, spectrum = np.empty_like(phi_u.amplitudes), np.empty_like(sigma1_spectrum)
+        for i, (name, spatial, kernel) in enumerate(rows):
+            # the first row reads the held phi_U or H*S, every later one its own buffer
+            if spatial:
+                np.fft.fft(kernel(samples if i else phi_u.amplitudes, out=samples), out=spectrum)
+            else:
+                np.fft.ifft(kernel(spectrum if i else sigma1_spectrum, out=spectrum), out=samples)
+            if not _guard_slits(spectrum, name, failures, mirrored):
+                return _Pass(wires, failures)
+            if name == "wire_grid":
+                after_grid = _owned(_intensity(samples))
         # the spectra are spent: their buffers go before the sigma2 profile is made
         del spectrum, mirrored
         return _Pass(wires, failures, after_grid, _owned(samples), _owned(_intensity(samples)))

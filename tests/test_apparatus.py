@@ -430,6 +430,41 @@ class TestScenarios:
             with np.errstate(invalid="ignore"), pytest.raises(BandLimitError, match="nan"):
                 apparatus._guarded(spectrum, "sigma1")
 
+    @pytest.mark.parametrize("state", list(GridState), ids=lambda g: g.value)
+    @pytest.mark.parametrize("stage", ["lens", "lens_phase", "sigma2"])
+    def test_non_finite_field_fails_the_guard_of_the_stage_that_makes_it(
+        self, geometry, bench_grid, monkeypatch, stage, state
+    ):
+        # one nan in the lens factor, or in the transfer function to the lens
+        # or to sigma2: the guard of that stage fails closed for all three
+        # slit configurations, so no stage needs a finiteness check of its own
+        n = bench_grid.n_samples
+        if stage == "lens_phase":
+            lens_factor = wavefield._lens_factor
+
+            def poisoned(*args):
+                factor = lens_factor(*args).copy()
+                factor[n // 4] = np.nan
+                return factor
+
+            monkeypatch.setattr(wavefield, "_lens_factor", poisoned)
+        else:
+            target = geometry.z_grid_to_lens if stage == "lens" else geometry.z_lens_to_detectors
+            transfer = wavefield._transfer
+
+            def poisoned(grid, k, distance):
+                half = transfer(grid, k, distance)
+                if distance == target:
+                    half = half.copy()
+                    half[1] = np.nan
+                return half
+
+            monkeypatch.setattr(wavefield, "_transfer", poisoned)
+        for slits in Slits:
+            with np.errstate(invalid="ignore"), pytest.raises(BandLimitError, match="nan") as err:
+                run_scenario(geometry, Scenario(slits, state), bench_grid)
+            assert err.value.stage == stage and "nan" in err.value.detail
+
 
 class TestSuperposition:
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])
@@ -898,6 +933,52 @@ class TestUpperPass:
             else:
                 assert record_bits(run_scenario(geometry, scenario, grid)) == expected[scenario]
         assert len(built) == 2
+
+    @pytest.mark.parametrize(
+        "state, stage",
+        [
+            (GridState.IN, "wire_grid"),
+            *((state, stage) for stage in ("lens", "lens_phase", "sigma2") for state in GridState),
+        ],
+        ids=lambda v: v.value if isinstance(v, GridState) else v,
+    )
+    def test_pass_stops_at_the_stage_where_the_last_configuration_fails(
+        self, geometry, bench_grid, monkeypatch, state, stage
+    ):
+        # the guard fails all three slit configurations at one stage of one
+        # grid state's pass: each scenario of that state raises there on
+        # every call, no later stage is guarded, the pass keeps no sigma2
+        # samples or profiles, and the other state's records, built on the
+        # same bench afterwards, keep their bits
+        other = GridState.OUT if state is GridState.IN else GridState.IN
+        kept = [s for s in SCENARIOS if s.grid is other]
+        fresh = apparatus._Bench(geometry, bench_grid)
+        expected = {s: record_bits(fresh.record(s)) for s in kept}
+        del fresh
+        guarded = apparatus._guarded
+        forced = [stage]
+
+        def failing(spectrum, name):
+            if name in forced:
+                raise BandLimitError(name, "forced failure")
+            return guarded(spectrum, name)
+
+        monkeypatch.setattr(apparatus, "_guarded", failing)
+        counts = _StageCounts(monkeypatch, bench_grid.n_samples)
+        for _ in range(2):
+            for slits in Slits:
+                with pytest.raises(BandLimitError, match="forced failure") as err:
+                    run_scenario(geometry, Scenario(slits, state), bench_grid)
+                assert err.value.stage == stage
+        downstream = _downstream_stages(state)
+        reached = downstream[: downstream.index(stage) + 1]
+        assert counts.stages == ["source", *(s for s in reached for _ in range(3))]
+        upper = apparatus._bench(geometry, bench_grid).upper_pass(state)
+        assert upper.failures == dict.fromkeys(Slits, (stage, "forced failure"))
+        assert upper.after_grid is upper.sigma2 is upper.detected is None
+        forced.clear()
+        for scenario in kept:
+            assert record_bits(run_scenario(geometry, scenario, bench_grid)) == expected[scenario]
 
     @pytest.mark.parametrize("failing", [Slits.LOWER_ONLY, Slits.BOTH], ids=lambda s: s.value)
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])

@@ -167,6 +167,20 @@ class TestSimulate:
         assert code == 3
         assert "source" in capsys.readouterr().err
 
+    def test_downstream_band_limit_violation_exits_3_with_one_line(self, tmp_path, capsys):
+        # a box twice as wide at the default spacing passes the source and
+        # sigma1 guards, and the lensed field of every slit configuration
+        # fails the lens_phase guard (tail fractions 1.4e-4 to 2.1e-4)
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("n_samples = 32768\nspacing = 5e-6\n")
+        for slits, state in itertools.product(("both", "upper", "lower"), ("in", "out")):
+            argv = ("--config", str(cfg), "--scenario", slits, "--grid", state)
+            assert run("simulate", *argv, "--out", str(tmp_path / "o")) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: band-limit guard violated at stage 'lens_phase'")
+            assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "text, scenario, grid",
         [
