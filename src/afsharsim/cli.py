@@ -8,7 +8,9 @@ Each output file is replaced whole by one writer, ``_write_lines``: it
 streams the file's lines ``_BLOCK`` at a time into a temporary file, then
 calls ``os.replace``, so a failed write leaves the previous file as it was.
 The commands hand it generators of lines, so no command holds a whole CSV:
-neither its rows' floats nor its text.
+neither its rows' floats nor its text.  ``duality`` and ``remnant`` draw
+their random detectors and detections a block at a time, so neither holds
+n of them either.
 
 powers.csv, derived.csv, sigma1.csv, sigma2.csv, remnant.csv and
 remnant_summary.csv depend on the bench config and start with its stamp
@@ -252,10 +254,17 @@ def cmd_duality(args: argparse.Namespace) -> int:
             )
 
     if args.random_detectors:
+        n = args.random_detectors
         rng = np.random.default_rng(args.seed)
-        model = duality.random_detector_model(rng, args.random_detectors)
-        sources = (f"random[{i}]" for i in range(args.random_detectors))
-        add_rows("detector", sources, duality.vk_from_detector(model))
+        # one block of detectors at a time, reduced to V and K; the draws go
+        # on from one stream, so detector i is the one a stack of n holds
+        v, k = np.empty(n), np.empty(n)
+        for rows in _row_blocks(n):
+            model = duality.random_detector_model(rng, rows.stop - rows.start)
+            pair = duality.vk_from_detector(model)
+            v[rows], k[rows] = pair.V, pair.K
+        sources = (f"random[{i}]" for i in range(n))
+        add_rows("detector", sources, duality.VKPair(v, k))
 
     # visibility ladder: external pattern if given, else the canonical cosine
     if args.pattern:
@@ -327,10 +336,11 @@ def cmd_remnant(args: argparse.Namespace) -> int:
     fingerprint = _fingerprint(geometry, grid)
     _check_stamps(out, fingerprint)
     try:
-        # phi_U stays in the sigma1 cache; phi_L is released once the state is built
         state = remnant.build_remnant(*apparatus.sigma1_fields(geometry, grid))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # the state holds its own amplitudes and nothing later reads the bench
+    apparatus._bench.cache_clear()
     total = remnant.total_pattern(state)
 
     directions = [
@@ -367,8 +377,8 @@ def cmd_remnant(args: argparse.Namespace) -> int:
 
     if args.samples:
         rng = np.random.default_rng(seed)
-        sites = remnant.sample_sites(state, args.samples, rng)
-        draws = chain.from_iterable(sites[block].tolist() for block in _row_blocks(len(sites)))
+        blocks = remnant.sample_sites(state, args.samples, rng)
+        draws = chain.from_iterable(block.tolist() for block in blocks)
         rows = (f"{i},{x_m[site]}" for i, site in enumerate(draws))
         _write_lines(out / "remnant_samples.csv", chain(["index,x_m"], rows))
 

@@ -27,11 +27,11 @@ of x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .wavefield import ComplexField, _frozen, _owned
+from .wavefield import ComplexField, _frozen, _owned, _row_blocks
 
 __all__ = [
     "RemnantState",
@@ -79,7 +79,8 @@ class RemnantState:
         if not (sites.shape == a.shape == b.shape):
             raise ValueError("sites, amps_U and amps_L must share one shape")
         norm = float(np.sum(np.abs(a) ** 2 + np.abs(b) ** 2))
-        if abs(norm - 1.0) > _NORM_TOL:
+        # written so that a NaN norm, from a NaN amplitude, fails too
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm {norm} differs from 1 beyond {_NORM_TOL}")
         for name, arr in (("sites", sites), ("amps_U", a), ("amps_L", b)):
             object.__setattr__(self, name, _frozen(arr))
@@ -168,14 +169,24 @@ def completeness_residue(
     return float(np.max(np.abs(sum(probs[n] * patterns[n] for n in names) - total)))
 
 
-def sample_sites(state: RemnantState, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_sites(
+    state: RemnantState, n: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
     """Draw n detections from the unconditioned arrival distribution.
 
-    Returns indices into ``state.sites``; ``state.sites[indices]`` are the sites.
+    Yields the draws ``_BLOCK`` at a time, as indices into ``state.sites``;
+    ``state.sites[indices]`` are the sites.  The state is normalized and
+    its amplitudes are finite, so p, the arrival pattern over its sum, is
+    finite, non-negative and sums to 1.
+    The CDF of p is formed once and each block searches it with that many
+    uniforms, the steps ``Generator.choice`` takes, so the blocks
+    concatenated equal one ``rng.choice(state.sites.size, size=n, p=p)``.
     """
     p = total_pattern(state)
-    p = p / p.sum()
-    return rng.choice(state.sites.size, size=n, p=p)
+    cdf = np.cumsum(p / p.sum())
+    cdf /= cdf[-1]
+    for rows in _row_blocks(n):
+        yield cdf.searchsorted(rng.random(rows.stop - rows.start), side="right")
 
 
 def qubit_analogy(axes: Sequence[str]) -> list[dict[int, float]]:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afsharsim import AfsharGeometry, duality
+from afsharsim import AfsharGeometry, apparatus, duality
 from afsharsim import cli
 from afsharsim.cli import main
 from afsharsim.config import Config, ConfigError, load_config, parse_config
@@ -253,6 +253,30 @@ class TestDuality:
             if parts[0] == "detector":
                 assert abs(float(parts[4]) - 1.0) < 1e-12
 
+    def test_random_detectors_equal_one_stack(self, tmp_path):
+        # the command reduces one block of detectors at a time to V and K
+        n = 2 * _BLOCK + 1
+        argv = ("--random-detectors", str(n), "--seed", "7", "--out", str(tmp_path))
+        assert run("duality", *argv) == 0
+        rows = [r.split(",") for r in (tmp_path / "vk.csv").read_text().splitlines()[1:]]
+        detectors = [r for r in rows if r[0] == "detector"]
+        pair = duality.vk_from_detector(duality.random_detector_model(np.random.default_rng(7), n))
+        assert [r[2] for r in detectors] == [_fmt(v) for v in pair.V]
+        assert [r[3] for r in detectors] == [_fmt(k) for k in pair.K]
+
+    def test_memory_grows_by_the_detectors_rows_only(self, tmp_path):
+        # V, K and V^2+K^2 are 24 B a detector; a stack of detectors is 160 B
+        def peak(n):
+            tracemalloc.start()
+            try:
+                assert run("duality", "--random-detectors", str(n), "--out", str(tmp_path)) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = 8 * _BLOCK, 64 * _BLOCK
+        assert (peak(large) - peak(small)) / (large - small) < 48
+
     def test_ladder_is_non_increasing(self, cli_out):
         rows = (cli_out / "visibility_bins.csv").read_text().splitlines()
         assert rows[0] == "bin_width_m,V"
@@ -404,6 +428,21 @@ class TestDuality:
 
 
 class TestRemnant:
+    def test_sample_memory_does_not_grow_with_the_samples(self, tmp_path):
+        # the draws are taken and written a block at a time; one rng.choice
+        # call would hold 16 B a sample
+        def peak(n):
+            apparatus._bench.cache_clear()
+            tracemalloc.start()
+            try:
+                argv = ("--seed", "1", "--samples", str(n), "--out", str(tmp_path))
+                assert run("remnant", *argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10**6) - peak(10**4) < 2**19
+
     def test_headers_and_custom_direction(self, cli_out):
         rows = (cli_out / "remnant.csv").read_text().splitlines()
         assert rows[1] == "x_m,total,post_vU,post_vL,post_plus,post_minus,post_custom"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from afsharsim import apparatus
 from afsharsim.remnant import (
     RemnantState,
     VibrationalDirection,
@@ -10,7 +11,13 @@ from afsharsim.remnant import (
     sample_sites,
     total_pattern,
 )
-from afsharsim.wavefield import ComplexField, Grid
+from afsharsim.wavefield import _BLOCK, ComplexField, Grid
+
+
+def drawn(state, n, seed):
+    """``sample_sites``' blocks for one seed, concatenated."""
+    return np.concatenate(list(sample_sites(state, n, np.random.default_rng(seed))))
+
 
 def toy_state(a, b):
     a = np.asarray(a, dtype=complex)
@@ -118,11 +125,20 @@ class TestPostselect:
             VibrationalDirection(1.0, 1.0)
 
 
+@pytest.fixture(scope="module")
+def states(geometry, bench_grid):
+    """The screen state on the default 2^14 grid and on 2^16 x 1.25e-6."""
+    return {
+        grid.n_samples: build_remnant(*apparatus.sigma1_fields(geometry, grid))
+        for grid in (bench_grid, Grid(2**16, 1.25e-6))
+    }
+
+
 class TestSampling:
     def test_seed_determinism(self, sigma1_fields):
         state = build_remnant(*sigma1_fields)
-        a = sample_sites(state, 100, np.random.default_rng(42))
-        b = sample_sites(state, 100, np.random.default_rng(42))
+        a = drawn(state, 100, 42)
+        b = drawn(state, 100, 42)
         assert np.issubdtype(a.dtype, np.integer)
         assert a.min() >= 0 and a.max() < state.sites.size
         np.testing.assert_array_equal(a, b)
@@ -132,8 +148,21 @@ class TestSampling:
         state = build_remnant(*sigma1_fields)
         p = total_pattern(state)
         expected = np.random.default_rng(seed).choice(state.sites, size=1000, p=p / p.sum())
-        drawn = state.sites[sample_sites(state, 1000, np.random.default_rng(seed))]
-        np.testing.assert_array_equal(drawn, expected)
+        np.testing.assert_array_equal(state.sites[drawn(state, 1000, seed)], expected)
+
+    # the CDF-once draw takes the steps Generator.choice takes; if a numpy
+    # release changes choice, this says so
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4 * _BLOCK + 1])
+    @pytest.mark.parametrize("n_samples", [2**14, 2**16])
+    def test_blocks_equal_one_choice_call(self, states, n_samples, n):
+        state = states[n_samples]
+        p = total_pattern(state)
+        p = p / p.sum()
+        for seed in range(10):
+            blocks = list(sample_sites(state, n, np.random.default_rng(seed)))
+            assert [len(b) for b in blocks] == [min(_BLOCK, n - i) for i in range(0, n, _BLOCK)]
+            expected = np.random.default_rng(seed).choice(state.sites.size, size=n, p=p)
+            assert np.concatenate(blocks).tobytes() == expected.tobytes()
 
 
 class TestQubitAnalogy:
@@ -170,6 +199,11 @@ class TestStateValidation:
     def test_norm_enforced(self):
         with pytest.raises(ValueError, match="norm"):
             RemnantState(np.array([0.0]), np.array([1.0]), np.array([1.0]))
+
+    def test_nan_amplitude_rejected(self):
+        # a NaN norm is neither within nor beyond the tolerance of 1
+        with pytest.raises(ValueError, match="norm"):
+            RemnantState(np.array([0.0, 1.0]), np.array([1.0, np.nan]), np.array([0.0, 0.0]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
