@@ -30,7 +30,6 @@ from .wavefield import (
     Grid,
     _frozen,
     _owned,
-    _row_blocks,
     check_window,
 )
 
@@ -70,8 +69,6 @@ class DetectorModel:
 
     ``d`` has shape ``(..., 2)`` and ``U_plus``/``U_minus`` shape
     ``(..., 2, 2)``; a single detector is the stack with no leading axis.
-    Norms and unitarity are checked ``_BLOCK`` detectors at a time, so the
-    check's temporaries do not grow with the stack.
     """
 
     d: np.ndarray
@@ -116,19 +113,16 @@ def _reject(
     """Raise ValueError for the first detector whose deviation is not within _NORM_TOL.
 
     ``values`` holds one state or unitary per detector of a stack of leading
-    shape ``stack``; ``deviation`` maps a block of ``_BLOCK`` of them,
-    flattened, to one deviation each.  ``message`` is formatted with the
-    first bad deviation; for a stack the error also names the detector's
-    index.
+    shape ``stack``; ``deviation`` maps them, flattened, to one deviation
+    each.  ``message`` is formatted with the first bad deviation; for a stack
+    the error also names the detector's index.
     """
-    rows = values.reshape((-1,) + values.shape[len(stack) :])
-    for block in _row_blocks(len(rows)):
-        dev = deviation(rows[block])
-        bad = np.flatnonzero(~(dev <= _NORM_TOL))
-        if len(bad):
-            index = tuple(int(i) for i in np.unravel_index(block.start + bad[0], stack))
-            where = f"detector {index[0] if len(index) == 1 else index}: " if index else ""
-            raise ValueError(where + message.format(dev[bad[0]]))
+    dev = deviation(values.reshape((-1,) + values.shape[len(stack) :]))
+    bad = np.flatnonzero(~(dev <= _NORM_TOL))
+    if len(bad):
+        index = tuple(int(i) for i in np.unravel_index(bad[0], stack))
+        where = f"detector {index[0] if len(index) == 1 else index}: " if index else ""
+        raise ValueError(where + message.format(dev[bad[0]]))
 
 
 def _adjoint(u: np.ndarray) -> np.ndarray:
@@ -190,19 +184,15 @@ def vk_from_detector(model: DetectorModel) -> VKPair:
     """V = |<d| U_minus U_plus^dag |d>| and K = sqrt(1 - V^2) for every detector.
 
     V and K have the stack's leading shape (scalars for a single detector).
-    The overlaps are taken ``_BLOCK`` detectors at a time, so their
-    temporaries do not grow with the stack.
     """
     stack = model.d.shape[:-1]
     d = model.d.reshape(-1, 2)
     u_plus, u_minus = (u.reshape(-1, 2, 2) for u in (model.U_plus, model.U_minus))
-    v, k = np.empty(len(d)), np.empty(len(d))
-    for rows in _row_blocks(len(d)):
-        op = u_minus[rows] @ _adjoint(u_plus[rows])
-        overlap = np.abs(_dot(d[rows].conj(), (op @ d[rows][..., None])[..., 0]))
-        v[rows] = np.minimum(overlap, 1.0)
-        # the clamp absorbs ~1e-16 negatives from the subtraction
-        k[rows] = np.sqrt(np.maximum(0.0, 1.0 - v[rows] * v[rows]))
+    op = u_minus @ _adjoint(u_plus)
+    overlap = np.abs(_dot(d.conj(), (op @ d[..., None])[..., 0]))
+    v = np.minimum(overlap, 1.0)
+    # the clamp absorbs ~1e-16 negatives from the subtraction
+    k = np.sqrt(np.maximum(0.0, 1.0 - v * v))
     return VKPair(V=v.reshape(stack)[()], K=k.reshape(stack)[()])
 
 
@@ -237,21 +227,15 @@ def probe_detector_model(probe: ProbeAmplitudes) -> DetectorModel:
 def random_detector_model(rng: np.random.Generator, n: int) -> DetectorModel:
     """Stack of n Haar-random pure detector models (random d, random unitaries).
 
-    Each detector takes a row of 20 normals: d (real, then imaginary parts),
-    then U_plus and U_minus (real 2x2, then imaginary 2x2).  The rows are
-    drawn ``_BLOCK`` at a time into the preallocated stack; the draws go on
-    from one stream, so the stack equals one ``(n, 20)`` draw and detector
-    i does not depend on n.
+    Each detector takes a row of one ``(n, 20)`` draw of normals: d (real,
+    then imaginary parts), then U_plus and U_minus (real 2x2, then imaginary
+    2x2).  So detector i does not depend on n.
     """
-    d = np.empty((n, 2), dtype=np.complex128)
-    u_plus = np.empty((n, 2, 2), dtype=np.complex128)
-    u_minus = np.empty((n, 2, 2), dtype=np.complex128)
-    for rows in _row_blocks(n):
-        z = rng.normal(size=(rows.stop - rows.start, 20))
-        re, im = z[:, 0:2], z[:, 2:4]
-        d[rows] = (re + 1j * im) / np.sqrt(_dot(re, re) + _dot(im, im))[:, None]
-        u_plus[rows] = _haar_unitaries(z[:, 4:12])
-        u_minus[rows] = _haar_unitaries(z[:, 12:20])
+    z = rng.normal(size=(n, 20))
+    re, im = z[:, 0:2], z[:, 2:4]
+    d = (re + 1j * im) / np.sqrt(_dot(re, re) + _dot(im, im))[:, None]
+    u_plus = _haar_unitaries(z[:, 4:12])
+    u_minus = _haar_unitaries(z[:, 12:20])
     return DetectorModel(d=_owned(d), U_plus=_owned(u_plus), U_minus=_owned(u_minus))
 
 

@@ -186,13 +186,31 @@ def _read_csv(
     return header, columns
 
 
+def _read_finite(path: Path, required: tuple[str, ...] = ()) -> tuple[list[str], dict]:
+    """:func:`_read_csv` for a file whose numbers a verdict reads as they are.
+
+    A non-finite number passes or fails a threshold by accident, so a file
+    holding one is refused, naming its first one in row order.
+    """
+    header, columns = _read_csv(path, required)
+    if all(np.isfinite(c).all() for c in columns.values() if isinstance(c, np.ndarray)):
+        return header, columns
+    lines = path.read_text().splitlines()
+    top = 1 if lines[0].startswith(_STAMP) else 0
+    for lineno, line in enumerate(lines[top + 1 :], start=top + 2):
+        for name, value in zip(header, line.split(",") if line else []):
+            if name not in _TEXT_COLUMNS and not np.isfinite(_parse([value], [0])).all():
+                raise ReportError(f"{path}:{lineno}: {name} = {value!r} is not finite")
+    raise ReportError(f"{path}: malformed")
+
+
 def _as_list(column) -> list:
     """A column of ``_read_csv`` as a list of strings or Python floats."""
     return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 def _read_powers(path: Path) -> list[dict]:
-    header, columns = _read_csv(path)
+    header, columns = _read_finite(path)
     if tuple(header) != POWERS_COLUMNS:
         line = 1 if _read_stamp(path) is None else 2
         raise ReportError(f"{path}:{line}: header is not {','.join(POWERS_COLUMNS)}")
@@ -200,8 +218,8 @@ def _read_powers(path: Path) -> list[dict]:
 
 
 def _read_pairs(path: Path, first: str, second: str) -> list[tuple]:
-    """(first, second) column pairs of an emitted CSV, in row order."""
-    _, columns = _read_csv(path, (first, second))
+    """(first, second) column pairs of an emitted CSV of finite numbers, in row order."""
+    _, columns = _read_finite(path, (first, second))
     return list(zip(_as_list(columns[first]), _as_list(columns[second])))
 
 

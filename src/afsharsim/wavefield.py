@@ -16,19 +16,6 @@ array, or a view, whose base may still be written).  So a producer that
 has just made an array hands it over with :func:`_owned` and no copy is
 taken, while an array from outside is copied once.
 
-Kernels, the factors that depend on the geometry alone, are built once and
-cached, as an FFT library caches its plans: the transfer function of
-:func:`propagate`, keyed by (grid, wavenumber, distance) and holding the
-last three (one bench propagates over three distances), and the factor of
-:func:`thin_lens`, keyed by (grid, wavelength, focal length) and holding the
-last one.  The keys are immutable values (a frozen :class:`Grid` and
-floats), a cached kernel is read-only, and building one reads nothing but
-its key, so a hit returns the very bits a miss would build and no caller
-can tell them apart.  ``propagate`` forms ``H*S`` with the transfer
-function as the first operand (a complex product can round differently
-with its operands swapped) and applies the n/2 + 1 stored bins to the
-upper bins as a reversed view, so no full-length kernel is built.
-
 An element-wise step writes into the array its result will own
 (:func:`intensity` squares its ``abs`` in place), so it makes no temporary
 the size of a field: a freed array of that size goes back to the kernel
@@ -48,7 +35,6 @@ allocating call.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -238,17 +224,15 @@ def _wavenumbers(grid: Grid, count: int) -> np.ndarray:
     return 2.0 * np.pi * (np.arange(count) * (1.0 / (grid.n_samples * grid.spacing)))
 
 
-# one bench propagates over three distances
-@functools.lru_cache(maxsize=3)
 def _transfer(grid: Grid, k: float, distance: float) -> np.ndarray:
     """Angular-spectrum transfer function ``exp(i*distance*kz)`` on bins 0..n/2.
 
     Zero on evanescent bins (``kx^2 > k^2``).  It is even in kx, so bins
     n/2+1..n-1 are bins n/2-1..1 mirrored, and only the n/2 + 1 bins 0..n/2
-    are built and returned, read-only; the phase factor is filled from
-    ``cos``/``sin``, which gives the same bits as the complex ``exp`` of a
-    purely imaginary argument.  The n/2 + 1 values of kx come from
-    :func:`_wavenumbers`; only kx^2 is used.  Cached: see the module notes.
+    are built and returned; the phase factor is filled from ``cos``/``sin``,
+    which gives the same bits as the complex ``exp`` of a purely imaginary
+    argument.  The n/2 + 1 values of kx come from :func:`_wavenumbers`; only
+    kx^2 is used.
     """
     kx = _wavenumbers(grid, grid.n_samples // 2 + 1)
     kz = np.sqrt(np.maximum(k * k - kx * kx, 0.0))
@@ -257,7 +241,7 @@ def _transfer(grid: Grid, k: float, distance: float) -> np.ndarray:
     half.real = np.cos(phase)
     half.imag = np.sin(phase)
     half[kx * kx > k * k] = 0.0
-    return _owned(half)
+    return half
 
 
 def _require_finite(samples: np.ndarray) -> None:
@@ -271,14 +255,14 @@ def _transfer_into(
 ) -> np.ndarray:
     """Write H*S, the spectrum ``source`` propagated by ``distance``, into ``out``.
 
-    The transfer function is the first operand, bin by bin, on the n/2 + 1
-    built bins and on their mirror image; ``out`` may be ``source`` itself,
-    since each bin reads only its own.
+    The transfer function is the first operand (a complex product can round
+    differently with its operands swapped), bin by bin, on the n/2 + 1 built
+    bins and, read as a reversed view, on their mirror image, so no
+    full-length transfer function is built; ``out`` may be ``source``
+    itself, since each bin reads only its own.
     """
     n = grid.n_samples
-    # -0.0 + 0.0 is 0.0: the two zero distances are one cache key, so they
-    # must give one transfer function
-    half = _transfer(grid, wavenumber, distance + 0.0)
+    half = _transfer(grid, wavenumber, distance)
     np.multiply(half, source[: n // 2 + 1], out=out[: n // 2 + 1])
     np.multiply(half[n // 2 - 1 : 0 : -1], source[n // 2 + 1 :], out=out[n // 2 + 1 :])
     return out
@@ -314,19 +298,18 @@ def apply_mask(field: ComplexField, mask: Mask) -> ComplexField:
     return ComplexField(field.grid, _owned(masked), field.wavelength)
 
 
-@functools.lru_cache(maxsize=1)
 def _lens_factor(grid: Grid, wavelength: float, focal_length: float) -> np.ndarray:
-    """The thin-lens factor ``exp(-i*pi*x^2/(lambda*f))`` on the grid, read-only.
+    """The thin-lens factor ``exp(-i*pi*x^2/(lambda*f))`` on the grid.
 
     Filled from ``cos``/``sin``, the same bits as the complex ``exp`` of the
-    purely imaginary phase.  Cached: see the module notes.
+    purely imaginary phase.
     """
     x = grid.coordinates
     phase = -np.pi * x * x / (wavelength * focal_length)
     factor = np.empty(x.shape, dtype=np.complex128)
     factor.real = np.cos(phase)
     factor.imag = np.sin(phase)
-    return _owned(factor)
+    return factor
 
 
 def _lens_into(

@@ -605,6 +605,17 @@ class TestReport:
             ("powers.csv", "", "powers.csv"),
             ("powers.csv", POWERS.replace("0.5\n", "abc\n"), "powers.csv:2"),
             ("powers.csv", POWERS.replace("power_incident", "p_in"), "powers.csv:1"),
+            # a non-finite number would pass or fail a verdict by accident
+            (
+                "powers.csv",
+                POWERS + "both,in,1.0,1.0,inf,0.5,0.5\n",
+                "powers.csv:3: power_at_detectors = 'inf' is not finite",
+            ),
+            (
+                "visibility_bins.csv",
+                "bin_width_m,V\n5e-06,1.0\n0.00032,-inf\n",
+                "visibility_bins.csv:3: V = '-inf' is not finite",
+            ),
             ("vk.csv", "model,a_or_V_source,V,K,V2K2\nprobe,x,0.5\n", "vk.csv:2"),
             ("visibility_bins.csv", "bin_width_m,V\n5e-06,one\n", "visibility_bins.csv:2"),
             ("remnant.csv", "x_m,total\n", "remnant.csv"),
@@ -676,6 +687,7 @@ class TestReport:
                 "remnant_summary.csv: missing key 'post_vL'",
             ),
             ("derived.csv", "name,value\nfill_factor,0.1\n", "derived.csv:1: missing column"),
+            ("derived.csv", "key,value\nfill_factor,inf\n", "derived.csv:2: value = 'inf' is not finite"),
         ],
     )
     def test_malformed_companion_csv_exits_2_with_one_line(
@@ -801,6 +813,16 @@ class TestProvenance:
         err = capsys.readouterr().err
         assert "unstamped" in err and DEFAULT_FINGERPRINT in err and err.count("\n") == 1
         assert snapshot(out) == {"powers.csv": unstamped.encode()}
+
+    def test_non_finite_powers_csv_is_named_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        text = TestReport.POWERS.replace("both,out,1.0", "both,out,nan")
+        (out / "powers.csv").write_text(text)
+        assert run("simulate", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {out / 'powers.csv'}:2: power_incident = 'nan' is not finite\n"
+        assert snapshot(out) == {"powers.csv": text.encode()}
 
     @pytest.mark.parametrize("name", ["derived.csv", "remnant.csv", "remnant_summary.csv"])
     def test_report_refuses_inputs_of_different_configs(self, cli_out, tmp_path, capsys, name):

@@ -9,7 +9,6 @@ from afsharsim.wavefield import (
     ComplexField,
     _first_index,
     _interpolate,
-    _lens_factor,
     _lens_into,
     _masked_into,
     _tail_fraction,
@@ -343,8 +342,8 @@ class TestOwnership:
         assert Mask(grid, amps).transmission is amps
 
 
-class TestKernelCache:
-    """Geometry-only kernels are built once per key, and a hit is a miss's bits."""
+class TestTransferFunction:
+    """The half-built transfer function, and propagate's H*S, against direct full-length builds."""
 
     GRIDS = [Grid(2**14, 5e-6), Grid(2**16, 1.25e-6), Grid(2**12, 2e-7)]
     IDS = ["2^14", "2^16", "2^12-evanescent"]
@@ -368,29 +367,16 @@ class TestKernelCache:
         mirrored = np.array(half[n // 2 - 1 : 0 : -1])
         np.testing.assert_array_equal(mirrored.view(float), direct[n // 2 + 1 :].view(float))
 
-
-    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
-    def test_cached_kernels_are_the_uncached_builds_and_read_only(self, grid):
-        k = 2 * np.pi / WAVELENGTH
-        for cached, args in ((_transfer, (grid, k, 0.75)), (_lens_factor, (grid, WAVELENGTH, 0.5))):
-            first, again = cached(*args), cached(*args)
-            assert again is first
-            fresh = cached.__wrapped__(*args)
-            assert fresh is not first
-            np.testing.assert_array_equal(first.view(float), fresh.view(float))
-            with pytest.raises(ValueError, match="read-only"):
-                first[0] = 0.0
-
-    def test_negative_zero_distance_caches_the_zero_distance_kernel(self):
-        # 0.0 and -0.0 are one cache key, and their builds differ in the sign
-        # of zero phases; propagate asks for +0.0 either way, so the kernel
-        # kept under the key is the +0.0 build, whichever call came first
-        grid = Grid(512, 3e-6)  # a key no other test builds
+    @pytest.mark.parametrize("n", [512, 2**14])
+    def test_negative_zero_distance_is_the_zero_distance_bit_for_bit(self, n):
+        # a -0.0 distance gives -0.0 phases, whose sine is -0.0, so its H
+        # differs from the 0.0 build in the sign of zero imaginary parts;
+        # that sign can show only where the spectrum holds exact zeros
+        grid = Grid(n, 3e-6)
         field = band_limited_field(grid, seed=24)
-        propagate(field, -0.0)
-        cached = _transfer(grid, field.wavenumber, 0.0)
-        fresh = _transfer.__wrapped__(grid, field.wavenumber, 0.0)
-        np.testing.assert_array_equal(cached.view(np.uint64), fresh.view(np.uint64))
+        assert np.count_nonzero(np.fft.fft(field.amplitudes) == 0.0) > 0
+        got = propagate(field, -0.0).amplitudes
+        assert got.tobytes() == propagate(field, 0.0).amplitudes.tobytes()
 
     @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
     @pytest.mark.parametrize("distance", [1.0, -0.3])
@@ -412,7 +398,7 @@ class TestInPlaceKernels:
     """A kernel writing over its own input, and a transform written through
     ``out=``, give the bits of the allocating operation."""
 
-    @pytest.mark.parametrize("grid", TestKernelCache.GRIDS, ids=TestKernelCache.IDS)
+    @pytest.mark.parametrize("grid", TestTransferFunction.GRIDS, ids=TestTransferFunction.IDS)
     def test_in_place_products_are_the_allocating_operations_bit_for_bit(self, grid):
         field = band_limited_field(grid, seed=26)
         spectrum = np.fft.fft(field.amplitudes)
@@ -439,7 +425,7 @@ class TestInPlaceKernels:
         got = apply_mask(field, Mask(grid, t)).amplitudes
         np.testing.assert_array_equal(got.view(float), expected.view(float))
 
-    @pytest.mark.parametrize("grid", TestKernelCache.GRIDS, ids=TestKernelCache.IDS)
+    @pytest.mark.parametrize("grid", TestTransferFunction.GRIDS, ids=TestTransferFunction.IDS)
     def test_transforms_through_out_are_the_allocating_transforms_bit_for_bit(self, grid):
         samples = band_limited_field(grid, seed=27).amplitudes
         out = np.empty_like(samples)
