@@ -16,116 +16,53 @@ computation box all the way to the lens.  The window's flat passband covers
 the whole fringe region at sigma1, so fringe positions and the single-slit
 envelope there are unaffected.  The wire bars are given a narrow tanh edge
 (about one sample) for the same reason; their nominal width is preserved in
-amplitude, and in power each bar takes wire_width + edge from a uniform beam.
-Each bar's tanh is evaluated only within ``_WIRE_EDGE_REACH`` edge scales
-of the bar: beyond that tanh is exactly +-1 in double precision, so the bar
-is exactly 0 and the windowed mask equals the full-grid product bit for bit.
-The upper slit's transmission is the one source field (a unit plane wave
-at normal incidence); the lower slit is its mirror image x -> -x (sample
-i -> (n - i) mod n on the periodic grid), formed at sigma1 since
-propagation preserves it, so both slits are exactly phi_U + phi_L there.
-The scale max(|upper| + |mirror(upper)|) keeps the slit pair passive; the
-sum at sample i is the sum at n - i, so the peak is scanned over samples
-0..n/2 only.  The synthesis ``ifft``'s own buffer becomes the source's
-samples, its real part scaled in place and its imaginary part zeroed.
+amplitude, and each bar's tanh is evaluated only within
+``_WIRE_EDGE_REACH`` edge scales of it, beyond which it is exactly +-1.
 
+The lower slit is the upper one's mirror image x -> -x (sample i ->
+(n - i) mod n on the periodic grid).  Past sigma1 every element is linear
+and even under the mirror: the wire grid, the transfer functions and the
+lens factor on a grid centered on the axis.  So phi_L at every plane is
+phi_U mirrored, and only phi_U is propagated, once per grid state; a grid
+not centered on the axis has no such symmetry, so the bench refuses it.
 Synthesis and minima refinement work only on the source band, the bins
-with |kx| < k_cut: in FFT order two runs, 0..m-1 and n-m+1..n-1, whose kx
-are built directly.  The slit spectrum is evaluated there and written into
-a zero spectrum, and the interpolant that refines the minima sums only
-those bins, each evaluation taking the rotation exp(i*kx*(x - x0)) as one
-complex ``exp`` over the band (``wavefield._interpolate``).  The
-restriction to the band is exact to roundoff, because the source spectrum
-is zero beyond k_cut by construction and propagation multiplies each bin
-by a phase, so the sigma1 field's bins beyond k_cut hold only FFT roundoff
-(1e-31 to 2e-31 of its energy).  The wire grid breaks the band limit, so
-the propagations past sigma1 take every bin.  The minima are refined from
-the both-slit band bins, ``b + mirror(b)`` for phi_U's band bins b
-(phi_L's bin i is phi_U's bin n - i, and the mirror map swaps the two
-runs), the bits phi_U + phi_L holds there.
+with |kx| < k_cut.  That is exact to roundoff: the source spectrum is zero
+beyond k_cut by construction, and propagation multiplies each bin by a
+phase.  The wire grid breaks the band limit, so the propagations past
+sigma1 take every bin.
 
-Past sigma1 every element is linear and even under the mirror: the wire
-grid (its minima are mirrored and each bar's tanh is odd), the transfer
-functions (even in kx, the upper bins a reversed view of the lower) and
-the lens factor (even in x on a grid centered on the axis) each equal
-their mirror image bit for bit.  So phi_L at every later plane is phi_U
-mirrored and phi_U + phi_L is the sum of the two, and only phi_U is taken
-downstream, once per grid state.  Upper records and every sigma1 quantity
-have the bits of the public operations chained on fresh fields; lower and
-both sigma2 values differ from phi_L and phi_U + phi_L propagated directly
-by FFT roundoff (at most 8.9e-16 of the profile's peak, 3.1e-15 of a
-power, on 2^14 and 2^16 samples).  A grid not centered on the axis has no
-such symmetry (there i -> n - i reflects about the grid's center), so the
-bench refuses it.
-
-Caching follows one rule: everything a scenario returns is formed once
-per bench.  One bench is one (geometry, grid), a ``_Bench``, and the last
-one is kept.  It is built with phi_U, its spectrum H*S and the sigma1
-guard's failures (``sigma1``), which every caller starts from, and its
-other stages on first use, each by a caller that needs it: the refined
-minima, by a scenario whose wire grid or record needs them, so a single
-slit with the grid out still runs where they cannot be resolved; the
-sigma1 profiles |phi_U|^2 and |phi_U + phi_L|^2 (``incident``), by a
-scenario run, so ``sigma1_fields`` and ``fringe_minima`` pay nothing for
-them; phi_U's pass for each grid state (``upper_pass``), which keeps its
-sigma2 samples and their profile, its sigma1 profile behind the wire grid
-(with the grid out the ``incident`` array itself) and, with the grid in,
-the wire grid; and each scenario's record (``record``).  The key is
-frozen, the arrays are read-only, and a stage reads nothing but the key
+Everything a scenario returns is formed once per bench.  One bench is one
+(geometry, grid), a ``_Bench``, and the last one is kept.  It is built with
+phi_U, its spectrum H*S and the sigma1 guard's failures (``sigma1``); its
+other stages, the refined minima, the sigma1 profiles (``incident``),
+phi_U's pass per grid state (``upper_pass``) and each scenario's record
+(``record``), are built on first use by a caller that needs them, so a
+single slit with the grid out still runs where the minima cannot be
+resolved.  The arrays are read-only and a stage reads nothing but the key
 and earlier stages, so a hit returns the very bits a miss builds; a build
-that raises (a guard failure, an unresolvable minimum) stores nothing, so
-the next call raises again.  Another key releases the whole of the last
-bench.
+that raises stores nothing, so the next call raises again.  A record
+shares the bench's arrays where it can, and only a both-slit record
+squares profiles of its own.
 
-A record shares the bench's arrays where it can: an upper record takes
-phi_U's profiles, a lower one their mirror (|mirror(u)|^2 is
-mirror(|u|^2) bit for bit), and a both-slit record squares the only
-profiles of its own, those of phi_U + phi_L formed in one buffer at
-sigma1 (grid in, masked in place) and at sigma2.  Window powers are
-``np.sum`` over a slice of the sigma2 profile, the bits of ``total_power``
-on the sigma2 field.
+Every stage is checked against the band-limit guard, and a violation
+raises :class:`BandLimitError` naming the stage.  From sigma1 on one rule
+(``_guard_slits``) guards the three slit configurations at once and
+records each one's first failing stage instead of raising it, so a failure
+raises for the scenarios of that configuration only, on every call, and a
+sigma1 failure raises before anything downstream is built.  Each
+stage guards the spectrum it already has, with no extra transform.  The
+guard fails closed: an FFT spreads one non-finite sample over every bin,
+so a stage that makes a non-finite field fails its own guard.
 
-Every stage of a scenario run is checked against the band-limit guard and
-violations raise :class:`BandLimitError` naming the stage: ``source`` on
-the one synthesized source, ``sigma1``, then the rows of the upper pass.
-From sigma1 on one rule guards every stage (``_guard_slits``): phi_U's
-spectrum, its mirror (phi_L's, no FFT) and their sum (phi_U + phi_L's) are
-guarded once per bench, and each slit configuration's first failing stage
-is recorded instead of raised, at sigma1 in the bench's ``sigma1`` stage
-and later in the upper pass, which starts from the sigma1 failures.  So a
-failure raises for the scenarios of that configuration only, on every
-call, and a sigma1 failure raises before anything downstream is built:
-``run_scenario``, ``sigma1_fields`` (phi_U's) and ``fringe_minima``
-(phi_U + phi_L's) raise it first.  The guard fails closed: a non-finite
-spectrum gives a nan tail fraction, and an FFT spreads one non-finite
-sample over every bin, so a stage that makes a non-finite field fails its
-own guard, and no stage past the source checks its samples for finiteness.
-
-Each stage guards the spectrum it already has, with no extra transform.
-H*S is the FFT of its ``ifft`` to roundoff, so every guard checks what a
-fresh FFT would give it.  The sigma1 stage keeps phi_U's H*S beside its
-samples, formed in place in the source's band spectrum: that spectrum is
-exact, so the sigma1 guards, the minima refinement and the pass with the
-grid out read H*S, where a fresh FFT of phi_U's samples would move the
-upper records' bits.
-
-Past sigma1 the upper pass is a table of rows ``(name, spatial, kernel)``,
+Past sigma1 phi_U's pass is a table of rows ``(name, spatial, kernel)``,
 ``wire_grid`` (grid in only), ``lens``, ``lens_phase`` and ``sigma2``,
 that one loop runs in two complex buffers, one of samples and one of
-spectrum.  A spatial row (wire grid, lens phase) multiplies the samples
-and takes their ``fft``; a spectral row (a propagation) forms H*S and
-takes its ``ifft``.  The first row reads the held phi_U (grid in) or its
-H*S (grid out), so the held arrays are never written; every later row
-works in place.  Each row's spectrum is guarded, and the loop stops once
-all three slit configurations have failed.  The kernels are those the
+spectrum.  A spatial row multiplies the samples and takes their ``fft``;
+a spectral row (a propagation) forms H*S and takes its ``ifft``.  The
+first row reads the held phi_U or its H*S, so the held arrays are never
+written, and every later row works in place.  The kernels are those the
 public ``apply_mask``, ``propagate`` and ``thin_lens`` wrap, with their
-operand orders, so phi_U's sigma2 samples have the bits of those
-operations chained on fresh fields.  No row reads a buffer after it has
-been overwritten: an in-place product reads each element before it
-writes it, and a transform writes the buffer it does not read.  A third
-buffer takes each row's mirrored spectrum and then, added in place, the
-summed one.  The last samples buffer becomes the pass's sigma2 samples,
-read-only.
+operand orders.
 """
 
 from __future__ import annotations
@@ -845,17 +782,10 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     propagate to lens -> thin lens -> propagate to sigma2.  The band-limit
     guard runs after every stage; ``power_incident`` is measured at sigma1
     before the grid, ``intensity_sigma1`` after it.  The window powers are
-    the bits of ``total_power`` over the two :func:`image_windows`; a
-    sample exactly on the shared boundary x = 0 counts in neither.
-    Mirrored fields give mirrored window powers to roundoff, not bit for
-    bit: each window is summed in index order, so upper's window U and
-    lower's window L add the same squares in opposite orders.  A window
-    beyond the grid, or a grid not centered on the axis x = 0, about which
-    the bench is mirror-symmetric, raises ValueError before any field is
-    built, on every call.  The record is the bench's: built on the
-    scenario's first call and returned itself on every later one, so a
-    guard failure or an unresolvable minimum, which stores no record,
-    raises on every call (see the module notes).
+    ``total_power`` over the two :func:`image_windows`.  A window beyond
+    the grid, or a grid not centered on the axis, raises ValueError before
+    any field is built.  The record is the bench's, built on the scenario's
+    first call (see the module notes).
     """
     _detector_windows(geometry, grid)
     return _bench(geometry, grid).record(scenario)

@@ -12,12 +12,10 @@ neither its rows' floats nor its text.  ``duality`` and ``remnant`` draw
 their random detectors and detections a block at a time, so neither holds
 n of them either.
 
-powers.csv, derived.csv, sigma1.csv, sigma2.csv, remnant.csv and
-remnant_summary.csv depend on the bench config and start with its stamp
-(see ``report``): ``simulate`` and
-``remnant`` refuse an output directory holding one of them from another
-config, before anything is computed or written, so results of two configs
-never mix.
+The format of each CSV, its config stamp included, is stated once in
+``report``'s module notes.  ``simulate`` and ``remnant`` refuse an output
+directory holding a stamped file of another config, before anything is
+computed or written, so results of two configs never mix.
 
 Exit codes: 0 success, 2 usage, configuration or file-system error, 3
 band-limit guard violation (the message names the failing stage).
@@ -41,12 +39,12 @@ from . import apparatus, duality, remnant
 from .config import MAX_N_SAMPLES, ConfigError, load_config
 from .report import (
     POWERS_COLUMNS,
-    VK_COLUMNS,
     ReportError,
-    _STAMP,
+    _CSV,
     _STAMPED,
     _fmt,
     _fmt_rows,
+    _head,
     _powers_line,
     _read_csv,
     _read_powers,
@@ -146,7 +144,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # the rows this run's row joins; a malformed file is named before the stamps are compared
     powers_path = out / "powers.csv"
     rows = (
-        {(r["scenario"], r["grid"]): r for r in _read_powers(powers_path)}
+        {(r["scenario"], r["grid"]): r for r in _read_powers(powers_path)[1]}
         if powers_path.is_file()
         else {}
     )
@@ -160,22 +158,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     row = {column: getattr(record, column) for column in POWERS_COLUMNS[2:]}
     row.update(scenario=scenario.slits.value, grid=scenario.grid.value)
     rows[(row["scenario"], row["grid"])] = row
-    stamp = _STAMP + fingerprint
-    powers = [stamp, ",".join(POWERS_COLUMNS)]
+    powers = _head("powers.csv", fingerprint)
     powers += [_powers_line(rows[key]) for key in _SCENARIO_ORDER if key in rows]
     for name, profile in (
         ("sigma1.csv", record.intensity_sigma1),
         ("sigma2.csv", record.intensity_sigma2),
     ):
         rows = _fmt_rows(grid.coordinates, profile)
-        _write_lines(out / name, chain([stamp, "x_m,intensity"], rows))
+        _write_lines(out / name, chain(_head(name, fingerprint), rows))
     _write_lines(out / "powers.csv", powers)
     (u_lo, u_hi), (l_lo, l_hi) = apparatus.image_windows(geometry)
     _write_lines(
         out / "derived.csv",
-        [
-            stamp,
-            "key,value",
+        _head("derived.csv", fingerprint)
+        + [
             f"fill_factor,{_fmt(apparatus.fill_factor(geometry))}",
             f"fringe_spacing_m,{_fmt(geometry.fringe_spacing)}",
             f"magnification,{_fmt(geometry.magnification)}",
@@ -271,7 +267,8 @@ def cmd_duality(args: argparse.Namespace) -> int:
         path = Path(args.pattern)
         if not path.is_file():
             raise ConfigError(f"pattern file not found: {path}")
-        _, columns = _read_csv(path, ("x_m", "intensity"))
+        # a profile, as simulate writes them
+        _, _, columns = _read_csv(path, _CSV["sigma2.csv"].header)
         xs, pattern = columns["x_m"], columns["intensity"]
         if xs.size < 2:
             raise ConfigError(f"pattern CSV {path}: fewer than two samples")
@@ -297,7 +294,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
 
     widths = [j * grid.spacing for j in _ladder_widths(period_samples, args.bin_ladder)]
     vs = [duality.visibility_from_pattern(pattern, grid, bw, region) for bw in widths]
-    ladder_lines = ["bin_width_m,V"] + [f"{_fmt(bw)},{_fmt(v)}" for bw, v in zip(widths, vs)]
+    ladder = [f"{_fmt(bw)},{_fmt(v)}" for bw, v in zip(widths, vs)]
     fine_v = vs[0]  # the ladder starts at one sample, the fine-resolution estimator
     add_rows("pattern", [source], duality.VKPair(fine_v, np.sqrt(max(0.0, 1 - fine_v**2))))
 
@@ -308,13 +305,13 @@ def cmd_duality(args: argparse.Namespace) -> int:
         for model, sources, *columns in groups
         for source, values in zip(sources, _fmt_rows(*columns))
     )
-    _write_lines(out / "vk.csv", chain([",".join(VK_COLUMNS)], rows))
-    _write_lines(out / "visibility_bins.csv", ladder_lines)
+    _write_lines(out / "vk.csv", chain(_head("vk.csv"), rows))
+    _write_lines(out / "visibility_bins.csv", _head("visibility_bins.csv") + ladder)
     n_rows = sum(np.size(check) for *_, check in groups)
     deviation = max(np.max(np.abs(check - 1.0)) for *_, check in groups)
     print(
         f"duality: {n_rows} model rows, max |V^2+K^2-1| = {_fmt(deviation)}; "
-        f"ladder of {len(ladder_lines) - 1} widths on '{source}' pattern"
+        f"ladder of {len(ladder)} widths on '{source}' pattern"
     )
     return EXIT_OK
 
@@ -368,11 +365,13 @@ def cmd_remnant(args: argparse.Namespace) -> int:
     columns = (total, *(patterns[name] for name in names))
     # _fmt_rows first in the zip, so its float lists are freed when it runs out
     rows = (f"{x},{values}" for values, x in zip(_fmt_rows(*columns), x_m))
-    stamp = _STAMP + fingerprint
-    _write_lines(out / "remnant.csv", chain([stamp, "x_m,total," + ",".join(names)], rows))
+    # the table's columns are the four fixed directions; a custom one follows them
+    head = _head("remnant.csv", fingerprint, names[4:])
+    _write_lines(out / "remnant.csv", chain(head, rows))
     _write_lines(
         out / "remnant_summary.csv",
-        [stamp, "key,value"] + [f"{name},{_fmt(probs[name])}" for name in names],
+        _head("remnant_summary.csv", fingerprint)
+        + [f"{name},{_fmt(probs[name])}" for name in names],
     )
 
     if args.samples:
@@ -380,7 +379,7 @@ def cmd_remnant(args: argparse.Namespace) -> int:
         blocks = remnant.sample_sites(state, args.samples, rng)
         draws = chain.from_iterable(block.tolist() for block in blocks)
         rows = (f"{i},{x_m[site]}" for i, site in enumerate(draws))
-        _write_lines(out / "remnant_samples.csv", chain(["index,x_m"], rows))
+        _write_lines(out / "remnant_samples.csv", chain(_head("remnant_samples.csv"), rows))
 
     residues = [
         f"{label} = {_fmt(remnant.completeness_residue(probs, patterns, names, total))}"
@@ -452,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # Path("") is the current directory, where no command should write or read unasked
+        if args.out == "":
+            raise ConfigError("--out is empty; name a directory ('.' for the current one)")
         return args.fn(args)
     # OSError: an output or input path the file system refuses, e.g. --out
     # naming a regular file

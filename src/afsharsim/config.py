@@ -64,6 +64,8 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         convert = {"n_wires": int, "n_samples": int, "seed": int, "out_dir": str}.get(key, float)
         try:
+            if not value:  # str would take it: an empty out_dir is the current directory
+                raise ValueError(value)
             parsed = convert(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc

@@ -4,18 +4,33 @@ Every verdict in the report is recomputed from numbers present in the
 emitted CSV files (plus the geometric fill factor recorded alongside
 them); nothing is trusted from in-memory state.
 
-The CSVs whose numbers depend on the bench config (powers.csv, derived.csv,
-sigma1.csv, sigma2.csv, remnant.csv and remnant_summary.csv) start with a
-stamp line, ``# config `` and the config's fingerprint, above the header.
-A report is built only from files whose stamps agree; a file without a
-stamp counts as a config of its own.
+The CSV format is stated here once.  The ``_CSV`` table gives each output
+file's header, whether it starts with the config stamp and whether a
+verdict reads its numbers as they are; the commands write each file's
+stamp and header from it (``_head``), and every CSV is read by one reader
+(``_read_csv``).  Floats are written with ``repr``, so they read back to
+the same bits; the ``_TEXT_COLUMNS`` hold labels.
+
+A stamped file depends on the bench config: its first line is
+``# config`` and the config's fingerprint, above the header.  A report is
+built only from files whose stamps agree; a file without a stamp counts
+as a config of its own.
+
+The reader takes a file with one ``Path.read_text``.  The header must
+hold the table's columns (a writer may add more after them, as
+``remnant`` adds ``post_custom``; powers.csv's must be the table's
+exactly), and there must be at least one row.  Every row has the
+header's field count and a number in every float field.  Where a verdict
+reads the numbers as they are, a non-finite one would pass or fail a
+threshold by accident, so it is refused too.  A file that breaks a rule
+is refused with one message naming its first bad line in row order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -60,16 +75,29 @@ VK_COLUMNS = ("model", "a_or_V_source", "V", "K", "V2K2")
 # remnant_summary.csv.
 _POSTSELECTED = tuple(name for _, names in COMPLETENESS_PAIRS for name in names)
 
-# The stamp line that starts each config-dependent CSV, and those CSVs.
+
+class _Csv(NamedTuple):
+    """The format of one output CSV (see the module notes)."""
+
+    header: tuple[str, ...]
+    stamped: bool  # starts with the config stamp
+    finite: bool  # a verdict reads its numbers as they are, so they must be finite
+
+
+# Every output CSV, the stamped ones in the order their stamps are checked.
+_CSV = {
+    "powers.csv": _Csv(POWERS_COLUMNS, stamped=True, finite=True),
+    "derived.csv": _Csv(("key", "value"), stamped=True, finite=True),
+    "sigma1.csv": _Csv(("x_m", "intensity"), stamped=True, finite=False),
+    "sigma2.csv": _Csv(("x_m", "intensity"), stamped=True, finite=False),
+    "vk.csv": _Csv(VK_COLUMNS, stamped=False, finite=False),
+    "visibility_bins.csv": _Csv(("bin_width_m", "V"), stamped=False, finite=True),
+    "remnant.csv": _Csv(("x_m", "total") + _POSTSELECTED, stamped=True, finite=False),
+    "remnant_summary.csv": _Csv(("key", "value"), stamped=True, finite=True),
+    "remnant_samples.csv": _Csv(("index", "x_m"), stamped=False, finite=False),
+}
 _STAMP = "# config "
-_STAMPED = (
-    "powers.csv",
-    "derived.csv",
-    "sigma1.csv",
-    "sigma2.csv",
-    "remnant.csv",
-    "remnant_summary.csv",
-)
+_STAMPED = tuple(name for name, csv in _CSV.items() if csv.stamped)
 
 # Columns of the emitted CSVs that hold labels; every other column is a float.
 _TEXT_COLUMNS = frozenset({"scenario", "grid", "key", "model", "a_or_V_source"})
@@ -100,6 +128,16 @@ def _fmt_rows(*columns) -> Iterator[str]:
         yield from map(",".join, zip(*(map(repr, values) for values in floats)))
 
 
+def _head(name: str, fingerprint: str | None = None, extra: Iterable[str] = ()) -> list[str]:
+    """The lines above the rows of output file ``name``.
+
+    The stamp of ``fingerprint`` if the file is stamped, then its header,
+    with the ``extra`` columns after the table's.
+    """
+    stamp = [_STAMP + fingerprint] if _CSV[name].stamped else []
+    return stamp + [",".join((*_CSV[name].header, *extra))]
+
+
 def _powers_line(row: dict) -> str:
     return ",".join(row[c] if c in _TEXT_COLUMNS else _fmt(row[c]) for c in POWERS_COLUMNS)
 
@@ -110,7 +148,11 @@ def _parse(lines: list[str], usecols: list[int]) -> np.ndarray:
 
 
 def _read_stamp(path: Path) -> str | None:
-    """The config fingerprint on a stamped CSV's first line; None if it has no stamp."""
+    """The config fingerprint on a stamped CSV's first line; None if it has no stamp.
+
+    Reads that line only: ``simulate`` and ``remnant`` check the stamps of
+    whole profiles with it before they run.
+    """
     with path.open("rb") as f:
         first = f.readline()
     prefix = _STAMP.encode()
@@ -119,7 +161,9 @@ def _read_stamp(path: Path) -> str | None:
     return first[len(prefix) :].decode("ascii", "replace").rstrip("\r\n")
 
 
-def _first_bad_line(path: Path, lines: list[str], top: int, header: list[str]) -> ReportError:
+def _first_bad_line(
+    path: Path, lines: list[str], top: int, header: list[str], finite: bool
+) -> ReportError:
     """The error for the first malformed line of a CSV, in row order.
 
     ``lines[top]`` is the header.  Runs only after the bulk checks in
@@ -138,30 +182,33 @@ def _first_bad_line(path: Path, lines: list[str], top: int, header: list[str]) -
             if name in _TEXT_COLUMNS:
                 continue
             try:
-                _parse([value], [0])
+                number = _parse([value], [0])
             except ValueError:
                 return ReportError(f"{path}:{lineno}: {name} = {value!r} is not a number")
+            if finite and not np.isfinite(number).all():
+                return ReportError(f"{path}:{lineno}: {name} = {value!r} is not finite")
     return ReportError(f"{path}: malformed")
 
 
 def _read_csv(
-    path: Path, required: tuple[str, ...] = (), label_rows: int | None = None
-) -> tuple[list[str], dict[str, np.ndarray | list[str]]]:
-    """Header and columns of an emitted CSV, by header name.
+    path: Path, required: tuple[str, ...] = (), finite: bool = False, label_rows: int | None = None
+) -> tuple[str | None, list[str], dict[str, np.ndarray | list[str]]]:
+    """Stamp, header and columns of an emitted CSV, from one ``read_text``.
 
-    A stamp line above the header is skipped (see :func:`_read_stamp`).  A
-    label column is a list of strings, of the first ``label_rows`` rows
-    when that is given; every other column is one float array of all rows,
-    parsed in bulk.  Every line must have the header's field count.
-    Raises ReportError when the file is not text, when the header lacks one
-    of the ``required`` columns, on a malformed line (naming the first one)
-    and when there are no data rows.
+    The stamp is None when the file has none.  A label column is a list of
+    strings, of the first ``label_rows`` rows when that is given; every
+    other column is one float array of all rows, parsed in bulk.  Raises
+    ReportError when the file is not text, when the header lacks one of the
+    ``required`` columns, when there are no data rows and on a malformed
+    line, naming the first one (a non-finite number is malformed when
+    ``finite`` is set).
     """
     try:
         lines = path.read_text().splitlines()
     except UnicodeDecodeError as exc:
         raise ReportError(f"{path}: not a text file: {exc}") from None
-    top = 1 if lines and lines[0].startswith(_STAMP) else 0
+    stamp = lines[0][len(_STAMP) :] if lines and lines[0].startswith(_STAMP) else None
+    top = 0 if stamp is None else 1
     header = lines[top].split(",") if len(lines) > top else []
     missing = [name for name in required if name not in header]
     if header and missing:
@@ -170,57 +217,36 @@ def _read_csv(
     if not rows:
         raise ReportError(f"{path}: no data rows")
     numeric = [j for j, name in enumerate(header) if name not in _TEXT_COLUMNS]
-    commas = len(header) - 1
-    if any(line.count(",") != commas for line in rows):
-        raise _first_bad_line(path, lines, top, header)
     try:
+        if any(line.count(",") != len(header) - 1 for line in rows):
+            raise ValueError
         data = _parse(rows, numeric)
+        if finite and not np.isfinite(data).all():
+            raise ValueError
     except ValueError:
-        raise _first_bad_line(path, lines, top, header) from None
+        raise _first_bad_line(path, lines, top, header, finite) from None
     floats = dict(zip(numeric, data.T))
     labelled = rows[:label_rows]
     columns = {
         name: floats[j] if j in floats else [line.split(",", j + 1)[j] for line in labelled]
         for j, name in enumerate(header)
     }
-    return header, columns
+    return stamp, header, columns
 
 
-def _read_finite(path: Path, required: tuple[str, ...] = ()) -> tuple[list[str], dict]:
-    """:func:`_read_csv` for a file whose numbers a verdict reads as they are.
+def _read_powers(path: Path) -> tuple[str | None, list[dict]]:
+    """Stamp and rows of a powers.csv.
 
-    A non-finite number passes or fails a threshold by accident, so a file
-    holding one is refused, naming its first one in row order.
+    ``simulate`` rewrites the rows by column name, so the header must be
+    ``POWERS_COLUMNS`` whole and in order; it is checked after the rows.
     """
-    header, columns = _read_csv(path, required)
-    if all(np.isfinite(c).all() for c in columns.values() if isinstance(c, np.ndarray)):
-        return header, columns
-    lines = path.read_text().splitlines()
-    top = 1 if lines[0].startswith(_STAMP) else 0
-    for lineno, line in enumerate(lines[top + 1 :], start=top + 2):
-        for name, value in zip(header, line.split(",") if line else []):
-            if name not in _TEXT_COLUMNS and not np.isfinite(_parse([value], [0])).all():
-                raise ReportError(f"{path}:{lineno}: {name} = {value!r} is not finite")
-    raise ReportError(f"{path}: malformed")
-
-
-def _as_list(column) -> list:
-    """A column of ``_read_csv`` as a list of strings or Python floats."""
-    return column.tolist() if isinstance(column, np.ndarray) else column
-
-
-def _read_powers(path: Path) -> list[dict]:
-    header, columns = _read_finite(path)
+    stamp, header, columns = _read_csv(path, finite=_CSV["powers.csv"].finite)
     if tuple(header) != POWERS_COLUMNS:
-        line = 1 if _read_stamp(path) is None else 2
+        line = 1 if stamp is None else 2
         raise ReportError(f"{path}:{line}: header is not {','.join(POWERS_COLUMNS)}")
-    return [dict(zip(header, row)) for row in zip(*(_as_list(columns[name]) for name in header))]
-
-
-def _read_pairs(path: Path, first: str, second: str) -> list[tuple]:
-    """(first, second) column pairs of an emitted CSV of finite numbers, in row order."""
-    _, columns = _read_finite(path, (first, second))
-    return list(zip(_as_list(columns[first]), _as_list(columns[second])))
+    # Python floats, whose arithmetic in the verdicts raises no numpy warnings
+    values = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
+    return stamp, [dict(zip(header, row)) for row in zip(*values)]
 
 
 @dataclass
@@ -238,40 +264,19 @@ class Report:
     stamps: dict[str, str | None] = field(default_factory=dict)
 
 
-def _load_powers(report: Report, out_dir: Path) -> None:
-    path = out_dir / "powers.csv"
+def _load(report: Report, out_dir: Path, name: str, label_rows: int | None = None) -> dict:
+    """The columns of output file ``name`` in ``out_dir``, read by its ``_CSV`` row.
+
+    An empty dict when there is no such file; a stamped file's stamp goes
+    to ``report.stamps``.
+    """
+    path, csv = out_dir / name, _CSV[name]
     if not path.is_file():
-        return
-    report.power_rows = _read_powers(path)
-    report.stamps[path.name] = _read_stamp(path)
-    derived_path = out_dir / "derived.csv"
-    if derived_path.is_file():
-        report.derived = dict(_read_pairs(derived_path, "key", "value"))
-        report.stamps[derived_path.name] = _read_stamp(derived_path)
-
-
-def _load_vk(report: Report, out_dir: Path) -> None:
-    path = out_dir / "vk.csv"
-    if path.is_file():
-        _, report.vk_columns = _read_csv(path, VK_COLUMNS, label_rows=_VK_SHOWN)
-    ladder_path = out_dir / "visibility_bins.csv"
-    if ladder_path.is_file():
-        report.ladder = _read_pairs(ladder_path, "bin_width_m", "V")
-
-
-def _load_remnant(report: Report, out_dir: Path) -> None:
-    path = out_dir / "remnant.csv"
-    if not path.is_file():
-        return
-    _, report.remnant_columns = _read_csv(path, ("total",) + _POSTSELECTED)
-    report.stamps[path.name] = _read_stamp(path)
-    summary = out_dir / "remnant_summary.csv"
-    if summary.is_file():
-        report.remnant_probs = dict(_read_pairs(summary, "key", "value"))
-        report.stamps[summary.name] = _read_stamp(summary)
-        missing = [name for name in _POSTSELECTED if name not in report.remnant_probs]
-        if missing:
-            raise ReportError(f"{summary}: missing key {missing[0]!r}")
+        return {}
+    stamp, _, columns = _read_csv(path, csv.header, csv.finite, label_rows)
+    if csv.stamped:
+        report.stamps[name] = stamp
+    return columns
 
 
 def _grid_loss(row: dict | None) -> float | None:
@@ -412,9 +417,20 @@ def _remnant_verdicts(report: Report) -> None:
 def build_report(out_dir: str | Path) -> Report:
     out = Path(out_dir)
     report = Report()
-    _load_powers(report, out)
-    _load_vk(report, out)
-    _load_remnant(report, out)
+    # a companion file (derived.csv, remnant_summary.csv) is read only beside its main file
+    if (out / "powers.csv").is_file():
+        report.stamps["powers.csv"], report.power_rows = _read_powers(out / "powers.csv")
+        if derived := _load(report, out, "derived.csv"):
+            report.derived = dict(zip(derived["key"], derived["value"].tolist()))
+    report.vk_columns = _load(report, out, "vk.csv", _VK_SHOWN)
+    if ladder := _load(report, out, "visibility_bins.csv"):
+        report.ladder = list(zip(ladder["bin_width_m"].tolist(), ladder["V"].tolist()))
+    report.remnant_columns = _load(report, out, "remnant.csv")
+    if report.remnant_columns and (summary := _load(report, out, "remnant_summary.csv")):
+        report.remnant_probs = dict(zip(summary["key"], summary["value"].tolist()))
+        missing = [name for name in _POSTSELECTED if name not in report.remnant_probs]
+        if missing:
+            raise ReportError(f"{out / 'remnant_summary.csv'}: missing key {missing[0]!r}")
     if not (report.power_rows or report.vk_columns or report.ladder or report.remnant_columns):
         raise ReportError(f"no simulation CSV files found in {out}")
     if len(set(report.stamps.values())) > 1:

@@ -1,7 +1,9 @@
+import collections
 import dataclasses
 import itertools
 import math
 import os
+import pathlib
 import shutil
 import tempfile
 import tracemalloc
@@ -616,6 +618,12 @@ class TestReport:
                 "bin_width_m,V\n5e-06,1.0\n0.00032,-inf\n",
                 "visibility_bins.csv:3: V = '-inf' is not finite",
             ),
+            # one scan names the first bad line: a non-finite value before one that is no number
+            (
+                "powers.csv",
+                POWERS.replace("both,out,1.0", "both,out,inf") + "both,in,abc,1.0,1.0,0.5,0.5\n",
+                "powers.csv:2: power_incident = 'inf' is not finite",
+            ),
             ("vk.csv", "model,a_or_V_source,V,K,V2K2\nprobe,x,0.5\n", "vk.csv:2"),
             ("visibility_bins.csv", "bin_width_m,V\n5e-06,one\n", "visibility_bins.csv:2"),
             ("remnant.csv", "x_m,total\n", "remnant.csv"),
@@ -633,6 +641,12 @@ class TestReport:
                 "remnant.csv",
                 "x_m,total,post_vL,post_plus,post_minus\n0.0,1.0,1.0,1.0,1.0\n",
                 "remnant.csv:1: missing column 'post_vU'",
+            ),
+            # the reader requires the header the writer writes
+            (
+                "remnant.csv",
+                "total,post_vU,post_vL,post_plus,post_minus\n1.0,1.0,1.0,1.0,1.0\n",
+                "remnant.csv:1: missing column 'x_m'",
             ),
             # a surplus field fails the field-count check even where no column reads it
             (
@@ -672,6 +686,21 @@ class TestReport:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert where in err
         assert not (tmp_path / "report.txt").exists()
+
+    def test_each_input_is_opened_once(self, cli_out, monkeypatch):
+        opened = collections.Counter()
+        path_open = pathlib.Path.open
+
+        def counting_open(path, *args, **kwargs):
+            opened[path.name] += 1
+            return path_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "open", counting_open)
+        assert run("report", "--out", str(cli_out)) == 0
+        inputs = ["powers.csv", "derived.csv", "vk.csv", "visibility_bins.csv"]
+        inputs += ["remnant.csv", "remnant_summary.csv"]
+        csvs = {name: n for name, n in opened.items() if name.endswith(".csv")}
+        assert csvs == dict.fromkeys(inputs, 1)
 
     REMNANT = "x_m,total,post_vU,post_vL,post_plus,post_minus\n0.0,1.0,1.0,1.0,1.0,1.0\n"
     # a companion file is only read next to its main file
@@ -1112,6 +1141,31 @@ class TestUsage:
         assert str(path) in err and "Traceback" not in err
         # nothing is written
         assert [p.name for p in out.iterdir()] == ([name] if in_out else [])
+
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (("simulate", "--out", ""), "--out"),
+            (("duality", "--out", ""), "--out"),
+            (("remnant", "--out", ""), "--out"),
+            (("report", "--out", ""), "--out"),
+            (("simulate", "--config", "empty.cfg"), "'out_dir'"),
+            (("remnant", "--config", "empty.cfg"), "'out_dir'"),
+        ],
+    )
+    def test_empty_output_directory_exits_2_with_one_line(
+        self, tmp_path, monkeypatch, capsys, argv, where
+    ):
+        # an empty path is the current directory: nothing is read or written there
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.cfg").write_text("out_dir =\n")
+        (tmp_path / "powers.csv").write_text(TestReport.POWERS)
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert where in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.cfg", "powers.csv"]
+        assert (tmp_path / "powers.csv").read_text() == TestReport.POWERS
 
     def test_unknown_scenario_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
