@@ -708,9 +708,10 @@ class _Bench:
 
     def record(self, scenario: Scenario) -> SimulationRecord:
         """The record of ``scenario``, built on first use."""
-        if scenario not in self._records:
-            self._records[scenario] = self._build_record(scenario)
-        return self._records[scenario]
+        record = self._records.get(scenario)
+        if record is None:
+            record = self._records[scenario] = self._build_record(scenario)
+        return record
 
     def _build_record(self, scenario: Scenario) -> SimulationRecord:
         """``scenario``'s powers and profiles from phi_U, its pass and the sigma1 profiles.
@@ -766,6 +767,9 @@ class _Bench:
 _bench = functools.lru_cache(maxsize=1)(_Bench)
 
 
+# the bench's key: its windows are derived once, and a window that raises
+# stores nothing, so a refused key is refused on every call
+@functools.lru_cache(maxsize=1)
 def _detector_windows(geometry: AfsharGeometry, grid: Grid) -> tuple[tuple[int, int], ...]:
     """The sample slices of the two :func:`image_windows`, each checked on ``grid``."""
     label = f"at magnification {geometry.magnification:.4g}"
@@ -782,10 +786,11 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     propagate to lens -> thin lens -> propagate to sigma2.  The band-limit
     guard runs after every stage; ``power_incident`` is measured at sigma1
     before the grid, ``intensity_sigma1`` after it.  The window powers are
-    ``total_power`` over the two :func:`image_windows`.  A window beyond
-    the grid, or a grid not centered on the axis, raises ValueError before
-    any field is built.  The record is the bench's, built on the scenario's
-    first call (see the module notes).
+    ``total_power`` over the two :func:`image_windows`, whose sample bounds
+    are derived once per (geometry, grid).  A window beyond the grid, or a
+    grid not centered on the axis, raises ValueError before any field is
+    built, and a refused key is refused on every call.  The record is the
+    bench's, built on the scenario's first call (see the module notes).
     """
     _detector_windows(geometry, grid)
     return _bench(geometry, grid).record(scenario)

@@ -114,13 +114,20 @@ def _fingerprint(geometry: apparatus.AfsharGeometry, grid: Grid) -> str:
     return f"{zlib.crc32(','.join(map(_fmt, values)).encode()):08x}"
 
 
-def _check_stamps(out: Path, fingerprint: str) -> None:
-    """Refuse an ``--out`` holding a config-dependent CSV that another config made."""
+def _check_stamps(out: Path, fingerprint: str, read: dict[str, str | None]) -> None:
+    """Refuse an ``--out`` holding a config-dependent CSV that another config made.
+
+    ``read`` maps the name of a file the caller has read to its stamp, so
+    that file is not opened again.
+    """
     for name in _STAMPED:
         path = out / name
-        if not path.is_file():
+        if name in read:
+            found = read[name]
+        elif path.is_file():
+            found = _read_stamp(path)
+        else:
             continue
-        found = _read_stamp(path)
         if found != fingerprint:
             made = f"config {found}" if found else "an unstamped config"
             raise ConfigError(
@@ -142,13 +149,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out or cfg.out_dir)
     fingerprint = _fingerprint(geometry, grid)
     # the rows this run's row joins; a malformed file is named before the stamps are compared
-    powers_path = out / "powers.csv"
-    rows = (
-        {(r["scenario"], r["grid"]): r for r in _read_powers(powers_path)[1]}
-        if powers_path.is_file()
-        else {}
-    )
-    _check_stamps(out, fingerprint)
+    powers_path, rows, read = out / "powers.csv", {}, {}
+    if powers_path.is_file():
+        read["powers.csv"], held = _read_powers(powers_path)
+        rows = {(r["scenario"], r["grid"]): r for r in held}
+    _check_stamps(out, fingerprint, read)
     try:
         record = apparatus.run_scenario(geometry, scenario, grid)
     except ValueError as exc:
@@ -331,7 +336,7 @@ def cmd_remnant(args: argparse.Namespace) -> int:
     grid = cfg.grid()
     out = Path(args.out or cfg.out_dir)
     fingerprint = _fingerprint(geometry, grid)
-    _check_stamps(out, fingerprint)
+    _check_stamps(out, fingerprint, {})
     try:
         state = remnant.build_remnant(*apparatus.sigma1_fields(geometry, grid))
     except ValueError as exc:

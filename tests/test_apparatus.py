@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import hashlib
@@ -1501,8 +1502,44 @@ class TestWindows:
 
         monkeypatch.setattr(apparatus, "_upper_slit", no_fields)
         message = r"detector window U at magnification 6\.\d+e\+15 .* beyond the grid"
-        with pytest.raises(ValueError, match=message):
-            run_scenario(far, Scenario(Slits.UPPER_ONLY, GridState.OUT), bench_grid)
+        # a refused key is cached nowhere, so the second call is refused alike
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message) as refused:
+                run_scenario(far, Scenario(Slits.UPPER_ONLY, GridState.OUT), bench_grid)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+
+    def test_a_held_scenario_derives_no_window(self, geometry, bench_grid, monkeypatch):
+        scenario = Scenario(Slits.UPPER_ONLY, GridState.OUT)
+        record = run_scenario(geometry, scenario, bench_grid)
+        calls = collections.Counter()
+        for name in ("image_windows", "_window_bounds"):
+
+            def counted(*args, name=name, derive=getattr(apparatus, name)):
+                calls[name] += 1
+                return derive(*args)
+
+            monkeypatch.setattr(apparatus, name, counted)
+        assert run_scenario(geometry, scenario, bench_grid) is record
+        # a new record of the held bench takes the held windows too
+        run_scenario(geometry, Scenario(Slits.LOWER_ONLY, GridState.OUT), bench_grid)
+        assert calls == {}
+
+    def test_another_geometry_gets_its_own_window_powers(self, geometry, bench_grid):
+        scenario = Scenario(Slits.UPPER_ONLY, GridState.OUT)
+        other = dataclasses.replace(geometry, focal_length=0.6)
+        cold = run_scenario(other, scenario, bench_grid)
+        apparatus._bench.cache_clear()
+        apparatus._detector_windows.cache_clear()
+        held = run_scenario(geometry, scenario, bench_grid)
+        after = run_scenario(other, scenario, bench_grid)
+        assert apparatus._detector_windows(other, bench_grid) != apparatus._detector_windows(
+            geometry, bench_grid
+        )
+        powers = (after.power_window_U, after.power_window_L)
+        assert powers == (cold.power_window_U, cold.power_window_L)
+        assert powers != (held.power_window_U, held.power_window_L)
 
     def test_windows_touch_at_axis(self, geometry):
         (u_lo, u_hi), (l_lo, l_hi) = image_windows(geometry)

@@ -74,6 +74,20 @@ def pattern_csv(xs, intensity):
     return "x_m,intensity\n" + "\n".join(rows) + "\n"
 
 
+@pytest.fixture
+def opened(monkeypatch):
+    """The ``pathlib.Path.open`` calls of the test, counted per file name."""
+    counts = collections.Counter()
+    path_open = pathlib.Path.open
+
+    def counting_open(path, *args, **kwargs):
+        counts[path.name] += 1
+        return path_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "open", counting_open)
+    return counts
+
+
 @pytest.fixture(scope="module")
 def cli_out(tmp_path_factory):
     """One standard command set, shared by the assertions below."""
@@ -687,15 +701,7 @@ class TestReport:
         assert where in err
         assert not (tmp_path / "report.txt").exists()
 
-    def test_each_input_is_opened_once(self, cli_out, monkeypatch):
-        opened = collections.Counter()
-        path_open = pathlib.Path.open
-
-        def counting_open(path, *args, **kwargs):
-            opened[path.name] += 1
-            return path_open(path, *args, **kwargs)
-
-        monkeypatch.setattr(pathlib.Path, "open", counting_open)
+    def test_each_input_is_opened_once(self, cli_out, opened):
         assert run("report", "--out", str(cli_out)) == 0
         inputs = ["powers.csv", "derived.csv", "vk.csv", "visibility_bins.csv"]
         inputs += ["remnant.csv", "remnant_summary.csv"]
@@ -852,6 +858,16 @@ class TestProvenance:
         err = capsys.readouterr().err
         assert err == f"error: {out / 'powers.csv'}:2: power_incident = 'nan' is not finite\n"
         assert snapshot(out) == {"powers.csv": text.encode()}
+
+    def test_second_simulate_opens_each_input_once(self, tmp_path, opened):
+        # powers.csv is read whole for its rows, and its stamp comes from that read
+        out = tmp_path / "o"
+        assert run("simulate", "--grid", "out", "--out", str(out)) == 0
+        assert run("remnant", "--out", str(out)) == 0
+        opened.clear()
+        assert run("simulate", "--grid", "in", "--out", str(out)) == 0
+        csvs = {name: n for name, n in opened.items() if name.endswith(".csv")}
+        assert csvs == dict.fromkeys(cli._STAMPED, 1)
 
     @pytest.mark.parametrize("name", ["derived.csv", "remnant.csv", "remnant_summary.csv"])
     def test_report_refuses_inputs_of_different_configs(self, cli_out, tmp_path, capsys, name):
