@@ -33,7 +33,8 @@ sigma1 take every bin.
 
 Everything a scenario returns is formed once per bench.  One bench is one
 (geometry, grid), a ``_Bench``, and the last one is kept.  It is built with
-phi_U, its spectrum H*S and the sigma1 guard's failures (``sigma1``); its
+the detector windows' sample bounds (``windows``), then phi_U, its spectrum
+H*S and the sigma1 guard's failures (``sigma1``); its
 other stages, the refined minima, the sigma1 profiles (``incident``),
 phi_U's pass per grid state (``upper_pass``) and each scenario's record
 (``record``), are built on first use by a caller that needs them, so a
@@ -597,10 +598,18 @@ class _Pass:
 class _Bench:
     """One bench, one (geometry, grid): its shared stages and records (see the module notes).
 
-    A grid not centered on the axis is refused before anything is built.
+    A grid not centered on the axis is refused before any field is built.
+    The detector windows' sample bounds are derived first, once; a key whose
+    windows are refused holds None for them and builds sigma1 only when it
+    is asked for, so each record of that key is refused before any field.
     """
 
     def __init__(self, geometry: AfsharGeometry, grid: Grid):
+        try:
+            self.windows: tuple[tuple[int, int], ...] | None = _detector_windows(geometry, grid)
+        except ValueError:
+            # sigma1 and the minima need no window: only a record is refused
+            self.windows = None
         if grid.center != 0.0:
             raise ValueError(
                 f"the bench is mirror-symmetric about the axis x = 0: the grid must be "
@@ -612,7 +621,8 @@ class _Bench:
         # every caller starts from sigma1, so it is built here, before the cache
         # releases the last bench: released first, the last bench's arrays left
         # heap holes that added 1 MB to the peak RSS of a sweep on 2^16 samples
-        self.sigma1
+        if self.windows is not None:
+            self.sigma1
 
     @functools.cached_property
     def sigma1(self) -> tuple[ComplexField, np.ndarray, dict[Slits, tuple[str, str]]]:
@@ -721,7 +731,8 @@ class _Bench:
         and a both-slit one squares phi_U + phi_L (see the module notes).
         """
         grid, slits = self.grid, scenario.slits
-        window_u, window_l = _detector_windows(self.geometry, grid)
+        # a refused key holds no windows, and deriving them again raises its message
+        window_u, window_l = self.windows or _detector_windows(self.geometry, grid)
         phi_u = self.phi_u(slits)
         minima = self.minima if slits is Slits.BOTH else ()
         upper = self.upper_pass(scenario.grid)
@@ -767,9 +778,6 @@ class _Bench:
 _bench = functools.lru_cache(maxsize=1)(_Bench)
 
 
-# the bench's key: its windows are derived once, and a window that raises
-# stores nothing, so a refused key is refused on every call
-@functools.lru_cache(maxsize=1)
 def _detector_windows(geometry: AfsharGeometry, grid: Grid) -> tuple[tuple[int, int], ...]:
     """The sample slices of the two :func:`image_windows`, each checked on ``grid``."""
     label = f"at magnification {geometry.magnification:.4g}"
@@ -787,10 +795,9 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     guard runs after every stage; ``power_incident`` is measured at sigma1
     before the grid, ``intensity_sigma1`` after it.  The window powers are
     ``total_power`` over the two :func:`image_windows`, whose sample bounds
-    are derived once per (geometry, grid).  A window beyond the grid, or a
-    grid not centered on the axis, raises ValueError before any field is
-    built, and a refused key is refused on every call.  The record is the
+    the bench derives once per (geometry, grid).  A window beyond the grid,
+    or a grid not centered on the axis, raises ValueError before any field
+    is built, and a refused key is refused on every call.  The record is the
     bench's, built on the scenario's first call (see the module notes).
     """
-    _detector_windows(geometry, grid)
     return _bench(geometry, grid).record(scenario)

@@ -114,26 +114,25 @@ def _fingerprint(geometry: apparatus.AfsharGeometry, grid: Grid) -> str:
     return f"{zlib.crc32(','.join(map(_fmt, values)).encode()):08x}"
 
 
-def _check_stamps(out: Path, fingerprint: str, read: dict[str, str | None]) -> None:
+def _check_stamp(path: Path, found: str | None, fingerprint: str) -> None:
+    """Refuse ``path``, a config-dependent CSV stamped ``found``, that another config made."""
+    if found != fingerprint:
+        made = f"config {found}" if found else "an unstamped config"
+        raise ConfigError(
+            f"{path} holds results of {made}, not of this run's config {fingerprint}; "
+            "use another --out"
+        )
+
+
+def _check_stamps(out: Path, fingerprint: str, checked: str = "") -> None:
     """Refuse an ``--out`` holding a config-dependent CSV that another config made.
 
-    ``read`` maps the name of a file the caller has read to its stamp, so
-    that file is not opened again.
+    ``checked`` names a file whose stamp the caller has already checked.
     """
     for name in _STAMPED:
         path = out / name
-        if name in read:
-            found = read[name]
-        elif path.is_file():
-            found = _read_stamp(path)
-        else:
-            continue
-        if found != fingerprint:
-            made = f"config {found}" if found else "an unstamped config"
-            raise ConfigError(
-                f"{path} holds results of {made}, not of this run's config {fingerprint}; "
-                "use another --out"
-            )
+        if name != checked and path.is_file():
+            _check_stamp(path, _read_stamp(path), fingerprint)
 
 
 # ---------------------------------------------------------------- simulate
@@ -149,11 +148,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out or cfg.out_dir)
     fingerprint = _fingerprint(geometry, grid)
     # the rows this run's row joins; a malformed file is named before the stamps are compared
-    powers_path, rows, read = out / "powers.csv", {}, {}
+    powers_path, rows = out / "powers.csv", {}
     if powers_path.is_file():
-        read["powers.csv"], held = _read_powers(powers_path)
+        stamp, held = _read_powers(powers_path)
         rows = {(r["scenario"], r["grid"]): r for r in held}
-    _check_stamps(out, fingerprint, read)
+        # powers.csv is the first stamped file, so the order of the checks holds
+        _check_stamp(powers_path, stamp, fingerprint)
+    _check_stamps(out, fingerprint, checked="powers.csv")
     try:
         record = apparatus.run_scenario(geometry, scenario, grid)
     except ValueError as exc:
@@ -336,7 +337,7 @@ def cmd_remnant(args: argparse.Namespace) -> int:
     grid = cfg.grid()
     out = Path(args.out or cfg.out_dir)
     fingerprint = _fingerprint(geometry, grid)
-    _check_stamps(out, fingerprint, {})
+    _check_stamps(out, fingerprint)
     try:
         state = remnant.build_remnant(*apparatus.sigma1_fields(geometry, grid))
     except ValueError as exc:

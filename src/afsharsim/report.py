@@ -151,14 +151,14 @@ def _read_stamp(path: Path) -> str | None:
     """The config fingerprint on a stamped CSV's first line; None if it has no stamp.
 
     Reads that line only: ``simulate`` and ``remnant`` check the stamps of
-    whole profiles with it before they run.
+    whole profiles with it before they run.  The line ends where
+    ``_read_csv``'s first line ends, so both find one stamp in one file.
     """
-    with path.open("rb") as f:
-        first = f.readline()
-    prefix = _STAMP.encode()
-    if not first.startswith(prefix):
+    with path.open(errors="replace") as f:
+        first = f.readline().splitlines()
+    if not first or not first[0].startswith(_STAMP):
         return None
-    return first[len(prefix) :].decode("ascii", "replace").rstrip("\r\n")
+    return first[0][len(_STAMP) :]
 
 
 def _first_bad_line(

@@ -45,8 +45,6 @@ def cold_bench():
     """Each test starts with no bench cached, so every stage of one is built anew.
 
     A test that counts or replaces a stage (``_upper_slit``, ``_guarded``)
-    then sees it run whichever tests ran before it, and one that counts the
-    window derivation sees it derived anew.
+    then sees it run whichever tests ran before it.
     """
     apparatus._bench.cache_clear()
-    apparatus._detector_windows.cache_clear()

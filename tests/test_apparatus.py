@@ -1502,13 +1502,23 @@ class TestWindows:
 
         monkeypatch.setattr(apparatus, "_upper_slit", no_fields)
         message = r"detector window U at magnification 6\.\d+e\+15 .* beyond the grid"
-        # a refused key is cached nowhere, so the second call is refused alike
+        # the refused key's bench holds no windows, so the second call is refused alike
         messages = []
         for _ in range(2):
             with pytest.raises(ValueError, match=message) as refused:
                 run_scenario(far, Scenario(Slits.UPPER_ONLY, GridState.OUT), bench_grid)
             messages.append(str(refused.value))
         assert messages[0] == messages[1]
+        assert apparatus._bench(far, bench_grid).windows is None
+
+    def test_a_refused_key_still_serves_sigma1(self, geometry, bench_grid):
+        # the remnant model needs no detector window: only the records are refused
+        far = dataclasses.replace(geometry, focal_length=1.4999999999999998)
+        far_u = apparatus.sigma1_fields(far, bench_grid)[0].amplitudes.tobytes()
+        with pytest.raises(ValueError, match="detector window U"):
+            run_scenario(far, Scenario(Slits.UPPER_ONLY, GridState.OUT), bench_grid)
+        # the focal length does not enter phi_U
+        assert apparatus.sigma1_fields(geometry, bench_grid)[0].amplitudes.tobytes() == far_u
 
     def test_a_held_scenario_derives_no_window(self, geometry, bench_grid, monkeypatch):
         scenario = Scenario(Slits.UPPER_ONLY, GridState.OUT)
@@ -1531,12 +1541,10 @@ class TestWindows:
         other = dataclasses.replace(geometry, focal_length=0.6)
         cold = run_scenario(other, scenario, bench_grid)
         apparatus._bench.cache_clear()
-        apparatus._detector_windows.cache_clear()
         held = run_scenario(geometry, scenario, bench_grid)
+        held_windows = apparatus._bench(geometry, bench_grid).windows
         after = run_scenario(other, scenario, bench_grid)
-        assert apparatus._detector_windows(other, bench_grid) != apparatus._detector_windows(
-            geometry, bench_grid
-        )
+        assert apparatus._bench(other, bench_grid).windows != held_windows
         powers = (after.power_window_U, after.power_window_L)
         assert powers == (cold.power_window_U, cold.power_window_L)
         assert powers != (held.power_window_U, held.power_window_L)

@@ -869,6 +869,25 @@ class TestProvenance:
         csvs = {name: n for name, n in opened.items() if name.endswith(".csv")}
         assert csvs == dict.fromkeys(cli._STAMPED, 1)
 
+    @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
+    @pytest.mark.parametrize("foreign", [False, True], ids=["own", "foreign"])
+    def test_every_command_reads_one_stamp_from_a_file(self, tmp_path, capsys, end, foreign):
+        # the stamp line ends where the CSV reader's first line ends, so
+        # simulate, which reads powers.csv whole, and remnant, which reads
+        # its first line only, give one verdict on one file
+        out = tmp_path / "o"
+        assert run("simulate", "--grid", "out", "--out", str(out)) == 0
+        capsys.readouterr()
+        text = (out / "powers.csv").read_text()
+        if foreign:
+            text = text.replace(DEFAULT_FINGERPRINT, "0123abcd", 1)
+        (out / "powers.csv").write_bytes(text.replace("\n", end, 1).encode())
+        for command, flags in (("remnant", ()), ("simulate", ("--grid", "in"))):
+            assert run(command, *flags, "--out", str(out)) == (2 if foreign else 0), command
+            err = capsys.readouterr().err
+            if foreign:
+                assert f"config 0123abcd, not of this run's config {DEFAULT_FINGERPRINT}" in err
+
     @pytest.mark.parametrize("name", ["derived.csv", "remnant.csv", "remnant_summary.csv"])
     def test_report_refuses_inputs_of_different_configs(self, cli_out, tmp_path, capsys, name):
         out = tmp_path / "o"
