@@ -89,7 +89,6 @@ from .wavefield import (
     _require_finite,
     _tail_fraction,
     _transfer_into,
-    _wavenumbers,
     _window_bounds,
 )
 
@@ -287,16 +286,16 @@ def _source_cutoffs(geometry: AfsharGeometry, grid: Grid) -> tuple[float, float]
     return _FLAT_FRACTION * k_cut, k_cut
 
 
-def _source_band(geometry: AfsharGeometry, grid: Grid) -> np.ndarray:
-    """kx of the source band, the bits of ``grid.wavenumbers()[|kx| < k_cut]``.
+def _source_band(geometry: AfsharGeometry, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The source band, the FFT bins with |kx| < k_cut: their mask and their kx in FFT order.
 
-    Bins 0..m-1, built up to one bin past the cutoff, then bins n-m+1..n-1,
-    which hold the kx of bins m-1..1 negated.
+    |kx| is the same at bins i and (n - i) mod n, so the mask is
+    mirror-symmetric.
     """
-    k_cut = _source_cutoffs(geometry, grid)[1]
-    kx = _wavenumbers(grid, int(k_cut * grid.extent / (2.0 * np.pi)) + 2)
-    positive = kx[: np.searchsorted(kx, k_cut)]
-    return np.concatenate((positive, -positive[:0:-1]))
+    kx, k_cut = grid.wavenumbers(), _source_cutoffs(geometry, grid)[1]
+    # |kx| < k_cut as two comparisons: no |kx| array beside kx
+    band = (-k_cut < kx) & (kx < k_cut)
+    return band, kx[band]
 
 
 def _check_sampling(geometry: AfsharGeometry, grid: Grid) -> None:
@@ -389,7 +388,7 @@ def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, np.
     """
     _check_sampling(geometry, grid)
     k_flat, k_cut = _source_cutoffs(geometry, grid)
-    kx = _source_band(geometry, grid)
+    band, kx = _source_band(geometry, grid)
     a = geometry.slit_width
     spectrum = a * np.sinc(kx * a / (2.0 * np.pi)) * np.exp(-0.5j * kx * geometry.slit_separation)
 
@@ -398,10 +397,8 @@ def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, np.
     spectrum *= np.where(akx <= k_flat, 1.0, roll)
 
     spectrum *= np.exp(1j * kx * grid.coordinate(0))
-    n, m = grid.n_samples, (kx.size + 1) // 2
-    full = np.zeros(n, dtype=complex)
-    full[:m] = spectrum[:m]
-    full[n - m + 1 :] = spectrum[m:]
+    full = np.zeros(grid.n_samples, dtype=complex)
+    full[band] = spectrum
     # the ifft's own buffer becomes the samples: its real part is scaled in
     # place and its imaginary part, roundoff of a Hermitian spectrum, zeroed
     samples = np.fft.ifft(full)
@@ -409,12 +406,8 @@ def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, np.
     np.divide(upper, grid.spacing, out=upper)
     samples.imag = 0.0
     full /= grid.spacing
-    # max(|u_i| + |u_(n-i)|) over samples 0..n/2: the sum is symmetric in i <-> n-i
-    half = n // 2
-    pair = np.abs(upper[: half + 1])
-    pair[:1] += pair[:1]
-    pair[1:] += np.abs(upper[n - 1 : n - half - 1 : -1])
-    peak = np.max(pair)
+    # the slit pair is passive: |phi_U| + |phi_L| <= 1 at every sample
+    peak = np.max(np.abs(upper) + np.abs(_mirror(upper)))
     if peak > 1.0:
         np.divide(upper, peak * (1.0 + 1e-12), out=upper)
         full /= peak * (1.0 + 1e-12)
@@ -445,7 +438,7 @@ def _refine_minima(geometry: AfsharGeometry, grid: Grid, spectrum: np.ndarray) -
     neighboring maxima, is not resolvable.
 
     ``spectrum`` holds the field's spectrum on the source-band bins only,
-    in the order of :func:`_source_band`, and the interpolant sums them, keeping
+    in FFT order, and the interpolant sums them, keeping
     the full-grid ``1/n`` scale: the field is a propagated slit source, so
     the bins beyond hold only FFT roundoff and dropping them changes ``u``,
     ``u'`` and ``u''`` by roundoff only (see the module notes).
@@ -455,7 +448,7 @@ def _refine_minima(geometry: AfsharGeometry, grid: Grid, spectrum: np.ndarray) -
     if (half_pairs - 0.5 + _BRACKET_FRINGES) * fringe > grid.coordinate(grid.n_samples - 1):
         raise ValueError(f"fewer than {geometry.n_wires} resolvable minima within the grid")
 
-    kx = _source_band(geometry, grid)
+    kx = _source_band(geometry, grid)[1]
     x0 = grid.coordinate(0)
 
     def extremum(seed: float, minimum: bool) -> tuple[float, float]:
@@ -655,11 +648,10 @@ class _Bench:
         """The refined minima of phi_U + phi_L at sigma1.
 
         They are refined from phi_U + phi_L's band bins, ``b + mirror(b)`` for
-        phi_U's band bins b, in the order of :func:`_source_band`.
+        phi_U's band bins b, in FFT order.
         """
-        spectrum = self.sigma1[1]
-        n, m = self.grid.n_samples, (_source_band(self.geometry, self.grid).size + 1) // 2
-        band = np.concatenate((spectrum[:m], spectrum[n - m + 1 :]))
+        band = self.sigma1[1][_source_band(self.geometry, self.grid)[0]]
+        # the mask is mirror-symmetric, so the band's mirror is its bins' mirror
         band += _mirror(band)
         return tuple(float(p) for p in _refine_minima(self.geometry, self.grid, band))
 

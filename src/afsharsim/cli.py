@@ -363,6 +363,10 @@ def cmd_remnant(args: argparse.Namespace) -> int:
     patterns: dict[str, np.ndarray] = {}
     for name, direction in directions:
         probs[name], patterns[name] = remnant.postselect(state, direction)
+    residues = [
+        f"{label} = {_fmt(remnant.completeness_residue(probs, patterns, pair, total))}"
+        for label, pair in remnant.COMPLETENESS_PAIRS
+    ]
 
     out.mkdir(parents=True, exist_ok=True)
     names = [name for name, _ in directions]
@@ -379,6 +383,8 @@ def cmd_remnant(args: argparse.Namespace) -> int:
         _head("remnant_summary.csv", fingerprint)
         + [f"{name},{_fmt(probs[name])}" for name in names],
     )
+    # the patterns are written: they go before sampling imports numpy.random
+    del total, patterns, columns
 
     if args.samples:
         rng = np.random.default_rng(seed)
@@ -387,10 +393,6 @@ def cmd_remnant(args: argparse.Namespace) -> int:
         rows = (f"{i},{x_m[site]}" for i, site in enumerate(draws))
         _write_lines(out / "remnant_samples.csv", chain(_head("remnant_samples.csv"), rows))
 
-    residues = [
-        f"{label} = {_fmt(remnant.completeness_residue(probs, patterns, names, total))}"
-        for label, names in remnant.COMPLETENESS_PAIRS
-    ]
     print("remnant: completeness residue " + ", ".join(residues))
     print(remnant.ORTHONORMAL_NOTE)
     return EXIT_OK

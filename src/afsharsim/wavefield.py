@@ -35,6 +35,7 @@ allocating call.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -359,41 +360,21 @@ def check_window(grid: Grid, window: tuple[float, float], name: str = "window") 
         raise ValueError(f"{name} ({lo}, {hi}) extends beyond the grid")
 
 
-def _first_index(grid: Grid, above: float, strict: bool) -> int:
-    """The smallest i in [0, n] with ``coordinate(i) > above`` (``>=`` if not ``strict``).
-
-    ``np.searchsorted(grid.coordinates, above, side)`` with side "right"
-    (``strict``) or "left", without building the coordinates.  The index
-    is estimated by arithmetic, then stepped to the first sample whose
-    coordinate, the bits :meth:`Grid.coordinate` gives, passes the edge;
-    the coordinates never decrease with i, so that is searchsorted's index.
-    """
-    n = grid.n_samples
-
-    def inside(i: int) -> bool:
-        x = grid.coordinate(i)
-        return x > above if strict else x >= above
-
-    estimate = (above - grid.center) / grid.spacing + n // 2
-    i = math.ceil(min(max(estimate, 0.0), n))
-    while i > 0 and inside(i - 1):
-        i -= 1
-    while i < n and not inside(i):
-        i += 1
-    return i
-
-
 def _window_bounds(
     grid: Grid, window: tuple[float, float], name: str = "window"
 ) -> tuple[int, int]:
     """The slice ``first:stop`` of the samples strictly inside the open interval ``window``.
 
-    ``window`` must pass :func:`check_window` (``name`` leads its message),
-    and its indices come from :func:`_first_index`, so a sample exactly on
-    an edge is in neither of two windows that share it.
+    ``window`` must pass :func:`check_window` (``name`` leads its message).
+    Each edge is a bisection of the indices on :meth:`Grid.coordinate`,
+    which never decreases, for ``np.searchsorted(grid.coordinates, edge)``'s
+    index with no coordinate array: side "right" for the lower edge and
+    "left" for the upper, so a sample exactly on an edge is in neither of
+    two windows that share it.
     """
     check_window(grid, window, name)
-    return _first_index(grid, window[0], True), _first_index(grid, window[1], False)
+    (lo, hi), indices, key = window, range(grid.n_samples), grid.coordinate
+    return bisect.bisect_right(indices, lo, key=key), bisect.bisect_left(indices, hi, key=key)
 
 
 def _in_window(values: np.ndarray, bounds: tuple[int, int]) -> np.ndarray:

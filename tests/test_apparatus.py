@@ -252,13 +252,17 @@ class TestSourceBand:
 
     @pytest.mark.parametrize("spacing", [1e-7, 1.25e-6, 2.5e-6, 5e-6, 1e-5, 3.3e-5, 1e-3])
     def test_band_is_the_wavenumbers_below_the_cutoff_bit_for_bit(self, geometry, spacing):
-        # oracle: the whole grid's wavenumbers, selected by the cutoff; the
+        # oracle: the whole grid's wavenumbers by np.fft.fftfreq, selected by
+        # the cutoff, and the mirror i -> (n - i) mod n by indexing; the
         # spacings cover both the box limit and the Nyquist limit of k_cut
         for n in (2**p for p in range(3, 21)):
             grid = Grid(n, spacing)
-            kx = grid.wavenumbers()
-            expected = kx[np.abs(kx) < _source_cutoffs(geometry, grid)[1]]
-            assert _source_band(geometry, grid).tobytes() == expected.tobytes(), n
+            band, kx = _source_band(geometry, grid)
+            # _Bench.minima mirrors the band's bins as a compact array
+            assert np.array_equal(band, band[-np.arange(n) % n]), n
+            wavenumbers = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
+            expected = wavenumbers[np.abs(wavenumbers) < _source_cutoffs(geometry, grid)[1]]
+            assert kx.tobytes() == expected.tobytes(), n
 
     @pytest.mark.parametrize("entry", ["fringe_minima", "both/out", "upper/in"])
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID], ids=["2^14", "2^16"])

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,13 +8,13 @@ from hypothesis import strategies as st
 
 from afsharsim.wavefield import (
     ComplexField,
-    _first_index,
     _interpolate,
     _lens_into,
     _masked_into,
     _tail_fraction,
     _transfer,
     _transfer_into,
+    _window_bounds,
     FieldFlagWarning,
     check_window,
     Grid,
@@ -675,7 +676,7 @@ class TestNyquistTail:
 
 
 class TestWindowIndices:
-    """total_power's window indices by arithmetic, against a search of the coordinates."""
+    """total_power's window indices by bisection, against a search of the coordinates."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -688,7 +689,9 @@ class TestWindowIndices:
         # oracle: np.searchsorted over the whole coordinate array, side
         # "right" for a lower edge and "left" for an upper one; the edges sit
         # exactly on a sample, one ulp either side of one, between two
-        # samples (a window between neighbours holds none), or past the ends
+        # samples (a window between neighbours holds none), or past the ends;
+        # each pair that check_window admits is a window, so an edge on the
+        # grid is tried against both of the grid's outer cell edges at least
         grid = Grid(2**p, spacing, center)
         x = grid.coordinates
         i = data.draw(st.integers(0, grid.n_samples - 1))
@@ -703,16 +706,23 @@ class TestWindowIndices:
             x[0] - 3 * spacing,
             x[-1] + 3 * spacing,
         ]
-        for edge in map(float, edges):
-            assert _first_index(grid, edge, True) == np.searchsorted(x, edge, "right"), edge
-            assert _first_index(grid, edge, False) == np.searchsorted(x, edge, "left"), edge
+        for lo, hi in itertools.product(map(float, edges), repeat=2):
+            try:
+                check_window(grid, (lo, hi))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    _window_bounds(grid, (lo, hi))
+                continue
+            expected = (np.searchsorted(x, lo, "right"), np.searchsorted(x, hi, "left"))
+            assert _window_bounds(grid, (lo, hi)) == expected, (lo, hi)
 
     @pytest.mark.parametrize("edge", [-np.inf, np.inf, -1e300, 1e300])
-    def test_non_finite_and_far_edges_are_searchsorted(self, edge):
+    def test_non_finite_and_far_edges_are_refused(self, edge):
+        # check_window refuses them, so no bisection ever meets such an edge
         grid = Grid(2**10, 5e-6, 1e-3)
-        x = grid.coordinates
-        assert _first_index(grid, edge, True) == np.searchsorted(x, edge, "right")
-        assert _first_index(grid, edge, False) == np.searchsorted(x, edge, "left")
+        for window in ((edge, grid.center), (grid.center, edge)):
+            with pytest.raises(ValueError, match="non-finite|beyond|reversed"):
+                _window_bounds(grid, window)
 
     def test_window_between_neighbouring_samples_holds_none(self):
         grid = Grid(2**16, 1.25e-6, 3e-4)
