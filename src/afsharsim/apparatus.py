@@ -22,9 +22,12 @@ amplitude, and each bar's tanh is evaluated only within
 The lower slit is the upper one's mirror image x -> -x (sample i ->
 (n - i) mod n on the periodic grid).  Past sigma1 every element is linear
 and even under the mirror: the wire grid, the transfer functions and the
-lens factor on a grid centered on the axis.  So phi_L at every plane is
-phi_U mirrored, and only phi_U is propagated, once per grid state; a grid
-not centered on the axis has no such symmetry, so the bench refuses it.
+lens factor on a grid centered on the axis (the bench refuses any other).
+So phi_L at every plane is phi_U mirrored, and the mirror is decided once:
+only phi_U is propagated, once per grid state, and a lower record is the
+upper one with its profiles mirrored and its window powers swapped (the
+mirror maps window U's samples onto window L's).  phi_U + phi_L's profile
+is its own mirror bit for bit, so its window L power is its window U one.
 Synthesis and minima refinement work only on the source band, the bins
 with |kx| < k_cut.  That is exact to roundoff: the source spectrum is zero
 beyond k_cut by construction, and propagation multiplies each bin by a
@@ -41,17 +44,18 @@ phi_U's pass per grid state (``upper_pass``) and each scenario's record
 single slit with the grid out still runs where the minima cannot be
 resolved.  The arrays are read-only and a stage reads nothing but the key
 and earlier stages, so a hit returns the very bits a miss builds; a build
-that raises stores nothing, so the next call raises again.  A record
-shares the bench's arrays where it can, and only a both-slit record
-squares profiles of its own.
+that raises stores nothing, so the next call raises again.  An upper
+record shares the bench's arrays, a lower one mirrors them, and only a
+both-slit record squares profiles of its own.
 
 Every stage is checked against the band-limit guard, and a violation
 raises :class:`BandLimitError` naming the stage.  From sigma1 on one rule
-(``_guard_slits``) guards the three slit configurations at once and
-records each one's first failing stage instead of raising it, so a failure
-raises for the scenarios of that configuration only, on every call, and a
-sigma1 failure raises before anything downstream is built.  Each
-stage guards the spectrum it already has, with no extra transform.  The
+(``_guard_slits``) guards phi_U's and phi_U + phi_L's spectra (phi_L's is
+phi_U's bins reordered) and records each one's first failing stage instead
+of raising it, so a failure raises for the scenarios of that field only
+(phi_U's for both single slits), on every call, and a sigma1 failure raises
+before anything downstream is built.  Each stage guards the spectrum it
+already has, with no extra transform.  The
 guard fails closed: an FFT spreads one non-finite sample over every bin,
 so a stage that makes a non-finite field fails its own guard.
 
@@ -71,7 +75,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -157,6 +161,10 @@ class Slits(enum.Enum):
 class GridState(enum.Enum):
     IN = "in"
     OUT = "out"
+
+
+# the first failing (stage, detail) of phi_U (UPPER_ONLY) and phi_U + phi_L (BOTH)
+_Failures = dict[Slits, tuple[str, str]]
 
 
 @dataclass(frozen=True)
@@ -351,32 +359,23 @@ def _superposed(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _guard_slits(
-    spectrum: np.ndarray,
-    stage: str,
-    failures: dict[Slits, tuple[str, str]],
-    mirrored: np.ndarray,
-) -> bool:
-    """Guard phi_U's ``spectrum``, its mirror (phi_L's) and their sum at ``stage``.
+def _guard_slits(spectrum: np.ndarray, stage: str, failures: _Failures, out: np.ndarray) -> bool:
+    """Guard phi_U's ``spectrum`` (``UPPER_ONLY``) and phi_U + phi_L's (``BOTH``) at ``stage``.
 
-    The mirror is written into ``mirrored`` and then the sum, added in
-    place: phi_U + phi_L's bits, since addition is commutative.  A slit
-    configuration's first failure is recorded in ``failures`` as its
-    (stage, detail), not raised, and a configuration already there is not
-    guarded again.  False once all three have failed.
+    phi_U + phi_L's spectrum is formed in ``out`` by :func:`_superposed`.
+    A field's first failure is recorded in ``failures`` as its (stage,
+    detail), not raised, and a field already there is not guarded again.
+    False once both have failed.
     """
-    _mirror(spectrum, out=mirrored)
-    for slits in (Slits.UPPER_ONLY, Slits.LOWER_ONLY, Slits.BOTH):
-        if slits is Slits.BOTH:
-            # phi_L's spectrum becomes phi_U + phi_L's
-            np.add(mirrored, spectrum, out=mirrored)
+    for slits in (Slits.UPPER_ONLY, Slits.BOTH):
         if slits in failures:
             continue
+        field = spectrum if slits is Slits.UPPER_ONLY else _superposed(spectrum, out)
         try:
-            _guarded(spectrum if slits is Slits.UPPER_ONLY else mirrored, stage)
+            _guarded(field, stage)
         except BandLimitError as exc:
             failures[slits] = (exc.stage, exc.detail)
-    return len(failures) < len(Slits)
+    return len(failures) < 2
 
 
 def _upper_slit(geometry: AfsharGeometry, grid: Grid) -> tuple[ComplexField, np.ndarray]:
@@ -572,17 +571,16 @@ def image_windows(geometry: AfsharGeometry) -> tuple[tuple[float, float], tuple[
 class _Pass:
     """phi_U's downstream pass in one grid state: what the records of its scenarios need.
 
-    ``wires`` is the wire grid (grid in only); ``failures`` maps each slit
-    configuration that failed a guard to the (stage, detail) of its first
-    failure.  The arrays are read-only, and None when every slit
-    configuration failed a guard: ``after_grid`` is phi_U's
+    ``wires`` is the wire grid (grid in only); ``failures`` are
+    :func:`_guard_slits`'s.  The arrays are read-only, and None when phi_U
+    and phi_U + phi_L both failed a guard: ``after_grid`` is phi_U's
     sigma1 profile behind the wire grid (with the grid out, the bench's
     ``incident`` profile itself), ``sigma2`` its sigma2 samples and
     ``detected`` their profile.
     """
 
     wires: Mask | None
-    failures: dict[Slits, tuple[str, str]]
+    failures: _Failures
     after_grid: np.ndarray | None = None
     sigma2: np.ndarray | None = None
     detected: np.ndarray | None = None
@@ -618,11 +616,11 @@ class _Bench:
             self.sigma1
 
     @functools.cached_property
-    def sigma1(self) -> tuple[ComplexField, np.ndarray, dict[Slits, tuple[str, str]]]:
-        """phi_U at sigma1, its spectrum H*S and the slit configurations that failed there.
+    def sigma1(self) -> tuple[ComplexField, np.ndarray, _Failures]:
+        """phi_U at sigma1, its spectrum H*S and the fields that failed the guard there.
 
         The source is guarded at ``source``, and at sigma1 :func:`_guard_slits`
-        guards the three configurations.  The spectrum is read-only.
+        guards phi_U and phi_U + phi_L.  The spectrum is read-only.
         """
         source, spectrum = _upper_slit(self.geometry, self.grid)
         _guarded(spectrum, "source")
@@ -632,7 +630,7 @@ class _Bench:
         del source
         _transfer_into(self.grid, k, self.geometry.z_slits_to_grid, spectrum, out=spectrum)
         phi_u = ComplexField(self.grid, _owned(np.fft.ifft(spectrum)), self.geometry.wavelength)
-        failures: dict[Slits, tuple[str, str]] = {}
+        failures: _Failures = {}
         _guard_slits(spectrum, "sigma1", failures, np.empty_like(spectrum))
         return phi_u, _owned(spectrum), failures
 
@@ -645,11 +643,7 @@ class _Bench:
 
     @functools.cached_property
     def minima(self) -> tuple[float, ...]:
-        """The refined minima of phi_U + phi_L at sigma1.
-
-        They are refined from phi_U + phi_L's band bins, ``b + mirror(b)`` for
-        phi_U's band bins b, in FFT order.
-        """
+        """phi_U + phi_L's sigma1 minima, from its band bins: b + mirror(b) for phi_U's b."""
         band = self.sigma1[1][_source_band(self.geometry, self.grid)[0]]
         # the mask is mirror-symmetric, so the band's mirror is its bins' mirror
         band += _mirror(band)
@@ -672,13 +666,13 @@ class _Bench:
         """phi_U from sigma1 through the wire grid (``state`` in only), the lens and sigma2.
 
         The stages are rows ``(name, spatial, kernel)``, run by one loop (see
-        the module notes); the pass stops once every slit configuration has
-        failed a guard.
+        the module notes); the pass stops once phi_U and phi_U + phi_L have
+        both failed a guard.
         """
         geometry, grid = self.geometry, self.grid
         phi_u, sigma1_spectrum, sigma1_failures = self.sigma1
         failures = dict(sigma1_failures)
-        mirrored = np.empty_like(sigma1_spectrum)
+        summed = np.empty_like(sigma1_spectrum)
         # the kernels are looked up here, when the pass is built, not at import
         lens = functools.partial(_lens_into, grid, geometry.wavelength, geometry.focal_length)
         to_lens, to_sigma2 = (
@@ -700,12 +694,12 @@ class _Bench:
                 np.fft.fft(kernel(samples if i else phi_u.amplitudes, out=samples), out=spectrum)
             else:
                 np.fft.ifft(kernel(spectrum if i else sigma1_spectrum, out=spectrum), out=samples)
-            if not _guard_slits(spectrum, name, failures, mirrored):
+            if not _guard_slits(spectrum, name, failures, summed):
                 return _Pass(wires, failures)
             if name == "wire_grid":
                 after_grid = _owned(_intensity(samples))
         # the spectra are spent: their buffers go before the sigma2 profile is made
-        del spectrum, mirrored
+        del spectrum, summed
         return _Pass(wires, failures, after_grid, _owned(samples), _owned(_intensity(samples)))
 
     def record(self, scenario: Scenario) -> SimulationRecord:
@@ -718,11 +712,21 @@ class _Bench:
     def _build_record(self, scenario: Scenario) -> SimulationRecord:
         """``scenario``'s powers and profiles from phi_U, its pass and the sigma1 profiles.
 
-        Raises the first guard failure of the scenario's slit configuration.
-        An upper record takes the bench's profiles, a lower one their mirror
-        and a both-slit one squares phi_U + phi_L (see the module notes).
+        Raises the first guard failure of the scenario's field (phi_U's for a
+        single slit).  An upper record takes the bench's profiles, a lower one
+        is the upper one mirrored and a both-slit one squares phi_U + phi_L.
         """
         grid, slits = self.grid, scenario.slits
+        if slits is Slits.LOWER_ONLY:
+            held = self.record(Scenario(Slits.UPPER_ONLY, scenario.grid))
+            return replace(
+                held,
+                scenario=scenario,
+                power_window_U=held.power_window_L,
+                power_window_L=held.power_window_U,
+                intensity_sigma1=_owned(_mirror(held.intensity_sigma1)),
+                intensity_sigma2=_owned(_mirror(held.intensity_sigma2)),
+            )
         # a refused key holds no windows, and deriving them again raises its message
         window_u, window_l = self.windows or _detector_windows(self.geometry, grid)
         phi_u = self.phi_u(slits)
@@ -741,24 +745,21 @@ class _Bench:
                 _masked_into(summed, upper.wires.transmission, out=summed)
                 after_grid = _owned(_intensity(summed))
             detected = _owned(_intensity(_superposed(upper.sigma2, summed)))
-        elif slits is Slits.LOWER_ONLY:
-            # |mirror(u)|^2 is mirror(|u|^2) bit for bit
-            incident = _owned(_mirror(incident_u))
-            after_grid = incident if upper.wires is None else _owned(_mirror(upper.after_grid))
-            detected = _owned(_mirror(upper.detected))
         else:
             incident, after_grid, detected = incident_u, upper.after_grid, upper.detected
 
         def power(profile: np.ndarray) -> float:
             return float(np.sum(profile) * grid.spacing)
 
+        power_u = power(_in_window(detected, window_u))
+        power_l = power_u if slits is Slits.BOTH else power(_in_window(detected, window_l))
         return SimulationRecord(
             scenario=scenario,
             power_incident=power(incident),
             power_after_grid=power(after_grid),
             power_at_detectors=power(detected),
-            power_window_U=power(_in_window(detected, window_u)),
-            power_window_L=power(_in_window(detected, window_l)),
+            power_window_U=power_u,
+            power_window_L=power_l,
             intensity_sigma1=after_grid,
             intensity_sigma2=detected,
             minima_positions=minima,
@@ -783,13 +784,12 @@ def run_scenario(geometry: AfsharGeometry, scenario: Scenario, grid: Grid) -> Si
     """Propagate one scenario through the bench and record power accounting.
 
     Pipeline: phi_U, phi_L or their sum at sigma1 -> (wire grid if in) ->
-    propagate to lens -> thin lens -> propagate to sigma2.  The band-limit
-    guard runs after every stage; ``power_incident`` is measured at sigma1
-    before the grid, ``intensity_sigma1`` after it.  The window powers are
-    ``total_power`` over the two :func:`image_windows`, whose sample bounds
-    the bench derives once per (geometry, grid).  A window beyond the grid,
-    or a grid not centered on the axis, raises ValueError before any field
-    is built, and a refused key is refused on every call.  The record is the
-    bench's, built on the scenario's first call (see the module notes).
+    propagate to lens -> thin lens -> propagate to sigma2, guarded after
+    every stage; ``power_incident`` is measured at sigma1 before the grid,
+    ``intensity_sigma1`` after it.  The window powers are the sigma2 power
+    over the two :func:`image_windows`, and a lower record's are the upper
+    record's swapped.  A window beyond the grid, or a grid not centered on
+    the axis, raises ValueError before any field is built, on every call.
+    The record is the bench's, built on first call (see the module notes).
     """
     return _bench(geometry, grid).record(scenario)

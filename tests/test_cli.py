@@ -149,12 +149,13 @@ class TestSimulate:
         for scenario in ("upper", "lower"):
             assert run("simulate", "--scenario", scenario, "--grid", "out", "--out", str(out)) == 0
         rows = {
-            line.split(",")[0]: line.split(",")[2]
+            line.split(",")[0]: line.split(",")
             for line in (out / "powers.csv").read_text().splitlines()[2:]
         }
-        # equal up to the rounding of a sum taken in mirrored order (the
-        # separately scaled slits of earlier versions differed by 1.6e-13)
-        assert float(rows["upper"]) == pytest.approx(float(rows["lower"]), rel=1e-15, abs=0)
+        # the lower record is the upper one mirrored: the same text, with
+        # the two window fields swapped
+        upper, lower = rows["upper"], rows["lower"]
+        assert lower == ["lower", *upper[1:5], upper[6], upper[5]]
 
     def test_missing_config_exits_2_without_partial_files(self, tmp_path):
         out = tmp_path / "never_created"
