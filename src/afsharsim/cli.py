@@ -18,7 +18,10 @@ directory holding a stamped file of another config, before anything is
 computed or written, so results of two configs never mix.
 
 Exit codes: 0 success, 2 usage, configuration or file-system error, 3
-band-limit guard violation (the message names the failing stage).
+band-limit guard violation (the message names the failing stage).  A
+refused input is any ``ValueError``, whichever layer raises it: ``main``
+prints its message as one ``error:`` line and exits 2, so a command
+catches one only to add context its message lacks.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from . import apparatus, duality, remnant
 from .config import MAX_N_SAMPLES, ConfigError, load_config
 from .report import (
     POWERS_COLUMNS,
-    ReportError,
     _CSV,
     _STAMPED,
     _fmt,
@@ -155,10 +157,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # powers.csv is the first stamped file, so the order of the checks holds
         _check_stamp(powers_path, stamp, fingerprint)
     _check_stamps(out, fingerprint, checked="powers.csv")
-    try:
-        record = apparatus.run_scenario(geometry, scenario, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    record = apparatus.run_scenario(geometry, scenario, grid)
 
     out.mkdir(parents=True, exist_ok=True)
     row = {column: getattr(record, column) for column in POWERS_COLUMNS[2:]}
@@ -244,10 +243,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
 
     if args.probe:
         a, b = _parse_complex_pair(args.probe, "--probe")
-        try:
-            probe = duality.ProbeAmplitudes(a, b)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        probe = duality.ProbeAmplitudes(a, b)
         add_rows("probe", [f"a={a!r};b={b!r}"], duality.vk_from_probe(probe))
         if abs(a.imag) < 1e-12 and abs(b.imag) < 1e-12:
             model = duality.probe_detector_model(probe)
@@ -338,29 +334,22 @@ def cmd_remnant(args: argparse.Namespace) -> int:
     out = Path(args.out or cfg.out_dir)
     fingerprint = _fingerprint(geometry, grid)
     _check_stamps(out, fingerprint)
-    try:
-        state = remnant.build_remnant(*apparatus.sigma1_fields(geometry, grid))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    state = remnant.build_remnant(*apparatus.sigma1_fields(geometry, grid))
     # the state holds its own amplitudes and nothing later reads the bench
     apparatus._bench.cache_clear()
     total = remnant.total_pattern(state)
 
+    # sigma1_fields' phi_L is phi_U mirrored, so v_L's outcome is v_U's mirrored
+    p_upper, upper = remnant.postselect(state, remnant.VibrationalDirection.v_upper())
+    probs = {"post_vU": p_upper, "post_vL": p_upper}
+    patterns = {"post_vU": upper, "post_vL": apparatus._mirror(upper)}
     directions = [
-        ("post_vU", remnant.VibrationalDirection.v_upper()),
-        ("post_vL", remnant.VibrationalDirection.v_lower()),
         ("post_plus", remnant.VibrationalDirection.fringe()),
         ("post_minus", remnant.VibrationalDirection.antifringe()),
     ]
     if args.direction:
         alpha, beta = _parse_complex_pair(args.direction, "--direction")
-        try:
-            directions.append(("post_custom", remnant.VibrationalDirection(alpha, beta)))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    probs: dict[str, float] = {}
-    patterns: dict[str, np.ndarray] = {}
+        directions.append(("post_custom", remnant.VibrationalDirection(alpha, beta)))
     for name, direction in directions:
         probs[name], patterns[name] = remnant.postselect(state, direction)
     residues = [
@@ -369,7 +358,7 @@ def cmd_remnant(args: argparse.Namespace) -> int:
     ]
 
     out.mkdir(parents=True, exist_ok=True)
-    names = [name for name, _ in directions]
+    names = list(probs)
     # x_m is formatted once, for remnant.csv and for the sampled sites
     x_m = list(_fmt_rows(state.sites))
     columns = (total, *(patterns[name] for name in names))
@@ -384,7 +373,7 @@ def cmd_remnant(args: argparse.Namespace) -> int:
         + [f"{name},{_fmt(probs[name])}" for name in names],
     )
     # the patterns are written: they go before sampling imports numpy.random
-    del total, patterns, columns
+    del total, upper, patterns, columns
 
     if args.samples:
         rng = np.random.default_rng(seed)
@@ -463,9 +452,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.out == "":
             raise ConfigError("--out is empty; name a directory ('.' for the current one)")
         return args.fn(args)
-    # OSError: an output or input path the file system refuses, e.g. --out
-    # naming a regular file
-    except (ConfigError, ReportError, OSError) as exc:
+    # ValueError: a refused input, whichever layer refuses it (ConfigError and
+    # ReportError are ValueErrors); OSError: an output or input path the file
+    # system refuses, e.g. --out naming a regular file
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except apparatus.BandLimitError as exc:

@@ -24,7 +24,13 @@ _GEOMETRY_KEYS = {f.name for f in fields(AfsharGeometry)}
 
 
 class ConfigError(ValueError):
-    """Unreadable, unparsable, or physically inconsistent configuration."""
+    """An unreadable or unparsable config, a grid past ``MAX_N_SAMPLES``, or
+    a command-line input the CLI refuses.
+
+    A refused input is any ``ValueError``, this one included: the CLI exits
+    2 on each alike, so a geometry or grid the library refuses keeps its
+    own ``ValueError``.
+    """
 
 
 @dataclass
@@ -36,18 +42,12 @@ class Config:
     seed: int | None = None
 
     def geometry(self) -> AfsharGeometry:
-        try:
-            return replace(AfsharGeometry.default(), **self.geometry_keys)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return replace(AfsharGeometry.default(), **self.geometry_keys)
 
     def grid(self) -> Grid:
         if self.n_samples > MAX_N_SAMPLES:
             raise ConfigError(f"n_samples {self.n_samples} exceeds the limit {MAX_N_SAMPLES}")
-        try:
-            return Grid(n_samples=self.n_samples, spacing=self.spacing)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return Grid(n_samples=self.n_samples, spacing=self.spacing)
 
 
 def parse_config(text: str) -> Config:

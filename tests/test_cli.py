@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afsharsim import AfsharGeometry, apparatus, duality
+from afsharsim import AfsharGeometry, apparatus, duality, remnant
 from afsharsim import cli
 from afsharsim.cli import main
 from afsharsim.config import Config, ConfigError, load_config, parse_config
@@ -473,10 +473,15 @@ class TestRemnant:
             key, val = line.split(",")
             probs[key] = float(val)
         assert probs["post_vU"] + probs["post_vL"] == pytest.approx(1.0, abs=1e-12)
-        # the lower slit mirrors the upper: equal up to the rounding of a sum
-        # taken in mirrored order (separately scaled slits differed by 8e-14)
-        assert probs["post_vU"] == pytest.approx(probs["post_vL"], rel=1e-15, abs=0)
+        # the lower slit mirrors the upper, so v_L's outcome is v_U's mirrored
+        assert probs["post_vU"] == probs["post_vL"]
         assert probs["post_plus"] + probs["post_minus"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_lower_column_is_the_upper_column_mirrored(self, cli_out):
+        rows = (cli_out / "remnant.csv").read_text().splitlines()[2:]
+        upper, lower = zip(*(row.split(",")[2:4] for row in rows))
+        # row i is site i; the mirror x -> -x sends it to row n - i, row 0 to itself
+        assert list(lower) == [upper[0], *upper[:0:-1]]
 
     def test_completeness_from_files(self, cli_out):
         rows = (cli_out / "remnant.csv").read_text().splitlines()
@@ -1202,6 +1207,27 @@ class TestUsage:
         assert where in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.cfg", "powers.csv"]
         assert (tmp_path / "powers.csv").read_text() == TestReport.POWERS
+
+    @pytest.mark.parametrize(
+        "argv, module, name",
+        [
+            (("duality", "--probe", "0.6,0.8"), duality, "vk_from_probe"),
+            (("remnant",), remnant, "postselect"),
+            (("simulate",), apparatus, "fill_factor"),
+            (("report",), cli, "build_report"),
+        ],
+        ids=["duality", "remnant", "simulate", "report"],
+    )
+    def test_any_library_value_error_exits_2_with_one_line(
+        self, tmp_path, monkeypatch, capsys, argv, module, name
+    ):
+        # no command catches these calls' errors: main alone maps a ValueError to exit 2
+        def refuse(*args, **kwargs):
+            raise ValueError("refused by the library")
+
+        monkeypatch.setattr(module, name, refuse)
+        assert run(*argv, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "error: refused by the library\n"
 
     def test_unknown_scenario_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
