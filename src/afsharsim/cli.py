@@ -10,7 +10,10 @@ calls ``os.replace``, so a failed write leaves the previous file as it was.
 The commands hand it generators of lines, so no command holds a whole CSV:
 neither its rows' floats nor its text.  ``duality`` and ``remnant`` draw
 their random detectors and detections a block at a time, so neither holds
-n of them either.
+n of them either.  An ``x_m`` column written twice is formatted once: the
+first file's rows keep its strings in a fixed-width bytes table
+(``_fmt_kept``), and ``simulate``'s sigma2.csv and ``remnant``'s sampled
+sites read them from it.
 
 The format of each CSV, its config stamp included, is stated once in
 ``report``'s module notes.  ``simulate`` and ``remnant`` refuse an output
@@ -43,10 +46,13 @@ from .config import MAX_N_SAMPLES, ConfigError, load_config
 from .report import (
     POWERS_COLUMNS,
     _CSV,
+    _FMT_DTYPE,
     _STAMPED,
     _fmt,
+    _fmt_kept,
     _fmt_rows,
     _head,
+    _kept,
     _powers_line,
     _read_csv,
     _read_powers,
@@ -158,6 +164,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _check_stamp(powers_path, stamp, fingerprint)
     _check_stamps(out, fingerprint, checked="powers.csv")
     record = apparatus.run_scenario(geometry, scenario, grid)
+    # the record holds its own profiles and this process runs no other scenario
+    apparatus._bench.cache_clear()
 
     out.mkdir(parents=True, exist_ok=True)
     row = {column: getattr(record, column) for column in POWERS_COLUMNS[2:]}
@@ -165,11 +173,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     rows[(row["scenario"], row["grid"])] = row
     powers = _head("powers.csv", fingerprint)
     powers += [_powers_line(rows[key]) for key in _SCENARIO_ORDER if key in rows]
-    for name, profile in (
-        ("sigma1.csv", record.intensity_sigma1),
-        ("sigma2.csv", record.intensity_sigma2),
+    # x_m is formatted once: sigma1.csv's rows fill the table, sigma2.csv's read it
+    x_m = np.empty(grid.n_samples, _FMT_DTYPE)
+    for name, profile, xs in (
+        ("sigma1.csv", record.intensity_sigma1, _fmt_kept(grid.coordinates, x_m)),
+        ("sigma2.csv", record.intensity_sigma2, _kept(x_m)),
     ):
-        rows = _fmt_rows(grid.coordinates, profile)
+        rows = (f"{x},{value}" for value, x in zip(_fmt_rows(profile), xs))
         _write_lines(out / name, chain(_head(name, fingerprint), rows))
     _write_lines(out / "powers.csv", powers)
     (u_lo, u_hi), (l_lo, l_hi) = apparatus.image_windows(geometry)
@@ -359,11 +369,11 @@ def cmd_remnant(args: argparse.Namespace) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     names = list(probs)
-    # x_m is formatted once, for remnant.csv and for the sampled sites
-    x_m = list(_fmt_rows(state.sites))
+    # x_m is formatted once: remnant.csv's rows fill the table, the sampled sites read it
+    x_m = np.empty(state.sites.size, _FMT_DTYPE)
     columns = (total, *(patterns[name] for name in names))
     # _fmt_rows first in the zip, so its float lists are freed when it runs out
-    rows = (f"{x},{values}" for values, x in zip(_fmt_rows(*columns), x_m))
+    rows = (f"{x},{values}" for values, x in zip(_fmt_rows(*columns), _fmt_kept(state.sites, x_m)))
     # the table's columns are the four fixed directions; a custom one follows them
     head = _head("remnant.csv", fingerprint, names[4:])
     _write_lines(out / "remnant.csv", chain(head, rows))
@@ -378,8 +388,8 @@ def cmd_remnant(args: argparse.Namespace) -> int:
     if args.samples:
         rng = np.random.default_rng(seed)
         blocks = remnant.sample_sites(state, args.samples, rng)
-        draws = chain.from_iterable(block.tolist() for block in blocks)
-        rows = (f"{i},{x_m[site]}" for i, site in enumerate(draws))
+        draws = chain.from_iterable(_kept(x_m[block]) for block in blocks)
+        rows = (f"{i},{x}" for i, x in enumerate(draws))
         _write_lines(out / "remnant_samples.csv", chain(_head("remnant_samples.csv"), rows))
 
     print("remnant: completeness residue " + ", ".join(residues))

@@ -16,26 +16,29 @@ A stamped file depends on the bench config: its first line is
 built only from files whose stamps agree; a file without a stamp counts
 as a config of its own.
 
-The reader takes a file with one ``Path.read_text``.  The header must
+The reader takes a file through one ``Path.open``, ``_BLOCK`` lines at a
+time, and splits it into the lines ``str.splitlines`` gives.  The header must
 hold the table's columns (a writer may add more after them, as
 ``remnant`` adds ``post_custom``; powers.csv's must be the table's
 exactly), and there must be at least one row.  Every row has the
 header's field count and a number in every float field.  Where a verdict
 reads the numbers as they are, a non-finite one would pass or fail a
 threshold by accident, so it is refused too.  A file that breaks a rule
-is refused with one message naming its first bad line in row order.
+is refused with one message naming its first bad line in row order; an
+undecodable byte anywhere in the file is named first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .remnant import COMPLETENESS_PAIRS, ORTHONORMAL_NOTE, completeness_residue
-from .wavefield import _row_blocks
+from .wavefield import _BLOCK, _row_blocks
 
 __all__ = [
     "Report",
@@ -128,6 +131,33 @@ def _fmt_rows(*columns) -> Iterator[str]:
         yield from map(",".join, zip(*(map(repr, values) for values in floats)))
 
 
+# The longest repr of a float64, e.g. '-2.2250738585072014e-308', has 24
+# characters, so an array of this dtype holds any _fmt string whole.
+_FMT_DTYPE = "S24"
+
+
+def _fmt_kept(column, table: np.ndarray) -> Iterator[str]:
+    """The ``_fmt`` string of each value of ``column``, kept in ``table`` too.
+
+    ``table`` is a ``_FMT_DTYPE`` array of the column's length.  The values
+    are formatted ``_BLOCK`` at a time, and each block's strings are stored
+    in ``table`` before the first of them is yielded, so every string
+    yielded so far can be read back with ``_kept`` instead of being
+    formatted again.
+    """
+    values = np.asarray(column, dtype=float).ravel()
+    for rows in _row_blocks(values.size):
+        strings = list(map(repr, values[rows].tolist()))
+        table[rows] = strings
+        yield from strings
+
+
+def _kept(table: np.ndarray) -> Iterator[str]:
+    """The strings of a ``_fmt_kept`` table, or of rows taken from one, in order."""
+    for rows in _row_blocks(table.size):
+        yield from map(bytes.decode, table[rows].tolist())
+
+
 def _head(name: str, fingerprint: str | None = None, extra: Iterable[str] = ()) -> list[str]:
     """The lines above the rows of output file ``name``.
 
@@ -162,15 +192,14 @@ def _read_stamp(path: Path) -> str | None:
 
 
 def _first_bad_line(
-    path: Path, lines: list[str], top: int, header: list[str], finite: bool
+    path: Path, lines: list[str], first: int, header: list[str], finite: bool
 ) -> ReportError:
-    """The error for the first malformed line of a CSV, in row order.
+    """The error for the first malformed line of ``lines``, whose first is line ``first``.
 
-    ``lines[top]`` is the header.  Runs only after the bulk checks in
-    ``_read_csv`` have failed, so it parses one field at a time with the
-    same parser.
+    Runs only after the bulk checks of a block in ``_read_csv`` have failed,
+    so it parses one field at a time with the same parser.
     """
-    for lineno, line in enumerate(lines[top + 1 :], start=top + 2):
+    for lineno, line in enumerate(lines, start=first):
         if not line:
             continue
         fields = line.split(",")
@@ -193,40 +222,75 @@ def _first_bad_line(
 def _read_csv(
     path: Path, required: tuple[str, ...] = (), finite: bool = False, label_rows: int | None = None
 ) -> tuple[str | None, list[str], dict[str, np.ndarray | list[str]]]:
-    """Stamp, header and columns of an emitted CSV, from one ``read_text``.
+    """Stamp, header and columns of an emitted CSV, read ``_BLOCK`` lines at a time.
 
     The stamp is None when the file has none.  A label column is a list of
-    strings, of the first ``label_rows`` rows when that is given; every
-    other column is one float array of all rows, parsed in bulk.  Raises
+    strings, of the first ``label_rows`` rows when that is given, and only
+    those rows' lines are kept; every other column is one float array of
+    all rows, each block's float fields parsed in bulk as it is read.  So
+    besides the float columns the reader holds one block of lines.  Raises
     ReportError when the file is not text, when the header lacks one of the
     ``required`` columns, when there are no data rows and on a malformed
     line, naming the first one (a non-finite number is malformed when
-    ``finite`` is set).
+    ``finite`` is set).  The file is opened once; only a file that is not
+    text is read again, for the message that names the undecodable byte
+    by its offset in the file.
     """
     try:
-        lines = path.read_text().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ReportError(f"{path}: not a text file: {exc}") from None
-    stamp = lines[0][len(_STAMP) :] if lines and lines[0].startswith(_STAMP) else None
+        with path.open() as f:
+            try:
+                return _read_lines(path, f, required, finite, label_rows)
+            except ReportError:
+                # a whole-file read would fail at an undecodable byte before any check
+                for _ in f:
+                    pass
+                raise
+    except UnicodeDecodeError:
+        # the streamed decoder counts bytes from its last chunk, not from the file's start
+        try:
+            path.read_text()
+        except UnicodeDecodeError as exc:
+            raise ReportError(f"{path}: not a text file: {exc}") from None
+        raise
+
+
+def _read_lines(
+    path: Path, f: Iterable[str], required: tuple[str, ...], finite: bool, label_rows: int | None
+) -> tuple[str | None, list[str], dict[str, np.ndarray | list[str]]]:
+    """``_read_csv`` of the text lines of file ``f``."""
+    # the lines read_text().splitlines() gives: str.splitlines breaks at
+    # more characters than a text file's lines end at
+    lines = chain.from_iterable(map(str.splitlines, f))
+    first = next(lines, None)
+    stamp = first[len(_STAMP) :] if first is not None and first.startswith(_STAMP) else None
     top = 0 if stamp is None else 1
-    header = lines[top].split(",") if len(lines) > top else []
+    head = first if stamp is None else next(lines, None)
+    header = head.split(",") if head is not None else []
     missing = [name for name in required if name not in header]
     if header and missing:
         raise ReportError(f"{path}:{top + 1}: missing column {missing[0]!r}")
-    rows = [line for line in lines[top + 1 :] if line]
-    if not rows:
-        raise ReportError(f"{path}: no data rows")
     numeric = [j for j, name in enumerate(header) if name not in _TEXT_COLUMNS]
-    try:
-        if any(line.count(",") != len(header) - 1 for line in rows):
-            raise ValueError
-        data = _parse(rows, numeric)
-        if finite and not np.isfinite(data).all():
-            raise ValueError
-    except ValueError:
-        raise _first_bad_line(path, lines, top, header, finite) from None
-    floats = dict(zip(numeric, data.T))
-    labelled = rows[:label_rows]
+    # the rows whose lines the label columns are read from: all, or the first label_rows
+    keep = label_rows if len(numeric) < len(header) else 0
+    blocks: list[np.ndarray] = []
+    labelled: list[str] = []
+    lineno = top + 2  # the number of the block's first line
+    while block := list(islice(lines, _BLOCK)):
+        if rows := [line for line in block if line]:
+            try:
+                if any(line.count(",") != len(header) - 1 for line in rows):
+                    raise ValueError
+                data = _parse(rows, numeric)
+                if finite and not np.isfinite(data).all():
+                    raise ValueError
+            except ValueError:
+                raise _first_bad_line(path, block, lineno, header, finite) from None
+            blocks.append(data)
+            labelled += rows[: None if keep is None else keep - len(labelled)]
+        lineno += len(block)
+    if not blocks:
+        raise ReportError(f"{path}: no data rows")
+    floats = dict(zip(numeric, np.concatenate(blocks).T))
     columns = {
         name: floats[j] if j in floats else [line.split(",", j + 1)[j] for line in labelled]
         for j, name in enumerate(header)

@@ -18,7 +18,19 @@ from afsharsim import AfsharGeometry, apparatus, duality, remnant
 from afsharsim import cli
 from afsharsim.cli import main
 from afsharsim.config import Config, ConfigError, load_config, parse_config
-from afsharsim.report import POWERS_COLUMNS, _fmt, _fmt_rows, _parse
+from afsharsim.report import (
+    _CSV,
+    _FMT_DTYPE,
+    POWERS_COLUMNS,
+    ReportError,
+    _fmt,
+    _fmt_kept,
+    _fmt_rows,
+    _head,
+    _kept,
+    _parse,
+    _read_csv,
+)
 from afsharsim.wavefield import _BLOCK, Grid
 
 
@@ -121,6 +133,25 @@ class TestSimulate:
             "power_window_U,power_window_L"
         )
         assert len(powers) == 6  # stamp, header and four accumulated scenario rows
+
+    def test_profiles_share_one_x_m_column(self, cli_out):
+        # sigma1.csv's rows fill the x_m table and sigma2.csv's read it back
+        xs = [_fmt(x) for x in Grid(2**14, 5e-6).coordinates]
+        for name in ("sigma1.csv", "sigma2.csv"):
+            rows = (cli_out / name).read_text().splitlines()[2:]
+            assert [row.split(",")[0] for row in rows] == xs, name
+
+    def test_bench_is_released_before_the_profiles_are_written(self, tmp_path, monkeypatch):
+        held = []
+        write_lines = cli._write_lines
+
+        def write(path, lines):
+            held.append(apparatus._bench.cache_info().currsize)
+            write_lines(path, lines)
+
+        monkeypatch.setattr(cli, "_write_lines", write)
+        assert run("simulate", "--out", str(tmp_path)) == 0
+        assert held == [0, 0, 0, 0]
 
     def test_full_double_precision_round_trip(self, cli_out):
         row = (cli_out / "sigma1.csv").read_text().splitlines()[2]
@@ -502,14 +533,42 @@ class TestRemnant:
         ).read_bytes()
 
     def test_sampled_x_m_are_remnant_csv_strings(self, tmp_path):
-        out = tmp_path / "r"
-        assert run("remnant", "--seed", "4", "--samples", "500", "--out", str(out)) == 0
+        # each sample's x_m is, as text, remnant.csv's x_m of the site drawn,
+        # with the sites drawn again from the same seed
+        n, out = 3 * _BLOCK + 7, tmp_path / "r"
+        assert run("remnant", "--seed", "4", "--samples", str(n), "--out", str(out)) == 0
         remnant_rows = (out / "remnant.csv").read_text().splitlines()[2:]
-        sites = {line.split(",", 1)[0] for line in remnant_rows}
+        x_m = [line.split(",", 1)[0] for line in remnant_rows]
+        fields = apparatus.sigma1_fields(AfsharGeometry.default(), Grid(2**14, 5e-6))
+        blocks = remnant.sample_sites(remnant.build_remnant(*fields), n, np.random.default_rng(4))
+        sites = np.concatenate(list(blocks)).tolist()
         samples = (out / "remnant_samples.csv").read_text().splitlines()
-        assert samples[0] == "index,x_m" and len(samples) == 501
-        assert [line.split(",")[0] for line in samples[1:]] == [str(i) for i in range(500)]
-        assert {line.split(",")[1] for line in samples[1:]} <= sites
+        assert samples[0] == "index,x_m"
+        assert samples[1:] == [f"{i},{x_m[site]}" for i, site in enumerate(sites)]
+
+    def test_x_m_table_keeps_the_longest_reprs_whole(self):
+        # 24 characters is the longest float64 repr; numpy would cut a
+        # longer string to a narrower table's width without a word
+        values = [-2.2250738585072014e-308, -1.7976931348623157e308, 5e-324, -0.0]
+        table = np.empty(len(values), _FMT_DTYPE)
+        assert list(_fmt_kept(values, table)) == [_fmt(v) for v in values]
+        kept = list(_kept(table))
+        assert kept == [_fmt(v) for v in values]
+        assert np.array([float(x) for x in kept]).tobytes() == np.array(values).tobytes()
+
+    def test_fine_grid_memory_holds_x_m_as_a_table(self, tmp_path):
+        # 2^16 sites and 10^5 samples: 8.8 MiB measured with the 1.5 MiB
+        # table; keeping every x_m string instead took 10.5 MiB
+        cfg = tmp_path / "fine.cfg"
+        cfg.write_text("n_samples = 65536\nspacing = 1.25e-6\n")
+        argv = ("--config", str(cfg), "--seed", "1", "--samples", str(10**5))
+        tracemalloc.start()
+        try:
+            assert run("remnant", *argv, "--out", str(tmp_path / "r")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.5 * 2**20
 
     def test_samples_without_seed_exit_2(self, tmp_path):
         assert run("remnant", "--samples", "5", "--out", str(tmp_path / "r")) == 2
@@ -648,6 +707,11 @@ class TestReport:
             ("visibility_bins.csv", "bin_width_m,V\n5e-06,one\n", "visibility_bins.csv:2"),
             ("remnant.csv", "x_m,total\n", "remnant.csv"),
             (
+                "remnant.csv",
+                "# config 0123abcd\nx_m,total,post_vU,post_vL,post_plus,post_minus\n",
+                "remnant.csv: no data rows",
+            ),
+            (
                 "vk.csv",
                 "model,a_or_V_source,V,K\nprobe,x,0.6,0.8\n",
                 "vk.csv:1: missing column 'V2K2'",
@@ -713,6 +777,45 @@ class TestReport:
         inputs += ["remnant.csv", "remnant_summary.csv"]
         csvs = {name: n for name, n in opened.items() if name.endswith(".csv")}
         assert csvs == dict.fromkeys(inputs, 1)
+
+    def test_malformed_row_past_the_first_block_is_named(self, cli_out, tmp_path, capsys):
+        # row 1500 of remnant.csv, line 1502 under the stamp and the header, loses a field
+        lines = (cli_out / "remnant.csv").read_text().splitlines(keepends=True)
+        lines[1501] = lines[1501].split(",", 1)[1]
+        path = tmp_path / "remnant.csv"
+        path.write_text("".join(lines))
+        assert run("report", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {path}:1502: 6 fields where the header has 7\n"
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_non_number_past_the_first_block_is_named(self, tmp_path, capsys):
+        assert run("duality", "--random-detectors", "2000", "--out", str(tmp_path)) == 0
+        path = tmp_path / "vk.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[1799].split(",")
+        fields[2] = "abc"
+        lines[1799] = ",".join(fields)
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("report", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {path}:1800: V = 'abc' is not a number\n"
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_undecodable_byte_is_named_by_its_offset_in_the_file(self, cli_out, tmp_path, capsys):
+        # past the decoder's first chunk and after a malformed line: the byte
+        # is named first, at its offset in the file, as a whole-file decode names it
+        data = bytearray((cli_out / "remnant.csv").read_bytes())
+        data[data.index(b"\n", 500) + 1] = ord("x")
+        data[100_000] = 0xFF
+        try:
+            bytes(data).decode()
+        except UnicodeDecodeError as exc:
+            expected = f"not a text file: {exc}"
+        assert "position 100000" in expected
+        path = tmp_path / "remnant.csv"
+        path.write_bytes(data)
+        assert run("report", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {path}: {expected}\n"
 
     REMNANT = "x_m,total,post_vU,post_vL,post_plus,post_minus\n0.0,1.0,1.0,1.0,1.0,1.0\n"
     # a companion file is only read next to its main file
@@ -936,6 +1039,9 @@ _CSV_FLOATS = st.lists(
 )
 
 
+_STAMP_LINE = "# config 0123abcd"
+
+
 class TestCsvFormat:
     """The column formatter and the bulk parser keep the byte-identical-rerun contract."""
 
@@ -943,6 +1049,9 @@ class TestCsvFormat:
     @given(values=_CSV_FLOATS)
     def test_rows_are_fmt_of_each_value(self, values):
         assert list(_fmt_rows(values)) == [_fmt(v) for v in values]
+        table = np.empty(len(values), _FMT_DTYPE)
+        assert list(_fmt_kept(values, table)) == [_fmt(v) for v in values]
+        assert list(_kept(table)) == [_fmt(v) for v in values]
         assert list(_fmt_rows(np.array(values))) == [_fmt(v) for v in values]
         backwards = values[::-1]
         assert list(_fmt_rows(values, backwards)) == [
@@ -966,6 +1075,51 @@ class TestCsvFormat:
     def test_rows_across_blocks_are_fmt_of_each_value(self, n):
         values = np.random.default_rng(n).normal(size=(2, n)) * 1e-5
         assert list(_fmt_rows(*values)) == [f"{_fmt(a)},{_fmt(b)}" for a, b in values.T]
+        # the kept table, read whole and as rows drawn from it
+        table = np.empty(n, _FMT_DTYPE)
+        assert list(_fmt_kept(values[0], table)) == [_fmt(a) for a in values[0]]
+        picks = np.random.default_rng(n).integers(0, max(n, 1), size=2 * n)
+        assert list(_kept(table[picks])) == [_fmt(values[0, i]) for i in picks]
+
+    @pytest.mark.parametrize(
+        "sep, end",
+        [("\n", ""), ("\n", "\n\n\n"), ("\n\n", "\n"), ("\r\n", "\r\n"), ("\r", "\r"), ("\n\f", "")],
+        ids=["no-last-newline", "blank-tail", "blank-lines", "crlf", "cr", "form-feed"],
+    )
+    @pytest.mark.parametrize("n", [1, _BLOCK, 2 * _BLOCK + 5])
+    def test_reader_takes_the_lines_splitlines_gives(self, tmp_path, sep, end, n):
+        # the rows, not the stamp and the header, are separated by sep
+        values = np.random.default_rng(n).normal(size=(2, n))
+        head = f"{_STAMP_LINE}\nx_m,intensity\n"
+        rows = list(_fmt_rows(*values))
+        path = tmp_path / "sigma2.csv"
+        path.write_bytes((head + sep.join(rows) + end).encode())
+        stamp, header, columns = _read_csv(path, _CSV["sigma2.csv"].header)
+        assert (stamp, header) == ("0123abcd", ["x_m", "intensity"])
+        assert columns["x_m"].tobytes() == values[0].tobytes()
+        assert columns["intensity"].tobytes() == values[1].tobytes()
+        # a bad row is named by its number among read_text().splitlines()
+        text = head + sep.join([*rows, "1.0,abc", "2.0,3.0"]) + end
+        path.write_bytes(text.encode())
+        lineno = text.splitlines().index("1.0,abc") + 1
+        with pytest.raises(ReportError) as err:
+            _read_csv(path, _CSV["sigma2.csv"].header)
+        assert str(err.value) == f"{path}:{lineno}: intensity = 'abc' is not a number"
+
+    def test_reader_memory_is_the_float_columns_and_a_block(self, tmp_path):
+        # 65,536 rows of six float columns, 3 MiB as floats: 6.2 MiB measured,
+        # the blocks and their join; holding the text, lines and rows took 18 MiB
+        columns = np.random.default_rng(0).random((6, 2**16))
+        path = tmp_path / "remnant.csv"
+        cli._write_lines(path, itertools.chain(_head("remnant.csv", "0123abcd"), _fmt_rows(*columns)))
+        tracemalloc.start()
+        try:
+            _, _, read = _read_csv(path, _CSV["remnant.csv"].header)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read["post_minus"].tobytes() == columns[5].tobytes()
+        assert peak < 8 * 2**20
 
 
 class TestConfig:
